@@ -13,11 +13,11 @@ Environment knobs:
 * ``REPRO_BENCH_FULL=1``    -- run the paper-sized sweeps (SABRE at hundreds
   of qubits).  The delta-scored SABRE core (see ``repro.baselines.sabre``)
   routes these at a near-flat per-swap-iteration cost; for multi-core
-  machines and incremental re-runs, prefer
-  ``python -m repro.eval --profile paper --jobs N --cache DIR``, which groups
-  cells by topology, fans them out over processes and skips anything already
-  computed.  ``scripts/bench.py`` tracks the fixed micro-suite's wall times
-  per commit (BENCH_compile_time.json).
+  machines and warm re-runs, prefer
+  ``python -m repro.eval --profile paper --jobs N --cache results.db``,
+  which groups cells by topology, fans them out over processes and skips
+  anything the store already holds.  ``scripts/bench.py`` tracks the
+  fixed micro-suite's wall times per commit (BENCH_compile_time.json).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ repo a perf trajectory:
 * ``micro-qft-grid``   -- SABRE QFT on 5x5 / 7x7 / 9x9 grids, timed per cell
   (the reference cells quoted in CHANGES.md since PR 1);
 * ``fig17-smoke``      -- the quick-profile Fig. 17 sweep (ours + SABRE on
-  heavy-hex), timed end-to-end through the real harness (`run_cells`);
+  heavy-hex), timed end-to-end through the real harness (`execute`);
 * ``fig19-smoke``      -- the quick-profile Fig. 19 sweep (ours + LNN + SABRE
   on the lattice-surgery grid, up to 1024 qubits), likewise.
 

@@ -21,14 +21,11 @@ lint_format="text"
 if [ -n "${GITHUB_ACTIONS:-}" ]; then
     lint_format="github"
 fi
-echo "=== repro.lint: static invariant checks (all eight checkers) ==="
+echo "=== repro.lint: static invariant checks (all seven checkers) ==="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.lint --target src \
     --baseline LINT_BASELINE.txt --format "$lint_format"
-echo "=== repro.lint: scripts/ + tests/ (determinism, error-discipline, deprecated-api) ==="
+echo "=== repro.lint: scripts/ + tests/ (determinism, error-discipline) ==="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.lint --target tools \
-    --format "$lint_format"
-echo "=== repro.lint: examples/ + benchmarks/ (deprecated-api) ==="
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.lint --target examples \
     --format "$lint_format"
 echo "lint ok"
 if [ "${1:-}" = "--lint-only" ]; then
@@ -108,45 +105,44 @@ fi
 
 # ---------------------------------------------------------------------------
 # Chaos smoke: the fault-tolerance contract, exercised for real.  A serial
-# reference run journals fig27; then a dispatcher run computes the same plan
-# with injected faults -- worker w0 SIGKILLed mid-run, worker w1's
-# heartbeats frozen while it stalls past its lease -- and the two journals
-# must agree cell for cell on every pinned metric.  The report must also
-# show the dispatcher actually reassigned leases: a chaos spec that fires
-# nothing would "pass" vacuously.
+# reference run records fig27 into a store; then a dispatcher run computes
+# the same plan with injected faults -- worker w0 SIGKILLed mid-run, worker
+# w1's heartbeats frozen while it stalls past its lease -- and the two run
+# records must agree cell for cell on every pinned metric.  The report must
+# also show the dispatcher actually reassigned leases: a chaos spec that
+# fires nothing would "pass" vacuously.
 # ---------------------------------------------------------------------------
 chaos_smoke() {
     echo "=== chaos smoke: dispatcher (kill + frozen heartbeat) vs serial ==="
     local chaos_dir
     chaos_dir=$(mktemp -d)
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-        --executor shard-coordinator --journal "$chaos_dir/serial" | tail -2
+        --executor serial --store "$chaos_dir/serial.db" | tail -2
     local chaos_out
     chaos_out=$(REPRO_CHAOS="kill-worker@worker=w0,cell=1;freeze-heartbeat@worker=w1,cell=2;stall@worker=w1,cell=2,s=1.2" \
         PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
         --executor dispatch --jobs 2 --lease-s 0.4 --heartbeat-s 0.1 \
-        --journal "$chaos_dir/chaos")
+        --store "$chaos_dir/chaos.db")
     echo "$chaos_out" | tail -2
     echo "$chaos_out" | grep -Eq "reassigned=[1-9]" || {
         echo "ci.sh: FAIL — chaos run never reassigned a lease (faults did not fire?)" >&2
         exit 1
     }
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$chaos_dir" <<'PY'
-import json, sys
-from pathlib import Path
+import sys
+from repro.store import ExperimentStore
 
-def cells(path):
-    out = {}
-    for line in Path(path, "journal.jsonl").read_text().splitlines():
-        rec = json.loads(line)
-        if rec.get("type") != "cell":
-            continue
-        r = rec["result"]
-        out[rec["key"]] = (r["approach"], r["status"], r["depth"], r["swap_count"])
-    return out
+def cells(db):
+    with ExperimentStore(db) as store:
+        (run,) = store.list_runs()
+        return {
+            key: (r["approach"], r["status"], r["depth"], r["swap_count"])
+            for key, r in store.run_results(run["id"]).items()
+        }
 
 base = sys.argv[1]
-serial, chaotic = cells(f"{base}/serial"), cells(f"{base}/chaos")
+serial, chaotic = cells(f"{base}/serial.db"), cells(f"{base}/chaos.db")
+assert len(serial) == 10, f"serial run recorded {len(serial)} cells"
 assert chaotic == serial, f"chaos run != serial run: {chaotic} vs {serial}"
 print(f"chaos smoke ok: {len(serial)} cells bit-equal under worker kill + heartbeat freeze")
 PY
@@ -160,10 +156,11 @@ if [ "${1:-}" = "--chaos-only" ]; then
 fi
 
 # ---------------------------------------------------------------------------
-# Store smoke: the SQLite experiment store end to end.  Two shards journal
-# fig27 to JSONL while recording runs + caching cells into one shared .db;
-# the store's run records must be bit-equal to the journals, the shared
-# store-backed cache must serve the full sweep warm, a seeded divergent
+# Store smoke: the SQLite experiment store end to end.  Two "machines" run
+# complementary fig27 shards, each recording its run into and caching into
+# its own .db; the union of the shards' run records must equal an unsharded
+# pool run cell for cell, a crashed shard resumes from its record, the
+# merged shard caches must serve the full sweep warm, a seeded divergent
 # merge must be refused by the UNIQUE constraint, and the perf gate must
 # read its baseline from imported legacy bench history (--db).
 # ---------------------------------------------------------------------------
@@ -172,68 +169,71 @@ store_smoke() {
     local store_dir
     store_dir=$(mktemp -d)
     local db="$store_dir/results.db"
-    # Two "machines" run complementary slices: JSONL journals stay the
-    # resume source of truth, the store records the same appends, and both
-    # shards cache into the same store-backed cache.
+    local shard
+    for shard in 0 1; do
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
+            --shard "$shard/2" --store "$store_dir/s$shard.db" \
+            --cache "$store_dir/s$shard.db" | tail -3
+    done
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-        --shard 0/2 --journal "$store_dir/j0" --store "$db" --cache "$db" | tail -2
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-        --shard 1/2 --journal "$store_dir/j1" --store "$db" --cache "$db" | tail -2
+        --jobs 2 --store "$store_dir/full.db" | tail -2
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$store_dir" <<'PY'
-import json, sys
-from pathlib import Path
+import sys
 from repro.store import ExperimentStore
 
-base = Path(sys.argv[1])
+def cells(db):
+    with ExperimentStore(db) as store:
+        (run,) = store.list_runs()
+        return {
+            key: (r["approach"], r["status"], r["depth"], r["swap_count"])
+            for key, r in store.run_results(run["id"]).items()
+        }
 
-def cells(path):
-    out = {}
-    for line in (path / "journal.jsonl").read_text().splitlines():
-        rec = json.loads(line)
-        if rec.get("type") == "cell":
-            out[rec["key"]] = rec["result"]
-    return out
-
-jsonl = {}
-for shard in ("j0", "j1"):
-    jsonl.update(cells(base / shard))
-with ExperimentStore(base / "results.db") as store:
-    runs = store.list_runs()
-    assert len(runs) == 2, f"expected 2 recorded runs, got {len(runs)}"
-    recorded = {}
-    for run in runs:
-        recorded.update(store.run_results(run["id"]))
-assert recorded == jsonl, "store run records != JSONL journals"
-print(f"store smoke ok: {len(jsonl)} journaled cells bit-equal in the store")
+base = sys.argv[1]
+s0, s1, full = (cells(f"{base}/{n}.db") for n in ("s0", "s1", "full"))
+assert set(s0).isdisjoint(s1), "shards overlap"
+assert {**s0, **s1} == full, f"shard run records != unsharded run: {s0} {s1} vs {full}"
+print(f"store smoke ok: {len(full)} cells, 2-shard union == unsharded run")
 PY
-    # The shared store-backed cache serves the whole sweep warm.
+    # A crashed shard resumes from its run record: every recorded cell is
+    # served, none re-run.
+    local resume_out
+    resume_out=$(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval \
+        -e fig27 --shard 0/2 --store "$store_dir/s0.db" --resume)
+    echo "$resume_out" | tail -1
+    echo "$resume_out" | grep -Eq "resumed=[1-9]" || {
+        echo "ci.sh: FAIL — --resume did not serve the recorded cells" >&2
+        exit 1
+    }
+    # Conflict-checked merge unions the shard caches; the merged cache must
+    # then serve the whole sweep warm (0 misses).
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval \
+        --cache "$db" --cache-merge "$store_dir/s0.db" "$store_dir/s1.db"
     local warm_out
     warm_out=$(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.eval -e fig27 --cache "$db")
+        python -m repro.eval -e fig27 --jobs 2 --cache "$db")
     echo "$warm_out" | tail -2
     echo "$warm_out" | grep -Eq "cache: [0-9]+ hits, 0 misses" || {
-        echo "ci.sh: FAIL — store-backed cache did not serve the sweep warm" >&2
+        echo "ci.sh: FAIL — merged shard caches did not serve the sweep warm" >&2
         exit 1
     }
     # Merge discipline: a seeded divergent cell is refused by the UNIQUE
     # constraint (CacheMergeConflict), never silently overwritten.
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$db" "$store_dir" <<'PY'
-import json, sys
-from pathlib import Path
+import sys
 from repro.eval import CacheMergeConflict, ResultCache
 from repro.store import ExperimentStore
 
-db, base = sys.argv[1], Path(sys.argv[2])
+db, base = sys.argv[1], sys.argv[2]
 with ExperimentStore(db) as store:
-    key = store.query_cells(status="ok", limit=1)[0]["cell_key"]
-    result = store.get_cell(key)
+    row = store.query_cells(status="ok", limit=1)[0]
+    result = store.get_cell(row["cell_key"])
 result["depth"] = (result.get("depth") or 0) + 1  # divergent metric
-divergent = base / "divergent"
-divergent.mkdir()
-(divergent / f"{key}.json").write_text(json.dumps(result), encoding="utf-8")
+with ExperimentStore(f"{base}/divergent.db") as divergent:
+    divergent.put_cell(row["cell_key"], result, code=row["code"])
 cache = ResultCache(db)
 try:
-    cache.merge(divergent)
+    cache.merge(f"{base}/divergent.db")
 except CacheMergeConflict as exc:
     print(f"store smoke ok: divergent merge refused ({str(exc).split(';')[0]})")
 else:
@@ -360,53 +360,6 @@ echo "$sweep_out" | grep -Eq "qaoa .* sabre .* ok " || {
 }
 
 echo
-echo "=== eval smoke: fig27 split across two shards, journaled, then merged ==="
-cache_dir=$(mktemp -d)
-trap 'rm -rf "$cache_dir"' EXIT
-# Two "machines" run complementary slices of the same plan, each journaling
-# to its own run journal and caching to its own directory...
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-    --shard 0/2 --journal "$cache_dir/j0" --cache "$cache_dir/c0" | tail -2
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-    --shard 1/2 --journal "$cache_dir/j1" --cache "$cache_dir/c1" | tail -2
-# ...while a single unsharded run (through the pool executor) journals the
-# reference; the union of the shard journals must equal it cell for cell.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-    --jobs 2 --executor shard-coordinator --journal "$cache_dir/jfull" | tail -2
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$cache_dir" <<'PY'
-import json, sys
-from pathlib import Path
-
-def cells(path):
-    out = {}
-    for line in Path(path, "journal.jsonl").read_text().splitlines():
-        rec = json.loads(line)
-        if rec.get("type") != "cell":
-            continue
-        r = rec["result"]
-        out[rec["key"]] = (r["approach"], r["status"], r["depth"], r["swap_count"])
-    return out
-
-base = sys.argv[1]
-sharded = {**cells(f"{base}/j0"), **cells(f"{base}/j1")}
-full = cells(f"{base}/jfull")
-assert set(cells(f"{base}/j0")) .isdisjoint(cells(f"{base}/j1")), "shards overlap"
-assert sharded == full, f"merged shard journals != single run: {sharded} vs {full}"
-print(f"shard smoke ok: {len(full)} cells, 2-shard union == unsharded run")
-PY
-# Conflict-checked cache merge unions the shard caches; the merged cache must
-# then serve the whole sweep warm (0 misses).
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval \
-    --cache "$cache_dir/merged" --cache-merge "$cache_dir/c0" "$cache_dir/c1"
-warm_out=$(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-    python -m repro.eval -e fig27 --jobs 2 --cache "$cache_dir/merged")
-echo "$warm_out" | tail -2
-echo "$warm_out" | grep -Eq "cache: [0-9]+ hits, 0 misses" || {
-    echo "ci.sh: FAIL — merged shard caches did not serve the full sweep warm" >&2
-    exit 1
-}
-
-echo
 chaos_smoke
 
 echo
@@ -418,7 +371,7 @@ serve_smoke
 echo
 echo "=== perf smoke: fixed compile-time micro-suite ==="
 bench_out=$(mktemp --suffix=.json)
-trap 'rm -rf "$cache_dir" "$bench_out"' EXIT
+trap 'rm -f "$bench_out"' EXIT
 python scripts/bench.py --smoke --out "$bench_out"
 python - "$bench_out" <<'PY'
 import json, sys

@@ -23,8 +23,6 @@ Architectures (:mod:`repro.arch`):
 Compilation (:mod:`repro.core`):
     the individual mappers (``LNNQFTMapper``, ``HeavyHexQFTMapper``,
     ``SycamoreQFTMapper``, ``LatticeSurgeryQFTMapper``, ``GridQFTMapper``).
-    The old ``compile_qft(topology)`` facade survives as a deprecated shim
-    (importable, warns, not part of ``__all__``).
 
 Serving (:mod:`repro.serve`):
     ``python -m repro.serve`` -- asyncio HTTP service over warm workers;
@@ -73,7 +71,6 @@ from .core import (
     LNNQFTMapper,
     QFTDependenceTracker,
     SycamoreQFTMapper,
-    compile_qft,
     mapper_for,
 )
 from .verify import verify_mapped_qft

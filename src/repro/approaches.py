@@ -71,7 +71,7 @@ APPROACH_REGISTRY: Registry[ApproachEntry] = Registry("approach")
 #: approach options that select an *execution engine* rather than an
 #: algorithm: they can never change the produced circuits or metrics (the
 #: equivalence suites pin this), only wall-clock.  The evaluation harness
-#: excludes them from cache keys, journal cell keys and verify-policy
+#: excludes them from cache keys, run-record cell keys and verify-policy
 #: sampling, so a sweep's identity does not fork on engine choice -- a cell
 #: computed with the compiled SABRE kernel and the same cell computed with
 #: the Python fallback share one cache entry.  The engine that actually ran
@@ -151,13 +151,12 @@ def _ours(topology: Topology, *, strict_ie: bool = False) -> object:
     return mapper_for(topology, strict_ie=strict_ie)
 
 
-@register_approach("sabre", kwargs={"seed", "passes", "incremental", "kernel"})
+@register_approach("sabre", kwargs={"seed", "passes", "kernel"})
 def _sabre(
     topology: Topology,
     *,
     seed: int = 0,
     passes: int = 3,
-    incremental: bool = False,
     kernel: str = "auto",
 ) -> object:
     """The SABRE re-implementation (heuristic SWAP insertion).
@@ -167,9 +166,7 @@ def _sabre(
     option, bit-identical across engines and excluded from cache identity.
     """
 
-    return SabreMapper(
-        topology, seed=seed, passes=passes, incremental=incremental, kernel=kernel
-    )
+    return SabreMapper(topology, seed=seed, passes=passes, kernel=kernel)
 
 
 # Beyond ~10 qubits the exact search times out anyway (as in the paper);

@@ -18,11 +18,9 @@ incident to an extended-set endpoint -- every other candidate's ext delta is
 exactly 0 -- so the per-iteration cost no longer carries the full
 ``candidates x extended-set`` relabel matrix and 1024-qubit instances route
 at a near-flat per-swap-iteration cost (see EXPERIMENTS.md "Performance").
-A cross-iteration per-candidate score cache (``incremental=True``) is
-available and bit-identical, but stays opt-in: on QFT workloads the front
-layer turns over every ~2 swaps, which invalidates it before it amortises.
 The reference path (``vectorized=False``) keeps the textbook per-candidate
-loop and stays bit-identical.
+loop and stays bit-identical; it is the only path for circuits containing
+logical SWAP gates, and the equivalence suites' oracle.
 """
 
 from __future__ import annotations
@@ -178,23 +176,13 @@ class SabreMapper:
         Python loop; both paths produce bit-identical routed circuits (the
         equivalence is covered by tests), the reference path just exists for
         cross-checking and for pedagogical clarity.
-    incremental:
-        Additionally keep per-candidate score components cached *across* swap
-        iterations, rescoring only candidates the applied swap invalidated.
-        Off by default: on QFT workloads the front layer turns over every ~2
-        swaps (measured; see EXPERIMENTS.md "Performance"), which invalidates
-        the cache before it amortises, so the default path rescores per
-        iteration -- cheaply, because the extended-set term is only gathered
-        for candidates incident to an extended-set endpoint (every other
-        candidate's ext delta is exactly 0).  Output is bit-identical either
-        way.
     kernel:
         Which routing engine runs the swap loop.  ``"auto"`` (default) uses
         the compiled C kernel (:mod:`repro.baselines._sabre_kernel`, built
         via ``python setup.py build_ext --inplace``) whenever it is built
         *and* the mapper is in its default scoring configuration
-        (``vectorized=True``, ``incremental=False``), falling back to the
-        vectorized Python path otherwise; ``"c"`` requires the extension and
+        (``vectorized=True``), falling back to the vectorized Python path
+        otherwise; ``"c"`` requires the extension and
         raises with a build hint when it is missing; ``"python"`` never
         touches the extension.  All kernels are bit-identical -- same swaps,
         same depth/SWAP metrics, same RNG consumption -- so the choice can
@@ -221,7 +209,6 @@ class SabreMapper:
         decay_reset_interval: int = 5,
         trivial_initial_layout: bool = False,
         vectorized: bool = True,
-        incremental: bool = False,
         kernel: str = "auto",
     ) -> None:
         self.topology = topology
@@ -233,7 +220,6 @@ class SabreMapper:
         self.decay_reset_interval = decay_reset_interval
         self.trivial_initial_layout = trivial_initial_layout
         self.vectorized = vectorized
-        self.incremental = incremental
         if kernel not in SABRE_KERNELS:
             raise ValueError(
                 f"unknown SABRE kernel {kernel!r} (one of {SABRE_KERNELS})"
@@ -256,8 +242,7 @@ class SabreMapper:
         constructor argument (checked per call, so CI legs and tests can
         flip it without rebuilding mappers).  The compiled kernel only
         implements the default scoring configuration; a mapper explicitly
-        configured for the reference loop (``vectorized=False``) or the
-        opt-in cross-iteration score cache (``incremental=True``) keeps its
+        configured for the reference loop (``vectorized=False``) keeps its
         Python path -- outputs are bit-identical either way, so this is a
         speed decision, never a semantic one.
         """
@@ -274,7 +259,7 @@ class SabreMapper:
             return "python"
         if choice == "c" and not kernel_available():
             raise RuntimeError(KERNEL_BUILD_HINT)
-        if not self.vectorized or self.incremental:
+        if not self.vectorized:
             return "python"
         if choice == "auto" and not kernel_available():
             return "python"
@@ -532,7 +517,7 @@ class SabreMapper:
         *,
         emit: bool,
     ) -> Tuple[Optional[MappingBuilder], List[int]]:
-        """Vectorised, incrementally-scored routing pass (see :meth:`_route`).
+        """Vectorised, delta-scored routing pass (see :meth:`_route`).
 
         Bit-identical to :meth:`_route_reference` by construction: gates are
         executed in the same sorted-front sweep order, candidate SWAPs are
@@ -542,33 +527,20 @@ class SabreMapper:
         and the scalar post-processing (divide, weight, decay, tie-break,
         RNG draw) applies the same operations in the same order.
 
-        Incremental scoring
-        -------------------
+        Delta scoring
+        -------------
         For a candidate swap ``e = (pa, pb)`` the heuristic needs the front
         and extended-set distance sums *after* hypothetically applying ``e``.
-        Both are maintained as ``base + delta[e]``:
+        Both are computed as ``base + delta[e]``:
 
         * ``base_front`` / ``base_ext`` are the sums at the *current* layout,
-          updated in O(moved gates) after each applied swap;
-        * ``cand_front[e]`` / ``cand_ext[e]`` hold
-          ``sum(after e) - sum(current)``, which only involves gates incident
-          to ``e``.  After applying a swap ``s``, ``delta[e]`` can only change
-          for candidates that share a physical position with a front or
-          extended-set gate that ``s`` moved -- those few candidates are
-          invalidated (via the incidence bitsets) and lazily rescored; every
-          other cached component is reused as-is.
-
-        A front-layer change replaces the extended set wholesale, so it
-        invalidates all cached components.
-
-        The cross-iteration *score cache* (``incremental=True``) only pays
-        for itself when many swap iterations elapse between front-layer
-        changes; on QFT workloads the front turns over every ~2 swaps, so the
-        default keeps the per-iteration rescore (made cheap by the ext
-        incidence split) and the cache stays opt-in.  The O(1) base-sum and
-        position-table maintenance is always on (it replaces a per-iteration
-        O(front) rebuild).  Both settings are bit-identical; only speed
-        differs.
+          updated in O(moved gates) after each applied swap (this replaces a
+          per-iteration O(front) rebuild);
+        * ``delta[e] = sum(after e) - sum(current)`` only involves gates
+          incident to ``e``, so every candidate is rescored each iteration --
+          cheaply, because the extended-set term is only gathered for
+          candidates incident to an extended-set endpoint (every other
+          candidate's ext delta is exactly 0).
         """
 
         n = circuit.num_qubits
@@ -597,7 +569,6 @@ class SabreMapper:
 
         adj1, edge_list, edge_arr, edge_bits = sabre_tables_for(topo)
         num_edges = len(edge_list)
-        use_cache = self.incremental
 
         indegree = list(dag.indegree)
         front: Set[int] = {i for i, d in enumerate(indegree) if d == 0}
@@ -638,19 +609,14 @@ class SabreMapper:
         def extended_set(front_2q: List[int]) -> List[int]:
             return _extended_set_of(successors, is2q_list, front_2q, esize)
 
-        # Incremental scorer state.  `pos_in_front` / `pos_other` describe the
+        # Delta scorer state.  `pos_in_front` / `pos_other` describe the
         # front layer by physical position: front gates are vertex-disjoint
         # (the DAG is built from per-qubit chains, so two front gates can
         # never share a qubit), hence each position hosts at most one
-        # front-gate endpoint.  `cand_front` / `cand_ext` hold the per-edge
-        # score deltas described in the docstring; `cand_valid` tracks which
-        # of them are current for this front layer and layout.
+        # front-gate endpoint.
         N = topo.num_qubits
         pos_other = np.zeros(N, dtype=np.intp)  # other endpoint of the front
         pos_in_front = np.zeros(N, dtype=bool)  # gate at this position, if any
-        cand_front = np.zeros(num_edges)
-        cand_ext = np.zeros(num_edges)
-        cand_valid = np.zeros(num_edges, dtype=bool)
         base_front = 0.0
         base_ext = 0.0
         n_front = n_ext = 0
@@ -723,7 +689,6 @@ class SabreMapper:
                     base_ext = 0.0
                     ext_pos = []
                     ext_stale = False
-                cand_valid.fill(False)
                 cand_dirty = True
                 front_dirty = False
 
@@ -761,80 +726,62 @@ class SabreMapper:
             n_iterations += 1
             cand_total += eids.size
 
-            # Rescore only the candidates whose cached components are stale
-            # (new to the candidate set, or invalidated by an applied swap);
-            # without the score cache, every candidate, every iteration.
-            stale = eids[~cand_valid[eids]] if use_cache else eids
-            fdel = edel = None
-            if stale.size:
-                sarr = edge_arr[stale]
-                spa, spb = sarr[:, 0], sarr[:, 1]
-                # Front delta: vertex-disjoint front gates mean a candidate
-                # (pa, pb) perturbs the front sum by at most two corrections.
-                o1 = pos_other[spa]
-                o2 = pos_other[spb]
-                d1 = np.where(
-                    pos_in_front[spa] & (o1 != spb),
-                    dist_flat.take(spb * N + o1) - dist_flat.take(spa * N + o1),
-                    0.0,
-                )
-                d2 = np.where(
-                    pos_in_front[spb] & (o2 != spa),
-                    dist_flat.take(spa * N + o2) - dist_flat.take(spb * N + o2),
-                    0.0,
-                )
-                fdel = d1 + d2
-                if n_ext:
-                    # Extended-set delta.  A candidate that meets no
-                    # extended-set position leaves every ext pair in place,
-                    # so its delta is exactly 0 -- only candidates incident
-                    # to an ext endpoint need the relabel-and-gather matrix:
-                    # relabel their endpoints (pa <-> pb), gather the pair
-                    # distances, subtract the current-layout base sum.  When
-                    # nearly every candidate touches the ext set (small
-                    # topologies) the subset machinery costs more than the
-                    # skipped rows, so relabel everything instead -- a
-                    # non-touching row's gathered sum equals base_ext, hence
-                    # its delta is the exact same 0 either way.
-                    sel = ext_touch[stale].view(bool)
-                    n_touch = int(sel.sum())
-                    ab = ext_pos_arr
-                    if stale.size - n_touch < 16:
-                        tpa, tpb = spa, spb
+            # Score every candidate.  Front delta: vertex-disjoint front gates
+            # mean a candidate (pa, pb) perturbs the front sum by at most two
+            # corrections.
+            carr = edge_arr[eids]
+            pa_v, pb_v = carr[:, 0], carr[:, 1]
+            o1 = pos_other[pa_v]
+            o2 = pos_other[pb_v]
+            d1 = np.where(
+                pos_in_front[pa_v] & (o1 != pb_v),
+                dist_flat.take(pb_v * N + o1) - dist_flat.take(pa_v * N + o1),
+                0.0,
+            )
+            d2 = np.where(
+                pos_in_front[pb_v] & (o2 != pa_v),
+                dist_flat.take(pa_v * N + o2) - dist_flat.take(pb_v * N + o2),
+                0.0,
+            )
+            fdel = d1 + d2
+            if n_ext:
+                # Extended-set delta.  A candidate that meets no extended-set
+                # position leaves every ext pair in place, so its delta is
+                # exactly 0 -- only candidates incident to an ext endpoint
+                # need the relabel-and-gather matrix: relabel their endpoints
+                # (pa <-> pb), gather the pair distances, subtract the
+                # current-layout base sum.  When nearly every candidate
+                # touches the ext set (small topologies) the subset
+                # machinery costs more than the skipped rows, so relabel
+                # everything instead -- a non-touching row's gathered sum
+                # equals base_ext, hence its delta is the exact same 0
+                # either way.
+                sel = ext_touch[eids].view(bool)
+                n_touch = int(sel.sum())
+                ab = ext_pos_arr
+                if eids.size - n_touch < 16:
+                    tpa, tpb = pa_v, pb_v
+                else:
+                    tpa, tpb = pa_v[sel], pb_v[sel]
+                if n_touch:
+                    ab2 = np.where(
+                        ab[None, :] == tpa[:, None],
+                        tpb[:, None],
+                        np.where(
+                            ab[None, :] == tpb[:, None], tpa[:, None], ab[None, :]
+                        ),
+                    )
+                    flat = ab2[:, :n_ext]
+                    flat = flat * N
+                    flat += ab2[:, n_ext:]
+                    sums = dist_flat.take(flat).sum(axis=1) - base_ext
+                    if tpa is pa_v:
+                        edel = sums
                     else:
-                        tpa, tpb = spa[sel], spb[sel]
-                    if n_touch:
-                        ab2 = np.where(
-                            ab[None, :] == tpa[:, None],
-                            tpb[:, None],
-                            np.where(
-                                ab[None, :] == tpb[:, None], tpa[:, None], ab[None, :]
-                            ),
-                        )
-                        flat = ab2[:, :n_ext]
-                        flat = flat * N
-                        flat += ab2[:, n_ext:]
-                        sums = dist_flat.take(flat).sum(axis=1) - base_ext
-                        if tpa is spa:
-                            edel = sums
-                        else:
-                            edel = np.zeros(stale.size)
-                            edel[sel] = sums
-                    else:
-                        edel = np.zeros(stale.size)
-                if use_cache:
-                    cand_front[stale] = fdel
-                    if n_ext:
-                        cand_ext[stale] = edel
-                    cand_valid[stale] = True
-
-            if use_cache:
-                carr = edge_arr[eids]
-                pa_v, pb_v = carr[:, 0], carr[:, 1]
-                fdel = cand_front[eids]
-                edel = cand_ext[eids]
-            else:  # stale == eids: the freshly computed deltas are the scores
-                pa_v, pb_v = spa, spb
+                        edel = np.zeros(eids.size)
+                        edel[sel] = sums
+                else:
+                    edel = np.zeros(eids.size)
             s_front = (base_front + fdel) / max(1, n_front)
             if n_ext:
                 s_ext = self.extended_set_weight * (base_ext + edel) / n_ext
@@ -885,43 +832,12 @@ class SabreMapper:
             elif pa in phys_to_log:
                 del phys_to_log[pa]
 
-            # Incremental maintenance: update the base sums and position
-            # tables for the front / extended-set gates the swap moved, and
-            # invalidate the cached components of exactly the candidates
-            # incident to a position such a gate touches.  Candidates away
-            # from every moved gate keep their deltas (the delta of a
-            # candidate only involves gates incident to it).
-            invalid_positions: List[int] = []
+            # Maintenance: update the base sums and position tables for the
+            # front / extended-set gates the swap moved.
             need_sweep = False
 
             if n_ext and (pa in ext_pos or pb in ext_pos):
-                if use_cache:
-                    # Incremental update: adjust the base sum by the moved
-                    # gates and remember their endpoints for invalidation.
-                    p0, p1 = ext_pos_arr[:n_ext], ext_pos_arr[n_ext:]
-                    moved = (p0 == pa) | (p0 == pb) | (p1 == pa) | (p1 == pb)
-                    m0, m1 = p0[moved], p1[moved]
-                    n0 = np.where(m0 == pa, pb, np.where(m0 == pb, pa, m0))
-                    n1 = np.where(m1 == pa, pb, np.where(m1 == pb, pa, m1))
-                    base_ext += float(
-                        dist_flat.take(n0 * N + n1).sum()
-                        - dist_flat.take(m0 * N + m1).sum()
-                    )
-                    invalid_positions.extend(m0.tolist())
-                    invalid_positions.extend(m1.tolist())
-                    ext_pos_arr = np.where(
-                        ext_pos_arr == pa,
-                        pb,
-                        np.where(ext_pos_arr == pb, pa, ext_pos_arr),
-                    )
-                    ext_pos = ext_pos_arr.tolist()
-                    ext_touch = np.unpackbits(
-                        np.bitwise_or.reduce(edge_bits[ext_pos_arr], axis=0),
-                        bitorder="little",
-                    )[:num_edges]
-                else:
-                    # No score cache to patch up: just refresh lazily.
-                    ext_stale = True
+                ext_stale = True  # refreshed lazily before the next scoring
 
             in_a = bool(pos_in_front[pa])
             in_b = bool(pos_in_front[pb])
@@ -939,29 +855,16 @@ class SabreMapper:
                 # would be unchanged).
                 if in_a and oa != pb:
                     base_front += dist[pb, oa] - dist[pa, oa]
-                    invalid_positions.append(oa)
                     pos_other[pb] = oa
                     pos_other[oa] = pb
                     if adj1[pb, oa]:
                         need_sweep = True
                 if in_b and ob != pa:
                     base_front += dist[pa, ob] - dist[pb, ob]
-                    invalid_positions.append(ob)
                     pos_other[pa] = ob
                     pos_other[ob] = pa
                     if adj1[pa, ob]:
                         need_sweep = True
-
-            if use_cache and invalid_positions:
-                invalid_positions.append(pa)
-                invalid_positions.append(pb)
-                pts = np.fromiter(set(invalid_positions), dtype=np.intp)
-                touched = np.bitwise_or.reduce(edge_bits[pts], axis=0)
-                cand_valid[
-                    np.flatnonzero(
-                        np.unpackbits(touched, bitorder="little")[:num_edges]
-                    )
-                ] = False
 
             swaps_since_reset += 1
             decay[pa] += self.decay_delta

@@ -147,7 +147,7 @@ def compile(
         registered default cap) are reported as ``status == "skipped"``.
     **opts:
         Approach options (validated against the registry entry, e.g.
-        ``seed``/``passes``/``incremental`` for SABRE, ``strict_ie`` for
+        ``seed``/``passes``/``kernel`` for SABRE, ``strict_ie`` for
         ours).
     """
 

@@ -6,7 +6,7 @@ from .heavy_hex_mapper import HeavyHexQFTMapper
 from .inter_unit import bipartite_all_to_all
 from .lattice_surgery_mapper import GridQFTMapper, LatticeSurgeryQFTMapper, RowUnitQFTMapper
 from .lnn_mapper import LNNQFTMapper, map_qft_on_line
-from .mapper import compile_qft, mapper_for, register_specialist
+from .mapper import mapper_for, register_specialist
 from .qft_specialist import QFTSpecialistMixin
 from .partition import partitioned_qft_for, unit_partition_for
 from .routed import GreedyRouterMapper, complete_remaining
@@ -26,7 +26,6 @@ __all__ = [
     "RowUnitQFTMapper",
     "LNNQFTMapper",
     "map_qft_on_line",
-    "compile_qft",
     "mapper_for",
     "register_specialist",
     "QFTSpecialistMixin",

@@ -6,15 +6,13 @@ resolves an instance by walking the topology's MRO (most specific class
 wins) -- exactly the uniform-interface-over-per-backend-constructions story
 of the paper, with no ``isinstance`` chain to keep in sync.  Topologies with
 no registered specialist fall back to the naive-but-correct
-:class:`~repro.core.routed.GreedyRouterMapper`.
-
-``compile_qft(topology)`` survives as a thin shim over the registry-driven
-:func:`repro.compile` entry point for existing callers.
+:class:`~repro.core.routed.GreedyRouterMapper`.  Callers compile through
+:func:`repro.compile` (``approach="ours"``), which resolves the mapper here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, Type
 
 from ..arch.grid import GridTopology
 from ..arch.heavy_hex import CaterpillarTopology, HeavyHexTopology
@@ -22,7 +20,6 @@ from ..arch.lattice_surgery import LatticeSurgeryTopology
 from ..arch.lnn import LNNTopology
 from ..arch.sycamore import SycamoreTopology
 from ..arch.topology import Topology
-from ..circuit.schedule import MappedCircuit
 from ..registry import DuplicateRegistrationError
 from .heavy_hex_mapper import HeavyHexQFTMapper
 from .lattice_surgery_mapper import GridQFTMapper, LatticeSurgeryQFTMapper
@@ -30,7 +27,7 @@ from .lnn_mapper import LNNQFTMapper
 from .routed import GreedyRouterMapper
 from .sycamore_mapper import SycamoreQFTMapper
 
-__all__ = ["compile_qft", "mapper_for", "register_specialist"]
+__all__ = ["mapper_for", "register_specialist"]
 
 #: topology class -> factory(topology, strict_ie) for its specialist mapper
 _SPECIALISTS: Dict[Type[Topology], Callable[[Topology, bool], object]] = {}
@@ -103,46 +100,3 @@ def _grid_specialist(topology: Topology, strict_ie: bool):
     """Square-grid QFT via boustrophedon row cascades."""
 
     return GridQFTMapper(topology, strict_ie=strict_ie)
-
-
-def compile_qft(
-    topology: Topology,
-    num_qubits: Optional[int] = None,
-    *,
-    strict_ie: bool = False,
-) -> MappedCircuit:
-    """Compile an ``n``-qubit QFT kernel for ``topology``.
-
-    .. deprecated::
-        ``compile_qft`` is kept as a thin shim over the registry-driven
-        :func:`repro.compile` entry point (``repro.compile(workload="qft",
-        architecture=topology, approach="ours")``), which also exposes the
-        other workloads, approaches and result metadata.  New code should
-        call :func:`repro.compile`.
-
-    ``num_qubits`` defaults to the full device size (the paper always maps a
-    QFT as large as the patch).  ``strict_ie=True`` selects the QFT-IE-strict
-    inter-unit schedules, kept only for the relaxed-vs-strict ablation.
-    """
-
-    import warnings
-
-    warnings.warn(
-        "compile_qft is deprecated; use repro.compile(workload='qft', "
-        "architecture=<topology>, approach='ours')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..compile_api import compile as _compile
-
-    result = _compile(
-        workload="qft",
-        architecture=topology,
-        approach="ours",
-        num_qubits=num_qubits,
-        verify=False,
-        strict_ie=strict_ie,
-    )
-    if result.mapped is None:  # pragma: no cover - "ours" always supports QFT
-        raise RuntimeError(f"QFT compilation failed: {result.status} {result.message}")
-    return result.mapped

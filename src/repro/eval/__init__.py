@@ -1,10 +1,11 @@
 """Evaluation harness: runners, executors, and the declarative run API.
 
-The modern surface is ``plan()`` / ``execute()`` over registered
-experiments (:mod:`repro.eval.runs`), pluggable executors
-(:mod:`repro.eval.executors`) and the crash-safe run journal
-(:mod:`repro.eval.journal`); the classic ``experiment_*`` functions and
-``run_cells`` survive as shims over the same machinery.
+The surface is ``plan()`` / ``execute()`` over registered experiments
+(:mod:`repro.eval.runs`) and pluggable executors
+(:mod:`repro.eval.executors`).  Results persist in one place, the SQLite
+experiment store (:mod:`repro.store`): :class:`ResultCache` keeps its cells
+there, and ``execute(..., store=DB)`` records each run there, resumable
+after a crash with ``resume=True``.
 """
 
 from .metrics import CompilationResult, result_from_mapped
@@ -15,9 +16,8 @@ from .runners import (
     run_cell,
     sample_verifies,
 )
-from .cache import CacheMergeConflict, ResultCache, code_version
-from .parallel import CellSpec, run_cells
-from .journal import JournalCorruptError, RunJournal, cell_key
+from .cache import CacheMergeConflict, ResultCache, cell_key, code_version
+from .parallel import CellSpec
 from .executors import (
     EXECUTOR_REGISTRY,
     ExecutionContext,
@@ -43,21 +43,7 @@ from .runs import (
     register_experiment,
 )
 from .tables import format_results, format_series, format_table
-from .experiments import (
-    PAPER,
-    QUICK,
-    Profile,
-    experiment_figure17_heavyhex,
-    experiment_figure18_sycamore,
-    experiment_figure19_lattice,
-    experiment_figure27_sabre_randomness,
-    experiment_linearity,
-    experiment_partition_ablation,
-    experiment_relaxed_vs_strict,
-    experiment_table1,
-    experiment_workload_sweep,
-    run_all,
-)
+from .experiments import PAPER, QUICK, Profile
 
 __all__ = [
     "CompilationResult",
@@ -71,9 +57,6 @@ __all__ = [
     "CacheMergeConflict",
     "code_version",
     "CellSpec",
-    "run_cells",
-    "RunJournal",
-    "JournalCorruptError",
     "cell_key",
     "DispatchClient",
     "DispatchServer",
@@ -103,14 +86,4 @@ __all__ = [
     "PAPER",
     "QUICK",
     "Profile",
-    "experiment_figure17_heavyhex",
-    "experiment_figure18_sycamore",
-    "experiment_figure19_lattice",
-    "experiment_figure27_sabre_randomness",
-    "experiment_linearity",
-    "experiment_partition_ablation",
-    "experiment_relaxed_vs_strict",
-    "experiment_table1",
-    "experiment_workload_sweep",
-    "run_all",
 ]

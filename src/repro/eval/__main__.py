@@ -14,25 +14,25 @@ executor.  Useful flags::
                            experiment (qft, qaoa, random, or any plugin);
                            implies -e sweep when no experiment is given
     --jobs N               worker processes (topology-grouped fan-out)
-    --executor NAME        serial | pool | shard-coordinator | dispatch
-                           (defaults: serial; pool when --jobs > 1;
-                           shard-coordinator when --journal/--resume is
-                           given)
+    --executor NAME        serial | pool | dispatch (defaults: serial; pool
+                           when --jobs > 1)
     --shard I/N            run slice I of a deterministic N-way partition
                            of the plan, balanced by topology group; the
                            union of all N slices is the full experiment
     --verify POLICY        full | sample | off — per-cell verification
                            policy (part of the cache key)
-    --journal DIR          stream per-cell results to an append-only JSONL
-                           run journal (crash-safe, resumable)
-    --resume DIR           resume a crashed run from its journal: cells
-                           already journaled are served, not re-run;
-                           straggler/timeout cells are re-dispatched once
-    --cache DIR            JSON result cache; warm re-runs only compute
-                           cells missing under the current code version
-    --cache-merge DIR...   union sharded cache directories into --cache;
-                           entries that disagree under the same key raise
-                           instead of silently winning by order
+    --store DB             record the run into a SQLite experiment store:
+                           every finished cell lands as it completes
+                           (crash-safe); straggler/timeout cells are
+                           re-dispatched once
+    --resume               continue the newest run of this plan in --store:
+                           recorded cells are served, not re-run
+    --cache DB             result cache (a SQLite experiment store); warm
+                           re-runs only compute cells missing under the
+                           current code version
+    --cache-merge DB...    union sharded .db caches into --cache; entries
+                           that disagree under the same key raise instead
+                           of silently winning by order
     --serve [HOST:]PORT    run as a work-stealing dispatcher: serve the
                            plan's cells as heartbeat-leased work over
                            HTTP/JSON (implies --executor dispatch; spawns
@@ -43,8 +43,6 @@ executor.  Useful flags::
     --lease-s S            dispatcher lease duration before a silent
                            worker's cell is stolen back (default 30)
     --heartbeat-s S        worker heartbeat interval (default lease/4)
-    --journal-fsync N      fsync the journal every N cells (default 1 =
-                           every cell durable; 0 disables fsync)
     --retry-timeout-mult X scale straggler-retry timeouts by X**attempt
                            (default 1.0)
 
@@ -52,17 +50,18 @@ A typical two-machine sweep::
 
     # machine A                                   # machine B
     python -m repro.eval -e fig19 --profile paper \\
-        --shard 0/2 --journal runs/s0 --cache cache-a
-                                                  ... --shard 1/2 --journal runs/s1 --cache cache-b
+        --shard 0/2 --store a.db --cache a.db
+                                                  ... --shard 1/2 --store b.db --cache b.db
+    # after a crash, the same command plus --resume finishes the run
     # afterwards, on one host:
-    python -m repro.eval --cache merged --cache-merge cache-a cache-b
-    python -m repro.eval -e fig19 --profile paper --cache merged   # all hits
+    python -m repro.eval --cache merged.db --cache-merge a.db b.db
+    python -m repro.eval -e fig19 --profile paper --cache merged.db  # all hits
 
 Or, fault-tolerantly, as one dispatcher and N joining workers::
 
-    # machine A (dispatcher + journal + 4 local workers)
+    # machine A (dispatcher + run record + 4 local workers)
     python -m repro.eval -e fig19 --profile paper --serve 0.0.0.0:8765 \\
-        --journal runs/fig19 --jobs 4
+        --store fig19.db --jobs 4
     # machines B, C, ... (any number, join/leave any time)
     python -m repro.eval --join http://machineA:8765
 """

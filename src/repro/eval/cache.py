@@ -1,4 +1,4 @@
-"""JSON-on-disk cache of :class:`~repro.eval.metrics.CompilationResult` rows.
+"""Store-backed cache of :class:`~repro.eval.metrics.CompilationResult` rows.
 
 Every evaluation cell is deterministic given its spec (approach,
 architecture kind, size, kwargs such as the SABRE seed) and the code that
@@ -8,19 +8,18 @@ a hash over the ``repro`` package sources, recomputed per process, so editing
 the compiler automatically invalidates stale entries instead of silently
 serving results from an older algorithm.
 
-Entries are one JSON file per cell (atomic rename on write), which makes the
-cache safe to share between the worker processes of the parallel harness --
-two workers writing the same cell write identical bytes.  The same property
-makes caches from *different machines* unionable: :meth:`ResultCache.merge`
-(CLI: ``python -m repro.eval --cache DEST --cache-merge DIR...``) copies over
-entries whose keys are absent, which is how sharded sweeps are combined.
+A cell's identity is derived once, by :func:`cell_identity`; the cache key
+(:func:`cell_cache_key`), the run record's code-free :func:`cell_key` and
+the store's indexed :func:`~repro.store.identity_columns` all hash or
+denormalize that one dict, so the ``ENGINE_KWARGS`` filter is written once.
+:meth:`ResultCache.key` returns a :class:`CellKey`: the key string with the
+cell's identity columns attached, which :meth:`ResultCache.put` hands to
+the store -- the cache keeps no per-key state of its own.
 
-A ``root`` ending in ``.db`` selects the SQLite backend instead: the same
-keys, the same get/put/merge semantics, but rows in a
-:class:`repro.store.ExperimentStore` (WAL mode, concurrent writers), where
-the conflict-checked merge is enforced by the ``UNIQUE (cell_key)``
-constraint and cross-run queries come for free.  Directory caches merge
-*into* a store-backed cache (and vice versa), which is the migration path.
+Rows live in a :class:`repro.store.ExperimentStore` (WAL mode, concurrent
+writers).  :meth:`ResultCache.merge` (CLI: ``python -m repro.eval --cache
+DEST.db --cache-merge SRC.db...``) unions the stores of sharded sweeps,
+with the store's ``UNIQUE (cell_key)`` constraint as the conflict check.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -38,19 +36,22 @@ from .metrics import CompilationResult
 __all__ = [
     "ResultCache",
     "CacheMergeConflict",
+    "CellKey",
+    "cell_identity",
     "cell_cache_key",
+    "cell_key",
     "code_version",
 ]
 
 
 class CacheMergeConflict(ValueError):
-    """Two caches disagree about the same key under the same code version.
+    """Two stores disagree about the same key under the same code version.
 
     Every key encodes the full cell spec plus the code version, and every
     cell is deterministic given both -- so two shards storing *different*
     metrics under one key means one of them is corrupt or was produced by
     tampered sources.  Merging must surface that loudly instead of silently
-    keeping whichever directory happened to be merged first.
+    keeping whichever store happened to be merged first.
     """
 
 _CODE_VERSION: Optional[str] = None
@@ -70,6 +71,45 @@ def code_version() -> str:
             digest.update(path.read_bytes())
         _CODE_VERSION = digest.hexdigest()[:12]
     return _CODE_VERSION
+
+
+def cell_identity(
+    approach: str,
+    kind: str,
+    size: int,
+    kwargs: Iterable[Tuple[str, object]] = (),
+    rename: Optional[str] = None,
+    timeout_s: Optional[float] = None,
+    workload: str = "qft",
+    workload_params: Iterable[Tuple[str, object]] = (),
+    verify: str = "full",
+) -> Dict[str, object]:
+    """Every spec field that changes what a cell computes, normalized.
+
+    Engine-selection options (``ENGINE_KWARGS``, e.g. the SABRE routing
+    kernel) are bit-identical by contract, so they are not part of a
+    cell's identity: a sweep must hit the same cache entries, and resume
+    the same run, whether the compiled kernel or the Python fallback ran.
+    """
+
+    return {
+        "approach": approach,
+        "kind": kind,
+        "size": size,
+        "kwargs": sorted(
+            (str(k), repr(v)) for k, v in kwargs if str(k) not in ENGINE_KWARGS
+        ),
+        "rename": rename,
+        "timeout_s": timeout_s,
+        "workload": workload,
+        "workload_params": sorted((str(k), repr(v)) for k, v in workload_params),
+        "verify": verify,
+    }
+
+
+def _digest(identity: Dict[str, object]) -> str:
+    payload = json.dumps(identity, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
 def cell_cache_key(
@@ -93,75 +133,83 @@ def cell_cache_key(
     versa).  ``code`` defaults to the current :func:`code_version`.
     """
 
-    payload = json.dumps(
-        {
-            "approach": approach,
-            "kind": kind,
-            "size": size,
-            # Engine-selection options (e.g. the SABRE routing kernel)
-            # are bit-identical by contract, so they are not part of a
-            # cell's identity: a sweep must hit the same cache entries
-            # whether the compiled kernel or the Python fallback ran.
-            "kwargs": sorted(
-                (str(k), repr(v))
-                for k, v in kwargs
-                if str(k) not in ENGINE_KWARGS
-            ),
-            "rename": rename,
-            "timeout_s": timeout_s,
-            "workload": workload,
-            "workload_params": sorted(
-                (str(k), repr(v)) for k, v in workload_params
-            ),
-            "verify": verify,
-            "code": code if code is not None else code_version(),
-        },
-        sort_keys=True,
+    identity = cell_identity(
+        approach, kind, size, kwargs, rename, timeout_s, workload,
+        workload_params, verify,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    identity["code"] = code if code is not None else code_version()
+    return _digest(identity)
+
+
+def cell_key(spec) -> str:
+    """Code-free content hash of one cell spec (24 hex chars).
+
+    The run record keys its cells by this: the code version is recorded
+    once per run, and resuming a run recorded by another code version is
+    refused outright rather than silently mixing results from two
+    algorithms.
+    """
+
+    return _digest(
+        cell_identity(
+            spec.approach, spec.kind, spec.size, spec.kwargs, spec.rename,
+            spec.timeout_s, spec.workload, spec.workload_params, spec.verify,
+        )
+    )
+
+
+class CellKey(str):
+    """A cache key that carries the identity columns the store indexes.
+
+    :meth:`ResultCache.put` receives only the key, but the store
+    denormalizes the spec into indexed columns; the key carries them, so
+    the cache itself keeps no per-key state.
+    """
+
+    def __new__(cls, key: str, columns: Optional[Dict[str, object]] = None):
+        self = super().__new__(cls, key)
+        self.columns = columns
+        return self
 
 
 class ResultCache:
-    """One-file-per-cell JSON cache rooted at ``root``.
+    """The result cache: cells in an :class:`~repro.store.ExperimentStore`.
 
     Parameters
     ----------
-    root:
-        Directory for the cache (created on demand), or a ``*.db`` path to
-        back the cache by a :class:`repro.store.ExperimentStore` instead.
+    path:
+        Database file (conventionally ``*.db``), created on first use.  An
+        existing directory -- a cache in the retired one-JSON-file-per-cell
+        format -- is refused.
     version:
         Code-version component of every key.  Defaults to
         :func:`code_version`; tests may pin it to probe invalidation.
     """
 
-    def __init__(self, root: os.PathLike, *, version: Optional[str] = None) -> None:
-        self.root = Path(root)
-        self._store = None
-        if self.root.suffix == ".db":
-            # Lazy import: repro.store imports ENGINE_KWARGS-adjacent code
-            # and must not become an import-time dependency of the cache.
-            from ..store import ExperimentStore
+    def __init__(self, path: os.PathLike, *, version: Optional[str] = None) -> None:
+        self.root = Path(path)
+        if self.root.is_dir():
+            raise IsADirectoryError(
+                f"{self.root} is a directory; directory result caches are no "
+                "longer supported -- pass a .db path (the cache is a SQLite "
+                "experiment store)"
+            )
+        # Lazy import: repro.store imports repro.eval, which imports us.
+        from ..store import ExperimentStore
 
-            self._store = ExperimentStore(self.root)
-            #: spec columns captured by :meth:`key`, consumed by :meth:`put`
-            #: (``put`` receives only the opaque key, but the store indexes
-            #: the denormalized spec, so ``key`` stashes it per key).
-            self._identity: Dict[str, Dict[str, object]] = {}
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
+        self._store = ExperimentStore(self.root)
         self.version = version if version is not None else code_version()
         self.hits = 0
         self.misses = 0
 
     @property
     def store(self):
-        """The backing :class:`ExperimentStore`, or ``None`` (directory)."""
+        """The backing :class:`~repro.store.ExperimentStore`."""
 
         return self._store
 
     def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
+        self._store.close()
 
     # ------------------------------------------------------------------
     def key(
@@ -175,65 +223,27 @@ class ResultCache:
         workload: str = "qft",
         workload_params: Iterable[Tuple[str, object]] = (),
         verify: str = "full",
-    ) -> str:
-        kwargs = tuple(kwargs)
-        workload_params = tuple(workload_params)
-        cell_key = cell_cache_key(
-            approach,
-            kind,
-            size,
-            kwargs=kwargs,
-            rename=rename,
-            timeout_s=timeout_s,
-            workload=workload,
-            workload_params=workload_params,
-            verify=verify,
-            code=self.version,
+    ) -> CellKey:
+        from ..store.store import columns_of
+
+        identity = cell_identity(
+            approach, kind, size, kwargs, rename, timeout_s, workload,
+            workload_params, verify,
         )
-        if self._store is not None:
-            from ..store import identity_columns
-
-            self._identity[cell_key] = identity_columns(
-                approach,
-                kind,
-                size,
-                kwargs=kwargs,
-                rename=rename,
-                timeout_s=timeout_s,
-                workload=workload,
-                workload_params=workload_params,
-                verify=verify,
-            )
-        return cell_key
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        columns = columns_of(identity)
+        identity["code"] = self.version
+        return CellKey(_digest(identity), columns)
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[CompilationResult]:
-        """Cached result for ``key``, or ``None`` (corrupt files count as miss)."""
+        """Cached result for ``key``, or ``None`` (corrupt rows count as miss)."""
 
-        if self._store is not None:
-            data = self._store.get_cell(key)
-            try:
-                result = (
-                    None if data is None else CompilationResult.from_dict(data)
-                )
-            except (ValueError, TypeError):
-                result = None
-            if result is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            result.extra = dict(result.extra or {})
-            result.extra["cache"] = "hit"
-            return result
-        path = self._path(key)
+        data = self._store.get_cell(key)
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            result = CompilationResult.from_dict(data)
-        except (OSError, ValueError, TypeError):
+            result = None if data is None else CompilationResult.from_dict(data)
+        except (ValueError, TypeError):
+            result = None
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -242,179 +252,29 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: CompilationResult) -> None:
-        """Store ``result`` under ``key`` (atomic write-then-rename)."""
+        """Store ``result`` under ``key`` (identity columns ride on the key)."""
 
-        if self._store is not None:
-            self._store.put_cell(
-                key,
-                result,
-                code=self.version,
-                identity=self._identity.get(key),
-            )
-            return
-        data = result.to_dict()
-        data["extra"].pop("cache", None)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, indent=1)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self._store.put_cell(
+            key, result, code=self.version, identity=getattr(key, "columns", None)
+        )
 
-    # ------------------------------------------------------------------
-    #: result fields excluded from the merge conflict check: wall-clock is a
-    #: property of the machine/run, not of the spec, so two shards computing
-    #: the same deterministic cell legitimately disagree on it.
-    _VOLATILE_FIELDS = ("compile_time_s",)
-    #: ``extra`` keys likewise excluded: which routing engine computed a cell
-    #: (``kernel``) is a property of the machine (whether the extension was
-    #: built there), not of the spec -- engines are bit-identical, so two
-    #: shards disagreeing *only* on this must still merge cleanly.
-    _VOLATILE_EXTRA = ("kernel",)
+    def merge(self, source: os.PathLike) -> Dict[str, int]:
+        """Union another ``.db`` store's cells into this cache.
 
-    def _comparable(self, data: Dict[str, object]) -> Dict[str, object]:
-        out = {k: v for k, v in data.items() if k not in self._VOLATILE_FIELDS}
-        extra = out.get("extra")
-        if isinstance(extra, dict):
-            out["extra"] = {
-                k: v for k, v in extra.items() if k not in self._VOLATILE_EXTRA
-            }
-        return out
-
-    def merge(self, other_root: os.PathLike) -> Dict[str, int]:
-        """Union the entries of another cache directory into this one.
-
-        The key of every entry already encodes spec + code version in its
-        file name, so merging is a file-level union, performed in sorted key
-        order (deterministic regardless of directory listing order):
-        unreadable/corrupt source files are counted and ignored, fresh
-        entries are copied atomically (write + rename, like :meth:`put`, so
-        a merge is safe to run concurrently with writers), and entries whose
-        key is already present here are *conflict-checked* -- every
-        deterministic field must agree (wall-clock may differ; two machines
-        timing the same cell never match).  A disagreement raises
-        :class:`CacheMergeConflict` instead of silently keeping whichever
-        directory was merged first.  This is the union step for sharded
-        sweeps: machines run slices against private cache dirs, then one
-        host merges them.
-
-        Sources and destinations mix freely across backends: a store-backed
-        cache merges directories or other ``.db`` stores (the conflict check
-        is the ``UNIQUE (cell_key)`` constraint there), and a directory
-        cache can drain a ``.db`` store back into files.
+        Performed in sorted key order; present-and-equal keys are
+        ``skipped``, rows whose payload does not parse are counted as
+        ``invalid``, and a key present with a divergent deterministic
+        result raises :class:`CacheMergeConflict` (wall-clock and engine
+        provenance may differ: see :func:`repro.store.comparable_result`).
+        This is the union step for sharded sweeps: machines run slices
+        against private stores, then one host merges them.
         """
 
-        other = Path(other_root)
-        if self._store is not None:
-            return self._store.merge_from(other)
-        if other.suffix == ".db":
-            return self._merge_from_store(other)
-        if not other.is_dir():
-            raise FileNotFoundError(f"cache directory {other} does not exist")
-        imported = skipped = invalid = 0
-        for path in sorted(other.glob("*.json")):
-            dest = self._path(path.stem)
-            try:
-                raw = path.read_bytes()
-                incoming = json.loads(raw.decode("utf-8"))
-                CompilationResult.from_dict(incoming)
-            except (OSError, ValueError, TypeError):
-                invalid += 1
-                continue
-            if dest.exists():
-                try:
-                    existing = json.loads(dest.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    existing = None  # corrupt local entry: let the copy heal it
-                if existing is not None:
-                    if self._comparable(existing) != self._comparable(incoming):
-                        differing = sorted(
-                            k
-                            for k in set(existing) | set(incoming)
-                            if k not in self._VOLATILE_FIELDS
-                            and existing.get(k) != incoming.get(k)
-                        )
-                        raise CacheMergeConflict(
-                            f"cache entry {path.stem} from {other} disagrees "
-                            f"with the existing entry on field(s) "
-                            f"{', '.join(differing)}; same key + same code "
-                            "version must mean identical results -- one of "
-                            "the caches is corrupt"
-                        )
-                    skipped += 1
-                    continue
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(raw)
-                os.replace(tmp, dest)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            imported += 1
-        return {"imported": imported, "skipped": skipped, "invalid": invalid}
-
-    def _merge_from_store(self, other: Path) -> Dict[str, int]:
-        """Drain a ``.db`` store into this directory cache (same checks)."""
-
-        if not other.is_file():
-            raise FileNotFoundError(f"store {other} does not exist")
-        from ..store import ExperimentStore
-
-        imported = skipped = 0
-        with ExperimentStore(other) as store:
-            for cell in store.iter_cells():
-                key, incoming = cell["cell_key"], cell["result"]
-                dest = self._path(key)
-                if dest.exists():
-                    try:
-                        existing = json.loads(dest.read_text(encoding="utf-8"))
-                    except (OSError, ValueError):
-                        existing = None  # corrupt local entry: heal it
-                    if existing is not None:
-                        if self._comparable(existing) != self._comparable(incoming):
-                            differing = sorted(
-                                k
-                                for k in set(existing) | set(incoming)
-                                if k not in self._VOLATILE_FIELDS
-                                and existing.get(k) != incoming.get(k)
-                            )
-                            raise CacheMergeConflict(
-                                f"cache entry {key} from {other} disagrees "
-                                f"with the existing entry on field(s) "
-                                f"{', '.join(differing)}; same key + same "
-                                "code version must mean identical results "
-                                "-- one of the caches is corrupt"
-                            )
-                        skipped += 1
-                        continue
-                fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        json.dump(incoming, fh, indent=1)
-                    os.replace(tmp, dest)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-                imported += 1
-        return {"imported": imported, "skipped": skipped, "invalid": 0}
+        return self._store.merge_from(source)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
 
     def __len__(self) -> int:
-        if self._store is not None:
-            return self._store.counts()["cells"]
-        return sum(1 for _ in self.root.glob("*.json"))
+        return self._store.counts()["cells"]

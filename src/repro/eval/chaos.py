@@ -185,8 +185,8 @@ def kill_self() -> None:  # pragma: no cover - the process dies here
 def tear_tail(path: os.PathLike, keep_bytes: int) -> int:
     """Truncate ``path`` to its first ``keep_bytes`` bytes (a torn write).
 
-    Returns the number of bytes removed.  This is the journal-tail tear the
-    durability tests sweep over every byte offset of the final record.
+    Returns the number of bytes removed.  This is the torn write the
+    durability tests sweep over byte offsets of a recorded run's WAL.
     """
 
     size = os.path.getsize(path)

@@ -1,10 +1,10 @@
 """Fault-tolerant work-stealing dispatcher: leases, heartbeats, one writer.
 
-The shard-coordinator (PR 4) partitions statically: a dead or slow machine
-stalls its whole ``shard=(i, n)`` slice.  This module replaces the static
-partition with a *dynamic queue*: a dispatcher process serves one
-``RunPlan``'s cells over a localhost-bindable HTTP/JSON API to worker
-processes that join whenever (and from wherever) they like.
+A static ``shard=(i, n)`` partition lets a dead or slow machine stall its
+whole slice.  This module replaces the static partition with a *dynamic
+queue*: a dispatcher process serves one ``RunPlan``'s cells over a
+localhost-bindable HTTP/JSON API to worker processes that join whenever
+(and from wherever) they like.
 
 Cells are handed out as **leases** -- a cell spec plus a deadline.  Workers
 send heartbeats while computing, each of which pushes the deadline out; a
@@ -25,19 +25,22 @@ worker hang / frozen      same: missed heartbeats expire the lease; a late
 heartbeats                result from the revenant is rejected as stale
 network delay / drop      workers retry transient connection errors with
                           capped exponential backoff + deterministic jitter
-dispatcher crash          the journal (fsync'd per cell) holds the intact
-                          prefix; ``--resume`` serves it without re-running
-torn journal tail         truncated away on open; only the torn cell re-runs
-cell timeout              the PR-4 retry budget applies, with an optional
+dispatcher crash          the run record (one committed store transaction
+                          per cell) holds every finished cell; ``--resume``
+                          serves them without re-running
+torn store write          WAL recovery keeps exactly the committed cells;
+                          only the cell whose commit tore re-runs
+cell timeout              the retry budget applies, with an optional
                           per-retry timeout multiplier
 ==============================================================================
 
-The dispatcher is the **single journal writer**: every accepted result is
-appended to the PR-4 :class:`~repro.eval.journal.RunJournal` under the same
-cell keys, so crash-resume, last-entry-wins retry semantics and the
-code-version refusal carry over unchanged.  Results are deterministic per
-spec, so a chaos-ridden run's metrics are bit-equal to an uninterrupted
-serial run of the same plan -- the property the chaos suite asserts.
+The dispatcher is the **single run-record writer**: every accepted result
+is appended to the :class:`~repro.store.RunRecorder` that
+:func:`repro.eval.execute` opened, under the same cell keys as every other
+executor, so crash-resume, last-entry-wins retry semantics and the
+code-version refusal are shared.  Results are deterministic per spec, so a
+chaos-ridden run's metrics are bit-equal to an uninterrupted serial run of
+the same plan -- the property the chaos suite asserts.
 
 Wire protocol (JSON over POST; all endpoints idempotent or stale-safe):
 
@@ -75,7 +78,7 @@ from .executors import (
     register_executor,
     retry_spec,
 )
-from .journal import RunJournal, cell_key, check_resumable
+from .cache import cell_key
 from .metrics import CompilationResult
 from .parallel import CellSpec
 
@@ -221,10 +224,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class DispatchServer:
-    """One run's lease queue, heartbeat ledger, and (single) journal writer.
+    """One run's lease queue, heartbeat ledger, and (single) record writer.
 
     The server owns every piece of shared state -- pending queue, active
-    leases, results, journal handle -- behind one lock; HTTP handler threads
+    leases, results, run-record handle -- behind one lock; HTTP handler threads
     and the executor's supervision loop only ever touch it through the
     methods below, so the dispatcher process is the linearization point for
     the whole fleet.
@@ -237,7 +240,7 @@ class DispatchServer:
         keys: Optional[Sequence[str]] = None,
         skip: Optional[Dict[int, CompilationResult]] = None,
         resumed_retry_attempts: Optional[Dict[int, int]] = None,
-        journal: Optional[RunJournal] = None,
+        recorder=None,
         cache: Optional[ResultCache] = None,
         lease_s: float = 30.0,
         heartbeat_s: Optional[float] = None,
@@ -252,7 +255,7 @@ class DispatchServer:
         self._keys = list(keys) if keys is not None else [cell_key(s) for s in specs]
         if len(self._keys) != len(self._specs):
             raise ValueError("keys and specs must have the same length")
-        self._journal = journal
+        self._recorder = recorder
         self._cache = cache
         self.lease_s = float(lease_s)
         self.heartbeat_s = float(heartbeat_s) if heartbeat_s else self.lease_s / 4.0
@@ -278,7 +281,7 @@ class DispatchServer:
                 self._pending.append((i, 0))
                 self._inflight.add(i)
         # Resumed timeout cells that still have retry budget owe the run
-        # their re-dispatch (same contract as the shard-coordinator: a crash
+        # their re-dispatch (same contract as the local executors: a crash
         # between a timeout and its retry must not make the timeout final).
         for i, used in sorted((resumed_retry_attempts or {}).items()):
             if i in self._results and used < self._retry_timeouts:
@@ -400,15 +403,15 @@ class DispatchServer:
             self._attempts_used[index] = max(
                 attempt, self._attempts_used.get(index, 0)
             )
-            if self._journal is not None:
-                self._journal.append(self._keys[index], result)
+            if self._recorder is not None:
+                self._recorder.append(self._keys[index], result)
             if self._cache is not None and result.status not in (
                 "timeout",
                 "unsupported",
             ):
                 # Cache under the spec that actually ran (scaled timeout on
-                # retries), without the journal-only ``retries`` marker --
-                # mirroring what run_specs stores for the coordinator.
+                # retries), without the record-only ``retries`` marker --
+                # mirroring what run_specs stores for the local executors.
                 spec = lease.run_spec
                 stored = CompilationResult.from_dict(result.to_dict())
                 stored.extra.pop("retries", None)
@@ -799,10 +802,11 @@ class DispatchExecutor(Executor):
     external workers may join the same queue with
     ``python -m repro.eval --join URL``.  Leases expire on missed
     heartbeats, expired cells are reassigned, crashed local workers are
-    respawned under a bounded budget, and the dispatcher is the single
-    journal writer -- so ``--journal``/``--resume`` behave exactly as under
-    the shard-coordinator, with two extra accounting columns
-    (``reassigned``, ``dead_workers``) in the report.
+    respawned under a bounded budget, timeouts are re-queued within their
+    retry budget, and the dispatcher is the single run-record writer -- so
+    ``--store``/``--resume`` behave exactly as under the local executors,
+    with two extra accounting columns (``reassigned``, ``dead_workers``) in
+    the report.
 
     ``ctx.dispatch_opts`` (all optional): ``host``/``port`` (default
     localhost, ephemeral), ``lease_s`` (default 30), ``heartbeat_s``
@@ -820,49 +824,22 @@ class DispatchExecutor(Executor):
         spawn = ctx.jobs if spawn is None else int(spawn)
         on_start = opts.get("on_start")
 
-        journal: Optional[RunJournal] = None
-        resumed: Dict[str, CompilationResult] = {}
-        if ctx.resume_dir:
-            journal = RunJournal.open(
-                ctx.resume_dir, fsync_every=ctx.journal_fsync_every
-            )
-            check_resumable(journal.meta, ctx.meta)
-            resumed = journal.results()
-        elif ctx.journal_dir:
-            journal = RunJournal.create(
-                ctx.journal_dir, ctx.meta, fsync_every=ctx.journal_fsync_every
-            )
-
-        # Optional SQLite store sink: the dispatcher stays the single
-        # journal writer; teeing its appends records the same stream as
-        # run history without touching the server's write path.
-        recorder = None
-        sink = journal
-        if ctx.store_path:
-            from ..store import ExperimentStore, JournalTee, RunRecorder
-
-            recorder = RunRecorder(
-                ExperimentStore(ctx.store_path),
-                ctx.meta,
-                executor="dispatch",
-                jobs=ctx.jobs,
-            )
-            sink = JournalTee(journal, recorder)
-
+        recorder = ctx.recorder
         keys = [cell_key(spec) for spec in specs]
         skip: Dict[int, CompilationResult] = {}
         resumed_retry_attempts: Dict[int, int] = {}
         for i, key in enumerate(keys):
-            if key in resumed:
-                skip[i] = resumed[key]
-                if resumed[key].status == "timeout":
+            if key in ctx.resumed:
+                skip[i] = ctx.resumed[key]
+                if skip[i].status == "timeout":
                     resumed_retry_attempts[i] = int(
-                        (resumed[key].extra or {}).get("retries", 0) or 0
+                        (skip[i].extra or {}).get("retries", 0) or 0
                     )
+        resumed_count = len(skip)
 
         # Cache hits are resolved dispatcher-side before anything is queued
-        # (and journaled, matching the coordinator's on_result streaming);
-        # workers only ever see true misses.
+        # (and recorded, so a resume sees them); workers only ever see true
+        # misses.
         if ctx.cache is not None:
             for i, spec in enumerate(specs):
                 if i in skip:
@@ -882,19 +859,15 @@ class DispatchExecutor(Executor):
                 )
                 if hit is not None:
                     skip[i] = hit
-                    if sink is not None:
-                        sink.append(keys[i], hit)
-
-        resumed_count = len(skip) - sum(
-            1 for i in skip if keys[i] not in resumed
-        )
+                    if recorder is not None:
+                        recorder.append(keys[i], hit)
 
         server = DispatchServer(
             specs,
             keys=keys,
             skip=skip,
             resumed_retry_attempts=resumed_retry_attempts,
-            journal=sink,
+            recorder=recorder,
             cache=ctx.cache,
             lease_s=lease_s,
             heartbeat_s=heartbeat_s,
@@ -927,10 +900,6 @@ class DispatchExecutor(Executor):
             if fleet is not None:
                 fleet.drain(timeout_s=5.0)
             server.stop()
-            if journal is not None:
-                journal.close()
-            if recorder is not None:
-                recorder.finish()
 
         return ExecutionOutcome(
             server.results_in_order(),
@@ -939,5 +908,4 @@ class DispatchExecutor(Executor):
             recovered=server.recovered,
             reassigned=server.reassigned,
             dead_workers=server.dead_worker_count,
-            journal_path=str(journal.path) if journal is not None else None,
         )

@@ -15,20 +15,22 @@ registries) and expose one method, :meth:`Executor.run`.  Built-ins:
     topologies through the process-local memo in :mod:`repro.eval.runners`,
     and on fork-based platforms the parent prewarms each distinct topology
     so workers inherit the distance matrices and SABRE tables copy-on-write.
-``shard-coordinator``
-    The fleet-scale strategy: runs its slice through the same pool
-    machinery, but *streams* every finished cell to an append-only JSONL
-    journal (:mod:`repro.eval.journal`), resumes from a journal after a
-    crash (journaled cells are served, not re-run), and re-dispatches
-    straggler/timeout cells once before reporting them.  Across hosts, each
-    machine executes one ``plan(..., shard=(i, n))`` slice with its own
-    journal and cache; ``--cache-merge`` unions the caches afterwards.
 ``dispatch``
     The fault-tolerant work-stealing dispatcher
     (:mod:`repro.eval.dispatch`): cells are leased over a localhost HTTP
     queue to dynamically joining worker processes, heartbeats keep leases
     alive, expired leases are reassigned (fast workers drain what slow or
-    dead ones shed), and the dispatcher is the single journal writer.
+    dead ones shed), and the dispatcher is the single run-record writer.
+
+:func:`repro.eval.execute` owns the run record: with ``store=DB`` it hands
+every executor a :class:`~repro.store.RunRecorder` (``ctx.recorder``) that
+each finished cell is appended to as it lands, plus the results of the run
+being resumed (``ctx.resumed``), which are served instead of re-run.
+Recorded ``serial``/``pool`` runs also get a straggler pass: cells that
+timed out are re-dispatched (``ctx.retry_timeouts`` times) before being
+reported.  Across hosts, each machine executes one ``plan(..., shard=(i,
+n))`` slice into its own store; ``--cache-merge`` unions the stores'
+caches afterwards.
 
 Results always come back in spec order, and every cell is deterministic
 given its spec, so the choice of executor (and ``jobs``) never changes the
@@ -41,11 +43,10 @@ import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..registry import Registry
-from .cache import ResultCache
-from .journal import RunJournal, cell_key, check_resumable
+from .cache import ResultCache, cell_key
 from .metrics import CompilationResult
 from .parallel import CellSpec
 from .runners import architecture_key, cached_topology, prepare_topology, run_cell
@@ -64,7 +65,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The engine (ported from the pre-redesign repro.eval.parallel.run_cells)
+# The engine
 # ---------------------------------------------------------------------------
 
 
@@ -92,7 +93,7 @@ def _run_chunk(
     """Worker-side entry point: run a same-topology chunk of cells in order.
 
     Returns the results plus the first raised exception (if any), so the
-    parent can record -- and cache/journal -- the cells that *did* finish
+    parent can record -- and cache -- the cells that *did* finish
     before re-raising; with one task per chunk, a plain raise would otherwise
     discard every completed result in the chunk.  Only ``Exception`` is
     forwarded: KeyboardInterrupt/SystemExit must keep killing the worker
@@ -139,7 +140,6 @@ def run_specs(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    group_topologies: bool = True,
     skip: Optional[Dict[int, CompilationResult]] = None,
     on_result: Optional[Callable[[int, CellSpec, CompilationResult], None]] = None,
 ) -> List[CompilationResult]:
@@ -147,11 +147,11 @@ def run_specs(
 
     With a cache, hits are served without running anything and fresh results
     are stored on the way out; only the misses are distributed to workers.
-    ``skip`` pre-resolves cells by index (the coordinator's resume path:
-    journaled cells are served as-is, no cache lookup, no callback).
-    ``on_result`` is invoked in the parent -- never in a worker -- for every
-    result this run produced (computed or cache-hit, not skipped), as soon
-    as it lands; the coordinator streams the journal through it.
+    ``skip`` pre-resolves cells by index (the resume path: recorded cells
+    are served as-is, no cache lookup, no callback).  ``on_result`` is
+    invoked in the parent -- never in a worker -- for every result this run
+    produced (computed or cache-hit, not skipped), as soon as it lands; the
+    run record is appended through it.
     """
 
     if jobs < 1:
@@ -211,10 +211,7 @@ def run_specs(
                 if key not in seen:
                     seen.add(key)
                     prepare_topology(specs[i].kind, specs[i].size)
-        if group_topologies:
-            chunks = _topology_chunks(specs, todo, jobs)
-        else:
-            chunks = [[i] for i in todo]
+        chunks = _topology_chunks(specs, todo, jobs)
         # Record each chunk's finished cells as it completes -- including the
         # prefix of a chunk whose later cell crashed (the worker forwards the
         # exception instead of raising) -- so a mid-sweep failure (worker
@@ -251,25 +248,17 @@ class ExecutionContext:
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
-    group_topologies: bool = True
-    #: directory for a fresh run journal (shard-coordinator only)
-    journal_dir: Optional[str] = None
-    #: directory of an existing journal to resume from (shard-coordinator)
-    resume_dir: Optional[str] = None
-    #: SQLite experiment store recording the run + every journaled cell
-    #: alongside the JSONL journal (shard-coordinator and dispatch)
-    store_path: Optional[str] = None
-    #: metadata written to (and checked against) the journal's header line
-    meta: Dict[str, object] = field(default_factory=dict)
+    #: the run record (a :class:`repro.store.RunRecorder`) every finished
+    #: cell is appended to, or ``None`` for an unrecorded run
+    recorder: Optional[Any] = None
+    #: results of the run being resumed, by :func:`cell_key`; served as-is
+    resumed: Dict[str, CompilationResult] = field(default_factory=dict)
     #: how many times a timeout cell is re-dispatched before being reported
     retry_timeouts: int = 1
     #: factor applied to ``timeout_s`` on each straggler retry (1.0 = same
     #: budget; >1 lets a marginally-too-slow cell recover instead of timing
     #: out identically twice)
     retry_timeout_multiplier: float = 1.0
-    #: journal durability stride: fsync after every N appended cells
-    #: (1 = every cell, 0 = never)
-    journal_fsync_every: int = 1
     #: dispatcher options (``dispatch`` executor only): host/port binding,
     #: lease_s, heartbeat_s, spawn_workers, on_start callback
     dispatch_opts: Dict[str, object] = field(default_factory=dict)
@@ -280,12 +269,11 @@ class ExecutionOutcome:
     """What an executor did: the results plus its bookkeeping."""
 
     results: List[CompilationResult]
-    resumed: int = 0  # cells served from a journal, not re-run
+    resumed: int = 0  # cells served from the resumed run, not re-run
     retried: int = 0  # straggler cells re-dispatched
     recovered: int = 0  # retried cells whose second attempt succeeded
     reassigned: int = 0  # expired leases returned to the queue (dispatch)
     dead_workers: int = 0  # workers whose lease expired unheartbeaten
-    journal_path: Optional[str] = None
 
 
 class Executor:
@@ -336,15 +324,6 @@ def executor_names() -> Tuple[str, ...]:
     return EXECUTOR_REGISTRY.names()
 
 
-def _require_no_journal(ctx: ExecutionContext, name: str) -> None:
-    if ctx.journal_dir or ctx.resume_dir or ctx.store_path:
-        raise ValueError(
-            f"executor {name!r} does not journal runs; use the "
-            "'shard-coordinator' or 'dispatch' executor for "
-            "--journal/--resume/--store"
-        )
-
-
 def retry_spec(
     spec: CellSpec, attempt: int, multiplier: float
 ) -> CellSpec:
@@ -370,157 +349,81 @@ def retry_spec(
 # ---------------------------------------------------------------------------
 
 
-@register_executor("serial", synonyms=("inline", "sync"))
-class SerialExecutor(Executor):
-    """Every cell in order, in-process (no pool, no journal)."""
+class _LocalExecutor(Executor):
+    """``run_specs`` in this process tree, plus the recorded-run duties.
+
+    With a run record, every finished cell (cache hits included) is
+    appended as it lands, the resumed run's cells are served instead of
+    re-run, and timeouts get the straggler pass: each is re-dispatched up
+    to ``ctx.retry_timeouts`` times before the report calls it final.
+    Unrecorded runs report timeouts as they come.
+    """
+
+    def _jobs(self, ctx: ExecutionContext) -> int:
+        return ctx.jobs
 
     def run(self, specs, ctx):
-        _require_no_journal(ctx, self.name)
+        jobs = self._jobs(ctx)
+        recorder = ctx.recorder
+        if recorder is None:
+            return ExecutionOutcome(run_specs(specs, jobs=jobs, cache=ctx.cache))
+
+        keys = [cell_key(spec) for spec in specs]
+        skip = {i: ctx.resumed[k] for i, k in enumerate(keys) if k in ctx.resumed}
         results = run_specs(
-            specs, jobs=1, cache=ctx.cache, group_topologies=ctx.group_topologies
+            specs,
+            jobs=jobs,
+            cache=ctx.cache,
+            skip=skip,
+            on_result=lambda i, spec, res: recorder.append(keys[i], res),
         )
-        return ExecutionOutcome(results)
+
+        # Straggler pass: a timeout is wall-clock-dependent (and never
+        # cached), so each one earns its re-dispatches before the report
+        # calls it final.  Deterministic failures (error / unsupported /
+        # skipped) are not retried.  Resumed cells participate too -- a
+        # timeout recorded just before a crash would otherwise become
+        # permanent -- and the ``retries`` marker recorded with each attempt
+        # keeps a resumed run from re-dispatching a cell beyond its budget.
+        retried = recovered = 0
+        for attempt in range(1, ctx.retry_timeouts + 1):
+            retry_idx = [
+                i
+                for i, r in enumerate(results)
+                if r.status == "timeout"
+                and (r.extra or {}).get("retries", 0) < attempt
+            ]
+            if not retry_idx:
+                break
+            retried += len(retry_idx)
+            again = run_specs(
+                [
+                    retry_spec(specs[i], attempt, ctx.retry_timeout_multiplier)
+                    for i in retry_idx
+                ],
+                jobs=min(jobs, len(retry_idx)),
+                cache=ctx.cache,
+            )
+            for i, result in zip(retry_idx, again):
+                result.extra = dict(result.extra or {})
+                result.extra["retries"] = attempt
+                if result.status != "timeout":
+                    recovered += 1
+                results[i] = result
+                recorder.append(keys[i], result)
+        return ExecutionOutcome(
+            results, resumed=len(skip), retried=retried, recovered=recovered
+        )
+
+
+@register_executor("serial", synonyms=("inline", "sync"))
+class SerialExecutor(_LocalExecutor):
+    """Every cell in order, in-process (no pool)."""
+
+    def _jobs(self, ctx):
+        return 1
 
 
 @register_executor("pool", synonyms=("process-pool", "parallel"))
-class PoolExecutor(Executor):
+class PoolExecutor(_LocalExecutor):
     """The topology-grouped process pool (``jobs`` workers)."""
-
-    def run(self, specs, ctx):
-        _require_no_journal(ctx, self.name)
-        results = run_specs(
-            specs,
-            jobs=ctx.jobs,
-            cache=ctx.cache,
-            group_topologies=ctx.group_topologies,
-        )
-        return ExecutionOutcome(results)
-
-
-@register_executor("shard-coordinator", synonyms=("coordinator", "shard"))
-class ShardCoordinatorExecutor(Executor):
-    """Journaled, resumable, straggler-retrying execution of one plan slice.
-
-    The coordinator runs its cells through the same topology-grouped pool as
-    ``pool`` (``jobs`` workers), but additionally
-
-    * streams every finished cell to an append-only JSONL journal
-      (``ctx.journal_dir``) the moment it lands,
-    * resumes from an existing journal (``ctx.resume_dir``): cells already
-      journaled are served without re-running, after checking that the
-      journal's code version and plan fingerprint match (mixing results
-      from two code versions or two different plans is refused), and
-    * re-dispatches cells that timed out, up to ``ctx.retry_timeouts`` times
-      (default once), before reporting them -- a transiently-overloaded
-      worker does not get to decide a cell's fate on its first try.  Resumed
-      timeouts whose journaled ``retries`` budget is not yet exhausted are
-      retried too (a crash between a timeout and its retry must not make the
-      timeout permanent).  Recovered retries supersede their timeout in both
-      the results and the journal.
-    """
-
-    def run(self, specs, ctx):
-        journal: Optional[RunJournal] = None
-        resumed: Dict[str, CompilationResult] = {}
-        if ctx.resume_dir:
-            journal = RunJournal.open(
-                ctx.resume_dir, fsync_every=ctx.journal_fsync_every
-            )
-            self._check_resumable(journal.meta, ctx.meta)
-            resumed = journal.results()
-        elif ctx.journal_dir:
-            journal = RunJournal.create(
-                ctx.journal_dir, ctx.meta, fsync_every=ctx.journal_fsync_every
-            )
-
-        keys = [cell_key(spec) for spec in specs]
-        skip = {
-            i: resumed[k] for i, k in enumerate(keys) if k in resumed
-        }
-
-        # The optional store sink rides alongside the JSONL journal: the
-        # same appends, through one tee, so the single-writer discipline is
-        # unchanged and the JSONL journal stays the resume source of truth.
-        recorder = None
-        sink = journal
-        if ctx.store_path:
-            from ..store import ExperimentStore, JournalTee, RunRecorder
-
-            recorder = RunRecorder(
-                ExperimentStore(ctx.store_path),
-                ctx.meta,
-                executor=self.name,
-                jobs=ctx.jobs,
-            )
-            sink = JournalTee(journal, recorder)
-
-        on_result = None
-        if sink is not None:
-            on_result = lambda i, spec, res: sink.append(keys[i], res)  # noqa: E731
-
-        try:
-            results = run_specs(
-                specs,
-                jobs=ctx.jobs,
-                cache=ctx.cache,
-                group_topologies=ctx.group_topologies,
-                skip=skip,
-                on_result=on_result,
-            )
-
-            # Straggler pass: a timeout is wall-clock-dependent (and never
-            # cached), so each one earns its re-dispatches before the report
-            # calls it final.  Deterministic failures (error / unsupported /
-            # skipped) are not retried.  Resumed cells participate too --
-            # a timeout journaled just before a crash would otherwise become
-            # permanent, which is exactly what an uninterrupted run's retry
-            # pass exists to prevent; the ``retries`` marker journaled with
-            # each attempt keeps a resumed run from re-dispatching a cell
-            # beyond its budget.
-            retried = recovered = 0
-            for attempt in range(1, ctx.retry_timeouts + 1):
-                retry_idx = [
-                    i
-                    for i, r in enumerate(results)
-                    if r.status == "timeout"
-                    and (r.extra or {}).get("retries", 0) < attempt
-                ]
-                if not retry_idx:
-                    break
-                retried += len(retry_idx)
-                again = run_specs(
-                    [
-                        retry_spec(specs[i], attempt, ctx.retry_timeout_multiplier)
-                        for i in retry_idx
-                    ],
-                    jobs=min(ctx.jobs, len(retry_idx)),
-                    cache=ctx.cache,
-                    group_topologies=ctx.group_topologies,
-                )
-                for i, result in zip(retry_idx, again):
-                    result.extra = dict(result.extra or {})
-                    result.extra["retries"] = attempt
-                    if result.status != "timeout":
-                        recovered += 1
-                    results[i] = result
-                    if sink is not None:
-                        sink.append(keys[i], result)
-        finally:
-            if journal is not None:
-                journal.close()
-            if recorder is not None:
-                recorder.finish()
-
-        return ExecutionOutcome(
-            results,
-            resumed=len(skip),
-            retried=retried,
-            recovered=recovered,
-            journal_path=str(journal.path) if journal is not None else None,
-        )
-
-    @staticmethod
-    def _check_resumable(
-        journal_meta: Dict[str, object], meta: Dict[str, object]
-    ) -> None:
-        check_resumable(journal_meta, meta)

@@ -6,13 +6,11 @@ run API (:func:`repro.eval.plan` / :func:`repro.eval.execute`) resolves the
 name (synonyms included, unknown names raise with did-you-mean suggestions),
 builds the ordered cell list, optionally slices a deterministic
 ``shard=(i, n)`` of it, and dispatches it through a registered executor --
-``serial``, the topology-grouped ``pool``, or the journaling
-``shard-coordinator`` (streamed JSONL journal, crash resume, straggler
-retry).  The module CLI (``python -m repro.eval``) is a thin shell over
-exactly that pair of calls.
-
-The pre-redesign surface (``experiment_*`` functions, ``run_all``) survives
-as deprecated shims over the same machinery.
+``serial``, the topology-grouped ``pool``, or the work-stealing
+``dispatch`` -- optionally recording the run in an experiment store
+(``--store``; crash resume with ``--resume``, straggler retry).  The module
+CLI (``python -m repro.eval``) is a thin shell over exactly that pair of
+calls.
 
 Two profiles control instance sizes:
 
@@ -31,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,8 +38,6 @@ from ..registry import UnknownNameError
 from ..workloads import workload_names
 from .cache import CacheMergeConflict, ResultCache
 from .executors import executor_names
-from .metrics import CompilationResult
-from .executors import run_specs
 from .parallel import CellSpec
 from .runs import (
     EXPERIMENT_REGISTRY,
@@ -54,22 +49,7 @@ from .runs import (
 )
 from .tables import format_results, format_series, format_table
 
-__all__ = [
-    "Profile",
-    "QUICK",
-    "PAPER",
-    "experiment_table1",
-    "experiment_figure17_heavyhex",
-    "experiment_figure18_sycamore",
-    "experiment_figure19_lattice",
-    "experiment_figure27_sabre_randomness",
-    "experiment_relaxed_vs_strict",
-    "experiment_partition_ablation",
-    "experiment_linearity",
-    "experiment_workload_sweep",
-    "run_all",
-    "main",
-]
+__all__ = ["Profile", "QUICK", "PAPER", "main"]
 
 
 @dataclass(frozen=True)
@@ -130,14 +110,6 @@ def _profile(name: str) -> Profile:
     return PAPER if name == "paper" else QUICK
 
 
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.eval.runs)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 # ---------------------------------------------------------------------------
 # E1: Table 1
 # ---------------------------------------------------------------------------
@@ -173,18 +145,6 @@ def specs_table1(profile: Profile = QUICK) -> List[CellSpec]:
     return specs
 
 
-def experiment_table1(
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("table1", profile), ...)``."""
-
-    _deprecated("experiment_table1", 'execute(plan("table1", ...))')
-    return run_specs(specs_table1(profile), jobs=jobs, cache=cache)
-
-
 # ---------------------------------------------------------------------------
 # E2-E4: Figures 17, 18, 19
 # ---------------------------------------------------------------------------
@@ -208,18 +168,6 @@ def specs_figure17(profile: Profile = QUICK) -> List[CellSpec]:
     return specs
 
 
-def experiment_figure17_heavyhex(
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("fig17", profile), ...)``."""
-
-    _deprecated("experiment_figure17_heavyhex", 'execute(plan("fig17", ...))')
-    return run_specs(specs_figure17(profile), jobs=jobs, cache=cache)
-
-
 @register_experiment(
     "fig18",
     synonyms=("figure18", "fig-18"),
@@ -234,18 +182,6 @@ def specs_figure18(profile: Profile = QUICK) -> List[CellSpec]:
             CellSpec.make("sabre", "sycamore", m, max_qubits=profile.sabre_max_qubits)
         )
     return specs
-
-
-def experiment_figure18_sycamore(
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("fig18", profile), ...)``."""
-
-    _deprecated("experiment_figure18_sycamore", 'execute(plan("fig18", ...))')
-    return run_specs(specs_figure18(profile), jobs=jobs, cache=cache)
 
 
 @register_experiment(
@@ -263,18 +199,6 @@ def specs_figure19(profile: Profile = QUICK) -> List[CellSpec]:
             CellSpec.make("sabre", "lattice", m, max_qubits=profile.sabre_max_qubits)
         )
     return specs
-
-
-def experiment_figure19_lattice(
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("fig19", profile), ...)``."""
-
-    _deprecated("experiment_figure19_lattice", 'execute(plan("fig19", ...))')
-    return run_specs(specs_figure19(profile), jobs=jobs, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +221,6 @@ def specs_figure27(seeds: Sequence[int] = tuple(range(10)), m: int = 2) -> List[
 )
 def _specs_figure27_profile(profile: Profile = QUICK) -> List[CellSpec]:
     return specs_figure27(profile.fig27_seeds, profile.fig27_m)
-
-
-def experiment_figure27_sabre_randomness(
-    seeds: Sequence[int] = tuple(range(10)),
-    m: int = 2,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("fig27", profile), ...)``.  Direct
-    calls default to the paper's 2x2 grid, as does the plan's paper profile;
-    the quick profile uses ``fig27_m=6`` so the sweep is substantial enough
-    for ``--jobs`` fan-out to matter."""
-
-    _deprecated(
-        "experiment_figure27_sabre_randomness", 'execute(plan("fig27", ...))'
-    )
-    return run_specs(specs_figure27(seeds, m), jobs=jobs, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +252,6 @@ def _specs_relaxed_profile(profile: Profile = QUICK) -> List[CellSpec]:
     return specs_relaxed_vs_strict()
 
 
-def experiment_relaxed_vs_strict(
-    sycamore_m: Sequence[int] = (4, 6, 8),
-    lattice_m: Sequence[int] = (6, 8, 10),
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("relaxed", profile), ...)``."""
-
-    _deprecated("experiment_relaxed_vs_strict", 'execute(plan("relaxed", ...))')
-    return run_specs(specs_relaxed_vs_strict(sycamore_m, lattice_m), jobs=jobs, cache=cache)
-
-
 # ---------------------------------------------------------------------------
 # E8: sub-kernel partitioning ablation
 # ---------------------------------------------------------------------------
@@ -383,18 +276,6 @@ def _specs_partition_profile(profile: Profile = QUICK) -> List[CellSpec]:
     return specs_partition_ablation()
 
 
-def experiment_partition_ablation(
-    lattice_m: Sequence[int] = (6, 8, 10, 12),
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("partition", profile), ...)``."""
-
-    _deprecated("experiment_partition_ablation", 'execute(plan("partition", ...))')
-    return run_specs(specs_partition_ablation(lattice_m), jobs=jobs, cache=cache)
-
-
 # ---------------------------------------------------------------------------
 # E9: linear-depth scaling
 # ---------------------------------------------------------------------------
@@ -414,18 +295,6 @@ def specs_linearity(profile: Profile = QUICK) -> List[CellSpec]:
         specs.append(CellSpec.make("ours", "heavyhex", m))
         specs.append(CellSpec.make("ours", "lattice", max(m, 3)))
     return specs
-
-
-def experiment_linearity(
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("linearity", profile), ...)``."""
-
-    _deprecated("experiment_linearity", 'execute(plan("linearity", ...))')
-    return run_specs(specs_linearity(profile), jobs=jobs, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -483,37 +352,6 @@ def _specs_sweep_profile(
     profile: Profile = QUICK, *, workload: str = "qft"
 ) -> List[CellSpec]:
     return specs_workload_sweep(workload, profile)
-
-
-def experiment_workload_sweep(
-    workload: str = "qft",
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[CompilationResult]:
-    """Deprecated shim: ``execute(plan("sweep", workload=...), ...)``."""
-
-    _deprecated(
-        "experiment_workload_sweep", 'execute(plan("sweep", workload=...))'
-    )
-    return run_specs(specs_workload_sweep(workload, profile), jobs=jobs, cache=cache)
-
-
-def run_all(
-    profile: Profile = QUICK,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Dict[str, List[CompilationResult]]:
-    """Deprecated shim: plan + execute every ``-e all`` experiment."""
-
-    _deprecated("run_all", "plan()/execute() per experiment")
-    out: Dict[str, List[CompilationResult]] = {}
-    for name in experiment_names(in_all_only=True):
-        report = execute(plan(name, profile), jobs=jobs, cache=cache)
-        out[name] = report.results
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="NAME",
         help="execution strategy: one of "
         f"{', '.join(executor_names())} (default: serial, or pool when "
-        "--jobs > 1, or shard-coordinator when --journal/--resume is given)",
+        "--jobs > 1)",
     )
     parser.add_argument(
         "--shard",
@@ -628,28 +466,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "subset; policy is part of the cache key)",
     )
     parser.add_argument(
-        "--journal",
-        metavar="DIR",
-        default=None,
-        help="stream per-cell results to an append-only JSONL run journal "
-        "in DIR (implies the shard-coordinator executor)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="resume a crashed run from its journal in DIR: cells already "
-        "journaled are served, everything else runs (same code version and "
-        "plan required)",
-    )
-    parser.add_argument(
         "--store",
         metavar="DB",
         default=None,
-        help="record the run (meta + every journaled cell) into a SQLite "
-        "experiment store at DB, alongside or instead of --journal "
-        "(implies the shard-coordinator executor; query with "
-        "'python -m repro.store query DB')",
+        help="record the run (its meta plus every finished cell, as it "
+        "lands) into the SQLite experiment store DB; query with "
+        "'python -m repro.store runs DB'",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="continue the newest run of this plan recorded in --store: "
+        "recorded cells are served, everything else runs (same code version "
+        "required)",
     )
     parser.add_argument(
         "--serve",
@@ -690,14 +519,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="worker heartbeat interval (default: lease duration / 4)",
     )
     parser.add_argument(
-        "--journal-fsync",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fsync the run journal every N cells (default 1: every cell "
-        "is durable; 0 disables fsync for throwaway runs)",
-    )
-    parser.add_argument(
         "--retry-timeout-mult",
         type=float,
         default=1.0,
@@ -707,20 +528,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--cache",
-        metavar="DIR",
+        metavar="DB",
         default=None,
-        help="result cache directory, or a *.db path for the SQLite "
-        "experiment store backend; re-runs only compute cells not already "
-        "cached under the current code version",
+        help="result cache: a SQLite experiment store (e.g. cache.db); "
+        "re-runs only compute cells not already cached under the current "
+        "code version",
     )
     parser.add_argument(
         "--cache-merge",
-        metavar="DIR",
+        metavar="DB",
         nargs="+",
         default=None,
-        help="merge the given cache directories (or *.db stores) into "
-        "--cache (union of sharded sweeps; conflicting entries raise) and "
-        "exit unless experiments are also requested",
+        help="merge the given .db stores' cells into --cache (union of "
+        "sharded sweeps; conflicting entries raise) and exit unless "
+        "experiments are also requested",
     )
     args = parser.parse_args(argv)
 
@@ -765,14 +586,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--cache {args.cache!r} is not usable: {exc}")
     if args.cache_merge:
         if cache is None:
-            parser.error("--cache-merge requires --cache DIR (the destination)")
+            parser.error("--cache-merge requires --cache DB (the destination)")
         for src in args.cache_merge:
             try:
                 stats = cache.merge(src)
-            except FileNotFoundError as exc:
-                parser.error(str(exc))
             except CacheMergeConflict as exc:
                 parser.error(f"cache merge conflict: {exc}")
+            except (FileNotFoundError, ValueError) as exc:
+                parser.error(str(exc))
             print(
                 f"merged {src}: {stats['imported']} imported, "
                 f"{stats['skipped']} already present, {stats['invalid']} invalid"
@@ -792,10 +613,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--workload only applies to the 'sweep' experiment; the figure "
             "experiments reproduce the paper's QFT results"
         )
-    if (args.journal or args.resume or args.store) and len(wanted) != 1:
-        parser.error("--journal/--resume/--store apply to exactly one experiment")
-    if args.journal and args.resume:
-        parser.error("pass either --journal (fresh run) or --resume, not both")
+    if args.resume and not args.store:
+        parser.error("--resume continues a run recorded in --store DB")
+    if args.store and len(wanted) != 1:
+        parser.error("--store/--resume apply to exactly one experiment")
 
     for name in wanted:
         options = {"workload": args.workload or "qft"} if name == "sweep" else {}
@@ -832,16 +653,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 executor=args.executor,
                 jobs=max(1, args.jobs),
                 cache=cache,
-                journal=args.journal,
                 resume=args.resume,
                 store=args.store,
                 retry_timeout_multiplier=args.retry_timeout_mult,
-                journal_fsync_every=args.journal_fsync,
                 dispatch=dispatch_opts,
             )
         except UnknownNameError as exc:
             parser.error(str(exc))
-        except (FileExistsError, FileNotFoundError, ValueError) as exc:
+        except (FileNotFoundError, ValueError) as exc:
             parser.error(str(exc))
         print(format_results(report.results))
         if name in ("fig17", "fig18", "fig19"):

@@ -1,26 +1,16 @@
-"""Cell specs and the classic ``run_cells`` entry point.
+"""The cell spec: one evaluation cell, as a hashable, picklable value.
 
-This module used to hold the whole parallel execution engine; since the run
-API redesign the engine lives in :mod:`repro.eval.executors` (as the
-``serial`` / ``pool`` executors plus the journaling ``shard-coordinator``),
-and :mod:`repro.eval.runs` provides the declarative layer on top
-(``plan()`` / ``execute()`` over registered experiments).  What remains here
-is the spec type itself and :func:`run_cells`, reimplemented as a thin shim
-over the executor engine so the long-standing call sites -- experiment shims,
-benchmarks, tests -- keep exactly their old contract: results in spec order,
-identical metrics at any ``jobs``, cache hits served without running
-anything.
+Executors (:mod:`repro.eval.executors`) run lists of :class:`CellSpec`;
+:mod:`repro.eval.runs` builds them into plans (``plan()`` / ``execute()``
+over registered experiments).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .cache import ResultCache
-from .metrics import CompilationResult
-
-__all__ = ["CellSpec", "run_cells"]
+__all__ = ["CellSpec"]
 
 #: recognised per-cell verification policies (see ``run_cell``)
 VERIFY_POLICIES = ("full", "sample", "off")
@@ -86,46 +76,3 @@ class CellSpec:
             tuple(sorted((workload_params or {}).items())),
             verify,
         )
-
-
-def run_cells(
-    specs: Sequence[CellSpec],
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    group_topologies: bool = True,
-) -> List[CompilationResult]:
-    """Run every spec, in order, using up to ``jobs`` worker processes.
-
-    With a cache, hits are served without running anything and fresh results
-    are stored on the way out; only the misses are distributed to workers.
-    ``group_topologies=False`` disables the same-topology chunking (one task
-    per cell, as before); results are identical either way.
-
-    This is now a shim over :func:`repro.eval.executors.run_specs` (the
-    engine behind the ``serial`` and ``pool`` executors); prefer
-    ``repro.eval.runs.plan()`` / ``execute()`` for new code, which add shard
-    partitioning, journaling/resume and typed run reports on top.
-    """
-
-    import warnings
-
-    warnings.warn(
-        "run_cells is deprecated; use repro.eval.executors.run_specs, or "
-        "repro.eval.runs.plan()/execute() for journaled runs",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .executors import run_specs  # deferred: executors imports CellSpec
-
-    return run_specs(
-        specs, jobs=jobs, cache=cache, group_topologies=group_topologies
-    )
-
-
-def _topology_chunks(specs, todo, jobs):
-    """Deprecated alias for :func:`repro.eval.executors._topology_chunks`."""
-
-    from .executors import _topology_chunks as impl
-
-    return impl(specs, todo, jobs)

@@ -12,21 +12,21 @@ entry point over registries instead of a function-per-figure layout.
   ``shard=(i, n)`` slice, partitioned so every shard gets a balanced share
   of work without serializing on one big coupling graph.
 * :func:`execute` dispatches a plan through a registered
-  :class:`~repro.eval.executors.Executor` (``serial``, ``pool`` or the
-  journaling/resuming/straggler-retrying ``shard-coordinator``) and returns
-  a typed, JSON-serializable :class:`RunReport`.
-
-The classic surface (``experiment_*`` functions, ``run_cells``) survives as
-shims over this module, so pinned metrics and cache semantics are untouched.
+  :class:`~repro.eval.executors.Executor` (``serial``, ``pool`` or
+  ``dispatch``), records the run in a SQLite experiment store when asked
+  (``store=``, resumable with ``resume=True``) and returns a typed,
+  JSON-serializable :class:`RunReport`.
 
 Typical use::
 
-    from repro.eval import plan, execute
+    from repro.eval import ResultCache, plan, execute
 
     p = plan("fig17", profile="paper", shard=(0, 4))
-    report = execute(p, executor="shard-coordinator", jobs=8,
-                     cache=ResultCache("~/.repro-cache"), journal="runs/s0")
+    report = execute(p, jobs=8, cache=ResultCache("fig17-s0.db"),
+                     store="fig17-s0.db")
     report.status_counts   # {"ok": 12, "skipped": 3, ...}
+    # after a crash: the same call with resume=True serves the recorded
+    # cells and runs only the rest
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ from typing import (
 )
 
 from ..registry import Registry
-from .cache import ResultCache, code_version
+from .cache import ResultCache, cell_key, code_version
 from .executors import ExecutionContext, get_executor
-from .journal import cell_key
 from .metrics import CompilationResult
 from .parallel import VERIFY_POLICIES, CellSpec
 from .runners import architecture_key
@@ -89,7 +88,7 @@ class ExperimentEntry:
     description: str = ""
     #: extra ``plan()`` options the builder accepts (e.g. ``workload``)
     options: FrozenSet[str] = frozenset()
-    #: whether ``-e all`` (and ``run_all``) includes this experiment
+    #: whether ``-e all`` includes this experiment
     in_all: bool = True
 
     def validate_options(self, options: Dict[str, object]) -> None:
@@ -221,7 +220,7 @@ class RunPlan:
     unsharded plan, so a shard knows how big the whole sweep is.  Plans are
     value objects: building the same plan twice (on any machine, any
     process) yields identical cells and an identical :meth:`fingerprint`,
-    which is what makes journals resumable and shards mergeable.
+    which is what makes recorded runs resumable and shards mergeable.
     """
 
     experiment: str
@@ -233,7 +232,7 @@ class RunPlan:
     total_cells: int = 0
 
     def fingerprint(self) -> str:
-        """Content hash of the plan (identity for journal resume checks)."""
+        """Content hash of the plan (the identity a resume looks runs up by)."""
 
         payload = json.dumps(
             {
@@ -316,7 +315,7 @@ def adhoc_plan(
 
     The cells run exactly as given -- no registry lookup, no sharding -- but
     the run still goes through :func:`execute`, so it gets the same typed
-    :class:`RunReport`, journaling and executor choice as a registered
+    :class:`RunReport`, run record and executor choice as a registered
     experiment.
     """
 
@@ -341,9 +340,9 @@ class RunReport:
 
     ``results`` is in plan (cell) order.  ``status_counts`` aggregates the
     per-cell statuses; ``resumed`` / ``retried`` / ``recovered`` are the
-    journaling executors' accounting (cells served from the journal,
-    straggler cells re-dispatched, and retries whose second attempt
-    succeeded).  ``reassigned`` / ``dead_workers`` are dispatcher-only:
+    recorded run's accounting (cells served from the resumed run, straggler
+    cells re-dispatched, and retries whose second attempt succeeded).
+    ``reassigned`` / ``dead_workers`` are dispatcher-only:
     leases that expired and went back to the queue, and distinct workers
     whose leases expired (crashed or hung).  ``retry_timeout_multiplier``
     records how straggler-retry timeout budgets were scaled, so a report is
@@ -366,7 +365,6 @@ class RunReport:
     reassigned: int = 0
     dead_workers: int = 0
     retry_timeout_multiplier: float = 1.0
-    journal: Optional[str] = None
     #: path of the SQLite experiment store the run was recorded into
     store: Optional[str] = None
     cache_stats: Optional[Dict[str, int]] = None
@@ -395,7 +393,6 @@ class RunReport:
             "reassigned": self.reassigned,
             "dead_workers": self.dead_workers,
             "retry_timeout_multiplier": self.retry_timeout_multiplier,
-            "journal": self.journal,
             "store": self.store,
             "cache_stats": self.cache_stats,
         }
@@ -430,47 +427,38 @@ def execute(
     executor: Optional[str] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    journal: Optional[str] = None,
-    resume: Optional[str] = None,
+    resume: bool = False,
     store: Optional[str] = None,
     retry_timeouts: int = 1,
     retry_timeout_multiplier: float = 1.0,
-    journal_fsync_every: int = 1,
-    group_topologies: bool = True,
     dispatch: Optional[Dict[str, object]] = None,
 ) -> RunReport:
     """Run a plan through a registered executor and report the outcome.
 
-    ``executor`` defaults to ``"shard-coordinator"`` when ``journal``,
-    ``resume`` or ``store`` is given, ``"pool"`` when ``jobs > 1``, else
-    ``"serial"``.  ``journal`` starts a fresh JSONL run journal at that
-    directory; ``resume`` continues from an existing one (cells already
-    journaled are served, not re-run, after checking the journal was
-    written by this code version and this exact plan).  ``store`` records
-    the run -- its meta row plus every journaled cell append -- into a
-    SQLite :class:`repro.store.ExperimentStore` alongside (or instead of)
-    the JSONL journal.  All three require a journaling executor
-    (``shard-coordinator`` or ``dispatch``).
+    ``executor`` defaults to ``"pool"`` when ``jobs > 1``, else
+    ``"serial"``.  ``store`` records the run -- a ``runs`` row plus every
+    finished cell the moment it lands -- into a SQLite
+    :class:`repro.store.ExperimentStore`, for every executor; recorded
+    ``serial``/``pool`` runs also re-dispatch timed-out cells up to
+    ``retry_timeouts`` times (the ``dispatch`` executor always does).
+    ``resume=True`` continues the newest run in ``store`` with this plan's
+    fingerprint: its recorded cells are served, not re-run, each recorded
+    timeout keeps its retry budget, and a run recorded by another code
+    version is refused.
 
     ``retry_timeout_multiplier`` scales a straggler retry's ``timeout_s``
     by ``multiplier**attempt`` (default 1.0: retry with the same budget), so
     a marginally-too-slow cell can recover instead of timing out twice
-    identically.  ``journal_fsync_every`` widens the journal's fsync stride
-    (default 1: every cell durable; 0 disables fsync).  ``dispatch`` passes
-    executor options to the ``dispatch`` executor (``lease_s``,
-    ``heartbeat_s``, ``spawn_workers``, ``host``/``port``, ``on_start``).
+    identically.  ``dispatch`` passes executor options to the ``dispatch``
+    executor (``lease_s``, ``heartbeat_s``, ``spawn_workers``,
+    ``host``/``port``, ``on_start``).
     """
 
-    if journal and resume:
-        raise ValueError("pass either journal= (fresh) or resume=, not both")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if executor is None:
-        if journal or resume or store:
-            executor = "shard-coordinator"
-        else:
-            executor = "pool" if jobs > 1 else "serial"
-    impl = get_executor(executor)
+    if resume and not store:
+        raise ValueError("resume=True continues a recorded run; pass store=")
+    impl = get_executor(executor or ("pool" if jobs > 1 else "serial"))
 
     meta: Dict[str, object] = {
         "experiment": run_plan.experiment,
@@ -480,21 +468,27 @@ def execute(
         "plan": run_plan.fingerprint(),
         "code": code_version(),
     }
+    recorder = None
+    resumed: Dict[str, CompilationResult] = {}
+    if store:
+        recorder, resumed = _open_run_record(
+            store, meta, resume=resume, executor=impl.name, jobs=jobs
+        )
     ctx = ExecutionContext(
         jobs=jobs,
         cache=cache,
-        group_topologies=group_topologies,
-        journal_dir=journal,
-        resume_dir=resume,
-        store_path=store,
-        meta=meta,
+        recorder=recorder,
+        resumed=resumed,
         retry_timeouts=retry_timeouts,
         retry_timeout_multiplier=retry_timeout_multiplier,
-        journal_fsync_every=journal_fsync_every,
         dispatch_opts=dict(dispatch or {}),
     )
     start = time.perf_counter()
-    outcome = impl.run(run_plan.cells, ctx)
+    try:
+        outcome = impl.run(run_plan.cells, ctx)
+    finally:
+        if recorder is not None:
+            recorder.finish()
     wall = time.perf_counter() - start
 
     return RunReport(
@@ -514,7 +508,66 @@ def execute(
         reassigned=outcome.reassigned,
         dead_workers=outcome.dead_workers,
         retry_timeout_multiplier=retry_timeout_multiplier,
-        journal=outcome.journal_path,
         store=store,
         cache_stats=cache.stats() if cache is not None else None,
     )
+
+
+def _open_run_record(
+    path: str,
+    meta: Dict[str, object],
+    *,
+    resume: bool,
+    executor: str,
+    jobs: int,
+):
+    """Open the run record in ``path``: a fresh run, or the resumed one.
+
+    Returns ``(recorder, resumed)``; ``resumed`` maps cell keys to the
+    results the continued run already recorded (empty for a fresh run).
+    """
+
+    from pathlib import Path
+
+    from ..store import ExperimentStore, RunRecorder
+
+    if resume and not Path(path).is_file():
+        raise FileNotFoundError(f"cannot resume: no experiment store at {path}")
+    db = ExperimentStore(path)
+    try:
+        run_id = None
+        resumed: Dict[str, CompilationResult] = {}
+        if resume:
+            run = db.latest_run(str(meta["plan"]))
+            if run is None:
+                raise ValueError(
+                    f"cannot resume: {path} holds no run of plan "
+                    f"{meta['plan']} ({meta['experiment']}); run it without "
+                    "--resume first"
+                )
+            if run["code"] != meta["code"]:
+                raise ValueError(
+                    f"cannot resume: run {run['id']} was recorded by a "
+                    f"different code version ({run['code']!r} != "
+                    f"{meta['code']!r}); re-run from scratch instead of "
+                    "mixing results"
+                )
+            run_id = int(run["id"])
+            try:
+                resumed = {
+                    key: CompilationResult.from_dict(data)
+                    for key, data in db.run_results(run_id).items()
+                }
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"cannot resume: run {run_id} in {path} holds a corrupt "
+                    f"cell record ({exc}); a torn write never commits, so "
+                    "this is damage -- restore the store or run afresh"
+                ) from None
+        return (
+            RunRecorder(db, meta, executor=executor, jobs=jobs, run_id=run_id),
+            resumed,
+        )
+    except BaseException:
+        db.close()
+        raise

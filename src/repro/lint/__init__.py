@@ -2,12 +2,12 @@
 
 The dynamic guarantees this repo sells -- bit-identical circuits across
 the vectorized/reference/compiled engines, cache keys that never fork on
-engine options, journals that resume bit-equal -- are enforced here as
+engine options, recorded runs that resume bit-equal -- are enforced here as
 *static* properties of the source tree, checked on every CI run over
 every file (not just the (workload, architecture, seed) points the
 equivalence suites happen to sample).
 
-Eight checkers ship built-in, registered through the same
+Seven checkers ship built-in, registered through the same
 :class:`~repro.registry.Registry` mechanism as workloads, approaches and
 architectures (:func:`register_checker` to plug in more).  They share a
 single whole-program index (:mod:`repro.lint.graph`): each file is
@@ -20,8 +20,9 @@ by every checker.
     directory listings, wall-clock flowing outside timing fields.
 ``cache-purity``
     A call-graph walk proving no :data:`~repro.approaches.ENGINE_KWARGS`
-    option name reaches ``ResultCache.key``, journal cell keys or
-    verify-policy hashing (the PR-5 no-fork rule as a lint).
+    option name reaches the shared cell identity (cache keys, run-record
+    cell keys, store columns) or verify-policy hashing (the no-fork rule
+    as a lint).
 ``registry-hygiene``
     Every ``@register_*`` entry has a docstring, collision-free
     synonyms, and a test referencing its canonical name.
@@ -42,10 +43,6 @@ by every checker.
     Every SQL string executed in ``store/`` references only tables and
     columns declared in ``store/schema.py``, with matching placeholder
     arity (stdlib-only SQL tokenizer).
-``deprecated-api``
-    No new imports or calls of the retired shims (``compile_qft``,
-    ``run_cells``, ``experiment_*``/``run_all``) outside the modules
-    that define or re-export them.
 
 Run it as ``python -m repro.lint [paths] [--baseline FILE] [--fix-hints]``;
 findings render ``file:line:checker:message``, are suppressible per line
@@ -75,7 +72,6 @@ from . import discipline as _discipline  # noqa: F401,E402
 from . import concurrency as _concurrency  # noqa: F401,E402
 from . import transactions as _transactions  # noqa: F401,E402
 from . import sql as _sql  # noqa: F401,E402
-from . import deprecated as _deprecated  # noqa: F401,E402
 
 __all__ = [
     "Finding",

@@ -35,15 +35,8 @@ TARGETS = {
     "src": (["src/repro"], None, ()),
     "tools": (
         ["scripts", "tests"],
-        ["determinism", "error-discipline", "deprecated-api"],
+        ["determinism", "error-discipline"],
         ("tests/test_lint/fixtures",),
-    ),
-    # examples/ and benchmarks/ keep their teaching asserts; only the
-    # retired-shim rule applies there (ci.sh runs this leg)
-    "examples": (
-        ["examples", "benchmarks"],
-        ["deprecated-api"],
-        (),
     ),
 }
 

@@ -2,7 +2,7 @@
 
 ``repro.lint`` exists because every guarantee this reproduction makes --
 bit-identical circuits across engines, cache keys that never fork on
-engine options, journals that resume bit-equal -- is an *invariant of the
+engine options, recorded runs that resume bit-equal -- is an *invariant of the
 source code*, not of any particular test run.  The equivalence suites
 sample a handful of (workload, architecture, seed) points; one unsorted
 directory listing or unseeded global-RNG call in a path nobody sampled

@@ -3,14 +3,14 @@
 PR 5 established the *no-fork rule*: options in
 :data:`repro.approaches.ENGINE_KWARGS` select an execution engine (the
 compiled SABRE kernel vs. the bit-identical Python fallback) and must
-never influence a cell's identity -- not the :meth:`ResultCache.key`
-payload, not the journal's :func:`cell_key`, not the verify-policy
-sampling hash, not the experiment store's :func:`identity_columns`
-cell-key denormalization.  A fork would mean a sweep computed with the
-compiled
-kernel and the same sweep computed with the fallback stop sharing cache
-entries, journals stop resuming across machines, and the "bit-identical"
-guarantee quietly becomes "bit-identical per engine".
+never influence a cell's identity -- not the shared
+:func:`~repro.eval.cache.cell_identity` behind the cache key, the run
+record's :func:`cell_key` and the experiment store's
+:func:`identity_columns`, and not the verify-policy sampling hash.  A fork
+would mean a sweep computed with the compiled kernel and the same sweep
+computed with the fallback stop sharing cache entries, recorded runs stop
+resuming across machines, and the "bit-identical" guarantee quietly
+becomes "bit-identical per engine".
 
 Until now that rule was a convention backed by a handful of no-fork
 tests.  This checker makes it a static property of the tree:
@@ -19,11 +19,13 @@ tests.  This checker makes it a static property of the tree:
    in ``repro/approaches.py``; any second definition elsewhere is a
    drift bomb (two lists that can disagree) and is flagged.
 2. **Sink discipline** -- every *identity sink* (a function that hashes
-   cell identity: the known four, plus any function in the tree that
+   cell identity: the known ones, plus any function in the tree that
    feeds a ``hashlib.*`` digest from a kwargs-like parameter) must
    filter that parameter through ``... not in ENGINE_KWARGS`` before
-   serializing it.  A sink iterating its kwargs without the guard is
-   flagged at the offending comprehension/loop.
+   serializing it, or hand it straight to another sink that does (the
+   known sinks delegate to ``cell_identity``, where the one filter
+   lives).  A sink using its kwargs any other way without the guard is
+   flagged at the offending use.
 3. **Call-graph taint walk** -- starting from the sinks, the checker
    walks callers to a fixpoint: a function that forwards one of its own
    parameters into a sink's kwargs position becomes a *derived sink*,
@@ -60,9 +62,12 @@ ENGINE_KWARGS_HOME = "src/repro/approaches.py"
 #: qualified names of the known identity sinks and their kwargs-like params
 #: (dotted params name an attribute of the parameter, e.g. ``spec.kwargs``)
 KNOWN_SINKS: Tuple[Tuple[str, str], ...] = (
-    # ResultCache.key delegates to cell_cache_key (the shared derivation
-    # behind both the disk cache and the serve LRU); the taint walk makes
-    # the delegating wrapper a derived sink automatically.
+    # cell_identity holds the one ENGINE_KWARGS filter; the other three
+    # delegate to it (cell_cache_key is the derivation shared by the cache
+    # and the serve LRU, cell_key keys run records, identity_columns are
+    # the store's indexed columns).  ResultCache.key calls cell_identity
+    # too; the taint walk makes it a derived sink automatically.
+    ("cell_identity", "kwargs"),
     ("cell_cache_key", "kwargs"),
     ("cell_key", "spec.kwargs"),
     ("sample_verifies", "params"),
@@ -123,7 +128,7 @@ class CacheKeyPurityChecker(Checker):
     """Proves engine-selection options stay out of cell-identity hashing."""
 
     description = (
-        "ENGINE_KWARGS options must never reach cache keys, journal cell "
+        "ENGINE_KWARGS options must never reach cache keys, run-record cell "
         "keys or verify-policy hashing (call-graph walk from the sinks)"
     )
     hint = (
@@ -207,7 +212,7 @@ class CacheKeyPurityChecker(Checker):
         """Known sinks plus autodetected kwargs-hashing functions.
 
         Iterates the shared :class:`~repro.lint.graph.ProjectGraph` symbol
-        tables (targets plus the four sink-home context modules) instead
+        tables (targets plus the three sink-home context modules) instead
         of re-walking every AST.
         """
 
@@ -217,7 +222,6 @@ class CacheKeyPurityChecker(Checker):
         rels = [m.rel for m in project.targets]
         for rel in (
             "src/repro/eval/cache.py",
-            "src/repro/eval/journal.py",
             "src/repro/eval/runners.py",
             "src/repro/store/store.py",
         ):
@@ -254,9 +258,11 @@ class CacheKeyPurityChecker(Checker):
         a ``... not in ENGINE_KWARGS`` guard *somewhere* on the flow of the
         kwargs-like parameter (nested comprehensions legitimately split
         the iteration from the filter, so demanding the guard on every
-        generator would flag the filtered idiom itself).  A sink whose
-        body serializes the parameter with no guard anywhere is flagged at
-        the first use.
+        generator would flag the filtered idiom itself).  A use that is
+        itself a whole argument of a call to another sink is delegation,
+        not serialization: that sink's own guard (checked here too)
+        filters it.  A sink whose body uses the parameter any other way
+        with no guard anywhere is flagged at the first such use.
         """
 
         for (rel, qual), param in sinks.params.items():
@@ -266,7 +272,9 @@ class CacheKeyPurityChecker(Checker):
                 continue
             if any(self._is_engine_guard(n) for n in ast.walk(func)):
                 continue
-            use = self._first_param_use(func, param)
+            use = self._first_param_use(
+                func, param, skip=self._delegated_args(func, qual, sinks)
+            )
             if use is None:
                 continue  # parameter never serialized: nothing to fork on
             yield Finding(
@@ -281,11 +289,42 @@ class CacheKeyPurityChecker(Checker):
             )
 
     @staticmethod
-    def _first_param_use(func: ast.AST, param: str) -> Optional[ast.AST]:
-        """First body node reading ``param`` (``a.b`` matches ``a.b`` only)."""
+    def _delegated_args(
+        func: ast.AST, qual: str, sinks: _SinkTable
+    ) -> Set[int]:
+        """ids of the nodes ``func`` passes whole into another sink's
+        kwargs-like slot (by keyword, or by its position in that sink's
+        signature)."""
+
+        out: Set[int] = set()
+        for n in ast.walk(func):
+            if not isinstance(n, ast.Call):
+                continue
+            match = sinks.by_tail(call_name(n))
+            if match is None or match[1] == qual:
+                continue
+            rel, callee, param = match
+            slot = param.partition(".")[0]
+            out.update(id(k.value) for k in n.keywords if k.arg == slot)
+            args = sinks.nodes[(rel, callee)].args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional and positional[0] in ("self", "cls"):
+                positional = positional[1:]
+            if slot in positional and positional.index(slot) < len(n.args):
+                out.add(id(n.args[positional.index(slot)]))
+        return out
+
+    @staticmethod
+    def _first_param_use(
+        func: ast.AST, param: str, skip: Set[int] = frozenset()
+    ) -> Optional[ast.AST]:
+        """First body node reading ``param`` (``a.b`` matches ``a.b`` only),
+        ignoring the nodes in ``skip``."""
 
         base, _, attr = param.partition(".")
         for n in ast.walk(func):
+            if id(n) in skip:
+                continue
             if attr:
                 if (
                     isinstance(n, ast.Attribute)

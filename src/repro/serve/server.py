@@ -258,9 +258,9 @@ class CompileService:
 
     def _key_for(self, request: CompileRequest) -> str:
         """Cache key; via :meth:`ResultCache.key` when a store is attached
-        (that path stashes the denormalized identity columns the store
-        indexes), plain :func:`cell_cache_key` otherwise -- both derive the
-        identical key string."""
+        (that key carries the identity columns the store indexes), plain
+        :func:`cell_cache_key` otherwise -- both derive the identical key
+        string."""
 
         if self._cache is not None:
             return self._cache.key(

@@ -1,22 +1,21 @@
 """`repro.store`: the SQLite-backed experiment store.
 
-One WAL-mode database unifying the three result formats that grew up
-separately -- the JSON-file-per-key ``ResultCache``, append-only JSONL run
-journals, and committed ``BENCH_*.json`` snapshots -- behind indexed
-queries and a conflict-checked merge enforced as a SQL constraint.
+One WAL-mode database is the only place results persist: the result cache
+(``ResultCache`` rows), run records (``execute(..., store=DB)``) and the
+committed ``BENCH_*.json`` snapshots' history, behind indexed queries and a
+conflict-checked merge enforced as a SQL constraint.
 
-The existing APIs are views over it: ``ResultCache`` opened on a ``.db``
-path stores cells here, the shard coordinator and dispatcher grow a store
-sink alongside their JSONL journals (``--store``), and
-``scripts/bench.py`` / ``scripts/perf_gate.py`` write/read bench history
-as rows.  CLI: ``python -m repro.store`` (``query``, ``history``,
+``ResultCache`` stores cells here, every executor records its run here
+through :class:`RunRecorder` (``--store``; ``--resume`` continues the
+newest run of the same plan), and ``scripts/bench.py`` /
+``scripts/perf_gate.py`` write/read bench history as rows.  CLI:
+``python -m repro.store`` (``query``, ``history``, ``runs``,
 ``import-legacy``, ``gc``, ``info``).
 """
 
 from .schema import SCHEMA_VERSION, ensure_schema
 from .store import (
     ExperimentStore,
-    JournalTee,
     RunRecorder,
     comparable_result,
     identity_columns,
@@ -25,7 +24,6 @@ from .store import (
 
 __all__ = [
     "ExperimentStore",
-    "JournalTee",
     "RunRecorder",
     "SCHEMA_VERSION",
     "comparable_result",

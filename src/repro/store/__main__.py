@@ -9,10 +9,10 @@ Subcommands
     Wall-clock trend for pinned bench cells across recordings:
     ``python -m repro.store history results.db --approach sabre --size 16``
 ``runs``
-    Recorded runs (journal store sink), newest first.
+    Recorded runs (``python -m repro.eval --store``), newest first.
 ``import-legacy``
-    Ingest committed ``BENCH_*.json`` snapshots and/or cache/journal
-    directories, so history starts at PR 1 rather than empty:
+    Ingest the committed ``BENCH_*.json`` snapshots, so bench history starts
+    with the first recorded suite rather than empty:
     ``python -m repro.store import-legacy results.db --bench BENCH_*.json``
 ``gc``
     Drop cells of superseded code versions (``--keep-codes N`` or
@@ -99,13 +99,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     r.add_argument("--json", action="store_true", help="emit JSON rows")
 
     imp = sub.add_parser(
-        "import-legacy",
-        help="ingest BENCH_*.json snapshots and cache/journal directories",
+        "import-legacy", help="ingest committed BENCH_*.json snapshots"
     )
     imp.add_argument("db")
     imp.add_argument("--bench", nargs="*", default=[], metavar="FILE")
-    imp.add_argument("--cache", nargs="*", default=[], metavar="DIR")
-    imp.add_argument("--journal", nargs="*", default=[], metavar="DIR")
 
     g = sub.add_parser("gc", help="drop cells of superseded code versions")
     g.add_argument("db")
@@ -119,10 +116,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.cmd == "import-legacy" and not (
-        args.bench or args.cache or args.journal
-    ):
-        parser.error("import-legacy needs at least one --bench/--cache/--journal")
+    if args.cmd == "import-legacy" and not args.bench:
+        parser.error("import-legacy needs at least one --bench FILE")
     if args.cmd == "gc" and args.keep_codes is None and not args.code:
         parser.error("gc needs --keep-codes N or --code VERSION")
 
@@ -184,15 +179,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"bench {path}: recorded as id {info['bench_id']} "
                     f"({info['cells']} cells, suite {info['suite']})"
                 )
-            for path in args.cache:
-                stats = legacy.import_cache_dir(store, path)
-                print(
-                    f"cache {path}: {stats['imported']} imported, "
-                    f"{stats['skipped']} skipped, {stats['invalid']} invalid"
-                )
-            for path in args.journal:
-                info = legacy.import_journal_dir(store, path)
-                print(f"journal {path}: run {info['run_id']}, {info['cells']} cells")
         elif args.cmd == "gc":
             out = store.gc(
                 keep_codes=args.keep_codes,

@@ -1,31 +1,20 @@
 """Legacy ingestion: start store history at PR 1 instead of empty.
 
-``python -m repro.store DB import-legacy`` pulls the three pre-store
-formats into one database:
-
-* ``BENCH_*.json`` snapshots -> ``bench``/``bench_cells`` rows, cells kept
-  verbatim so the perf gate's reconstructed baseline is bit-equal to the
-  committed file it replaces.
-* ``ResultCache`` directories -> ``cells`` rows via the same
-  conflict-checked merge as ``--cache-merge`` (divergent entries raise
-  ``CacheMergeConflict`` rather than silently winning).
-* JSONL run-journal directories -> ``runs``/``run_cells`` rows.  Journals
-  are parsed **read-only** here -- unlike ``RunJournal.open`` (which
-  repairs torn tails in place for resumption), importing history must not
-  mutate the files it reads.  Journal cell keys are spec-content hashes
-  without the code version (the journal's own key space), so they land in
-  run history, not the cache table.
+``python -m repro.store import-legacy DB --bench BENCH_*.json`` records the
+committed ``BENCH_*.json`` snapshots as ``bench``/``bench_cells`` rows,
+cells kept verbatim so the perf gate's reconstructed baseline is bit-equal
+to the committed file (which stays the gate's fallback).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .store import ExperimentStore
 
-__all__ = ["import_bench_file", "import_cache_dir", "import_journal_dir"]
+__all__ = ["import_bench_file", "default_bench_snapshots"]
 
 
 def import_bench_file(store: ExperimentStore, path) -> Dict[str, object]:
@@ -41,65 +30,6 @@ def import_bench_file(store: ExperimentStore, path) -> Dict[str, object]:
     bench_id = store.record_bench(payload, source=path.name)
     cells = sum(len(g.get("cells", ())) for g in payload.get("groups", ()))
     return {"bench_id": bench_id, "cells": cells, "suite": payload.get("suite")}
-
-
-def import_cache_dir(store: ExperimentStore, path) -> Dict[str, int]:
-    """Merge a ``ResultCache`` directory (conflict-checked, like the CLI)."""
-
-    return store.merge_from(path)
-
-
-def _parse_journal(path: Path) -> Tuple[Dict[str, object], List[Tuple[str, Dict[str, object]]]]:
-    """Read-only parse of one ``journal.jsonl``: (meta, appends in order).
-
-    A torn (unterminated) final line is dropped without touching the file;
-    mid-file garbage raises ``ValueError`` -- same asymmetry as
-    ``RunJournal.open``, minus the in-place repair.
-    """
-
-    raw = path.read_bytes()
-    text = raw.decode("utf-8", errors="replace")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    elif lines:
-        lines.pop()  # unterminated tail: a torn write, not durable
-    meta: Dict[str, object] = {}
-    appends: List[Tuple[str, Dict[str, object]]] = []
-    for i, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise ValueError(
-                f"journal {path} line {i + 1} is unparseable; refusing to "
-                "import a corrupt journal"
-            ) from None
-        if not isinstance(record, dict):
-            raise ValueError(f"journal {path} line {i + 1} is not an object")
-        if i == 0 and record.get("type") == "meta":
-            meta = {k: v for k, v in record.items() if k != "type"}
-        elif record.get("type") == "cell":
-            appends.append((str(record["key"]), record["result"]))
-    return meta, appends
-
-
-def import_journal_dir(store: ExperimentStore, path) -> Dict[str, object]:
-    """Record one journal directory as a finished run (read-only source)."""
-
-    from ..eval.journal import JOURNAL_FILENAME
-
-    root = Path(path)
-    journal_path = root / JOURNAL_FILENAME
-    if not journal_path.is_file():
-        raise FileNotFoundError(f"no journal at {journal_path}")
-    meta, appends = _parse_journal(journal_path)
-    run_id = store.begin_run(
-        meta, executor="import-legacy", source=str(journal_path)
-    )
-    for key, result in appends:
-        store.append_run_cell(run_id, key, result)
-    store.finish_run(run_id)
-    return {"run_id": run_id, "cells": len(appends), "meta": meta}
 
 
 def default_bench_snapshots(repo_root) -> List[Path]:

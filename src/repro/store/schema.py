@@ -1,16 +1,15 @@
 """DDL for the SQLite experiment store.
 
-One database holds everything the repo previously scattered over three
-ad-hoc formats -- the JSON-file-per-key ``ResultCache``, append-only JSONL
-run journals, and committed ``BENCH_*.json`` snapshots:
+One database holds every persisted result: the result cache, run records
+and the history of the committed ``BENCH_*.json`` snapshots:
 
 ``cells``
-    The cache: one row per (spec, code version), keyed by the same 24-hex
+    The cache: one row per (spec, code version), keyed by the 24-hex
     content hash :meth:`ResultCache.key` computes, with the spec fields
     denormalized into indexed columns so "all sabre cells >= 576q across
     commits" is one ``SELECT``.  The full result payload is kept verbatim
-    as JSON (``result``) so store-backed reads are bit-equal to the
-    directory cache; ``fingerprint`` hashes the *deterministic* fields
+    as JSON (``result``) so cache hits are bit-equal to what was put;
+    ``fingerprint`` hashes the *deterministic* fields
     (wall-clock and engine provenance excluded) and backs the
     conflict-checked merge.  The ``UNIQUE (cell_key)`` constraint is the
     merge-conflict detector: an ``INSERT`` racing an existing divergent row
@@ -21,17 +20,17 @@ run journals, and committed ``BENCH_*.json`` snapshots:
     metric columns (e.g. a future fidelity score) need no schema change.
 
 ``runs`` / ``run_cells``
-    The journal: one ``runs`` row per execution (meta mirroring the JSONL
-    journal's meta line -- experiment, profile, plan fingerprint, code
-    version, shard), and one ``run_cells`` row per journaled cell append,
-    in append order (``seq``).  Like the JSONL journal, a cell may appear
-    more than once (straggler retries); last-per-key wins at query time.
+    Run records: one ``runs`` row per execution (experiment, profile, plan
+    fingerprint, code version, shard), and one ``run_cells`` row per
+    finished cell, in append order (``seq``).  A cell may appear more than
+    once (straggler retries); last-per-key wins at query time.  A resumed
+    run appends to its original row.
 
 ``bench`` / ``bench_cells``
     Bench history: one ``bench`` row per ``scripts/bench.py`` payload and
     one ``bench_cells`` row per pinned cell, with the original cell JSON
     kept verbatim so the perf gate can reconstruct a baseline payload
-    bit-equal to the committed ``BENCH_*.json`` snapshots it replaces.
+    bit-equal to the committed ``BENCH_*.json`` snapshots.
 
 ``code_versions``
     Every code version that ever wrote a cell, with first-seen timestamps;

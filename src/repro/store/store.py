@@ -1,32 +1,33 @@
-"""`ExperimentStore`: one SQLite database under cache + journal + bench.
+"""`ExperimentStore`: one SQLite database for the result cache, run records
+and bench history.
 
-The store is the queryable hub the ROADMAP calls for: cells (cache
-entries), run journals, and bench history land in one WAL-mode SQLite
-file with indexed spec columns, so cross-run questions ("all sabre cells
->= 576q across commits", "wall-clock trend for this cell since PR 5")
-are single queries instead of directory spelunking.
+The store is the single place results persist: cells (cache entries), run
+records and bench history land in one WAL-mode SQLite file with indexed
+spec columns, so cross-run questions ("all sabre cells >= 576q across
+commits", "wall-clock trend for this cell across commits") are single
+queries.
 
-Design rules, inherited from the formats it replaces:
+Design rules:
 
-* **Same keys.**  Cells are stored under the exact 24-hex content hash
+* **One identity.**  Cells are stored under the 24-hex content hash
   :meth:`ResultCache.key` computes; :func:`identity_columns` denormalizes
-  the same spec fields into indexed columns, applying the same
-  ``ENGINE_KWARGS`` filter -- engine-selection options are bit-identical
-  by contract and must never fork a cell's identity, in columns any more
-  than in keys.
+  the same :func:`~repro.eval.cache.cell_identity` into indexed columns,
+  so engine-selection options (``ENGINE_KWARGS``) never fork a cell's
+  identity, in columns any more than in keys.
 * **Same bytes.**  The full result payload is stored verbatim as JSON, so
-  a store-backed read deserializes into a :class:`CompilationResult`
-  bit-equal to the directory cache's.
+  a cache hit deserializes into a :class:`CompilationResult` bit-equal to
+  the one that was put.
 * **Merge conflicts are a constraint, not a convention.**  ``cells`` has
   ``UNIQUE (cell_key)``; :meth:`ExperimentStore.merge_cell` inserts and
-  lets SQLite raise, then compares deterministic fingerprints to decide
-  "duplicate shard result, skip" from "divergent result, raise
+  lets SQLite raise, then compares :func:`comparable_result` views to
+  decide "duplicate shard result, skip" from "divergent result, raise
   :class:`~repro.eval.cache.CacheMergeConflict`".  Wall-clock and engine
-  provenance are excluded from the fingerprint exactly as the directory
-  merge excludes them from its comparison.
-* **Durability like the journal.**  ``synchronous=FULL`` by default, so a
-  committed cell survives power loss; WAL mode keeps concurrent shard
-  writers and mid-run readers from blocking each other.
+  provenance are excluded from that view.
+* **Durable runs.**  ``synchronous=FULL`` by default, so a committed cell
+  or run append survives power loss; a run killed mid-way leaves a run row
+  whose ``run_cells`` are exactly the durably finished cells, which
+  ``execute(..., resume=True)`` continues.  WAL mode keeps concurrent
+  shard writers and mid-run readers from blocking each other.
 """
 
 from __future__ import annotations
@@ -37,22 +38,22 @@ import sqlite3
 import threading
 import uuid
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..approaches import ENGINE_KWARGS
+from ..eval.cache import cell_identity
+from ..eval.metrics import CompilationResult
 from .schema import SCHEMA_VERSION, ensure_schema
 
 __all__ = [
     "ExperimentStore",
     "RunRecorder",
-    "JournalTee",
     "identity_columns",
     "comparable_result",
     "result_fingerprint",
 ]
 
 #: result fields excluded from fingerprints/conflict checks: wall-clock is
-#: a property of the machine, not the spec (mirrors ``ResultCache``).
+#: a property of the machine, not the spec.
 VOLATILE_FIELDS = ("compile_time_s",)
 #: ``extra`` keys likewise excluded: which routing engine ran (``kernel``)
 #: and the cache-hit marker (``cache``) are provenance, not results.
@@ -78,6 +79,13 @@ def _utc_now() -> str:
     return now.isoformat(timespec="seconds")
 
 
+#: the denormalized spec columns of ``cells`` (see :func:`identity_columns`)
+IDENTITY_COLUMNS = (
+    "workload", "approach", "kind", "size", "kwargs",
+    "rename", "timeout_s", "workload_params", "verify",
+)
+
+
 def identity_columns(
     approach: str,
     kind: str,
@@ -91,32 +99,32 @@ def identity_columns(
 ) -> Dict[str, object]:
     """Denormalized spec columns for one cell, mirroring ``ResultCache.key``.
 
-    These columns are what the store indexes queries on, so they carry the
-    same identity contract as the key itself: engine-selection options
-    (``ENGINE_KWARGS``, e.g. the SABRE routing kernel) are filtered out --
-    engines are bit-identical by contract, and a store populated on a
-    machine with the compiled kernel must answer queries identically to
-    one populated by the Python fallback.
+    These columns are what the store indexes queries on; they are the
+    cell's :func:`~repro.eval.cache.cell_identity` (engine-selection
+    options already filtered out), with the option lists JSON-encoded.
     """
 
+    return columns_of(
+        cell_identity(
+            approach, kind, size, kwargs, rename, timeout_s, workload,
+            workload_params, verify,
+        )
+    )
+
+
+def columns_of(identity: Dict[str, object]) -> Dict[str, object]:
+    """Column form of a :func:`~repro.eval.cache.cell_identity` dict."""
+
     return {
-        "approach": approach,
-        "kind": kind,
-        "size": int(size),
-        "kwargs": json.dumps(
-            sorted(
-                (str(k), repr(v))
-                for k, v in kwargs
-                if str(k) not in ENGINE_KWARGS
-            )
-        ),
-        "rename": rename,
-        "timeout_s": timeout_s,
-        "workload": workload,
-        "workload_params": json.dumps(
-            sorted((str(k), repr(v)) for k, v in workload_params)
-        ),
-        "verify": verify,
+        "approach": identity["approach"],
+        "kind": identity["kind"],
+        "size": int(identity["size"]),  # type: ignore[call-overload]
+        "kwargs": json.dumps(identity["kwargs"]),
+        "rename": identity["rename"],
+        "timeout_s": identity["timeout_s"],
+        "workload": identity["workload"],
+        "workload_params": json.dumps(identity["workload_params"]),
+        "verify": identity["verify"],
     }
 
 
@@ -152,9 +160,9 @@ class ExperimentStore:
         files -- SQLite fixes it at creation).  The torn-write tests use a
         small page so a single cell spans several pages.
     synchronous:
-        ``"FULL"`` (default: a committed cell survives power loss, the
-        journal's durability bar) or ``"NORMAL"`` (WAL-safe but a late
-        commit may roll back after power loss) for throwaway runs.
+        ``"FULL"`` (default: a committed cell or run append survives power
+        loss) or ``"NORMAL"`` (WAL-safe but a late commit may roll back
+        after power loss) for throwaway runs.
     """
 
     def __init__(
@@ -271,7 +279,7 @@ class ExperimentStore:
         code: Optional[str] = None,
         identity: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Insert-or-overwrite one cell (the directory cache's ``put``)."""
+        """Insert-or-overwrite one cell (the cache's ``put``)."""
 
         data = self._clean(result)
         row = self._cell_row(key, data, code=code, identity=identity)
@@ -379,64 +387,41 @@ class ExperimentStore:
         except ValueError:
             return None
 
-    def iter_cells(self) -> Iterator[Dict[str, object]]:
-        """Every cell row (identity columns + parsed result), by key order."""
-
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM cells ORDER BY cell_key"
-            ).fetchall()
-        for row in rows:
-            out = dict(row)
-            out["result"] = json.loads(out["result"])
-            yield out
-
     def merge_from(self, source) -> Dict[str, int]:
-        """Union another store (``.db``) or cache directory into this one.
+        """Union another ``.db`` store's cells into this one.
 
-        Same contract as :meth:`ResultCache.merge`: sorted key order,
-        unreadable entries counted as ``invalid``, present-and-equal keys
-        ``skipped``, divergent keys raise ``CacheMergeConflict``.
+        Sorted key order; rows whose payload does not parse are counted as
+        ``invalid``, present-and-equal keys ``skipped``, and divergent keys
+        raise ``CacheMergeConflict`` (see :meth:`merge_cell`).
         """
 
         src = Path(source)
+        if not src.exists():
+            raise FileNotFoundError(f"store {src} does not exist")
+        if src.suffix != ".db" or not src.is_file():
+            raise ValueError(
+                f"cannot merge {src}: merge sources must be .db experiment "
+                "stores (directory caches are no longer supported)"
+            )
+        with ExperimentStore(src) as other, other._lock:
+            rows = other._conn.execute(
+                "SELECT * FROM cells ORDER BY cell_key"
+            ).fetchall()
         imported = skipped = invalid = 0
-        if src.suffix == ".db":
-            if not src.is_file():
-                raise FileNotFoundError(f"store {src} does not exist")
-            with ExperimentStore(src) as other:
-                for cell in other.iter_cells():
-                    identity = {
-                        k: cell[k]
-                        for k in (
-                            "workload", "approach", "kind", "size", "kwargs",
-                            "rename", "timeout_s", "workload_params", "verify",
-                        )
-                    }
-                    outcome = self.merge_cell(
-                        cell["cell_key"],
-                        cell["result"],
-                        code=cell["code"],
-                        identity=identity,
-                        origin=str(src),
-                    )
-                    if outcome == "imported":
-                        imported += 1
-                    else:
-                        skipped += 1
-            return {"imported": imported, "skipped": skipped, "invalid": invalid}
-        if not src.is_dir():
-            raise FileNotFoundError(f"cache directory {src} does not exist")
-        from ..eval.metrics import CompilationResult
-
-        for path in sorted(src.glob("*.json")):
+        for row in rows:
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
+                data = json.loads(row["result"])
                 CompilationResult.from_dict(data)
-            except (OSError, ValueError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 invalid += 1
                 continue
-            outcome = self.merge_cell(path.stem, data, origin=str(src))
+            outcome = self.merge_cell(
+                row["cell_key"],
+                data,
+                code=row["code"],
+                identity={k: row[k] for k in IDENTITY_COLUMNS},
+                origin=str(src),
+            )
             if outcome == "imported":
                 imported += 1
             else:
@@ -491,7 +476,7 @@ class ExperimentStore:
             out.append(rec)
         return out
 
-    # -- runs (the journal's store sink) --------------------------------
+    # -- runs (the run record) ------------------------------------------
     def begin_run(
         self,
         meta: Dict[str, object],
@@ -500,7 +485,7 @@ class ExperimentStore:
         jobs: Optional[int] = None,
         source: Optional[str] = None,
     ) -> int:
-        """Open a run row mirroring the JSONL journal's meta line."""
+        """Open a run row (experiment, profile, plan fingerprint, code, ...)."""
 
         shard = meta.get("shard")
         with self._tx() as conn:
@@ -531,7 +516,7 @@ class ExperimentStore:
             return int(cur.lastrowid)
 
     def append_run_cell(self, run_id: int, key: str, result) -> None:
-        """Record one journaled cell append (append order preserved)."""
+        """Record one finished cell of a run (append order preserved)."""
 
         data = self._clean(result)
         with self._tx() as conn:
@@ -573,7 +558,7 @@ class ExperimentStore:
             )
 
     def run_results(self, run_id: int) -> Dict[str, Dict[str, object]]:
-        """Journaled results by cell key (last append wins, like JSONL)."""
+        """Recorded results by cell key (the last append per key wins)."""
 
         with self._lock:
             rows = self._conn.execute(
@@ -585,6 +570,16 @@ class ExperimentStore:
         for key, payload in rows:
             out[key] = json.loads(payload)
         return out
+
+    def latest_run(self, plan: str) -> Optional[Dict[str, object]]:
+        """The newest run recorded for plan fingerprint ``plan``, or None."""
+
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT * FROM runs WHERE plan = ? ORDER BY id DESC LIMIT 1",
+                (plan,),
+            ).fetchone()
+        return None if row is None else dict(row)
 
     def list_runs(self, *, limit: Optional[int] = None) -> List[Dict[str, object]]:
         sql = (
@@ -826,12 +821,15 @@ class _Transaction:
 
 
 class RunRecorder:
-    """The journal's store sink: one ``runs`` row plus per-cell appends.
+    """The run record: one ``runs`` row plus one append per finished cell.
 
-    Mirrors the :class:`~repro.eval.journal.RunJournal` lifecycle --
-    created before the first cell, appended per finished cell, finished in
-    the executor's ``finally`` -- so a crashed run leaves a run row whose
-    ``run_cells`` prefix is exactly the set of durably finished cells.
+    :func:`repro.eval.execute` opens it before the first cell, the
+    executor appends every cell the moment it lands (cache hits included,
+    so a resume sees them), and ``execute`` finishes it in its
+    ``finally`` -- so a crashed run leaves a run row whose ``run_cells``
+    are exactly the durably finished cells.  ``run_id`` continues an
+    existing run (a resume) instead of opening a new row.  The recorder
+    owns ``store`` and closes it in :meth:`finish`.
     """
 
     def __init__(
@@ -841,23 +839,19 @@ class RunRecorder:
         *,
         executor: Optional[str] = None,
         jobs: Optional[int] = None,
-        source: Optional[str] = None,
-        owns_store: bool = True,
+        run_id: Optional[int] = None,
     ) -> None:
         import time
 
         self.store = store
-        self._owns_store = owns_store
-        self.run_id = store.begin_run(
-            meta, executor=executor, jobs=jobs, source=source
-        )
-        self.appended = 0
+        if run_id is None:
+            run_id = store.begin_run(meta, executor=executor, jobs=jobs)
+        self.run_id = run_id
         self._wall_t0 = time.monotonic()
         self._finished = False
 
     def append(self, key: str, result) -> None:
         self.store.append_run_cell(self.run_id, key, result)
-        self.appended += 1
 
     def finish(self) -> None:
         """Close the run row (idempotent; safe in ``finally`` blocks)."""
@@ -871,43 +865,4 @@ class RunRecorder:
         try:
             self.store.finish_run(self.run_id, wall_s=round(wall, 3))
         finally:
-            if self._owns_store:
-                self.store.close()
-
-
-class JournalTee:
-    """A ``RunJournal``-shaped sink fanning appends out to JSONL + store.
-
-    The dispatcher and shard coordinator journal through a single object;
-    handing them a tee keeps the single-writer discipline (PR 7) while the
-    store records the same appends.  The JSONL journal stays the resume
-    source of truth; ``close`` here closes only the journal -- the caller
-    finishes the recorder in its own ``finally``.
-    """
-
-    def __init__(self, journal, recorder: RunRecorder) -> None:
-        self._journal = journal
-        self._recorder = recorder
-
-    @property
-    def meta(self) -> Dict[str, object]:
-        return self._journal.meta if self._journal is not None else {}
-
-    @property
-    def path(self):
-        return self._journal.path if self._journal is not None else None
-
-    def append(self, key: str, result) -> None:
-        if self._journal is not None:
-            self._journal.append(key, result)
-        self._recorder.append(key, result)
-
-    def results(self):
-        return self._journal.results() if self._journal is not None else {}
-
-    def __len__(self) -> int:
-        return len(self._journal) if self._journal is not None else self._recorder.appended
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
+            self.store.close()

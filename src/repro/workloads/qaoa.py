@@ -3,8 +3,7 @@
 This is the "long stable front" family the ROADMAP asks for: each cost layer
 is a bag of commuting-in-dependence-terms ZZ interactions over the problem
 graph's edges, so a router's front layer stays wide and turns over slowly --
-the opposite regime from QFT (whose front is a moving pair).  It is the
-workload used to revisit ``SabreMapper(incremental=True)``.
+the opposite regime from QFT (whose front is a moving pair).
 
 The instance is fully determined by ``(num_qubits, seed, layers,
 edge_prob)``: the problem graph is Erdos-Renyi (re-seeded per size, with a

@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro import GridTopology, UnknownNameError
-from repro.core import compile_qft  # repro-lint: ignore[deprecated-api] -- shim-contract test
 
 
 class TestCompileBasics:
@@ -80,16 +79,6 @@ class TestCompileBasics:
         assert row.depth == res.mapped.depth()
         assert row.swap_count == res.mapped.swap_count()
         assert row.workload == "qft"
-
-    def test_compile_qft_shim_warns_and_matches_direct_compile(self):
-        """The retired shim still works, but announces its replacement."""
-
-        topo = GridTopology(3, 3)
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            shim = compile_qft(topo)  # repro-lint: ignore[deprecated-api]
-        direct = repro.compile(architecture=topo, verify=False).mapped
-        assert [str(op) for op in shim.ops] == [str(op) for op in direct.ops]
-        assert "deprecated" in (compile_qft.__doc__ or "").lower()  # repro-lint: ignore[deprecated-api]
 
 
 # The acceptance criterion of the redesign: the full cross-product of

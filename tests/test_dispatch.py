@@ -7,6 +7,7 @@ executor end-to-end -- including chaos runs (worker SIGKILL, frozen
 heartbeats) asserted bit-equal to an uninterrupted serial run.
 """
 
+import sqlite3
 import threading
 import time
 
@@ -14,7 +15,6 @@ import pytest
 
 from repro.eval import (
     CellSpec,
-    RunJournal,
     adhoc_plan,
     chaos,
     execute,
@@ -32,6 +32,7 @@ from repro.eval.dispatch import (
 )
 from repro.eval.executors import retry_spec
 from repro.eval.metrics import CompilationResult
+from repro.store import ExperimentStore
 
 
 def _specs(n=2):
@@ -49,6 +50,14 @@ def _metrics(results):
         (r.approach, r.architecture, r.status, r.depth, r.swap_count, r.verified)
         for r in results
     ]
+
+
+def _recorded(db):
+    """The newest run's record: (run row, results by cell key)."""
+
+    with ExperimentStore(db) as store:
+        run = store.list_runs()[0]
+        return run, store.run_results(run["id"])
 
 
 @pytest.fixture
@@ -310,14 +319,15 @@ class TestDispatchExecutor:
         p = adhoc_plan("mini", _specs(6))
         serial = execute(p, executor="serial")
         report = execute(
-            p, executor="dispatch", jobs=2, journal=str(tmp_path / "j")
+            p, executor="dispatch", jobs=2, store=str(tmp_path / "s.db")
         )
         assert report.executor == "dispatch"
         assert _metrics(report.results) == _metrics(serial.results)
         assert report.status_counts == serial.status_counts
-        journal = RunJournal.open(tmp_path / "j")
-        assert len(journal) == len(p.cells)  # single writer saw every cell
-        journal.close()
+        run, recorded = _recorded(tmp_path / "s.db")
+        assert run["executor"] == "dispatch"
+        # the single writer recorded every cell exactly once
+        assert run["appended"] == len(recorded) == len(p.cells)
 
     def test_chaos_kill_and_freeze_bit_equal_to_serial(self, chaos_env, tmp_path):
         # One worker SIGKILLed mid-run, the other frozen (heartbeats stop)
@@ -333,7 +343,7 @@ class TestDispatchExecutor:
             p,
             executor="dispatch",
             jobs=2,
-            journal=str(tmp_path / "j"),
+            store=str(tmp_path / "s.db"),
             dispatch={"lease_s": 0.4, "heartbeat_s": 0.1},
         )
         chaos_env("")  # serial reference runs clean
@@ -341,10 +351,9 @@ class TestDispatchExecutor:
         assert _metrics(report.results) == _metrics(serial.results)
         assert report.reassigned >= 2  # the killed cell and the frozen cell
         assert report.dead_workers >= 1
-        # no duplicates: the journal's last-entry-wins view is the cell set
-        journal = RunJournal.open(tmp_path / "j")
-        assert len(journal) == len(p.cells)
-        journal.close()
+        # no duplicates: stale revenant results are never recorded
+        run, recorded = _recorded(tmp_path / "s.db")
+        assert run["appended"] == len(recorded) == len(p.cells)
 
     def test_timeout_keeps_retry_budget_accounting(self):
         p = adhoc_plan(
@@ -360,27 +369,28 @@ class TestDispatchExecutor:
 
     def test_resume_serves_journaled_prefix(self, tmp_path):
         p = adhoc_plan("mini", _specs(4))
-        clean = execute(p, executor="dispatch", jobs=2, journal=str(tmp_path / "c"))
-        lines = (tmp_path / "c" / "journal.jsonl").read_text().splitlines(True)
-        crash = tmp_path / "crash"
-        crash.mkdir()
-        (crash / "journal.jsonl").write_text("".join(lines[:3]) + '{"torn')
-        resumed = execute(p, executor="dispatch", jobs=2, resume=str(crash))
+        db = str(tmp_path / "s.db")
+        clean = execute(p, executor="dispatch", jobs=2, store=db)
+        # crash after two recorded cells, run row unfinished
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute("DELETE FROM run_cells WHERE seq >= 2")
+            conn.execute("UPDATE runs SET finished_at = NULL")
+        conn.close()
+        resumed = execute(p, executor="dispatch", jobs=2, store=db, resume=True)
         assert resumed.resumed == 2
         assert _metrics(resumed.results) == _metrics(clean.results)
 
     def test_resume_refuses_other_code_version(self, tmp_path):
-        import json
-
         p = adhoc_plan("mini", _specs(2))
-        execute(p, executor="dispatch", jobs=1, journal=str(tmp_path / "j"))
-        path = tmp_path / "j" / "journal.jsonl"
-        lines = path.read_text().splitlines(True)
-        meta = json.loads(lines[0])
-        meta["code"] = "deadbeefcafe"
-        path.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
+        db = str(tmp_path / "s.db")
+        execute(p, executor="dispatch", jobs=1, store=db)
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute("UPDATE runs SET code = 'deadbeefcafe'")
+        conn.close()
         with pytest.raises(ValueError, match="code version"):
-            execute(p, executor="dispatch", jobs=1, resume=str(tmp_path / "j"))
+            execute(p, executor="dispatch", jobs=1, store=db, resume=True)
 
     def test_serve_only_with_external_worker(self):
         # spawn_workers=0: the executor serves and waits; an "external"
@@ -415,18 +425,17 @@ class TestDispatchExecutor:
     def test_cache_hits_short_circuit_the_queue(self, tmp_path):
         from repro.eval.cache import ResultCache
 
-        cache = ResultCache(str(tmp_path / "cache"))
+        cache = ResultCache(str(tmp_path / "cache.db"))
         p = adhoc_plan("mini", _specs(3))
         execute(p, executor="dispatch", jobs=1, cache=cache)
         warm = execute(
             p, executor="dispatch", jobs=1, cache=cache,
-            journal=str(tmp_path / "j"),
+            store=str(tmp_path / "s.db"),
         )
         assert warm.cache_stats["hits"] == 3
-        # hits are journaled dispatcher-side so a resume still sees them
-        journal = RunJournal.open(tmp_path / "j")
-        assert len(journal) == 3
-        journal.close()
+        # hits are recorded dispatcher-side so a resume still sees them
+        run, recorded = _recorded(tmp_path / "s.db")
+        assert run["appended"] == len(recorded) == 3
 
 
 class TestDispatchCli:

@@ -13,10 +13,9 @@ from repro.eval import (
     run_cell,
     run_specs,
 )
-from repro.eval.experiments import (  # repro-lint: ignore[deprecated-api] -- shim-contract import
+from repro.eval.experiments import (
     QUICK,
     Profile,
-    experiment_figure27_sabre_randomness,
     specs_figure27,
     specs_linearity,
     specs_relaxed_vs_strict,
@@ -89,12 +88,6 @@ class TestExperiments:
         rows = run_specs(specs_figure27(seeds=(0, 1, 2), m=2))
         assert len(rows) == 3
         assert all(r.verified for r in rows)
-
-    def test_experiment_shim_warns_and_delegates(self):
-        # the retired experiment_* surface: one contract test for the lot
-        with pytest.warns(DeprecationWarning, match="fig27"):
-            rows = experiment_figure27_sabre_randomness(seeds=(0,))  # repro-lint: ignore[deprecated-api]
-        assert len(rows) == 1 and rows[0].verified
 
     def test_relaxed_vs_strict_shows_the_gap(self):
         rows = run_specs(specs_relaxed_vs_strict(sycamore_m=(4,), lattice_m=()))

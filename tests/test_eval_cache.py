@@ -1,6 +1,7 @@
-"""Tests for the on-disk result cache (repro.eval.cache)."""
+"""Tests for the store-backed result cache (repro.eval.cache)."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -15,9 +16,16 @@ def _spec_key(cache, spec):
     )
 
 
+def _set_result_column(db, key, payload):
+    conn = sqlite3.connect(str(db))
+    with conn:
+        conn.execute("UPDATE cells SET result = ? WHERE cell_key = ?", (payload, key))
+    conn.close()
+
+
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         key = cache.key("sabre", "grid", 3, (("seed", 1),))
         assert cache.get(key) is None
         res = CompilationResult(
@@ -33,38 +41,81 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_key_depends_on_every_spec_component_and_code_version(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         base = cache.key("sabre", "grid", 3, (("seed", 0),))
         assert cache.key("ours", "grid", 3, (("seed", 0),)) != base
         assert cache.key("sabre", "lattice", 3, (("seed", 0),)) != base
         assert cache.key("sabre", "grid", 4, (("seed", 0),)) != base
         assert cache.key("sabre", "grid", 3, (("seed", 1),)) != base
-        other_code = ResultCache(tmp_path, version="deadbeef")
+        other_code = ResultCache(tmp_path / "cache.db", version="deadbeef")
         assert other_code.key("sabre", "grid", 3, (("seed", 0),)) != base
 
     def test_default_version_is_source_hash(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         assert cache.version == code_version()
         assert len(cache.version) == 12
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         key = cache.key("sabre", "grid", 2, ())
         cache.put(key, CompilationResult("sabre", "Grid 2*2", 4))
-        (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
+        _set_result_column(tmp_path / "cache.db", key, "{not json")
         assert cache.get(key) is None
 
     def test_stored_file_is_plain_json(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         key = cache.key("ours", "heavyhex", 2, ())
         cache.put(key, CompilationResult("ours", "Heavy-hex 2*5", 10, depth=33))
-        data = json.loads((tmp_path / f"{key}.json").read_text(encoding="utf-8"))
+        conn = sqlite3.connect(str(tmp_path / "cache.db"))
+        (payload,) = conn.execute(
+            "SELECT result FROM cells WHERE cell_key = ?", (key,)
+        ).fetchone()
+        conn.close()
+        data = json.loads(payload)
         assert data["approach"] == "ours" and data["depth"] == 33
+
+    def test_directory_cache_path_is_refused(self, tmp_path):
+        (tmp_path / "old-cache").mkdir()
+        with pytest.raises(IsADirectoryError, match="directory result caches"):
+            ResultCache(tmp_path / "old-cache")
+
+    def test_cache_keeps_no_per_key_state(self, tmp_path):
+        """Keys carry their own identity columns; the cache itself must not
+        grow with the number of distinct cells it has keyed (a long-running
+        server keys every request, hits and never-stored misses alike)."""
+
+        cache = ResultCache(tmp_path / "cache.db")
+
+        def containers():
+            return {
+                name: len(value)
+                for name, value in vars(cache).items()
+                if isinstance(value, (dict, list, set, tuple))
+            }
+
+        before = containers()
+        for i in range(1000):
+            key = cache.key("sabre", "grid", 3, (("seed", i),))
+            if cache.get(key) is None and i % 3 == 0:  # some misses stay misses
+                cache.put(key, CompilationResult("sabre", "Grid 3*3", 9, depth=i))
+                assert cache.get(key).depth == i  # and some keys hit
+        assert cache.stats() == {"hits": 334, "misses": 1000}
+        assert containers() == before
+        assert len(cache) == 334
+
+    def test_key_columns_land_in_the_store(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache.db")
+        key = cache.key("sabre", "grid", 3, (("seed", 7),), workload="qaoa")
+        cache.put(key, CompilationResult("sabre", "Grid 3*3", 9, depth=5))
+        assert key.columns["approach"] == "sabre"  # the key carries them
+        (row,) = cache.store.query_cells(approach="sabre", workload="qaoa")
+        assert row["cell_key"] == key and row["size"] == 3
+        assert json.loads(row["kwargs"]) == [["seed", "7"]]
 
 
 class TestRunCellsWithCache:
     def test_second_sweep_is_all_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = [
             CellSpec.make("sabre", "grid", 2, seed=s, rename=f"sabre-seed{s}")
             for s in range(3)
@@ -78,7 +129,7 @@ class TestRunCellsWithCache:
         assert all(r.extra.get("cache") == "hit" for r in warm)
 
     def test_rename_is_part_of_the_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         plain = CellSpec.make("sabre", "grid", 2, seed=0)
         renamed = CellSpec.make("sabre", "grid", 2, seed=0, rename="sabre-seed0")
         assert _spec_key(cache, plain) != _spec_key(cache, renamed)
@@ -86,7 +137,7 @@ class TestRunCellsWithCache:
     def test_timeout_results_are_not_cached(self, tmp_path):
         # a timeout depends on machine load, not on the spec -- caching it
         # would serve a one-off slow run forever
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = [CellSpec.make("satmap", "sycamore", 4, timeout_s=0.01)]
         first = run_specs(specs, cache=cache)
         assert first[0].status == "timeout"
@@ -95,16 +146,16 @@ class TestRunCellsWithCache:
         assert cache.stats()["hits"] == 0  # recomputed, not served stale
 
     def test_version_change_invalidates(self, tmp_path):
-        cache_v1 = ResultCache(tmp_path, version="v1")
+        cache_v1 = ResultCache(tmp_path / "cache.db", version="v1")
         specs = [CellSpec.make("ours", "heavyhex", 2)]
         run_specs(specs, cache=cache_v1)
-        cache_v2 = ResultCache(tmp_path, version="v2")
+        cache_v2 = ResultCache(tmp_path / "cache.db", version="v2")
         run_specs(specs, cache=cache_v2)
         assert cache_v2.stats()["hits"] == 0
         assert len(cache_v2) == 2  # both versions stored side by side
 
     def test_timeout_budget_is_part_of_the_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         plain = CellSpec.make("satmap", "grid", 2)
         budgeted = CellSpec.make("satmap", "grid", 2, timeout_s=5.0)
         assert _spec_key(cache, plain) != _spec_key(cache, budgeted)
@@ -115,8 +166,8 @@ class TestCacheMerge:
 
     def _sharded_caches(self, tmp_path):
         # two "machines" run disjoint slices of a seed sweep
-        shard_a = ResultCache(tmp_path / "a")
-        shard_b = ResultCache(tmp_path / "b")
+        shard_a = ResultCache(tmp_path / "a.db")
+        shard_b = ResultCache(tmp_path / "b.db")
         specs_a = [CellSpec.make("sabre", "grid", 2, seed=s) for s in (0, 1)]
         specs_b = [CellSpec.make("sabre", "grid", 2, seed=s) for s in (2, 3)]
         run_specs(specs_a, cache=shard_a)
@@ -125,7 +176,7 @@ class TestCacheMerge:
 
     def test_merge_unions_disjoint_shards(self, tmp_path):
         shard_a, shard_b, all_specs = self._sharded_caches(tmp_path)
-        merged = ResultCache(tmp_path / "merged")
+        merged = ResultCache(tmp_path / "merged.db")
         assert merged.merge(shard_a.root) == {
             "imported": 2,
             "skipped": 0,
@@ -143,27 +194,28 @@ class TestCacheMerge:
 
     def test_merge_skips_entries_already_present(self, tmp_path):
         shard_a, _, _ = self._sharded_caches(tmp_path)
-        merged = ResultCache(tmp_path / "merged")
+        merged = ResultCache(tmp_path / "merged.db")
         merged.merge(shard_a.root)
         again = merged.merge(shard_a.root)
         assert again == {"imported": 0, "skipped": 2, "invalid": 0}
 
     def test_merge_counts_and_ignores_corrupt_entries(self, tmp_path):
         shard_a, _, _ = self._sharded_caches(tmp_path)
-        (shard_a.root / ("0" * 24 + ".json")).write_text("{broken", encoding="utf-8")
-        merged = ResultCache(tmp_path / "merged")
+        shard_a.put("0" * 24, CompilationResult("sabre", "Grid 2*2", 4))
+        _set_result_column(shard_a.root, "0" * 24, "{broken")
+        merged = ResultCache(tmp_path / "merged.db")
         stats = merged.merge(shard_a.root)
         assert stats["imported"] == 2 and stats["invalid"] == 1
 
     def test_merge_conflict_raises_instead_of_keeping_first(self, tmp_path):
         # Two caches storing *different metrics* under the same key means one
         # of them is corrupt; the merge must refuse, not pick by order.
-        a = ResultCache(tmp_path / "a", version="v1")
-        b = ResultCache(tmp_path / "b", version="v1")
+        a = ResultCache(tmp_path / "a.db", version="v1")
+        b = ResultCache(tmp_path / "b.db", version="v1")
         key = a.key("sabre", "grid", 2, ())
         a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, swap_count=2))
         b.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=99, swap_count=2))
-        dest = ResultCache(tmp_path / "dest", version="v1")
+        dest = ResultCache(tmp_path / "dest.db", version="v1")
         dest.merge(a.root)
         with pytest.raises(CacheMergeConflict, match="depth"):
             dest.merge(b.root)
@@ -172,26 +224,30 @@ class TestCacheMerge:
         # compile_time_s is machine/run-dependent, not part of the cell's
         # deterministic identity: two shards that both computed the same cell
         # must merge cleanly.
-        a = ResultCache(tmp_path / "a", version="v1")
-        b = ResultCache(tmp_path / "b", version="v1")
+        a = ResultCache(tmp_path / "a.db", version="v1")
+        b = ResultCache(tmp_path / "b.db", version="v1")
         key = a.key("sabre", "grid", 2, ())
         a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, compile_time_s=0.5))
         b.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, compile_time_s=1.5))
-        dest = ResultCache(tmp_path / "dest", version="v1")
+        dest = ResultCache(tmp_path / "dest.db", version="v1")
         dest.merge(a.root)
         stats = dest.merge(b.root)
         assert stats == {"imported": 0, "skipped": 1, "invalid": 0}
 
     def test_merge_missing_directory_raises(self, tmp_path):
-        cache = ResultCache(tmp_path / "dest")
+        cache = ResultCache(tmp_path / "dest.db")
         with pytest.raises(FileNotFoundError):
-            cache.merge(tmp_path / "nope")
+            cache.merge(tmp_path / "nope.db")
+        # only .db stores merge: an old directory cache is refused outright
+        (tmp_path / "old-cache").mkdir()
+        with pytest.raises(ValueError, match=r"\.db"):
+            cache.merge(tmp_path / "old-cache")
 
     def test_cli_cache_merge(self, tmp_path, capsys):
         from repro.eval.experiments import main
 
         shard_a, shard_b, all_specs = self._sharded_caches(tmp_path)
-        dest = tmp_path / "merged"
+        dest = tmp_path / "merged.db"
         rc = main(
             [
                 "--cache",

@@ -1,222 +1,259 @@
-"""Durability tests for the run journal: fsync, corruption, torn tails.
+"""Durability of the run record: what a crash leaves, and what resume makes of it.
 
-The journal's contract is "the intact prefix is exactly the finished
-cells".  These tests hold it to that under the failures that actually
-happen: power loss between flush and disk (fsync), bit rot / truncated
-restores mid-file (JournalCorruptError), and writes torn at an arbitrary
-byte offset by a crash (the every-offset sweep).
+A recorded run (``execute(..., store=DB)``) commits one store transaction
+per finished cell into the ``runs``/``run_cells`` tables -- the store's run
+journal -- under ``synchronous=FULL`` in WAL mode.  The contract is "the
+committed appends are exactly the finished cells, and ``resume=True``
+serves them".  These tests hold every executor to it (identical records
+for identical plans, a run cut after k cells resuming bit-equal with
+``resumed == k``, cache hits recorded), tear the WAL of a recorded run at
+swept byte offsets, and refuse damage that a torn write cannot produce.
 """
 
-import json
+import sqlite3
+import struct
 
 import pytest
 
-from repro.eval import CellSpec, JournalCorruptError, RunJournal, cell_key, chaos
-from repro.eval.executors import run_specs
+from repro.eval import CellSpec, adhoc_plan, chaos, execute
+from repro.eval.cache import ResultCache
+from repro.eval.metrics import CompilationResult
+from repro.store import ExperimentStore, RunRecorder, comparable_result
 
-META = {"experiment": "t", "plan": "p" * 24, "code": "c" * 12}
+EXECUTORS = [
+    pytest.param("serial", 1, id="serial"),
+    pytest.param("pool", 2, id="pool"),
+    pytest.param("dispatch", 2, id="dispatch"),
+]
 
-
-def _filled_journal(root, n=3, **kwargs):
-    """A closed journal holding ``n`` real finished cells."""
-
-    specs = [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(n)]
-    results = run_specs(specs)
-    journal = RunJournal.create(root, META, **kwargs)
-    for spec, result in zip(specs, results):
-        journal.append(cell_key(spec), result)
-    journal.close()
-    return [cell_key(s) for s in specs]
-
-
-class TestFsync:
-    @pytest.fixture
-    def fsync_calls(self, monkeypatch):
-        from repro.eval import journal as journal_module
-
-        calls = []
-        real_fsync = journal_module.os.fsync
-
-        def counting_fsync(fd):
-            calls.append(fd)
-            return real_fsync(fd)
-
-        monkeypatch.setattr(journal_module.os, "fsync", counting_fsync)
-        return calls
-
-    def _append_n(self, journal, n):
-        specs = [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(n)]
-        for spec, result in zip(specs, run_specs(specs)):
-            journal.append(cell_key(spec), result)
-
-    def test_default_syncs_every_append(self, tmp_path, fsync_calls):
-        journal = RunJournal.create(tmp_path, META)
-        created = len(fsync_calls)
-        assert created >= 1  # the meta line (plus the directory) is durable
-        self._append_n(journal, 3)
-        assert len(fsync_calls) == created + 3
-        journal.close()
-        assert len(fsync_calls) == created + 3  # nothing pending at close
-
-    def test_wider_stride_batches_syncs(self, tmp_path, fsync_calls):
-        journal = RunJournal.create(tmp_path, META, fsync_every=2)
-        created = len(fsync_calls)
-        self._append_n(journal, 3)
-        assert len(fsync_calls) == created + 1  # after the 2nd append only
-        journal.close()
-        assert len(fsync_calls) == created + 2  # close flushes the partial stride
-
-    def test_zero_disables_fsync(self, tmp_path, fsync_calls):
-        journal = RunJournal.create(tmp_path, META, fsync_every=0)
-        self._append_n(journal, 3)
-        journal.close()
-        assert fsync_calls == []
-
-    def test_open_honours_stride(self, tmp_path, fsync_calls):
-        _filled_journal(tmp_path, n=1, fsync_every=0)
-        journal = RunJournal.open(tmp_path, fsync_every=1)
-        before = len(fsync_calls)
-        self._append_n(journal, 2)
-        assert len(fsync_calls) == before + 2
-        journal.close()
+#: small pages so one recorded cell spans several WAL frames
+PAGE = 512
+WAL_HEADER = 32
+FRAME = 24 + PAGE
 
 
-class TestMidFileCorruption:
-    def _lines(self, root):
-        return (root / "journal.jsonl").read_text().splitlines(True)
+def _plan(n=4):
+    return adhoc_plan(
+        "durable", [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(n)]
+    )
 
-    def test_unparseable_line_mid_file_raises(self, tmp_path):
-        _filled_journal(tmp_path)
-        lines = self._lines(tmp_path)
-        lines[2] = "@@@ not json @@@\n"
-        (tmp_path / "journal.jsonl").write_text("".join(lines))
-        with pytest.raises(JournalCorruptError, match="line 3"):
-            RunJournal.open(tmp_path)
 
-    def test_terminated_garbage_final_line_raises(self, tmp_path):
-        # Newline-terminated garbage is NOT a torn write: the "\n" landed,
-        # so the line was written whole -- this is damage, not a crash.
-        _filled_journal(tmp_path)
-        path = tmp_path / "journal.jsonl"
-        path.write_text(path.read_text() + "@@@ damage @@@\n")
-        with pytest.raises(JournalCorruptError, match="unparseable JSON"):
-            RunJournal.open(tmp_path)
+def _metrics(results):
+    return [
+        (r.approach, r.architecture, r.status, r.depth, r.swap_count, r.verified)
+        for r in results
+    ]
 
-    def test_non_object_record_raises(self, tmp_path):
-        _filled_journal(tmp_path)
-        lines = self._lines(tmp_path)
-        lines.insert(2, "[1, 2, 3]\n")
-        (tmp_path / "journal.jsonl").write_text("".join(lines))
-        with pytest.raises(JournalCorruptError, match="not an object"):
-            RunJournal.open(tmp_path)
 
-    def test_cell_record_with_mangled_result_raises(self, tmp_path):
-        _filled_journal(tmp_path)
-        lines = self._lines(tmp_path)
-        record = json.loads(lines[1])
-        del record["result"]
-        lines[1] = json.dumps(record) + "\n"
-        (tmp_path / "journal.jsonl").write_text("".join(lines))
-        with pytest.raises(JournalCorruptError, match="cell record"):
-            RunJournal.open(tmp_path)
+def _record(db):
+    """(newest run row, its deterministic results by cell key)."""
 
-    def test_unknown_record_types_still_tolerated(self, tmp_path):
-        # Intact lines of a type this version doesn't know are forward
-        # compatibility, not corruption.
-        keys = _filled_journal(tmp_path)
-        lines = self._lines(tmp_path)
-        lines.insert(2, json.dumps({"type": "annotation", "note": "hi"}) + "\n")
-        (tmp_path / "journal.jsonl").write_text("".join(lines))
-        journal = RunJournal.open(tmp_path)
-        assert set(journal.results()) == set(keys)
-        journal.close()
+    with ExperimentStore(db) as store:
+        run = store.list_runs()[0]
+        results = store.run_results(run["id"])
+    return run, {key: comparable_result(data) for key, data in results.items()}
 
-    def test_empty_file_raises(self, tmp_path):
-        (tmp_path / "journal.jsonl").write_bytes(b"")
-        with pytest.raises(JournalCorruptError):
-            RunJournal.open(tmp_path)
+
+def _sql(db, statement, *params):
+    conn = sqlite3.connect(str(db))
+    with conn:
+        conn.execute(statement, params)
+    conn.close()
+
+
+def _cut(db, k):
+    """What a crash after k recorded cells leaves: k appends, run unfinished."""
+
+    _sql(db, "DELETE FROM run_cells WHERE seq >= ?", k)
+    _sql(db, "UPDATE runs SET finished_at = NULL, wall_s = NULL, status_counts = NULL")
+
+
+@pytest.mark.parametrize("executor,jobs", EXECUTORS)
+class TestEveryExecutor:
+    def test_same_plan_yields_identical_records(self, tmp_path, executor, jobs):
+        p = _plan()
+        for name in ("a", "b"):
+            execute(p, executor=executor, jobs=jobs, store=str(tmp_path / f"{name}.db"))
+        execute(p, store=str(tmp_path / "serial.db"))
+        (_, a), (_, b) = _record(tmp_path / "a.db"), _record(tmp_path / "b.db")
+        assert a == b == _record(tmp_path / "serial.db")[1]
+        assert len(a) == len(p.cells)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_run_cut_after_k_cells_resumes_bit_equal(
+        self, tmp_path, executor, jobs, k
+    ):
+        p = _plan()
+        db = tmp_path / "s.db"
+        clean = execute(p, executor=executor, jobs=jobs, store=str(db))
+        _, full = _record(db)
+        _cut(db, k)
+        resumed = execute(p, executor=executor, jobs=jobs, store=str(db), resume=True)
+        assert resumed.resumed == k
+        assert _metrics(resumed.results) == _metrics(clean.results)
+        run, record = _record(db)
+        assert record == full and run["appended"] == len(p.cells)
+        assert run["finished_at"] is not None
+
+    def test_cache_hits_are_recorded(self, tmp_path, executor, jobs):
+        p = _plan()
+        db = tmp_path / "s.db"
+        cache = ResultCache(tmp_path / "cache.db")
+        execute(p, executor=executor, jobs=jobs, cache=cache)  # warm, unrecorded
+        warm = execute(p, executor=executor, jobs=jobs, cache=cache, store=str(db))
+        assert warm.cache_stats["hits"] == len(p.cells)
+        run, _ = _record(db)
+        assert run["appended"] == len(p.cells)
+        resumed = execute(p, executor=executor, jobs=jobs, store=str(db), resume=True)
+        assert resumed.resumed == len(p.cells)
+        assert _metrics(resumed.results) == _metrics(warm.results)
+
+
+def _commit_ends(wal: bytes):
+    """Byte offsets just past each commit frame of a WAL image."""
+
+    ends = []
+    for start in range(WAL_HEADER, len(wal) - FRAME + 1, FRAME):
+        (db_pages,) = struct.unpack(">I", wal[start + 4 : start + 8])
+        if db_pages:  # nonzero "database size" marks a commit frame
+            ends.append(start + FRAME)
+    return ends
 
 
 class TestTornTail:
-    def test_torn_meta_only_journal_is_unresumable(self, tmp_path):
-        (tmp_path / "journal.jsonl").write_text('{"type": "meta", "co')
-        with pytest.raises(JournalCorruptError, match="torn metadata"):
-            RunJournal.open(tmp_path)
+    """A recorded run's WAL torn at arbitrary byte offsets (a crash mid-write)."""
 
-    def test_unterminated_but_complete_json_is_still_torn(self, tmp_path):
-        # The crash can land between the payload and its "\n".  The record
-        # must be treated as torn anyway: accepting it and then appending
-        # would weld the next record onto it (mid-file corruption we made
-        # ourselves).
-        keys = _filled_journal(tmp_path)
-        path = tmp_path / "journal.jsonl"
-        raw = path.read_bytes()
-        chaos.tear_tail(path, len(raw) - 1)  # exactly the final newline
-        journal = RunJournal.open(tmp_path)
-        assert journal.repaired_bytes > 0
-        assert set(journal.results()) == set(keys[:-1])
-        journal.close()
-        assert path.read_bytes() == raw[: raw.rfind(b"\n", 0, len(raw) - 1) + 1]
+    N = 4
 
-    def test_every_byte_offset_of_the_last_record(self, tmp_path):
-        """Property: no tear inside the last record loses an intact prefix cell.
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """(db bytes, wal bytes, WAL size before the run, clean results)
 
-        Sweeps every truncation point from 'last record entirely gone' to
-        'only its newline missing', asserting open() serves exactly the
-        intact prefix, repairs the file, and leaves it cleanly appendable.
+        captured before any checkpoint: a second connection held open keeps
+        the recorder's close from folding the WAL into the main file, so the
+        bytes are exactly the on-disk state a power cut would leave.
         """
 
-        keys = _filled_journal(tmp_path / "master")
-        master = (tmp_path / "master" / "journal.jsonl").read_bytes()
-        last_start = master.rfind(b"\n", 0, len(master) - 1) + 1
-        prefix_keys = set(keys[:-1])
+        root = tmp_path_factory.mktemp("recorded")
+        db = root / "s.db"
+        holder = ExperimentStore(db, page_size=PAGE)
+        try:
+            schema_end = len((root / "s.db-wal").read_bytes())
+            clean = execute(_plan(self.N), store=str(db))
+            db_bytes = db.read_bytes()
+            wal_bytes = (root / "s.db-wal").read_bytes()
+        finally:
+            holder.close()
+        return db_bytes, wal_bytes, schema_end, clean
 
-        for cut in range(last_start, len(master)):
-            root = tmp_path / f"cut{cut}"
-            root.mkdir()
-            path = root / "journal.jsonl"
-            path.write_bytes(master)
-            chaos.tear_tail(path, cut)
+    @staticmethod
+    def _torn_store(root, recorded, cut):
+        db_bytes, wal_bytes, _, _ = recorded
+        root.mkdir()
+        (root / "s.db").write_bytes(db_bytes)
+        (root / "s.db-wal").write_bytes(wal_bytes)
+        chaos.tear_tail(root / "s.db-wal", cut)
+        return str(root / "s.db")
 
-            journal = RunJournal.open(root)
-            if cut == last_start:
-                # The whole record vanished with its line: a clean journal
-                # that simply never saw the last cell.
-                assert journal.repaired_bytes == 0
-            else:
-                assert journal.repaired_bytes == cut - last_start
-            assert set(journal.results()) == prefix_keys, f"cut at byte {cut}"
-            # The repaired file must be cleanly appendable: journal the torn
-            # cell again and re-open without complaint.
-            spec = CellSpec.make("sabre", "grid", 2, seed=2)
-            journal.append(keys[-1], run_specs([spec])[0])
-            journal.close()
-            reopened = RunJournal.open(root)
-            assert set(reopened.results()) == set(keys), f"cut at byte {cut}"
-            assert reopened.repaired_bytes == 0
-            reopened.close()
-
-    def test_resume_after_tear_recovers_full_run(self, tmp_path):
-        # End-to-end: execute --journal, tear the tail, --resume; the
-        # resumed run recomputes only the torn cell and the final results
-        # match an uninterrupted run.
-        from repro.eval import adhoc_plan, execute
-
-        p = adhoc_plan(
-            "mini", [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(3)]
+    def _resume(self, root, recorded, cut):
+        return execute(
+            _plan(self.N), store=self._torn_store(root, recorded, cut), resume=True
         )
-        clean = execute(p, journal=str(tmp_path / "clean"))
-        path = tmp_path / "clean" / "journal.jsonl"
-        raw = path.read_bytes()
-        chaos.tear_tail(path, len(raw) - 7)  # rip into the last record
-        resumed = execute(p, resume=str(tmp_path / "clean"))
-        assert resumed.resumed == len(p.cells) - 1
 
-        def stable(result):
-            data = result.to_dict()
-            data.pop("compile_time_s", None)  # wall time is volatile
-            return data
+    def test_every_byte_offset_of_the_last_record(self, tmp_path, recorded):
+        """Tear inside the last cell's append: that cell (only) re-runs."""
 
-        assert [stable(r) for r in resumed.results] == [
-            stable(r) for r in clean.results
-        ]
+        _, wal_bytes, _, clean = recorded
+        ends = _commit_ends(wal_bytes)
+        # transactions: ..., last cell append, finish_run
+        start, end = ends[-3], ends[-2]
+        assert end - start >= FRAME
+        for cut in list(range(start, end, 7)) + [end - 1]:
+            report = self._resume(tmp_path / f"cut{cut}", recorded, cut)
+            assert report.resumed == self.N - 1, f"cut at byte {cut}"
+            assert _metrics(report.results) == _metrics(clean.results)
+        report = self._resume(tmp_path / "whole", recorded, end)
+        assert report.resumed == self.N
+
+    def test_resume_after_tear_recovers_full_run(self, tmp_path, recorded):
+        """Any tear past the run row: resume is bit-equal to the clean run,
+        the recovered store is intact, and its record holds the full run."""
+
+        _, wal_bytes, schema_end, clean = recorded
+        run_end = next(e for e in _commit_ends(wal_bytes) if e > schema_end)
+        served = []
+        for cut in range(run_end, len(wal_bytes) + 1, 509):
+            root = tmp_path / f"cut{cut}"
+            report = self._resume(root, recorded, cut)
+            assert _metrics(report.results) == _metrics(clean.results)
+            served.append(report.resumed)
+            with ExperimentStore(root / "s.db") as store:
+                check = store._conn.execute("PRAGMA integrity_check").fetchone()[0]
+                assert check == "ok", f"cut at byte {cut}"
+                (run,) = store.list_runs()
+                assert len(store.run_results(run["id"])) == self.N
+        assert served == sorted(served)  # more surviving bytes, more served
+        assert served[0] < self.N
+
+    def test_torn_meta_only_journal_is_unresumable(self, tmp_path, recorded):
+        """A tear before the run row committed leaves nothing to resume."""
+
+        _, _, schema_end, _ = recorded
+        for cut in (schema_end, schema_end + 1, schema_end + FRAME - 1):
+            with pytest.raises(ValueError, match="no run of plan"):
+                self._resume(tmp_path / f"cut{cut}", recorded, cut)
+
+    def test_unterminated_but_complete_json_is_still_torn(self, tmp_path, recorded):
+        """The last cell's append missing only the final byte of its commit
+        frame is not committed: every payload byte is there, yet it re-runs."""
+
+        _, wal_bytes, _, _ = recorded
+        end = _commit_ends(wal_bytes)[-2]
+        report = self._resume(tmp_path / "torn", recorded, end - 1)
+        assert report.resumed == self.N - 1
+
+
+class TestFsync:
+    def test_default_syncs_every_append(self, tmp_path):
+        """Every append is its own ``synchronous=FULL`` commit, visible to
+        another connection the moment ``append`` returns."""
+
+        db = tmp_path / "s.db"
+        store = ExperimentStore(db)
+        assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 2  # FULL
+        recorder = RunRecorder(store, {"experiment": "t", "plan": "p", "code": "c"})
+        reader = sqlite3.connect(str(db))
+        for i in range(3):
+            recorder.append(f"{i:024x}", CompilationResult("sabre", "grid 2", 4))
+            (count,) = reader.execute("SELECT COUNT(*) FROM run_cells").fetchone()
+            assert count == i + 1
+        reader.close()
+        recorder.finish()
+
+
+class TestMidFileCorruption:
+    """Damage a torn write cannot produce is refused, never skipped."""
+
+    def _recorded(self, tmp_path):
+        p = _plan(3)
+        db = tmp_path / "s.db"
+        execute(p, store=str(db))
+        return p, db
+
+    def test_cell_record_with_mangled_result_raises(self, tmp_path):
+        p, db = self._recorded(tmp_path)
+        _sql(db, "UPDATE run_cells SET result = ? WHERE seq = 1", '{"depth": 3}')
+        with pytest.raises(ValueError, match="corrupt cell record"):
+            execute(p, store=str(db), resume=True)
+
+    def test_unparseable_line_mid_file_raises(self, tmp_path):
+        p, db = self._recorded(tmp_path)
+        _sql(db, "UPDATE run_cells SET result = ? WHERE seq = 1", "{not json")
+        with pytest.raises(ValueError, match="corrupt cell record"):
+            execute(p, store=str(db), resume=True)
+
+    def test_empty_file_raises(self, tmp_path):
+        db = tmp_path / "s.db"
+        db.write_bytes(b"")
+        with pytest.raises(ValueError, match="no run of plan"):
+            execute(_plan(), store=str(db), resume=True)

@@ -81,9 +81,9 @@ def test_seeded_regression_is_caught_with_file_line_checker(
     tmp_path, repo_root
 ):
     """Re-introduce the bug class the determinism checker exists for --
-    cache merge iterating a directory in filesystem order -- into a copy
-    of the REAL cache module, and assert the lint run fails pointing at
-    exactly that file/line/checker."""
+    the code-version hash walking the package sources in filesystem order --
+    into a copy of the REAL cache module, and assert the lint run fails
+    pointing at exactly that file/line/checker."""
 
     project = tmp_path / "proj"
     for rel in ("src/repro/approaches.py", "src/repro/eval/cache.py"):
@@ -98,14 +98,14 @@ def test_seeded_regression_is_caught_with_file_line_checker(
 
     cache = project / "src" / "repro" / "eval" / "cache.py"
     seeded = cache.read_text().replace(
-        "sorted(other.glob(", "list(other.glob(", 1
+        "sorted(pkg_root.rglob(", "list(pkg_root.rglob(", 1
     )
     assert seeded != cache.read_text(), "seed site vanished from cache.py"
     cache.write_text(seeded)
     expected_line = next(
         i
         for i, line in enumerate(seeded.splitlines(), start=1)
-        if "list(other.glob(" in line
+        if "list(pkg_root.rglob(" in line
     )
 
     findings = run_lint([project / "src"], root=project)

@@ -6,7 +6,8 @@
 real tree.  ``bad_snippets.py`` exercises every rule: an unguarded known
 sink, an autodetected hashlib sink, a direct engine-literal injection, a
 transitive injection through a forwarding wrapper (the call-graph walk),
-and a second ENGINE_KWARGS definition.
+and a second ENGINE_KWARGS definition.  ``identity_snippets.py`` covers
+the shared ``cell_identity`` function the real sinks delegate to.
 """
 
 from repro.lint import run_lint
@@ -61,6 +62,25 @@ def test_transitive_injection_flagged_at_originating_call(
     assert "forwarding_wrapper(" in source[transitive[0].line - 1]
 
 
+def test_engine_kwarg_reaching_cell_identity_is_flagged(
+    lint_purity_fixture, marked_lines
+):
+    """The shared identity function is a sink: an engine kwarg passed into
+    it (directly, or through a sink delegating to it) is flagged, and a
+    delegating sink is clean only while it hands its kwargs over whole."""
+
+    findings = lint_purity_fixture("identity_snippets.py")
+    assert [f.line for f in findings] == marked_lines(
+        "purity/src/repro/identity_snippets.py"
+    )
+    blob = "\n".join(f.message for f in findings)
+    assert "passed into identity sink cell_identity()" in blob
+    assert "passed into identity sink cell_cache_key()" in blob
+    assert "identity sink identity_columns() serializes 'kwargs'" in blob
+    # delegation counts only into the callee's own kwargs slot
+    assert "identity sink sample_verifies() serializes 'params'" in blob
+
+
 def test_checker_is_silent_outside_a_repro_tree(tmp_path):
     """No src/repro/approaches.py means nothing to enforce (the purity
     rule is about THIS repo's engine-kwarg list, not arbitrary code)."""
@@ -75,14 +95,14 @@ def test_checker_is_silent_outside_a_repro_tree(tmp_path):
 
 
 def test_real_sinks_pass_by_guard_not_by_accident(repo_root):
-    """Lint only the four real sink modules: the engine-kwarg filter in
-    each must satisfy the checker (0 findings), proving the production
-    guards are the thing keeping the tree clean."""
+    """Lint only the three real sink modules: the engine-kwarg filter in
+    ``cell_identity`` (which the other identity sinks delegate to) and in
+    the verify-policy hash must satisfy the checker (0 findings), proving
+    the production guards are the thing keeping the tree clean."""
 
     findings = run_lint(
         [
             repo_root / "src" / "repro" / "eval" / "cache.py",
-            repo_root / "src" / "repro" / "eval" / "journal.py",
             repo_root / "src" / "repro" / "eval" / "runners.py",
             repo_root / "src" / "repro" / "store" / "store.py",
         ],

@@ -1,11 +1,11 @@
-"""Tests for the parallel evaluation harness (repro.eval.parallel)."""
+"""Tests for the parallel evaluation engine (repro.eval.executors.run_specs)."""
 
 import pytest
 
 from repro.eval import ResultCache, run_cell
 from repro.eval.experiments import QUICK, specs_figure27, specs_table1
-from repro.eval.executors import run_specs
-from repro.eval.parallel import CellSpec, _topology_chunks, run_cells  # repro-lint: ignore[deprecated-api] -- shim-contract test
+from repro.eval.executors import _topology_chunks, run_specs
+from repro.eval.parallel import CellSpec
 from repro.eval.runners import architecture_key, cached_topology
 
 
@@ -38,7 +38,7 @@ class TestRunSpecs:
             run_specs([], jobs=0)
 
     def test_parallel_with_cache_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = specs_figure27(seeds=(0, 1, 2), m=2)
         cold = run_specs(specs, jobs=2, cache=cache)
         warm = run_specs(specs, jobs=2, cache=cache)
@@ -96,9 +96,9 @@ class TestTopologyGrouping:
             CellSpec.make("sabre", "grid", 3, seed=2),
             CellSpec.make("ours", "heavyhex", 3),
         ]
-        ungrouped = run_specs(specs, jobs=1, group_topologies=False)
-        grouped = run_specs(specs, jobs=2, group_topologies=True)
-        assert _metrics(ungrouped) == _metrics(grouped)
+        serial = run_specs(specs, jobs=1)  # in-process, one cell at a time
+        grouped = run_specs(specs, jobs=2)  # topology-grouped pool chunks
+        assert _metrics(serial) == _metrics(grouped)
 
     def test_chunks_group_by_canonical_topology(self):
         specs = [
@@ -142,7 +142,7 @@ class TestTopologyGrouping:
         # A caller bug (unknown approach) must still raise, but cells that
         # finished before it -- in the same chunk or other chunks -- must
         # have been recorded in the cache, not discarded with the chunk.
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = [
             CellSpec.make("sabre", "grid", 2, seed=0),
             CellSpec.make("magic", "grid", 2),
@@ -172,21 +172,11 @@ class TestCellTimeout:
         assert res.ok and res.verified
 
     def test_timeout_result_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = [CellSpec.make("satmap", "sycamore", 4, timeout_s=0.2)]
         (res,) = run_specs(specs, cache=cache)
         assert res.status == "timeout"
         assert len(cache) == 0
-
-
-class TestDeprecatedShim:
-    def test_run_cells_warns_and_delegates(self):
-        """The retired entry point still works, but announces run_specs."""
-
-        specs = [CellSpec.make("sabre", "grid", 2, seed=1)]
-        with pytest.warns(DeprecationWarning, match="run_specs"):
-            shim = run_cells(specs)  # repro-lint: ignore[deprecated-api]
-        assert _metrics(shim) == _metrics(run_specs(specs))
 
 
 class TestExperimentSpecs:

@@ -1,16 +1,11 @@
 """The curated top-level surface stays in lockstep with its docs.
 
 ``repro.__all__`` is the contract: every name in it must resolve, and
-every name must appear in README.md's "Public API" table.  The retired
-``compile_qft`` facade is the one deliberate exception -- importable for
-old callers, warning, and *out* of ``__all__``.
+every name must appear in README.md's "Public API" table.
 """
 
 import re
-import warnings
 from pathlib import Path
-
-import pytest
 
 import repro
 import repro.serve
@@ -65,28 +60,6 @@ class TestReadmeTable:
             advertised.update(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", line.split("|")[2]))
         stale = sorted(advertised - set(repro.__all__))
         assert stale == [], "README advertises names repro does not export"
-
-
-class TestDeprecatedFacade:
-    def test_compile_qft_not_in_all(self):
-        assert "compile_qft" not in repro.__all__
-
-    def test_compile_qft_still_importable_and_warns(self):
-        assert hasattr(repro, "compile_qft")
-        topo = repro.GridTopology(3, 3)
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            mapped = repro.compile_qft(topo)  # repro-lint: ignore[deprecated-api]
-        direct = repro.compile(
-            workload="qft", architecture=topo, approach="ours", verify=False
-        ).mapped
-        assert mapped.ops == direct.ops
-
-    def test_star_import_does_not_leak_it(self):
-        namespace = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            exec("from repro import *", namespace)  # noqa: S102
-        assert "compile_qft" not in namespace
 
 
 class TestServeReexports:

@@ -98,7 +98,6 @@ class TestBuiltinRegistries:
         assert get_approach("sabre").allowed_kwargs == {
             "seed",
             "passes",
-            "incremental",
             "kernel",
         }
         assert get_approach("satmap").timeout_param == "timeout_s"
@@ -107,7 +106,7 @@ class TestBuiltinRegistries:
 
 class TestUnsupportedNeverCached:
     def test_unsupported_cells_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = [
             CellSpec.make("ours", "grid", 3, workload="qaoa"),  # unsupported
             CellSpec.make("sabre", "grid", 3, workload="qaoa"),  # ok
@@ -123,7 +122,7 @@ class TestUnsupportedNeverCached:
         assert second[0].extra.get("cache") is None
 
     def test_workload_is_part_of_the_cache_key(self, tmp_path):
-        cache = ResultCache(tmp_path, version="pinned")
+        cache = ResultCache(tmp_path / "cache.db", version="pinned")
         qft_key = cache.key("sabre", "grid", 3)
         qaoa_key = cache.key("sabre", "grid", 3, workload="qaoa")
         assert qft_key != qaoa_key

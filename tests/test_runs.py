@@ -1,14 +1,14 @@
-"""Tests for the declarative run API (repro.eval.runs / executors / journal)."""
+"""Tests for the declarative run API (repro.eval.runs / executors / run record)."""
 
 import json
 import pickle
+import sqlite3
 
 import pytest
 
 from repro.eval import (
     CellSpec,
     ExecutionContext,
-    RunJournal,
     adhoc_plan,
     cell_key,
     execute,
@@ -25,6 +25,7 @@ from repro.eval.cache import ResultCache
 from repro.eval.experiments import QUICK, main
 from repro.eval.metrics import CompilationResult
 from repro.registry import UnknownNameError
+from repro.store import ExperimentStore
 
 
 def _metrics(results):
@@ -164,8 +165,8 @@ class TestRunPlan:
 
 class TestExecutors:
     def test_builtin_executors_registered(self):
-        assert set(executor_names()) >= {"serial", "pool", "shard-coordinator"}
-        assert get_executor("coordinator").name == "shard-coordinator"
+        assert set(executor_names()) >= {"serial", "pool", "dispatch"}
+        assert get_executor("parallel").name == "pool"
 
     def test_unknown_executor_suggests(self):
         p = adhoc_plan("x", [CellSpec.make("sabre", "grid", 2)])
@@ -185,7 +186,7 @@ class TestExecutors:
         assert execute(p, jobs=2).executor == "pool"
 
     def test_report_counts_and_json(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         specs = [
             CellSpec.make("sabre", "grid", 2, seed=0),
             CellSpec.make("sabre", "lattice", 10, max_qubits=50),  # skipped
@@ -198,86 +199,116 @@ class TestExecutors:
         slim = report.to_dict(include_results=False)
         assert "results" not in slim
 
-    def test_serial_executor_refuses_journal(self, tmp_path):
+    def test_resume_requires_a_store(self):
         p = adhoc_plan("x", [CellSpec.make("sabre", "grid", 2)])
-        with pytest.raises(ValueError, match="shard-coordinator"):
-            execute(p, executor="serial", journal=str(tmp_path / "j"))
+        with pytest.raises(ValueError, match="store="):
+            execute(p, resume=True)
 
 
 # ---------------------------------------------------------------------------
-# Journal + resume + straggler retry
+# Run record (the store's run journal) + resume + straggler retry
 # ---------------------------------------------------------------------------
+
+
+def _runs(db):
+    with ExperimentStore(db) as store:
+        return store.list_runs()
+
+
+def _sql(db, statement, *params):
+    conn = sqlite3.connect(str(db))
+    with conn:
+        conn.execute(statement, params)
+    conn.close()
 
 
 class TestJournalResume:
+    """``execute(store=...)`` records every cell as it lands; ``resume=True``
+    continues the newest run of the same plan in that store."""
+
     def _plan(self, seeds=(0, 1, 2, 3)):
         return adhoc_plan(
             "mini", [CellSpec.make("sabre", "grid", 2, seed=s) for s in seeds]
         )
 
+    def _slow_plan(self):
+        return adhoc_plan(
+            "slow", [CellSpec.make("satmap", "sycamore", 4, timeout_s=0.2)]
+        )
+
     def test_journal_streams_every_cell(self, tmp_path):
         p = self._plan()
-        report = execute(p, journal=str(tmp_path / "j"))
-        assert report.executor == "shard-coordinator"
-        journal = RunJournal.open(tmp_path / "j")
-        assert len(journal) == len(p.cells)
-        assert journal.meta["plan"] == p.fingerprint()
-        journal.close()
+        db = tmp_path / "s.db"
+        report = execute(p, store=str(db))
+        assert report.executor == "serial" and report.store == str(db)
+        (run,) = _runs(db)
+        assert run["appended"] == len(p.cells)
+        assert run["plan"] == p.fingerprint()
+        assert run["finished_at"] is not None
 
     def test_fresh_journal_refuses_to_clobber(self, tmp_path):
+        # A fresh (non-resume) run into a store that already holds a run of
+        # the plan opens a new run row; the earlier record is never touched.
         p = self._plan()
-        execute(p, journal=str(tmp_path / "j"))
-        with pytest.raises(FileExistsError):
-            execute(p, journal=str(tmp_path / "j"))
+        db = tmp_path / "s.db"
+        execute(p, store=str(db))
+        with ExperimentStore(db) as store:
+            first = store.run_results(store.list_runs()[0]["id"])
+        execute(p, store=str(db))
+        runs = _runs(db)
+        assert len(runs) == 2 and [r["appended"] for r in runs] == [4, 4]
+        with ExperimentStore(db) as store:
+            assert store.run_results(runs[-1]["id"]) == first
 
     def test_resume_after_crash_matches_clean_run(self, tmp_path):
         p = self._plan()
-        clean = execute(p, journal=str(tmp_path / "clean"))
+        db = tmp_path / "s.db"
+        clean = execute(p, store=str(db))
+        # Simulate a crash after two cells: later appends never landed and
+        # the run row was never finished.
+        run_id = _runs(db)[0]["id"]
+        _sql(db, "DELETE FROM run_cells WHERE run_id = ? AND seq >= 2", run_id)
+        _sql(db, "UPDATE runs SET finished_at = NULL WHERE id = ?", run_id)
 
-        # Simulate a crash: meta + first two cells survive, plus a torn line.
-        lines = (tmp_path / "clean" / "journal.jsonl").read_text().splitlines(True)
-        crash = tmp_path / "crash"
-        crash.mkdir()
-        (crash / "journal.jsonl").write_text("".join(lines[:3]) + '{"torn')
-
-        resumed = execute(p, resume=str(crash))
+        resumed = execute(p, store=str(db), resume=True)
         assert _metrics(resumed.results) == _metrics(clean.results)
         assert resumed.resumed == 2
-        # the journal now holds the full run again
-        journal = RunJournal.open(crash)
-        assert len(journal) == len(p.cells)
-        journal.close()
+        # the same run row holds the full run again, and is finished
+        (run,) = _runs(db)
+        assert run["appended"] == len(p.cells) and run["finished_at"]
 
     def test_resume_refuses_other_plan(self, tmp_path):
-        execute(self._plan(), journal=str(tmp_path / "j"))
-        with pytest.raises(ValueError, match="different plan"):
-            execute(self._plan(seeds=(7, 8)), resume=str(tmp_path / "j"))
+        execute(self._plan(), store=str(tmp_path / "s.db"))
+        with pytest.raises(ValueError, match="no run of plan"):
+            execute(
+                self._plan(seeds=(7, 8)), store=str(tmp_path / "s.db"), resume=True
+            )
 
     def test_resume_refuses_other_code_version(self, tmp_path):
         p = self._plan()
-        execute(p, journal=str(tmp_path / "j"))
-        path = tmp_path / "j" / "journal.jsonl"
-        lines = path.read_text().splitlines(True)
-        meta = json.loads(lines[0])
-        meta["code"] = "deadbeefcafe"
-        path.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
+        db = tmp_path / "s.db"
+        execute(p, store=str(db))
+        _sql(db, "UPDATE runs SET code = 'deadbeefcafe'")
         with pytest.raises(ValueError, match="code version"):
-            execute(p, resume=str(tmp_path / "j"))
+            execute(p, store=str(db), resume=True)
 
     def test_resume_missing_journal_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            execute(self._plan(), resume=str(tmp_path / "nope"))
+            execute(self._plan(), store=str(tmp_path / "nope.db"), resume=True)
 
-    def test_straggler_timeout_retried_once_and_accounted(self):
-        p = adhoc_plan(
-            "slow", [CellSpec.make("satmap", "sycamore", 4, timeout_s=0.2)]
-        )
-        report = execute(p, executor="shard-coordinator")
+    def test_straggler_timeout_retried_once_and_accounted(self, tmp_path):
+        report = execute(self._slow_plan(), store=str(tmp_path / "s.db"))
         assert report.status_counts == {"timeout": 1}
         assert report.retried == 1 and report.recovered == 0
         assert report.results[0].extra.get("retries") == 1
 
-    def test_straggler_recovery_accounted(self, monkeypatch):
+    def test_unrecorded_run_reports_timeouts_without_retrying(self):
+        report = execute(self._slow_plan())
+        assert report.status_counts == {"timeout": 1}
+        assert report.retried == 0
+        assert "retries" not in report.results[0].extra
+
+    def test_straggler_recovery_accounted(self, monkeypatch, tmp_path):
         from repro.eval import executors as ex
 
         calls = {"n": 0}
@@ -292,41 +323,37 @@ class TestJournalResume:
 
         monkeypatch.setattr(ex, "run_cell", flaky_run_cell)
         p = adhoc_plan("flaky", [CellSpec.make("sabre", "grid", 2)])
-        report = execute(p, executor="shard-coordinator")
+        report = execute(p, store=str(tmp_path / "s.db"))
         assert calls["n"] == 2
         assert report.retried == 1 and report.recovered == 1
         assert report.results[0].status == "ok"
         assert report.results[0].extra.get("retries") == 1
 
     def test_resumed_already_retried_timeout_is_final(self, tmp_path):
-        # The first run journaled both the timeout and its (failed) retry;
+        # The first run recorded both the timeout and its (failed) retry;
         # resuming must serve the retried result, not re-dispatch again.
-        p = adhoc_plan(
-            "slow", [CellSpec.make("satmap", "sycamore", 4, timeout_s=0.2)]
-        )
-        first = execute(p, executor="shard-coordinator", journal=str(tmp_path / "j"))
+        p = self._slow_plan()
+        first = execute(p, store=str(tmp_path / "s.db"))
         assert first.retried == 1
-        report = execute(p, resume=str(tmp_path / "j"))
+        report = execute(p, store=str(tmp_path / "s.db"), resume=True)
         assert report.resumed == 1 and report.retried == 0
 
     def test_resumed_unretried_timeout_gets_its_retry(self, tmp_path):
         # A crash between a timeout and its retry pass must not make the
         # timeout permanent: the resuming run owes the cell its re-dispatch,
         # matching what an uninterrupted run would have done.
-        p = adhoc_plan(
-            "slow", [CellSpec.make("satmap", "sycamore", 4, timeout_s=0.2)]
-        )
-        execute(p, executor="shard-coordinator", journal=str(tmp_path / "j"))
-        # keep meta + the *first* (pre-retry) attempt only
-        path = tmp_path / "j" / "journal.jsonl"
-        lines = path.read_text().splitlines(True)
-        assert len(lines) == 3  # meta, attempt, retry
-        path.write_text("".join(lines[:2]))
-        report = execute(p, resume=str(tmp_path / "j"))
+        p = self._slow_plan()
+        db = tmp_path / "s.db"
+        execute(p, store=str(db))
+        (run,) = _runs(db)
+        assert run["appended"] == 2  # attempt, retry
+        # keep the *first* (pre-retry) attempt only
+        _sql(db, "DELETE FROM run_cells WHERE run_id = ? AND seq >= 1", run["id"])
+        report = execute(p, store=str(db), resume=True)
         assert report.resumed == 1 and report.retried == 1
         assert report.results[0].extra.get("retries") == 1
 
-    def test_retry_budget_is_respected(self, monkeypatch):
+    def test_retry_budget_is_respected(self, monkeypatch, tmp_path):
         from repro.eval import executors as ex
 
         calls = {"n": 0}
@@ -339,12 +366,14 @@ class TestJournalResume:
 
         monkeypatch.setattr(ex, "run_cell", always_timeout)
         p = adhoc_plan("t", [CellSpec.make("sabre", "grid", 2)])
-        report = execute(p, executor="shard-coordinator", retry_timeouts=3)
+        report = execute(p, store=str(tmp_path / "s.db"), retry_timeouts=3)
         assert calls["n"] == 4  # first attempt + three re-dispatches
         assert report.retried == 3 and report.recovered == 0
         assert report.results[0].extra["retries"] == 3
 
-    def test_retry_timeout_multiplier_recovers_marginal_cell(self, monkeypatch):
+    def test_retry_timeout_multiplier_recovers_marginal_cell(
+        self, monkeypatch, tmp_path
+    ):
         # A cell that is marginally too slow for its budget times out on the
         # first attempt; with a multiplier the retry gets a wider budget and
         # recovers instead of timing out identically twice.
@@ -365,7 +394,7 @@ class TestJournalResume:
             "marginal", [CellSpec.make("sabre", "grid", 2, timeout_s=0.5)]
         )
         report = execute(
-            p, executor="shard-coordinator", retry_timeout_multiplier=4.0
+            p, store=str(tmp_path / "s.db"), retry_timeout_multiplier=4.0
         )
         assert budgets == [0.5, 2.0]
         assert report.retried == 1 and report.recovered == 1
@@ -373,7 +402,7 @@ class TestJournalResume:
         assert report.retry_timeout_multiplier == 4.0
         assert report.to_dict()["retry_timeout_multiplier"] == 4.0
 
-    def test_default_multiplier_retries_with_same_budget(self, monkeypatch):
+    def test_default_multiplier_retries_with_same_budget(self, monkeypatch, tmp_path):
         from repro.eval import executors as ex
 
         budgets = []
@@ -388,7 +417,7 @@ class TestJournalResume:
         p = adhoc_plan(
             "marginal", [CellSpec.make("sabre", "grid", 2, timeout_s=0.5)]
         )
-        report = execute(p, executor="shard-coordinator")
+        report = execute(p, store=str(tmp_path / "s.db"))
         assert budgets == [0.5, 0.5]
         assert report.retry_timeout_multiplier == 1.0
 
@@ -439,7 +468,7 @@ class TestVerifyPolicy:
         assert (res.verified is not None) == expected
 
     def test_policy_is_part_of_cache_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         base = dict(kwargs=(), rename=None, timeout_s=None)
         full = cache.key("sabre", "grid", 2, **base)
         off = cache.key("sabre", "grid", 2, **base, verify="off")
@@ -487,20 +516,21 @@ class TestCLI:
         assert "run: fig27" in capsys.readouterr().out
 
     def test_journal_and_resume_flags(self, tmp_path, capsys):
-        jdir = tmp_path / "j"
-        assert main(
-            ["-e", "fig27", "--profile", "paper", "--journal", str(jdir)]
-        ) == 0
+        db = str(tmp_path / "s.db")
+        assert main(["-e", "fig27", "--profile", "paper", "--store", db]) == 0
         capsys.readouterr()
         assert main(
-            ["-e", "fig27", "--profile", "paper", "--resume", str(jdir)]
+            ["-e", "fig27", "--profile", "paper", "--store", db, "--resume"]
         ) == 0
         out = capsys.readouterr().out
         assert "resumed=10" in out
 
     def test_journal_requires_single_experiment(self, tmp_path):
+        db = str(tmp_path / "s.db")
         with pytest.raises(SystemExit):
-            main(["-e", "fig27", "-e", "fig17", "--journal", str(tmp_path / "j")])
+            main(["-e", "fig27", "-e", "fig17", "--store", db, "--resume"])
+        with pytest.raises(SystemExit):  # --resume continues a --store run
+            main(["-e", "fig27", "--resume"])
 
     def test_verify_flag_threaded(self, tmp_path, capsys):
         assert main(["-e", "fig27", "--profile", "paper", "--verify", "off"]) == 0

@@ -24,8 +24,7 @@ from repro.arch import (
 from repro.baselines import SabreMapper, sabre_kernel
 from repro.baselines.sabre import KERNEL_ENV_VAR
 from repro.baselines.sabre_kernel import kernel_available
-from repro.eval.cache import ResultCache
-from repro.eval.journal import cell_key
+from repro.eval.cache import ResultCache, cell_key
 from repro.eval.parallel import CellSpec
 from repro.eval.runners import sample_verifies
 from repro.workloads import get_workload
@@ -187,18 +186,15 @@ def test_unknown_kernel_rejected_at_construction():
 
 @requires_kernel
 def test_non_default_scorer_configs_stay_python():
-    """auto/c only cover the default scoring config; the reference loop and
-    the opt-in incremental scorer keep their Python engines (bit-identical
-    anyway, but `vectorized=False` is an explicit request for the textbook
-    loop and must stay meaningful under REPRO_SABRE_KERNEL=c)."""
+    """auto/c only cover the default scoring config; the reference loop
+    keeps its Python engine (bit-identical anyway, but `vectorized=False` is
+    an explicit request for the textbook loop and must stay meaningful under
+    REPRO_SABRE_KERNEL=c)."""
 
     topo = GridTopology(3, 3)
     ref = SabreMapper(topo, seed=0, kernel="c", vectorized=False)
     ref.map_qft(9)
     assert ref.last_kernel == "python"
-    inc = SabreMapper(topo, seed=0, kernel="c", incremental=True)
-    inc.map_qft(9)
-    assert inc.last_kernel == "python"
 
 
 class TestGracefulDegradation:
@@ -230,7 +226,7 @@ class TestKernelIsMetricsNeutral:
     """Engine choice must not fork any harness identity."""
 
     def test_cache_key_does_not_fork_on_kernel(self, tmp_path):
-        cache = ResultCache(tmp_path, version="vtest")
+        cache = ResultCache(tmp_path / "cache.db", version="vtest")
         base = cache.key("sabre", "grid", 5, kwargs=[("seed", 3)])
         for kern in ("auto", "c", "python"):
             assert (
@@ -265,8 +261,8 @@ class TestKernelIsMetricsNeutral:
         from repro.eval.cache import CacheMergeConflict
         from repro.eval.metrics import CompilationResult
 
-        a = ResultCache(tmp_path / "a", version="v")
-        b = ResultCache(tmp_path / "b", version="v")
+        a = ResultCache(tmp_path / "a.db", version="v")
+        b = ResultCache(tmp_path / "b.db", version="v")
         key = a.key("sabre", "grid", 3, kwargs=[("seed", 0)])
 
         def result(kernel, depth=10):
@@ -281,13 +277,13 @@ class TestKernelIsMetricsNeutral:
 
         a.put(key, result("c"))
         b.put(key, result("python"))
-        stats = a.merge(tmp_path / "b")
+        stats = a.merge(tmp_path / "b.db")
         assert stats == {"imported": 0, "skipped": 1, "invalid": 0}
 
-        c = ResultCache(tmp_path / "c", version="v")
+        c = ResultCache(tmp_path / "c.db", version="v")
         c.put(key, result("python", depth=11))  # genuinely different metrics
         with pytest.raises(CacheMergeConflict):
-            a.merge(tmp_path / "c")
+            a.merge(tmp_path / "c.db")
 
     @requires_kernel
     def test_run_cell_records_engine_in_extra(self):

@@ -52,17 +52,6 @@ def test_vectorized_ops_bit_identical(make_topo, seed):
     assert vec.swap_count() == ref.swap_count()
 
 
-@pytest.mark.parametrize("make_topo", TOPOLOGIES + LARGE_TOPOLOGIES)
-@pytest.mark.parametrize("seed", [0, 5])
-def test_incremental_scorer_bit_identical(make_topo, seed):
-    topo = make_topo()
-    ref = SabreMapper(topo, seed=seed, vectorized=False).map_qft(topo.num_qubits)
-    inc = SabreMapper(topo, seed=seed, incremental=True).map_qft(topo.num_qubits)
-    assert inc.ops == ref.ops
-    assert inc.depth() == ref.depth()
-    assert inc.swap_count() == ref.swap_count()
-
-
 @pytest.mark.parametrize("make_topo", LARGE_TOPOLOGIES)
 @pytest.mark.parametrize("seed", [1, 7])
 def test_default_fast_path_bit_identical_on_larger_instances(make_topo, seed):

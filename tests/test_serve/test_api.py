@@ -177,7 +177,7 @@ def test_execute_request_honors_num_qubits():
 def test_cache_key_matches_result_cache_key(tmp_path):
     """A full-device request derives the exact key a batch sweep writes."""
 
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultCache(tmp_path / "cache.db")
     req = CompileRequest(
         workload="qft", architecture="grid", size=4,
         approach="sabre", options={"seed": 2}, timeout_s=60.0,

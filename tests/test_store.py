@@ -1,14 +1,14 @@
 """Tests for the SQLite experiment store (repro.store).
 
-The store is a *view-preserving* unification: ``ResultCache`` on a
-``*.db`` path, the journal's store sink, bench history and the perf
-gate's ``--db`` baseline all go through it.  These tests hold each view
-to the contract of the format it replaces -- same keys, same bytes, same
-merge semantics -- plus the store-only surfaces (queries, gc, CLI,
-legacy import).
+The store is the one place results persist: ``ResultCache`` rows, run
+records (``execute(..., store=DB)``), bench history and the perf gate's
+``--db`` baseline all go through it.  These tests hold each view to its
+contract -- same keys, same bytes, conflict-checked merges -- plus the
+store-only surfaces (queries, gc, CLI, legacy bench import).
 """
 
 import json
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +19,10 @@ from repro.eval import (
     CacheMergeConflict,
     CompilationResult,
     ResultCache,
-    RunJournal,
     adhoc_plan,
     execute,
 )
+from repro.eval.cache import cell_key
 from repro.eval.executors import run_specs
 from repro.eval.parallel import CellSpec
 from repro.store import (
@@ -135,7 +135,7 @@ class TestStoreCore:
 
 
 class TestStoreBackedCache:
-    """ResultCache on a ``*.db`` path: the directory cache's contract."""
+    """ResultCache on a ``*.db`` path: the cache's contract."""
 
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache.db")
@@ -149,18 +149,6 @@ class TestStoreBackedCache:
         assert cache.stats() == {"hits": 1, "misses": 1}
         assert len(cache) == 1
         cache.close()
-
-    def test_same_key_as_directory_cache(self, tmp_path):
-        """A .db path must not fork keys: shards on different backends
-        still share cache entries after a merge."""
-
-        dir_cache = ResultCache(tmp_path / "dir")
-        db_cache = ResultCache(tmp_path / "cache.db")
-        spec = CellSpec.make("sabre", "grid", 2, seed=0)
-        args = (spec.approach, spec.kind, spec.size, spec.kwargs,
-                spec.rename, spec.timeout_s)
-        assert dir_cache.key(*args) == db_cache.key(*args)
-        db_cache.close()
 
     def test_engine_kwargs_do_not_fork_key_or_columns(self, tmp_path):
         cache = ResultCache(tmp_path / "cache.db")
@@ -211,7 +199,7 @@ class TestStoreBackedCache:
 
 
 class TestStoreMerge:
-    """The SQL-constraint form of cache merge, in every direction."""
+    """The SQL-constraint form of cache merge (``.db`` sources only)."""
 
     def _shard(self, root, seeds, version="v1"):
         cache = ResultCache(root, version=version)
@@ -220,24 +208,6 @@ class TestStoreMerge:
             cache=cache,
         )
         return cache
-
-    def test_directory_shards_merge_into_a_store(self, tmp_path):
-        a = self._shard(tmp_path / "a", (0, 1))
-        self._shard(tmp_path / "b", (2, 3))
-        merged = ResultCache(tmp_path / "merged.db", version="v1")
-        assert merged.merge(tmp_path / "a") == {
-            "imported": 2, "skipped": 0, "invalid": 0,
-        }
-        assert merged.merge(tmp_path / "b") == {
-            "imported": 2, "skipped": 0, "invalid": 0,
-        }
-        again = merged.merge(a.root)
-        assert again == {"imported": 0, "skipped": 2, "invalid": 0}
-        all_specs = [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(4)]
-        results = run_specs(all_specs, cache=merged)
-        assert merged.stats() == {"hits": 4, "misses": 0}
-        assert all(r.ok for r in results)
-        merged.close()
 
     def test_store_to_store_merge(self, tmp_path):
         a = ResultCache(tmp_path / "a.db", version="v1")
@@ -251,37 +221,22 @@ class TestStoreMerge:
         assert b.store.query_cells(approach="sabre", kind="grid", size=2)
         b.close()
 
-    def test_store_drains_back_into_a_directory(self, tmp_path):
-        db = self._shard(tmp_path / "src.db", (0, 1))
-        db.close()
-        dest = ResultCache(tmp_path / "dest", version="v1")
-        assert dest.merge(tmp_path / "src.db") == {
-            "imported": 2, "skipped": 0, "invalid": 0,
-        }
-        warm = run_specs(
-            [CellSpec.make("sabre", "grid", 2, seed=s) for s in (0, 1)],
-            cache=dest,
-        )
-        assert dest.stats() == {"hits": 2, "misses": 0}
-        assert all(r.ok for r in warm)
-
     def test_merge_conflict_is_a_sql_constraint(self, tmp_path):
         """Divergent metrics under one key must raise from the UNIQUE
         constraint path, naming the differing field."""
 
-        a = ResultCache(tmp_path / "a", version="v1")
+        a = ResultCache(tmp_path / "a.db", version="v1")
         key = a.key("sabre", "grid", 2, ())
         a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, swap_count=2))
         dest = ResultCache(tmp_path / "dest.db", version="v1")
         dest.merge(a.root)
-        (a.root / f"{key}.json").unlink()
         a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=99, swap_count=2))
         with pytest.raises(CacheMergeConflict, match="depth"):
             dest.merge(a.root)
         dest.close()
 
     def test_merge_tolerates_wall_clock_and_kernel_differences(self, tmp_path):
-        a = ResultCache(tmp_path / "a", version="v1")
+        a = ResultCache(tmp_path / "a.db", version="v1")
         key = a.key("sabre", "grid", 2, ())
         a.put(key, CompilationResult(
             "sabre", "Grid 2*2", 4, depth=9, compile_time_s=0.5,
@@ -289,7 +244,6 @@ class TestStoreMerge:
         ))
         dest = ResultCache(tmp_path / "dest.db", version="v1")
         dest.merge(a.root)
-        (a.root / f"{key}.json").unlink()
         a.put(key, CompilationResult(
             "sabre", "Grid 2*2", 4, depth=9, compile_time_s=1.5,
             extra={"kernel": "python"},
@@ -299,8 +253,14 @@ class TestStoreMerge:
         dest.close()
 
     def test_merge_counts_and_ignores_corrupt_entries(self, tmp_path):
-        a = self._shard(tmp_path / "a", (0, 1))
-        (a.root / ("0" * 24 + ".json")).write_text("{broken", encoding="utf-8")
+        a = self._shard(tmp_path / "a.db", (0, 1))
+        a.put("0" * 24, CompilationResult("sabre", "Grid 2*2", 4))
+        conn = sqlite3.connect(str(a.root))
+        with conn:
+            conn.execute(
+                "UPDATE cells SET result = '{broken' WHERE cell_key = ?", ("0" * 24,)
+            )
+        conn.close()
         dest = ResultCache(tmp_path / "dest.db", version="v1")
         stats = dest.merge(a.root)
         assert stats["imported"] == 2 and stats["invalid"] == 1
@@ -316,35 +276,33 @@ class TestStoreMerge:
 
 
 class TestStoreSink:
-    """The journal's store sink: runs + run_cells next to (or instead of)
-    the JSONL journal."""
+    """Run records: a ``runs`` row plus one ``run_cells`` row per cell."""
 
     def _plan(self, n=3):
         return adhoc_plan(
             "mini", [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(n)]
         )
 
-    def test_store_run_is_bit_equal_to_the_jsonl_journal(self, tmp_path):
+    def test_store_run_is_bit_equal_to_the_report(self, tmp_path):
         p = self._plan()
-        report = execute(
-            p, journal=str(tmp_path / "j"), store=str(tmp_path / "s.db")
-        )
+        report = execute(p, jobs=2, store=str(tmp_path / "s.db"))
         assert report.store == str(tmp_path / "s.db")
-        journal = RunJournal.open(tmp_path / "j")
-        journal_results = {k: r.to_dict() for k, r in journal.results().items()}
-        journal.close()
         with ExperimentStore(tmp_path / "s.db") as store:
             runs = store.list_runs()
             assert len(runs) == 1
-            assert runs[0]["executor"] == "shard-coordinator"
+            assert runs[0]["executor"] == "pool"
             assert runs[0]["finished_at"] is not None
             assert json.loads(runs[0]["status_counts"]) == {"ok": 3}
-            assert store.run_results(runs[0]["id"]) == journal_results
+            recorded = store.run_results(runs[0]["id"])
+        assert recorded == {
+            cell_key(spec): result.to_dict()
+            for spec, result in zip(p.cells, report.results)
+        }
 
     def test_store_only_run_records_without_a_journal(self, tmp_path):
         p = self._plan()
         report = execute(p, store=str(tmp_path / "s.db"))
-        assert report.executor == "shard-coordinator"
+        assert report.executor == "serial"
         with ExperimentStore(tmp_path / "s.db") as store:
             runs = store.list_runs()
             assert runs[0]["appended"] == 3
@@ -353,39 +311,34 @@ class TestStoreSink:
             assert all(r["status"] == "ok" for r in results.values())
 
     def test_resume_with_store_records_the_resumed_run(self, tmp_path):
-        from repro.eval import chaos
-
         p = self._plan()
-        execute(p, journal=str(tmp_path / "j"))
-        path = tmp_path / "j" / "journal.jsonl"
-        raw = path.read_bytes()
-        chaos.tear_tail(path, len(raw) - 7)  # rip into the last record
-        resumed = execute(
-            p, resume=str(tmp_path / "j"), store=str(tmp_path / "s.db")
-        )
+        db = tmp_path / "s.db"
+        execute(p, store=str(db))
+        conn = sqlite3.connect(str(db))
+        with conn:  # the last cell's append never landed
+            conn.execute("DELETE FROM run_cells WHERE seq = 2")
+        conn.close()
+        resumed = execute(p, store=str(db), resume=True)
         assert resumed.resumed == len(p.cells) - 1
-        with ExperimentStore(tmp_path / "s.db") as store:
-            runs = store.list_runs()
-            # only the recomputed cell was appended this run
-            assert runs[0]["appended"] == 1
+        with ExperimentStore(db) as store:
+            (run,) = store.list_runs()
+            # the resumed run continued the same row: only the recomputed
+            # cell was appended on top of the two recorded ones
+            assert run["appended"] == len(p.cells)
 
-    def test_dispatch_executor_records_through_the_tee(self, tmp_path):
+    def test_dispatch_executor_records_its_run(self, tmp_path):
         p = self._plan()
         report = execute(
-            p,
-            executor="dispatch",
-            jobs=2,
-            journal=str(tmp_path / "j"),
-            store=str(tmp_path / "s.db"),
+            p, executor="dispatch", jobs=2, store=str(tmp_path / "s.db")
         )
         assert report.status_counts.get("ok") == 3
-        journal = RunJournal.open(tmp_path / "j")
-        journal_results = {k: r.to_dict() for k, r in journal.results().items()}
-        journal.close()
         with ExperimentStore(tmp_path / "s.db") as store:
             runs = store.list_runs()
             assert runs[0]["executor"] == "dispatch"
-            assert store.run_results(runs[0]["id"]) == journal_results
+            assert store.run_results(runs[0]["id"]) == {
+                cell_key(spec): result.to_dict()
+                for spec, result in zip(p.cells, report.results)
+            }
 
 
 class TestImportLegacy:
@@ -418,32 +371,6 @@ class TestImportLegacy:
             assert store.latest_baseline("smoke")["commit"] == "c2"
             assert store.latest_baseline("smoke", commit="c1")["commit"] == "c1"
             assert store.latest_baseline("full") is None
-
-    def test_journal_dir_import(self, tmp_path):
-        from repro.store import legacy
-
-        p = adhoc_plan(
-            "mini", [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(2)]
-        )
-        execute(p, journal=str(tmp_path / "j"))
-        with ExperimentStore(tmp_path / "s.db") as store:
-            info = legacy.import_journal_dir(store, tmp_path / "j")
-            assert info["cells"] == 2
-            journal = RunJournal.open(tmp_path / "j")
-            assert store.run_results(info["run_id"]) == {
-                k: r.to_dict() for k, r in journal.results().items()
-            }
-            journal.close()
-            assert store.list_runs()[0]["executor"] == "import-legacy"
-
-    def test_cache_dir_import(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", version="v1")
-        run_specs([CellSpec.make("sabre", "grid", 2, seed=0)], cache=cache)
-        from repro.store import legacy
-
-        with ExperimentStore(tmp_path / "s.db") as store:
-            stats = legacy.import_cache_dir(store, tmp_path / "c")
-            assert stats == {"imported": 1, "skipped": 0, "invalid": 0}
 
 
 class TestStoreCLI:
