@@ -341,6 +341,17 @@ echo "=== tier-1: pytest from the repo root ==="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q
 
 echo
+echo "=== benchmark self-tests: perfbench/tests ==="
+# They resolve every name the benchmark's traced run wraps (fast_metrics,
+# result_from_mapped, run_cell, ...), so a rename under src/ fails here
+# instead of silently zeroing a per-layer metric.  They pick the SABRE
+# engine per call (kernel="python") and check that it was honoured, so they
+# run without this leg's REPRO_SABRE_KERNEL override, which would replace
+# that per-call choice.
+env -u REPRO_SABRE_KERNEL PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python -m pytest perfbench/tests -q
+
+echo
 echo "=== examples smoke: the new repro.compile() API end to end ==="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python examples/quickstart.py > /dev/null
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python examples/compare_backends.py > /dev/null

@@ -204,9 +204,10 @@ class Topology:
         / ``q1`` the physical operands (``-1`` where absent).  Subclasses
         with a custom cost model override this alongside :meth:`op_latency`
         (they must agree op-for-op); a subclass that overrides only the
-        scalar method gets ``None`` here, telling the vectorized metric
-        extraction to fall back to the scalar path rather than silently
-        using the wrong cost model.
+        scalar method gets ``None`` here, telling
+        :func:`repro.eval.metrics.fast_metrics` to price the stream with the
+        scalar :meth:`op_latency` rather than silently using the wrong cost
+        model.
         """
 
         if type(self).op_latency is not Topology.op_latency:

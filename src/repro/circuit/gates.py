@@ -70,7 +70,7 @@ SINGLE_QUBIT_KINDS = frozenset({GateKind.H, GateKind.RZ})
 TWO_QUBIT_KINDS = frozenset({GateKind.CPHASE, GateKind.SWAP, GateKind.CNOT})
 
 #: stable small-int codes for packing op streams into numpy arrays (used by
-#: the vectorized metric extraction and the topologies' latency models)
+#: the one-pass metric extraction and the topologies' latency models)
 KIND_CODES = {
     GateKind.H: 0,
     GateKind.RZ: 1,

@@ -48,7 +48,8 @@ Wire protocol (JSON over POST; all endpoints idempotent or stale-safe):
 ``/lease``      ``{worker}`` -> ``{lease: {id, index, attempt, spec, ...}}``
                 or ``{empty: true, done: bool, retry_after_s}``
 ``/heartbeat``  ``{worker, lease}`` -> ``{ok: bool, reason?}``
-``/result``     ``{worker, lease, result}`` -> ``{accepted: bool, reason?}``
+``/result``     ``{worker, lease, result}`` -> ``{accepted: true, done: bool}``
+                or ``{accepted: false, reason}``
 ``/status``     (GET) counters, for monitoring and tests
 """
 
@@ -429,6 +430,9 @@ class DispatchServer:
                     ),
                     stored,
                 )
+            # Queue any timeout retry first: ``done`` tells the worker to
+            # exit, so it must not say so while a retry is still owed.
+            self._queue_retries_locked()
             return {"accepted": True, "done": self._done_locked()}
 
     def status(self) -> Dict[str, object]:
@@ -635,9 +639,10 @@ def run_worker(
     """Join a dispatcher and compute leased cells until the run completes.
 
     This is the whole worker: lease, heartbeat while computing, submit,
-    repeat.  Transient dispatcher trouble is retried with backoff by the
-    client; a cell whose compute raises is reported as a typed ``error``
-    result (a systematically-crashing cell must not crash-loop the fleet).
+    repeat until a reply says the run is done.  Transient dispatcher
+    trouble is retried with backoff by the client; a cell whose compute
+    raises is reported as a typed ``error`` result (a systematically-crashing
+    cell must not crash-loop the fleet).
     Returns counters: cells computed, stale results discarded, leases seen.
     """
 
@@ -705,7 +710,9 @@ def run_worker(
             computed += 1
         else:
             stale += 1
-        if max_cells is not None and leased >= max_cells:
+        # The reply to the run's last result carries ``done``; asking for
+        # another lease after it would race the dispatcher's shutdown.
+        if reply.get("done") or (max_cells is not None and leased >= max_cells):
             break
     return {"cells": computed, "stale": stale, "leased": leased}
 

@@ -1,23 +1,21 @@
 """Result records and metric extraction for the evaluation harness.
 
-Metric extraction is vectorized: one pass packs the op stream into numpy
-arrays (kind codes, physical operands), after which the gate counts are
-``count_nonzero`` calls and the ASAP depths run as a *chunked scan* -- the
-stream is cut into maximal runs of qubit-disjoint ops (no op in a chunk
-shares a qubit with an earlier op of the same chunk), and each chunk updates
-the per-qubit busy times with one vector gather/scatter.  Mapped streams
-come out of the schedulers in parallel waves, so chunks are wide and the
-number of python-level iterations drops from #ops (~1M at 1024 qubits, the
-full-Python pass the ROADMAP flags) to roughly the circuit depth.  The
-scalar reference (:func:`repro.circuit.schedule.asap_depth`) is kept and the
-equivalence is covered by tests; topologies that override the scalar
-``op_latency`` without providing the vectorized ``op_latency_array`` fall
-back to the reference path automatically.
+Metric extraction is one pass over a packed op stream.  The ops are packed
+once into numpy arrays (kind codes, physical operands); the gate counts are
+``count_nonzero`` calls over the kind codes, and the topology prices every
+op in one vectorized ``op_latency_array`` call.  Both ASAP depths -- unit
+(every op one cycle) and weighted (the topology's cost model) -- then come
+out of a single plain loop over those arrays as Python lists, which keeps
+the two per-qubit busy times side by side.  The loop costs O(ops) however
+parallel or serial the stream is.  The scalar reference
+(:func:`repro.circuit.schedule.asap_depth`) is the test oracle, and it stays
+the path for topologies that override the scalar ``op_latency`` without
+providing ``op_latency_array``, so a custom cost model is never silently
+mis-priced.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -30,7 +28,6 @@ __all__ = [
     "CompilationResult",
     "result_from_mapped",
     "mapped_op_arrays",
-    "fast_asap_depth",
     "fast_metrics",
 ]
 
@@ -59,130 +56,50 @@ def mapped_op_arrays(
     return kinds, q0, q1
 
 
-def _chunk_bounds(q0: np.ndarray, q1: np.ndarray, num_sites: int) -> list:
-    """Cut a barrier-free run of ops into maximal qubit-disjoint chunks.
-
-    Ops are first annotated with ``prev``: the index of the latest earlier
-    op sharing a qubit (vectorized via a lexsort over (qubit, index) pairs).
-    A chunk boundary falls before the first op whose ``prev`` lands inside
-    the current chunk.  Within a chunk no two ops share a qubit, so their
-    start times are mutually independent -- the scan handles a whole chunk
-    with one gather/maximum/scatter.  A chunk holds at most ``num_sites``
-    ops (distinct qubits), which bounds the conflict search window.
-
-    The bounds depend only on the qubit pattern, not on latencies, so one
-    computation serves every cost model scanned over the same stream.
-    """
-
-    k = len(q0)
-    two = q1 >= 0
-    idx = np.concatenate([np.arange(k), np.flatnonzero(two)])
-    qs = np.concatenate([q0, q1[two]])
-    order = np.lexsort((idx, qs))
-    sq, si = qs[order], idx[order]
-    same = sq[1:] == sq[:-1]
-    prev = np.full(k, -1, dtype=np.int64)
-    np.maximum.at(prev, si[1:][same], si[:-1][same])
-
-    bounds = []
-    s = 0
-    while s < k:
-        limit = min(k, s + num_sites + 1)
-        window = prev[s + 1 : limit] >= s
-        e = (s + 1 + int(np.argmax(window))) if window.any() else limit
-        bounds.append((s, e))
-        s = e
-    return bounds
-
-
-def _fast_asap_depths(
-    kinds: np.ndarray,
-    q0: np.ndarray,
-    q1: np.ndarray,
-    lats: np.ndarray,
-    num_sites: int,
-) -> np.ndarray:
-    """ASAP depths of one packed op stream under several cost models at once.
-
-    ``lats`` has shape ``(num_ops, L)``: one latency column per cost model
-    (the harness scans unit and weighted depth together).  Busy times are
-    tracked as an ``(num_sites, L)`` array, so the chunked scan costs one
-    pass regardless of ``L``.  Bit-equal per column to
-    :func:`repro.circuit.schedule.asap_depth`; barriers are global fences,
-    exactly as in the reference.
-    """
-
-    n_models = lats.shape[1]
-    barrier = KIND_CODES[GateKind.BARRIER]
-    busy = np.zeros((num_sites, n_models), dtype=np.int64)
-    depths = np.zeros(n_models, dtype=np.int64)
-    fences = np.zeros(n_models, dtype=np.int64)
-    boundaries = np.flatnonzero(kinds == barrier)
-    start = 0
-    for cut in [*boundaries.tolist(), len(kinds)]:
-        if cut > start:
-            g0, g1, gl = q0[start:cut], q1[start:cut], lats[start:cut]
-            for s, e in _chunk_bounds(g0, g1, num_sites):
-                q0c, q1c = g0[s:e], g1[s:e]
-                twoc = q1c >= 0
-                starts = busy[q0c]  # fancy indexing: already a copy
-                np.maximum(starts, fences, out=starts)
-                starts[twoc] = np.maximum(starts[twoc], busy[q1c[twoc]])
-                ends = starts + gl[s:e]
-                busy[q0c] = ends
-                busy[q1c[twoc]] = ends[twoc]
-                np.maximum(depths, ends.max(axis=0), out=depths)
-        if cut < len(kinds):  # the barrier itself
-            np.maximum(fences, busy.max(axis=0), out=fences)
-        start = cut + 1
-    return depths
-
-
-def fast_asap_depth(
-    kinds: np.ndarray,
-    q0: np.ndarray,
-    q1: np.ndarray,
-    lat: np.ndarray,
-    num_sites: int,
-) -> int:
-    """Vectorized weighted ASAP depth of a packed op stream (one cost model)."""
-
-    lats = np.ascontiguousarray(np.asarray(lat, dtype=np.int64).reshape(-1, 1))
-    return int(_fast_asap_depths(kinds, q0, q1, lats, num_sites)[0])
-
-
 def fast_metrics(mapped: MappedCircuit) -> Tuple[int, int, int, int]:
-    """``(depth, unit_depth, swap_count, cphase_count)`` in one array pass.
+    """``(depth, unit_depth, swap_count, cphase_count)`` in one pass.
 
-    Falls back to the scalar reference for the weighted depth when the
-    topology has no vectorized latency model (custom ``op_latency``
-    override without ``op_latency_array``).
+    Both depths are bit-equal to :func:`~repro.circuit.schedule.asap_depth`.
+    A barrier is a global fence: it lifts every busy time to the latest
+    finish so far.  Latencies are non-negative, so a qubit's busy time never
+    falls and each depth is the largest busy time at the end.  Falls back to
+    the scalar reference when the topology has no vectorized latency model
+    (custom ``op_latency`` override without ``op_latency_array``).
     """
 
     kinds, q0, q1 = mapped_op_arrays(mapped)
     swap_count = int(np.count_nonzero(kinds == KIND_CODES[GateKind.SWAP]))
     cphase_count = int(np.count_nonzero(kinds == KIND_CODES[GateKind.CPHASE]))
-    num_sites = int(mapped.topology.num_qubits)
-
-    lat = None
-    lat_fn = getattr(mapped.topology, "op_latency_array", None)
-    if lat_fn is not None:
-        lat = lat_fn(kinds, q0, q1)
-
-    unit_lat = np.ones(len(kinds), dtype=np.int64)
+    topology = mapped.topology
+    lat = topology.op_latency_array(kinds, q0, q1)
     if lat is None:
-        unit_depth = fast_asap_depth(kinds, q0, q1, unit_lat, num_sites)
-        depth = asap_depth(mapped.ops, mapped.topology.op_latency)
-    elif bool(np.all(lat[kinds != KIND_CODES[GateKind.BARRIER]] == 1)):
-        unit_depth = fast_asap_depth(kinds, q0, q1, unit_lat, num_sites)
-        depth = unit_depth  # uniform cost model: the two depths coincide
-    else:
-        # One chunked scan computes both cost models together.
-        lats = np.stack([unit_lat, np.asarray(lat, dtype=np.int64)], axis=1)
-        unit_depth, depth = (
-            int(v) for v in _fast_asap_depths(kinds, q0, q1, lats, num_sites)
-        )
-    return depth, unit_depth, swap_count, cphase_count
+        depth = asap_depth(mapped.ops, topology.op_latency)
+        unit_depth = asap_depth(mapped.ops, lambda op: 1)
+        return depth, unit_depth, swap_count, cphase_count
+
+    barrier = KIND_CODES[GateKind.BARRIER]
+    num_sites = topology.num_qubits
+    unit = [0] * num_sites  # per-qubit busy-until cycle, every op one cycle
+    busy = [0] * num_sites  # the same under the topology's cost model
+    costs = np.asarray(lat, dtype=np.int64).tolist()
+    stream = zip(kinds.tolist(), q0.tolist(), q1.tolist(), costs)
+    for kind, a, b, cost in stream:
+        if b >= 0:
+            start = unit[a]
+            if unit[b] > start:
+                start = unit[b]
+            unit[a] = unit[b] = start + 1
+            start = busy[a]
+            if busy[b] > start:
+                start = busy[b]
+            busy[a] = busy[b] = start + cost
+        elif kind == barrier:
+            unit = [max(unit)] * num_sites
+            busy = [max(busy)] * num_sites
+        else:
+            unit[a] += 1
+            busy[a] += cost
+    return max(busy), max(unit), swap_count, cphase_count
 
 
 def _jsonify(value: object) -> object:
@@ -303,9 +220,9 @@ def result_from_mapped(
 ) -> CompilationResult:
     """Build a :class:`CompilationResult` from a mapped circuit.
 
-    Metric extraction goes through the vectorized :func:`fast_metrics` path
-    (one numpy op-array pass instead of six full-Python passes over the op
-    stream -- the ROADMAP flags ~1M-op streams at 1024 qubits).
+    The depths and gate counts come from :func:`fast_metrics`, one pass
+    over the packed op stream (looked up through the module, so a wrapper
+    installed on ``repro.eval.metrics.fast_metrics`` sees every call).
     """
 
     depth, unit_depth, swap_count, cphase_count = fast_metrics(mapped)

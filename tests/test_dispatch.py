@@ -170,11 +170,15 @@ class TestLeaseProtocol:
         server = DispatchServer(_specs(1), lease_s=5.0, retry_timeouts=1)
         first = server.lease("a")["lease"]
         assert first["attempt"] == 0
-        server.submit("a", first["id"], _result("timeout").to_dict())
-        assert not server.done()  # the retry pass queued it again
+        reply = server.submit("a", first["id"], _result("timeout").to_dict())
+        # the retry pass queued it again, and the reply must not tell the
+        # worker to exit while the retry is owed
+        assert reply == {"accepted": True, "done": False}
+        assert not server.done()
         retry = server.lease("a")["lease"]
         assert retry["attempt"] == 1 and retry["index"] == first["index"]
-        server.submit("a", retry["id"], _result("timeout").to_dict())
+        reply = server.submit("a", retry["id"], _result("timeout").to_dict())
+        assert reply == {"accepted": True, "done": True}
         assert server.done()  # budget exhausted: the timeout is final
         final = server.results_in_order()[0]
         assert final.status == "timeout" and final.extra["retries"] == 1
@@ -241,6 +245,27 @@ class TestHttpLayer:
             assert _metrics(server.results_in_order()) == _metrics(
                 [r for r in execute(adhoc_plan("m", _specs(2))).results]
             )
+
+    def test_worker_stops_at_the_result_that_finishes_the_run(self, monkeypatch):
+        # The reply to the run's last /result carries done: true.  A worker
+        # that asks for another lease after it races the dispatcher's
+        # shutdown and can retry into DispatchUnreachable.
+        calls = []
+        post = DispatchClient.post
+
+        def recording_post(client, path, payload):
+            reply = post(client, path, payload)
+            if path != "/heartbeat":
+                calls.append((path, reply.get("done") is True))
+            return reply
+
+        monkeypatch.setattr(DispatchClient, "post", recording_post)
+        with DispatchServer(_specs(2), lease_s=5.0) as server:
+            stats = run_worker(server.url, worker_id="t0")
+            assert server.done()
+        assert stats == {"cells": 2, "stale": 0, "leased": 2}
+        finished = calls.index(("/result", True))
+        assert "/lease" not in [path for path, _ in calls[finished + 1 :]], calls
 
     def test_unknown_endpoint_is_a_protocol_error_not_retried(self):
         with DispatchServer(_specs(1), lease_s=5.0) as server:
@@ -417,6 +442,7 @@ class TestDispatchExecutor:
             dispatch={"spawn_workers": 0, "on_start": on_start},
         )
         joiner.join(timeout=10.0)
+        assert not joiner.is_alive()
         assert report.status_counts.get("ok") == 3
         assert _metrics(report.results) == _metrics(
             execute(p, executor="serial").results

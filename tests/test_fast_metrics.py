@@ -1,14 +1,16 @@
-"""Equivalence of the vectorized metric extraction with the scalar reference.
+"""Equivalence of the one-pass metric extraction with the scalar reference.
 
 ``result_from_mapped`` (and therefore every pinned metric in the harness)
 goes through :func:`repro.eval.metrics.fast_metrics`; these tests pin it to
 the scalar :func:`repro.circuit.schedule.asap_depth` / counter methods over
 real mapper outputs and adversarial synthetic streams (barriers, idle
-qubits, heterogeneous latencies).
+qubits, heterogeneous and zero latencies), checking the unit and weighted
+depths that one pass computes together.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import GridTopology, LatticeSurgeryTopology, get_workload
@@ -17,7 +19,7 @@ from repro.baselines import SabreMapper
 from repro.circuit.gates import GateKind, Op
 from repro.circuit.schedule import MappedCircuit, asap_depth
 import repro
-from repro.eval.metrics import fast_asap_depth, fast_metrics, mapped_op_arrays
+from repro.eval.metrics import fast_metrics, mapped_op_arrays
 
 
 def assert_fast_matches_reference(mapped: MappedCircuit):
@@ -75,21 +77,47 @@ def _random_stream(seed: int, num_sites: int, n_ops: int, barriers: bool):
     return ops
 
 
+class StreamTopology(Topology):
+    """A complete graph pricing op ``i`` of one fixed stream at ``weights[i]``.
+
+    The cost model is supplied through both the scalar ``op_latency`` (looked
+    up by op identity) and the vectorized ``op_latency_array`` (the weights in
+    stream order), which agree op for op as the topology contract requires.
+    """
+
+    def __init__(self, num_sites, ops, weights):
+        edges = [(a, b) for a in range(num_sites) for b in range(a + 1, num_sites)]
+        super().__init__(num_sites, edges, name="stream")
+        self._weights = list(weights)
+        self._weight_of = {id(op): w for op, w in zip(ops, weights)}
+
+    def op_latency(self, op):
+        return self._weight_of[id(op)]
+
+    def op_latency_array(self, kinds, q0, q1):
+        assert len(kinds) == len(self._weights)
+        return np.asarray(self._weights, dtype=np.int64)
+
+
+def assert_one_pass_matches_reference(ops, num_sites, weights):
+    """Both depths of one ``fast_metrics`` pass against ``asap_depth``."""
+
+    topo = StreamTopology(num_sites, ops, weights)
+    mapped = MappedCircuit(topo, num_sites, list(range(num_sites)), ops)
+    depth, unit_depth, swaps, cphases = fast_metrics(mapped)
+    assert depth == asap_depth(ops, topo.op_latency)
+    assert unit_depth == asap_depth(ops, lambda op: 1)
+    assert (swaps, cphases) == (mapped.swap_count(), mapped.cphase_count())
+    return depth, unit_depth
+
+
 class TestSyntheticStreams:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("barriers", [False, True])
     def test_unit_latency_streams(self, seed, barriers):
         num_sites = 7
         ops = _random_stream(seed, num_sites, 300, barriers)
-        kinds, q0, q1 = mapped_op_arrays(
-            MappedCircuit(None, num_sites, list(range(num_sites)), ops)
-        )
-        import numpy as np
-
-        lat = np.ones(len(kinds), dtype=np.int64)
-        assert fast_asap_depth(kinds, q0, q1, lat, num_sites) == asap_depth(
-            ops, lambda op: 1
-        )
+        assert_one_pass_matches_reference(ops, num_sites, [1] * len(ops))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weighted_latency_streams(self, seed):
@@ -98,16 +126,22 @@ class TestSyntheticStreams:
         ops = _random_stream(seed, num_sites, 200, barriers=True)
         rng = random.Random(seed + 100)
         weights = [rng.randrange(0, 5) for _ in ops]
-        lat_of = {id(op): w for op, w in zip(ops, weights)}
-        kinds, q0, q1 = mapped_op_arrays(
-            MappedCircuit(None, num_sites, list(range(num_sites)), ops)
-        )
-        import numpy as np
+        depth, unit_depth = assert_one_pass_matches_reference(ops, num_sites, weights)
+        assert depth != unit_depth  # the two cost models really differ here
 
-        lat = np.asarray(weights, dtype=np.int64)
-        assert fast_asap_depth(kinds, q0, q1, lat, num_sites) == asap_depth(
-            ops, lambda op: lat_of[id(op)]
-        )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_idle_qubits(self, seed):
+        # sites 4-7 stay idle until a barrier and must then start at its
+        # fence; sites 8-9 stay idle throughout
+        early = _random_stream(seed, 4, 120, barriers=True)
+        late = [
+            Op(op.kind, tuple(q + 2 for q in op.physical), op.logical, op.angle)
+            for op in _random_stream(seed + 50, 6, 60, barriers=True)
+        ]
+        ops = early + [Op(GateKind.BARRIER, (), ())] + late
+        rng = random.Random(seed + 200)
+        weights = [rng.randrange(0, 5) for _ in ops]
+        assert_one_pass_matches_reference(ops, 10, weights)
 
     def test_empty_stream(self):
         mapped = MappedCircuit(GridTopology(2, 2), 4, [0, 1, 2, 3], [])
