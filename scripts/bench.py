@@ -19,9 +19,16 @@ the declarative run API (``adhoc_plan``/``execute``), and its record carries
 the typed ``RunReport`` (executor name, status counts, wall-clock) next to
 the per-cell timings.
 
+``--stages`` instead times the three stages of one QFT compilation --
+``map_with``, ``verify`` and ``fast_metrics`` -- on 250-1024 qubit cells
+(:data:`STAGE_CELLS`), as microseconds per mapped op (median of
+``STAGE_REPEATS`` runs), and appends one record (with the commit) to
+``BENCH_stages.json``.
+
 Usage::
 
     python scripts/bench.py [--smoke] [--jobs N] [--out BENCH_compile_time.json]
+    python scripts/bench.py --stages [--out BENCH_stages.json]
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import argparse
 import datetime
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -37,9 +45,30 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.approaches import make_mapper  # noqa: E402
+from repro.arch.registry import make_architecture  # noqa: E402
 from repro.eval.experiments import QUICK  # noqa: E402
+from repro.eval.metrics import fast_metrics  # noqa: E402
 from repro.eval.parallel import CellSpec  # noqa: E402
 from repro.eval.runs import adhoc_plan, execute  # noqa: E402
+from repro.workloads import get_workload  # noqa: E402
+
+#: (approach, architecture, size, mapper options) timed by ``--stages``:
+#: the paper's mappers at 250-1024 qubits, LNN on the lattice, and the
+#: compiled SABRE engine at 256 qubits.
+STAGE_CELLS = (
+    ("ours", "heavyhex", 50, {}),
+    ("ours", "heavyhex", 204, {}),
+    ("ours", "sycamore", 16, {}),
+    ("ours", "sycamore", 32, {}),
+    ("ours", "lattice", 16, {}),
+    ("ours", "lattice", 32, {}),
+    ("lnn", "lattice", 16, {}),
+    ("lnn", "lattice", 32, {}),
+    ("sabre", "lattice", 16, {"kernel": "c"}),
+)
+#: runs per ``--stages`` cell; each stage reports its median
+STAGE_REPEATS = 3
 
 
 def _git(*args: str) -> str:
@@ -112,16 +141,97 @@ def _suite(smoke: bool) -> list:
     ]
 
 
+def _timed(fn, *args):
+    """``(fn(*args), seconds it took)``."""
+
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
+def _stage_cell(approach: str, kind: str, size: int, opts: dict) -> dict:
+    """Per-stage median seconds and µs per mapped op over ``STAGE_REPEATS`` runs."""
+
+    wl = get_workload("qft")
+    topology = make_architecture(kind, size)
+    n = topology.num_qubits
+    times = {"map_with": [], "verify": [], "fast_metrics": []}
+    for _ in range(STAGE_REPEATS):
+        mapper = make_mapper(approach, topology, **opts)
+        mapped, map_s = _timed(wl.map_with, mapper, n)
+        verification, verify_s = _timed(wl.verify, mapped, n)
+        metrics, metrics_s = _timed(fast_metrics, mapped)
+        if not verification.ok:
+            raise RuntimeError(f"{approach} on {kind} {size} failed verification")
+        times["map_with"].append(map_s)
+        times["verify"].append(verify_s)
+        times["fast_metrics"].append(metrics_s)
+    ops = len(mapped.ops)
+    stage_s = {k: statistics.median(v) for k, v in times.items()}
+    return {
+        "approach": approach,
+        "kind": kind,
+        "size": size,
+        "qubits": n,
+        "kernel": getattr(mapper, "last_kernel", None),
+        "ops": ops,
+        "depth": metrics[0],
+        "swaps": metrics[2],
+        "stage_s": {k: round(v, 4) for k, v in stage_s.items()},
+        "us_per_op": {k: round(v / ops * 1e6, 3) for k, v in stage_s.items()},
+    }
+
+
+def _stages(args) -> int:
+    out = args.out or os.path.join(REPO_ROOT, "BENCH_stages.json")
+    cells = []
+    for approach, kind, size, opts in STAGE_CELLS:
+        cell = _stage_cell(approach, kind, size, opts)
+        cells.append(cell)
+        per_op = "  ".join(f"{k} {v:6.2f}" for k, v in cell["us_per_op"].items())
+        print(
+            f"{approach:6s} {kind:9s} {size:4d} {cell['ops']:8d} ops  µs/op: {per_op}",
+            flush=True,
+        )
+    record = {
+        "label": args.label,
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain")),
+        "timestamp": datetime.datetime.now(  # repro-lint: ignore[determinism] -- bench provenance stamp, never identity
+            datetime.timezone.utc
+        ).isoformat(timespec="seconds"),
+        "python": sys.version.split()[0],
+        "repeats": STAGE_REPEATS,
+        "cells": cells,
+    }
+    payload = {"suite": "stages", "records": []}
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    payload["records"].append(record)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    print(f"appended record {len(payload['records'])} -> {out}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true", help="seconds-scale subset for CI"
     )
+    parser.add_argument(
+        "--stages",
+        action="store_true",
+        help="time map/verify/metrics per op on 250-1024 qubit cells instead",
+    )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument(
         "--out",
-        default=os.path.join(REPO_ROOT, "BENCH_compile_time.json"),
-        help="output JSON path",
+        default=None,
+        help="output JSON path (default BENCH_compile_time.json, or "
+        "BENCH_stages.json with --stages)",
     )
     parser.add_argument(
         "--label", default=None, help="free-form label stored in the output"
@@ -135,6 +245,9 @@ def main(argv=None) -> int:
         "the perf gate reads its baseline from there with --db)",
     )
     args = parser.parse_args(argv)
+    if args.stages:
+        return _stages(args)
+    out = args.out or os.path.join(REPO_ROOT, "BENCH_compile_time.json")
 
     groups = []
     suite_start = time.perf_counter()
@@ -173,17 +286,15 @@ def main(argv=None) -> int:
         "total_wall_s": round(total, 3),
         "groups": groups,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
-    print(f"total {total:.2f}s -> {args.out}")
+    print(f"total {total:.2f}s -> {out}")
     if args.store:
         from repro.store import ExperimentStore
 
         with ExperimentStore(args.store) as store:
-            bench_id = store.record_bench(
-                payload, source=os.path.basename(args.out)
-            )
+            bench_id = store.record_bench(payload, source=os.path.basename(out))
         print(f"recorded as bench {bench_id} in {args.store}")
     return 0
 

@@ -47,6 +47,7 @@ __all__ = [
     "TWO_QUBIT_KINDS",
     "SINGLE_QUBIT_KINDS",
     "KIND_CODES",
+    "KIND_NAMES",
 ]
 
 
@@ -69,8 +70,9 @@ class GateKind:
 SINGLE_QUBIT_KINDS = frozenset({GateKind.H, GateKind.RZ})
 TWO_QUBIT_KINDS = frozenset({GateKind.CPHASE, GateKind.SWAP, GateKind.CNOT})
 
-#: stable small-int codes for packing op streams into numpy arrays (used by
-#: the one-pass metric extraction and the topologies' latency models)
+#: stable small-int kind codes: the kind column of a mapped circuit's op
+#: stream (:class:`repro.circuit.schedule.OpStream`), and the codes the
+#: topologies' vectorized latency models price
 KIND_CODES = {
     GateKind.H: 0,
     GateKind.RZ: 1,
@@ -79,6 +81,8 @@ KIND_CODES = {
     GateKind.SWAP: 4,
     GateKind.BARRIER: 5,
 }
+#: the kind of each code (``KIND_NAMES[KIND_CODES[kind]] == kind``)
+KIND_NAMES = tuple(sorted(KIND_CODES, key=KIND_CODES.__getitem__))
 
 
 def qft_angle(i: int, j: int) -> float:

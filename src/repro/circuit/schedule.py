@@ -1,10 +1,18 @@
 """Mapped (hardware) circuits and their scheduling/metric model.
 
-A mapper's output is a :class:`MappedCircuit`: an ordered stream of
-:class:`~repro.circuit.gates.Op` objects over *physical* qubits, together with
-the initial logical->physical layout.  The stream order is a valid execution
-order (a topological order of the hardware dependences); parallelism is
-recovered by ASAP scheduling.
+A mapper's output is a :class:`MappedCircuit`: an ordered stream of ops over
+*physical* qubits, together with the initial logical->physical layout.  The
+stream order is a valid execution order (a topological order of the hardware
+dependences); parallelism is recovered by ASAP scheduling.
+
+The stream is stored as columns, one plain list per field
+(:class:`OpStream`): the kind code (:data:`~repro.circuit.gates.KIND_CODES`),
+the physical operands ``p0``/``p1``, the logical stamps ``l0``/``l1`` (``-1``
+where an op has no such operand), the angle and the tag.  Emission,
+verification and metric extraction read the columns directly, so compiling,
+verifying and measuring a circuit builds no :class:`~repro.circuit.gates.Op`.
+``MappedCircuit.ops`` is a read-only sequence view over the columns that
+builds an ``Op`` (validated as ever) only when one is indexed or iterated.
 
 Depth model
 -----------
@@ -24,12 +32,32 @@ each op with the logical qubits involved, which is what makes verification
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .gates import GateKind, Op, count_kinds
+from .gates import (
+    KIND_CODES,
+    KIND_NAMES,
+    SINGLE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
+    GateKind,
+    Op,
+)
 
-__all__ = ["MappedCircuit", "MappingBuilder", "asap_layers", "asap_depth"]
+__all__ = ["MappedCircuit", "MappingBuilder", "OpStream", "asap_layers", "asap_depth"]
+
+#: the number of qubits an op of each kind code takes
+_ARITY: Tuple[int, ...] = tuple(
+    1 if k in SINGLE_QUBIT_KINDS else 2 if k in TWO_QUBIT_KINDS else 0
+    for k in KIND_NAMES
+)
+_H = KIND_CODES[GateKind.H]
+_RZ = KIND_CODES[GateKind.RZ]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_CNOT = KIND_CODES[GateKind.CNOT]
+_SWAP = KIND_CODES[GateKind.SWAP]
+_BARRIER = KIND_CODES[GateKind.BARRIER]
 
 
 def asap_depth(ops: Sequence[Op], latency_fn) -> int:
@@ -81,7 +109,107 @@ def asap_layers(ops: Sequence[Op]) -> List[List[Op]]:
     return layers
 
 
-@dataclass
+class OpStream(SequenceABC):
+    """Read-only sequence view of a columnar op stream.
+
+    The columns are plain lists of equal length, one entry per op: ``kinds``
+    (codes from :data:`~repro.circuit.gates.KIND_CODES`), physical operands
+    ``p0``/``p1`` and logical stamps ``l0``/``l1`` (``-1`` where the op has no
+    such operand: ``p1``/``l1`` of a single-qubit op, all four of a barrier),
+    ``angles`` (``None`` where absent) and ``tags``.  Readers may walk the
+    columns; nothing may modify them except the :class:`MappingBuilder` that
+    appends to them.
+
+    ``len()`` builds nothing.  Indexing and iteration build each
+    :class:`~repro.circuit.gates.Op` on demand, so ``Op`` validation runs on
+    every op handed out.  Two streams compare equal when every column does,
+    i.e. op for op on kind, operands, stamps, angle and tag.
+    """
+
+    __slots__ = ("kinds", "p0", "p1", "l0", "l1", "angles", "tags")
+
+    def __init__(
+        self,
+        kinds: List[int],
+        p0: List[int],
+        p1: List[int],
+        l0: List[int],
+        l1: List[int],
+        angles: List[Optional[float]],
+        tags: List[str],
+    ) -> None:
+        self.kinds = kinds
+        self.p0 = p0
+        self.p1 = p1
+        self.l0 = l0
+        self.l1 = l1
+        self.angles = angles
+        self.tags = tags
+
+    @classmethod
+    def from_ops(cls, ops: Iterable[Op]) -> "OpStream":
+        """Pack ``Op`` objects into columns."""
+
+        kinds: List[int] = []
+        p0: List[int] = []
+        p1: List[int] = []
+        l0: List[int] = []
+        l1: List[int] = []
+        angles: List[Optional[float]] = []
+        tags: List[str] = []
+        for op in ops:
+            code = KIND_CODES.get(op.kind)
+            if code is None or len(op.physical) != _ARITY[code]:
+                raise ValueError(
+                    f"a mapped circuit cannot hold a {op.kind!r} op on qubits {op.physical}"
+                )
+            phys = op.physical + (-1, -1)
+            logical = op.logical + (-1, -1)
+            kinds.append(code)
+            p0.append(phys[0])
+            p1.append(phys[1])
+            l0.append(logical[0])
+            l1.append(logical[1])
+            angles.append(op.angle)
+            tags.append(op.tag)
+        return cls(kinds, p0, p1, l0, l1, angles, tags)
+
+    def _columns(self) -> Tuple[list, ...]:
+        return (self.kinds, self.p0, self.p1, self.l0, self.l1, self.angles, self.tags)
+
+    @staticmethod
+    def _op(
+        code: int, a: int, b: int, la: int, lb: int, angle: Optional[float], tag: str
+    ) -> Op:
+        arity = _ARITY[code]
+        if arity == 2:
+            return Op(KIND_NAMES[code], (a, b), (la, lb), angle, tag)
+        if arity == 1:
+            return Op(KIND_NAMES[code], (a,), (la,), angle, tag)
+        return Op(KIND_NAMES[code], (), (), angle, tag)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.kinds)))]
+        i = range(len(self.kinds))[index]
+        return self._op(*[column[i] for column in self._columns()])
+
+    def __iter__(self) -> Iterator[Op]:
+        make = self._op
+        for fields in zip(*self._columns()):
+            yield make(*fields)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OpStream):
+            return self._columns() == other._columns()
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class MappedCircuit:
     """A hardware-compliant circuit produced by a mapper.
 
@@ -94,35 +222,52 @@ class MappedCircuit:
     initial_layout:
         ``initial_layout[logical] = physical`` placement before the first gate.
     ops:
-        Ordered op stream (a valid sequential execution order).
+        Ordered op stream (a valid sequential execution order), as a
+        read-only :class:`OpStream` view.  The constructor takes an
+        ``OpStream`` (adopted as is) or any iterable of
+        :class:`~repro.circuit.gates.Op`.
     name:
         Optional provenance string (mapper name).
     metadata:
         Free-form dict for mapper-specific extras (e.g. fallback statistics).
     """
 
-    topology: object
-    num_logical: int
-    initial_layout: List[int]
-    ops: List[Op] = field(default_factory=list)
-    name: str = ""
-    metadata: Dict[str, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        topology: object,
+        num_logical: int,
+        initial_layout: List[int],
+        ops: Union[OpStream, Iterable[Op]] = (),
+        name: str = "",
+        metadata: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.topology = topology
+        self.num_logical = num_logical
+        self.initial_layout = initial_layout
+        self._ops = ops if isinstance(ops, OpStream) else OpStream.from_ops(ops)
+        self.name = name
+        self.metadata: Dict[str, object] = {} if metadata is None else metadata
+
+    @property
+    def ops(self) -> OpStream:
+        return self._ops
 
     # -- basic counters ------------------------------------------------
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self._ops)
 
     def gate_counts(self) -> Dict[str, int]:
-        return count_kinds(self.ops)
+        return {KIND_NAMES[c]: k for c, k in Counter(self._ops.kinds).items()}
 
     def swap_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind == GateKind.SWAP)
+        return self._ops.kinds.count(_SWAP)
 
     def cphase_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind == GateKind.CPHASE)
+        return self._ops.kinds.count(_CPHASE)
 
     def two_qubit_count(self) -> int:
-        return sum(1 for op in self.ops if op.is_two_qubit)
+        kinds = self._ops.kinds
+        return kinds.count(_CPHASE) + kinds.count(_CNOT) + kinds.count(_SWAP)
 
     # -- depth ----------------------------------------------------------
     def depth(self) -> int:
@@ -144,10 +289,10 @@ class MappedCircuit:
 
         layout = list(self.initial_layout)
         phys_to_log = {p: l for l, p in enumerate(layout)}
-        for op in self.ops:
-            if op.kind != GateKind.SWAP:
+        ops = self._ops
+        for kind, a, b in zip(ops.kinds, ops.p0, ops.p1):
+            if kind != _SWAP:
                 continue
-            a, b = op.physical
             la = phys_to_log.get(a)
             lb = phys_to_log.get(b)
             phys_to_log[a], phys_to_log[b] = lb, la
@@ -165,12 +310,7 @@ class MappedCircuit:
         op is reported with its logical operands, in execution order.
         """
 
-        events: List[Tuple[str, Tuple[int, ...]]] = []
-        for op in self.ops:
-            if op.kind in (GateKind.SWAP, GateKind.BARRIER):
-                continue
-            events.append((op.kind, op.logical))
-        return events
+        return [(kind, logical) for kind, logical, _ in self.logical_gate_events()]
 
     def logical_gate_events(self) -> List[Tuple[str, Tuple[int, ...], Optional[float]]]:
         """Like :meth:`logical_events` but including the gate angle.
@@ -179,26 +319,25 @@ class MappedCircuit:
         a mapped circuit on the logical state.
         """
 
+        ops = self._ops
         events: List[Tuple[str, Tuple[int, ...], Optional[float]]] = []
-        for op in self.ops:
-            if op.kind in (GateKind.SWAP, GateKind.BARRIER):
+        for code, la, lb, angle in zip(ops.kinds, ops.l0, ops.l1, ops.angles):
+            if code == _SWAP or code == _BARRIER:
                 continue
-            events.append((op.kind, op.logical, op.angle))
+            logical = (la, lb) if _ARITY[code] == 2 else (la,)
+            events.append((KIND_NAMES[code], logical, angle))
         return events
 
     def swaps_by_tag(self) -> Dict[str, int]:
         """SWAP count grouped by the provenance tag (used by ablations)."""
 
-        out: Dict[str, int] = {}
-        for op in self.ops:
-            if op.kind == GateKind.SWAP:
-                out[op.tag] = out.get(op.tag, 0) + 1
-        return out
+        ops = self._ops
+        return dict(Counter(t for k, t in zip(ops.kinds, ops.tags) if k == _SWAP))
 
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"MappedCircuit(name={self.name!r}, n={self.num_logical}, "
-            f"ops={len(self.ops)}, swaps={self.swap_count()})"
+            f"ops={len(self._ops)}, swaps={self.swap_count()})"
         )
 
 
@@ -206,10 +345,15 @@ class MappingBuilder:
     """Helper that mappers use to emit ops while tracking the layout.
 
     The builder maintains the bijection between logical qubits and the
-    physical qubits they currently occupy.  Ops are emitted against *physical*
-    indices; the builder stamps the resident logical qubits automatically and
-    validates coupling-graph adjacency for two-qubit ops as they are emitted,
-    so a buggy mapper fails fast instead of producing an invalid circuit.
+    physical qubits they currently occupy: ``log_to_phys`` (indexed by
+    logical qubit) and ``phys_to_log`` (indexed by physical qubit, ``-1`` on
+    an empty site), both plain lists that mappers may read but only the
+    builder's SWAPs update.  Ops are emitted against *physical* indices and
+    appended to the columns of :attr:`ops`; the builder stamps the resident
+    logical qubits automatically and validates coupling-graph adjacency (then
+    distinct operands) of two-qubit ops as they are emitted, so a buggy
+    mapper fails fast instead of producing an invalid circuit.  Emitters
+    return ``None``.
     """
 
     def __init__(
@@ -228,17 +372,29 @@ class MappingBuilder:
             if not (0 <= p < topology.num_qubits):
                 raise ValueError(f"initial layout uses physical qubit {p} outside topology")
         self.log_to_phys: List[int] = list(initial_layout)
-        self.phys_to_log: Dict[int, int] = {p: l for l, p in enumerate(initial_layout)}
+        self.phys_to_log: List[int] = [-1] * topology.num_qubits
+        for l, p in enumerate(initial_layout):
+            self.phys_to_log[p] = l
         self.initial_layout: List[int] = list(initial_layout)
-        self.ops: List[Op] = []
+        self._ops = OpStream.from_ops(())
+        # the bound appends of the seven columns, in OpStream field order
+        self._push = tuple(column.append for column in self._ops._columns())
+        self._edges = topology.edge_set
         self.name = name
         self.check_adjacency = check_adjacency
+
+    @property
+    def ops(self) -> OpStream:
+        """Read-only view of the ops emitted so far."""
+
+        return self._ops
 
     # -- queries -----------------------------------------------------------
     def logical_at(self, phys: int) -> Optional[int]:
         """Logical qubit currently at physical position ``phys`` (or None)."""
 
-        return self.phys_to_log.get(phys)
+        lq = self.phys_to_log[phys]
+        return None if lq < 0 else lq
 
     def phys_of(self, logical: int) -> int:
         """Physical position currently holding logical qubit ``logical``."""
@@ -249,67 +405,56 @@ class MappingBuilder:
         return self.topology.has_edge(phys_a, phys_b)
 
     # -- emission ------------------------------------------------------
-    def _logical_pair(self, phys_a: int, phys_b: int) -> Tuple[int, int]:
-        la = self.phys_to_log.get(phys_a, -1)
-        lb = self.phys_to_log.get(phys_b, -1)
-        return la, lb
+    def _append(
+        self, code: int, a: int, b: int, la: int, lb: int, angle: Optional[float], tag: str
+    ) -> None:
+        push_kind, push_p0, push_p1, push_l0, push_l1, push_angle, push_tag = self._push
+        push_kind(code)
+        push_p0(a)
+        push_p1(b)
+        push_l0(la)
+        push_l1(lb)
+        push_angle(angle)
+        push_tag(tag)
 
-    def _check_edge(self, phys_a: int, phys_b: int, kind: str) -> None:
-        if self.check_adjacency and not self.topology.has_edge(phys_a, phys_b):
+    def _append_pair(
+        self, code: int, phys_a: int, phys_b: int, angle: Optional[float], tag: str
+    ) -> None:
+        edge = (phys_a, phys_b) if phys_a < phys_b else (phys_b, phys_a)
+        if self.check_adjacency and edge not in self._edges:
             raise ValueError(
-                f"{kind} emitted on non-adjacent physical qubits ({phys_a}, {phys_b})"
+                f"{KIND_NAMES[code].upper()} emitted on non-adjacent physical "
+                f"qubits ({phys_a}, {phys_b})"
             )
+        if phys_a == phys_b:
+            raise ValueError(f"duplicate physical qubits in op: {(phys_a, phys_b)}")
+        p2l = self.phys_to_log
+        self._append(code, phys_a, phys_b, p2l[phys_a], p2l[phys_b], angle, tag)
 
-    def h(self, phys: int, tag: str = "") -> Op:
-        logical = self.phys_to_log.get(phys, -1)
-        op = Op(GateKind.H, (phys,), (logical,), tag=tag)
-        self.ops.append(op)
-        return op
+    def h(self, phys: int, tag: str = "") -> None:
+        self._append(_H, phys, -1, self.phys_to_log[phys], -1, None, tag)
 
-    def rz(self, phys: int, angle: float, tag: str = "") -> Op:
-        logical = self.phys_to_log.get(phys, -1)
-        op = Op(GateKind.RZ, (phys,), (logical,), angle, tag=tag)
-        self.ops.append(op)
-        return op
+    def rz(self, phys: int, angle: float, tag: str = "") -> None:
+        self._append(_RZ, phys, -1, self.phys_to_log[phys], -1, angle, tag)
 
-    def cphase(self, phys_a: int, phys_b: int, angle: float, tag: str = "") -> Op:
-        self._check_edge(phys_a, phys_b, "CPHASE")
-        la, lb = self._logical_pair(phys_a, phys_b)
-        op = Op(GateKind.CPHASE, (phys_a, phys_b), (la, lb), angle, tag=tag)
-        self.ops.append(op)
-        return op
+    def cphase(self, phys_a: int, phys_b: int, angle: float, tag: str = "") -> None:
+        self._append_pair(_CPHASE, phys_a, phys_b, angle, tag)
 
-    def cnot(self, phys_c: int, phys_t: int, tag: str = "") -> Op:
-        self._check_edge(phys_c, phys_t, "CNOT")
-        lc, lt = self._logical_pair(phys_c, phys_t)
-        op = Op(GateKind.CNOT, (phys_c, phys_t), (lc, lt), tag=tag)
-        self.ops.append(op)
-        return op
+    def cnot(self, phys_c: int, phys_t: int, tag: str = "") -> None:
+        self._append_pair(_CNOT, phys_c, phys_t, None, tag)
 
-    def swap(self, phys_a: int, phys_b: int, tag: str = "") -> Op:
-        self._check_edge(phys_a, phys_b, "SWAP")
-        la, lb = self._logical_pair(phys_a, phys_b)
-        op = Op(GateKind.SWAP, (phys_a, phys_b), (la, lb), tag=tag)
-        self.ops.append(op)
-        # update tracking
+    def swap(self, phys_a: int, phys_b: int, tag: str = "") -> None:
+        self._append_pair(_SWAP, phys_a, phys_b, None, tag)
+        p2l = self.phys_to_log
+        la, lb = p2l[phys_a], p2l[phys_b]
         if la != -1:
             self.log_to_phys[la] = phys_b
         if lb != -1:
             self.log_to_phys[lb] = phys_a
-        if la != -1:
-            self.phys_to_log[phys_b] = la
-        elif phys_b in self.phys_to_log:
-            del self.phys_to_log[phys_b]
-        if lb != -1:
-            self.phys_to_log[phys_a] = lb
-        elif phys_a in self.phys_to_log:
-            del self.phys_to_log[phys_a]
-        return op
+        p2l[phys_a], p2l[phys_b] = lb, la
 
-    def barrier(self) -> Op:
-        op = Op(GateKind.BARRIER, (), ())
-        self.ops.append(op)
-        return op
+    def barrier(self) -> None:
+        self._append(_BARRIER, -1, -1, -1, -1, None, "")
 
     # -- finish ----------------------------------------------------------
     def build(self, metadata: Optional[Dict[str, object]] = None) -> MappedCircuit:
@@ -317,7 +462,7 @@ class MappingBuilder:
             topology=self.topology,
             num_logical=self.num_logical,
             initial_layout=self.initial_layout,
-            ops=self.ops,
+            ops=self._ops,
             name=self.name,
             metadata=metadata or {},
         )

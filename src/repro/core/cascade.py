@@ -178,12 +178,9 @@ def cascade_on_line(
         if not builder.topology.has_edge(a, b):
             raise ValueError(f"line entries {a} and {b} are not coupled")
 
+    at = builder.phys_to_log  # live layout, -1 on an empty site
     if participants is None:
-        part: Set[int] = set()
-        for p in positions:
-            lq = builder.logical_at(p)
-            if lq is not None and lq >= 0:
-                part.add(lq)
+        part: Set[int] = {at[p] for p in positions if at[p] >= 0}
     else:
         part = set(participants)
     if not part:
@@ -228,6 +225,12 @@ def cascade_on_line(
         # == tracker.all_pairs_done_within(part) and all participants H'd
         return pending_pair_count == 0 and h_missing == 0
 
+    # The tracker's flat state, read per site below; only mark_h and
+    # mark_cphase write it.
+    h_done = tracker.h_done
+    pending_smaller = tracker.pending_smaller
+    pair_done = tracker.pair_done
+
     swaps = 0
     fallback_swaps = 0
     layer = 0
@@ -256,12 +259,9 @@ def cascade_on_line(
         emitted_any = False
 
         # Hadamards first.
-        for pos in range(L):
-            phys = positions[pos]
-            lq = builder.logical_at(phys)
-            if lq is None or lq < 0 or pos in claimed:
-                continue
-            if lq in part and tracker.can_h(lq):
+        for pos, phys in enumerate(positions):
+            lq = at[phys]
+            if lq in part and not h_done[lq] and pending_smaller[lq] == 0:
                 builder.h(phys, tag=tag)
                 tracker.mark_h(lq)
                 h_missing -= 1
@@ -273,13 +273,16 @@ def cascade_on_line(
             if pos in claimed or pos + 1 in claimed:
                 continue
             pa, pb = positions[pos], positions[pos + 1]
-            a = builder.logical_at(pa)
-            b = builder.logical_at(pb)
-            if a is None or b is None or a < 0 or b < 0:
+            a, b = at[pa], at[pb]
+            if a < 0 or b < 0:
                 continue
             lo, hi = (a, b) if a < b else (b, a)
-            both_participants = a in part and b in part
-            if tracker.can_cphase(lo, hi) and (both_participants or opportunistic):
+            if (
+                h_done[lo]
+                and not h_done[hi]
+                and (lo, hi) not in pair_done
+                and (opportunistic or (a in part and b in part))
+            ):
                 builder.cphase(pa, pb, qft_angle(lo, hi), tag=tag)
                 tracker.mark_cphase(lo, hi)
                 note_cphase(lo, hi)
@@ -287,7 +290,7 @@ def cascade_on_line(
                 emitted_any = True
             elif (
                 a < b
-                and tracker.pair_is_done(a, b)
+                and (a, b) in pair_done
                 and (participant_pending(a) or participant_pending(b))
             ):
                 builder.swap(pa, pb, tag=tag)

@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..arch.heavy_hex import CaterpillarTopology, HeavyHexTopology
-from ..circuit.gates import Op, qft_angle
-from ..circuit.schedule import MappedCircuit, MappingBuilder
+from ..circuit.gates import qft_angle
+from ..circuit.schedule import MappedCircuit, MappingBuilder, OpStream
 from .dependence import QFTDependenceTracker
 from .routed import complete_remaining
 from .qft_specialist import QFTSpecialistMixin
@@ -93,16 +93,14 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
         fallback_swaps = 0
         max_layers = 14 * n + 64
 
-        def at(phys: int) -> Optional[int]:
-            return builder.logical_at(phys)
-
-        def smallest_on_main() -> Optional[int]:
-            best: Optional[int] = None
-            for p in range(L):
-                lq = at(p)
-                if lq is not None and lq >= 0 and (best is None or lq < best):
-                    best = lq
-            return best
+        # Flat state read once per site: the builder's layout (-1 on an empty
+        # site) and the tracker's progress.  Only builder.swap and the
+        # tracker's mark_* methods write them, so the reads stay live.
+        at = builder.phys_to_log
+        h_done = tracker.h_done
+        pending_smaller = tracker.pending_smaller
+        pending_larger = tracker.pending_larger
+        pair_done = tracker.pair_done
 
         while not tracker.all_done():
             if layers > max_layers:
@@ -112,14 +110,11 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
 
             claimed: Set[int] = set()
             emitted = False
-            small_main = smallest_on_main()
+            small_main = min([lq for lq in at[:L] if lq >= 0], default=None)
 
             # 1. Hadamards.
-            for phys in range(cat.num_qubits):
-                lq = at(phys)
-                if lq is None or lq < 0 or phys in claimed:
-                    continue
-                if tracker.can_h(lq):
+            for phys, lq in enumerate(at):
+                if lq >= 0 and not h_done[lq] and pending_smaller[lq] == 0:
                     builder.h(phys, tag="hh")
                     tracker.mark_h(lq)
                     claimed.add(phys)
@@ -130,11 +125,11 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
                 d = dangling_of[j]
                 if j in claimed or d in claimed:
                     continue
-                a, b = at(j), at(d)
-                if a is None or b is None or a < 0 or b < 0:
+                a, b = at[j], at[d]
+                if a < 0 or b < 0:
                     continue
                 lo, hi = (a, b) if a < b else (b, a)
-                if tracker.can_cphase(lo, hi):
+                if h_done[lo] and not h_done[hi] and (lo, hi) not in pair_done:
                     builder.cphase(j, d, qft_angle(lo, hi), tag="hh-dangling")
                     tracker.mark_cphase(lo, hi)
                     claimed.update((j, d))
@@ -144,11 +139,11 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
             for p in range(L - 1):
                 if p in claimed or p + 1 in claimed:
                     continue
-                a, b = at(p), at(p + 1)
-                if a is None or b is None or a < 0 or b < 0:
+                a, b = at[p], at[p + 1]
+                if a < 0 or b < 0:
                     continue
                 lo, hi = (a, b) if a < b else (b, a)
-                if tracker.can_cphase(lo, hi):
+                if h_done[lo] and not h_done[hi] and (lo, hi) not in pair_done:
                     builder.cphase(p, p + 1, qft_angle(lo, hi), tag="hh")
                     tracker.mark_cphase(lo, hi)
                     claimed.update((p, p + 1))
@@ -160,14 +155,14 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
                 d = dangling_of[j]
                 if d in parked or j in claimed or d in claimed:
                     continue
-                a, b = at(j), at(d)
-                if a is None or b is None or a < 0 or b < 0:
+                a, b = at[j], at[d]
+                if a < 0 or b < 0:
                     continue
                 if a != small_main:
                     continue
-                if not tracker.h_done[a]:
+                if not h_done[a]:
                     continue
-                if tracker.pair_is_pending(a, b):
+                if ((a, b) if a < b else (b, a)) not in pair_done:
                     continue  # the junction CPHASE will fire first
                 builder.swap(j, d, tag="hh-park")
                 parked.add(d)
@@ -178,11 +173,12 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
             for p in range(L - 1):
                 if p in claimed or p + 1 in claimed:
                     continue
-                a, b = at(p), at(p + 1)
-                if a is None or b is None or a < 0 or b < 0:
+                a, b = at[p], at[p + 1]
+                if a < 0 or b < 0:
                     continue
-                if a < b and tracker.pair_is_done(a, b) and (
-                    tracker.has_pending_pairs(a) or tracker.has_pending_pairs(b)
+                if a < b and (a, b) in pair_done and (
+                    pending_smaller[a] + pending_larger[a] > 0
+                    or pending_smaller[b] + pending_larger[b] > 0
                 ):
                     builder.swap(p, p + 1, tag="hh")
                     claimed.update((p, p + 1))
@@ -212,22 +208,23 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
         """Rewrite a caterpillar-indexed circuit onto the original heavy-hex
         device (the caterpillar is a subgraph, so every edge stays valid)."""
 
-        pm = self._phys_map
-        ops = [
-            Op(
-                op.kind,
-                tuple(pm[p] for p in op.physical),
-                op.logical,
-                op.angle,
-                op.tag,
-            )
-            for op in mapped.ops
-        ]
+        # The appended -1 maps the "no operand" marker of p1 to itself.
+        pm = self._phys_map + [-1]
+        ops = mapped.ops
+        translated = OpStream(
+            ops.kinds,
+            [pm[p] for p in ops.p0],
+            [pm[p] for p in ops.p1],
+            ops.l0,
+            ops.l1,
+            ops.angles,
+            ops.tags,
+        )
         return MappedCircuit(
             topology=self._original,
             num_logical=mapped.num_logical,
             initial_layout=[pm[p] for p in mapped.initial_layout],
-            ops=ops,
+            ops=translated,
             name=mapped.name,
             metadata=dict(mapped.metadata),
         )

@@ -41,12 +41,8 @@ InterUnitStats = Dict[str, int]
 
 
 def _residents(builder: MappingBuilder, line: Sequence[int]) -> List[int]:
-    out = []
-    for p in line:
-        lq = builder.logical_at(p)
-        if lq is not None and lq >= 0:
-            out.append(lq)
-    return out
+    at = builder.phys_to_log
+    return [at[p] for p in line if at[p] >= 0]
 
 
 def _cross_pending(
@@ -164,17 +160,20 @@ def bipartite_all_to_all(
     if strict:
         rounds *= 2
 
+    at = builder.phys_to_log  # live layout, -1 on an empty site
+    h_done = tracker.h_done
+
     def cphase_pass() -> None:
         for ia, ib in inter_links:
             pa, pb = line_a[ia], line_b[ib]
-            x = builder.logical_at(pa)
-            y = builder.logical_at(pb)
-            if x is None or y is None or x < 0 or y < 0:
+            x, y = at[pa], at[pb]
+            if x < 0 or y < 0:
                 continue
             lo, hi = (x, y) if x < y else (y, x)
             if (lo, hi) not in pending:
                 continue
-            if not tracker.can_cphase(lo, hi):
+            # (lo, hi) is pending, so this is the tracker's can_cphase
+            if not h_done[lo] or h_done[hi]:
                 continue
             if strict and not _strict_ready(tracker, x, y, side_of, side_members):
                 continue

@@ -31,20 +31,23 @@ from .dependence import QFTDependenceTracker
 __all__ = ["complete_remaining", "finish_hadamards", "GreedyRouterMapper"]
 
 
-def _route_adjacent(builder: MappingBuilder, phys_a: int, phys_b: int, tag: str) -> Tuple[int, int]:
+def _route_adjacent(
+    builder: MappingBuilder, phys_a: int, phys_b: int, tag: str
+) -> Tuple[int, int, int]:
     """SWAP the qubit at ``phys_a`` along a shortest path until it is adjacent
-    to ``phys_b``; return the final (phys_a', phys_b) pair."""
+    to ``phys_b``; return the final (phys_a', phys_b) pair and the number of
+    SWAPs emitted."""
 
     topo: Topology = builder.topology
     if topo.has_edge(phys_a, phys_b) or phys_a == phys_b:
-        return phys_a, phys_b
+        return phys_a, phys_b, 0
     path = topo.shortest_path(phys_a, phys_b)
     # Move the logical qubit at phys_a along the path, stopping one hop short.
     current = phys_a
     for nxt in path[1:-1]:
         builder.swap(current, nxt, tag=tag)
         current = nxt
-    return current, phys_b
+    return current, phys_b, len(path) - 2
 
 
 def complete_remaining(
@@ -68,7 +71,7 @@ def complete_remaining(
     else:
         wanted = {tuple(sorted(p)) for p in pairs}
         wanted = {p for p in wanted if tracker.pair_is_pending(*p)}
-    swaps_before = sum(1 for op in builder.ops if op.is_swap)
+    swaps = 0
 
     while wanted:
         # Fire every eligible Hadamard that unblocks a wanted pair.
@@ -105,13 +108,13 @@ def complete_remaining(
         lo, hi = eligible[0]
         pa = builder.phys_of(lo)
         pb = builder.phys_of(hi)
-        pa, pb = _route_adjacent(builder, pa, pb, tag)
+        pa, pb, moved = _route_adjacent(builder, pa, pb, tag)
+        swaps += moved
         builder.cphase(pa, pb, qft_angle(lo, hi), tag=tag)
         tracker.mark_cphase(lo, hi)
         wanted.discard((lo, hi))
 
-    swaps_after = sum(1 for op in builder.ops if op.is_swap)
-    return swaps_after - swaps_before
+    return swaps
 
 
 def finish_hadamards(
@@ -175,7 +178,7 @@ class GreedyRouterMapper:
                 )
             elif gate.is_two_qubit:
                 a, b = gate.qubits
-                pa, pb = _route_adjacent(
+                pa, pb, _ = _route_adjacent(
                     builder, builder.phys_of(a), builder.phys_of(b), "routed"
                 )
                 if gate.kind == GateKind.CPHASE:

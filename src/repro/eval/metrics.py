@@ -1,17 +1,17 @@
 """Result records and metric extraction for the evaluation harness.
 
-Metric extraction is one pass over a packed op stream.  The ops are packed
-once into numpy arrays (kind codes, physical operands); the gate counts are
-``count_nonzero`` calls over the kind codes, and the topology prices every
-op in one vectorized ``op_latency_array`` call.  Both ASAP depths -- unit
-(every op one cycle) and weighted (the topology's cost model) -- then come
-out of a single plain loop over those arrays as Python lists, which keeps
-the two per-qubit busy times side by side.  The loop costs O(ops) however
-parallel or serial the stream is.  The scalar reference
-(:func:`repro.circuit.schedule.asap_depth`) is the test oracle, and it stays
-the path for topologies that override the scalar ``op_latency`` without
-providing ``op_latency_array``, so a custom cost model is never silently
-mis-priced.
+Metric extraction is one pass over the mapped circuit's op columns (see
+:class:`repro.circuit.schedule.OpStream`).  The gate counts are counts over
+the kind-code column; the topology prices every op in one vectorized
+``op_latency_array`` call over numpy copies of the kind and operand columns.
+Both ASAP depths -- unit (every op one cycle) and weighted (the topology's
+cost model) -- then come out of a single plain loop over the columns, which
+keeps the two per-qubit busy times side by side.  The loop costs O(ops)
+however parallel or serial the stream is, and builds no ``Op``.  The scalar
+reference (:func:`repro.circuit.schedule.asap_depth`) is the test oracle,
+and it stays the path for topologies that override the scalar ``op_latency``
+without providing ``op_latency_array``, so a custom cost model is never
+silently mis-priced.
 """
 
 from __future__ import annotations
@@ -35,25 +35,18 @@ __all__ = [
 def mapped_op_arrays(
     mapped: MappedCircuit,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack ``mapped.ops`` into ``(kind codes, q0, q1)`` numpy arrays.
+    """``(kind codes, q0, q1)`` numpy arrays of ``mapped``'s op columns.
 
-    ``q1`` is ``-1`` for single-qubit ops and barriers; kind codes follow
-    :data:`~repro.circuit.gates.KIND_CODES`.
+    ``q1`` is ``-1`` for single-qubit ops, and ``q0`` and ``q1`` are ``-1``
+    for barriers; kind codes follow :data:`~repro.circuit.gates.KIND_CODES`.
     """
 
     ops = mapped.ops
-    m = len(ops)
-    codes = KIND_CODES
-    kinds = np.fromiter((codes[op.kind] for op in ops), dtype=np.int8, count=m)
-    q0 = np.fromiter(
-        (op.physical[0] if op.physical else -1 for op in ops), dtype=np.int64, count=m
+    return (
+        np.array(ops.kinds, dtype=np.int8),
+        np.array(ops.p0, dtype=np.int64),
+        np.array(ops.p1, dtype=np.int64),
     )
-    q1 = np.fromiter(
-        (op.physical[1] if len(op.physical) > 1 else -1 for op in ops),
-        dtype=np.int64,
-        count=m,
-    )
-    return kinds, q0, q1
 
 
 def fast_metrics(mapped: MappedCircuit) -> Tuple[int, int, int, int]:
@@ -67,14 +60,14 @@ def fast_metrics(mapped: MappedCircuit) -> Tuple[int, int, int, int]:
     (custom ``op_latency`` override without ``op_latency_array``).
     """
 
-    kinds, q0, q1 = mapped_op_arrays(mapped)
-    swap_count = int(np.count_nonzero(kinds == KIND_CODES[GateKind.SWAP]))
-    cphase_count = int(np.count_nonzero(kinds == KIND_CODES[GateKind.CPHASE]))
+    ops = mapped.ops
+    swap_count = ops.kinds.count(KIND_CODES[GateKind.SWAP])
+    cphase_count = ops.kinds.count(KIND_CODES[GateKind.CPHASE])
     topology = mapped.topology
-    lat = topology.op_latency_array(kinds, q0, q1)
+    lat = topology.op_latency_array(*mapped_op_arrays(mapped))
     if lat is None:
-        depth = asap_depth(mapped.ops, topology.op_latency)
-        unit_depth = asap_depth(mapped.ops, lambda op: 1)
+        depth = asap_depth(ops, topology.op_latency)
+        unit_depth = asap_depth(ops, lambda op: 1)
         return depth, unit_depth, swap_count, cphase_count
 
     barrier = KIND_CODES[GateKind.BARRIER]
@@ -82,8 +75,7 @@ def fast_metrics(mapped: MappedCircuit) -> Tuple[int, int, int, int]:
     unit = [0] * num_sites  # per-qubit busy-until cycle, every op one cycle
     busy = [0] * num_sites  # the same under the topology's cost model
     costs = np.asarray(lat, dtype=np.int64).tolist()
-    stream = zip(kinds.tolist(), q0.tolist(), q1.tolist(), costs)
-    for kind, a, b, cost in stream:
+    for kind, a, b, cost in zip(ops.kinds, ops.p0, ops.p1, costs):
         if b >= 0:
             start = unit[a]
             if unit[b] > start:
@@ -221,7 +213,7 @@ def result_from_mapped(
     """Build a :class:`CompilationResult` from a mapped circuit.
 
     The depths and gate counts come from :func:`fast_metrics`, one pass
-    over the packed op stream (looked up through the module, so a wrapper
+    over the op columns (looked up through the module, so a wrapper
     installed on ``repro.eval.metrics.fast_metrics`` sees every call).
     """
 

@@ -22,13 +22,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..circuit.dag import qft_type1_order_ok, qft_type2_order_ok
-from ..circuit.gates import GateKind, qft_angle
+from ..circuit.gates import (
+    KIND_CODES,
+    KIND_NAMES,
+    TWO_QUBIT_KINDS,
+    GateKind,
+    qft_angle,
+)
 from ..circuit.schedule import MappedCircuit
 
-__all__ = ["CoverageReport", "check_mapped_qft_structure"]
+__all__ = ["CoverageReport", "check_mapped_qft_structure", "check_stamps"]
+
+_H = KIND_CODES[GateKind.H]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
+_BARRIER = KIND_CODES[GateKind.BARRIER]
+_TWO_QUBIT_CODES = frozenset(KIND_CODES[kind] for kind in TWO_QUBIT_KINDS)
 
 
 @dataclass
@@ -72,6 +84,62 @@ class CoverageReport:
         return "\n".join(lines)
 
 
+def check_stamps(mapped: MappedCircuit, add_error: Callable[[str], None]) -> None:
+    """Checks 1 and 2: adjacency and honest logical stamps.
+
+    Replays the SWAPs from the initial layout over the op columns and reports
+    through ``add_error``, in op order, the first
+    :attr:`CoverageReport.MAX_ERRORS_PER_CATEGORY` two-qubit ops on uncoupled
+    physical qubits and the first as many ops whose logical stamps disagree
+    with the replayed layout.  Shared by the QFT and the generic verifier.
+    """
+
+    cap = CoverageReport.MAX_ERRORS_PER_CATEGORY
+    edges = mapped.topology.edge_set
+    phys_to_log: Dict[int, int] = {p: l for l, p in enumerate(mapped.initial_layout)}
+    tracked = phys_to_log.get
+    ops = mapped.ops
+    adjacency_errors = stamp_errors = 0
+    columns = zip(ops.kinds, ops.p0, ops.p1, ops.l0, ops.l1)
+    for pos, (kind, a, b, la, lb) in enumerate(columns):
+        if kind == _BARRIER:
+            continue
+        if kind not in _TWO_QUBIT_CODES:
+            ea = tracked(a, -1)
+            if ea != la:
+                stamp_errors += 1
+                if stamp_errors <= cap:
+                    add_error(
+                        f"op {pos}: logical stamp {(la,)} does not match tracked "
+                        f"layout {(ea,)}"
+                    )
+            continue
+        if ((a, b) if a < b else (b, a)) not in edges:
+            adjacency_errors += 1
+            if adjacency_errors <= cap:
+                add_error(
+                    f"op {pos}: {KIND_NAMES[kind]} on non-adjacent physical "
+                    f"qubits ({a}, {b})"
+                )
+        ea, eb = tracked(a, -1), tracked(b, -1)
+        if ea != la or eb != lb:
+            stamp_errors += 1
+            if stamp_errors <= cap:
+                add_error(
+                    f"op {pos}: logical stamp {(la, lb)} does not match tracked "
+                    f"layout {(ea, eb)}"
+                )
+        if kind == _SWAP:
+            if eb < 0:
+                phys_to_log.pop(a, None)
+            else:
+                phys_to_log[a] = eb
+            if ea < 0:
+                phys_to_log.pop(b, None)
+            else:
+                phys_to_log[b] = ea
+
+
 def check_mapped_qft_structure(
     mapped: MappedCircuit,
     num_qubits: Optional[int] = None,
@@ -83,78 +151,37 @@ def check_mapped_qft_structure(
 
     n = num_qubits if num_qubits is not None else mapped.num_logical
     report = CoverageReport(num_logical=n)
-    topo = mapped.topology
 
     # 1 + 2: adjacency and honest logical stamps -------------------------------
     if len(set(mapped.initial_layout)) != len(mapped.initial_layout):
         report.add_error("initial layout is not injective")
-    phys_to_log: Dict[int, int] = {
-        p: l for l, p in enumerate(mapped.initial_layout)
-    }
-
-    adjacency_errors = 0
-    stamp_errors = 0
-    for pos, op in enumerate(mapped.ops):
-        if op.kind == GateKind.BARRIER:
-            continue
-        if op.is_two_qubit:
-            a, b = op.physical
-            if not topo.has_edge(a, b):
-                adjacency_errors += 1
-                if adjacency_errors <= CoverageReport.MAX_ERRORS_PER_CATEGORY:
-                    report.add_error(
-                        f"op {pos}: {op.kind} on non-adjacent physical qubits ({a}, {b})"
-                    )
-                else:
-                    report.ok = False
-        expected = tuple(phys_to_log.get(p, -1) for p in op.physical)
-        if expected != op.logical:
-            stamp_errors += 1
-            if stamp_errors <= CoverageReport.MAX_ERRORS_PER_CATEGORY:
-                report.add_error(
-                    f"op {pos}: logical stamp {op.logical} does not match tracked "
-                    f"layout {expected}"
-                )
-            else:
-                report.ok = False
-        if op.kind == GateKind.SWAP:
-            a, b = op.physical
-            la = phys_to_log.get(a)
-            lb = phys_to_log.get(b)
-            if lb is None:
-                phys_to_log.pop(a, None)
-            else:
-                phys_to_log[a] = lb
-            if la is None:
-                phys_to_log.pop(b, None)
-            else:
-                phys_to_log[b] = la
+    check_stamps(mapped, report.add_error)
 
     # 3 + 4: H and CPHASE coverage -------------------------------------------
     h_seen: Dict[int, int] = {}
     pair_seen: Dict[Tuple[int, int], int] = {}
     events: List[Tuple[str, Tuple[int, ...]]] = []
-    for pos, op in enumerate(mapped.ops):
-        if op.kind == GateKind.H:
-            (lq,) = op.logical
-            if lq < 0 or lq >= n:
-                report.add_error(f"op {pos}: H on unknown logical qubit {lq}")
+    ops = mapped.ops
+    columns = zip(ops.kinds, ops.l0, ops.l1, ops.angles)
+    for pos, (kind, la, lb, angle) in enumerate(columns):
+        if kind == _H:
+            if la < 0 or la >= n:
+                report.add_error(f"op {pos}: H on unknown logical qubit {la}")
                 continue
-            h_seen[lq] = h_seen.get(lq, 0) + 1
-            events.append(("h", (lq,)))
-        elif op.kind == GateKind.CPHASE:
-            la, lb = op.logical
-            if min(la, lb) < 0 or max(la, lb) >= n:
-                report.add_error(f"op {pos}: CPHASE on unknown logical qubits {op.logical}")
+            h_seen[la] = h_seen.get(la, 0) + 1
+            events.append(("h", (la,)))
+        elif kind == _CPHASE:
+            if la < 0 or lb < 0 or la >= n or lb >= n:
+                report.add_error(f"op {pos}: CPHASE on unknown logical qubits {(la, lb)}")
                 continue
             lo, hi = (la, lb) if la < lb else (lb, la)
             pair_seen[(lo, hi)] = pair_seen.get((lo, hi), 0) + 1
             expected_angle = qft_angle(lo, hi)
-            if op.angle is None or not math.isclose(
-                op.angle, expected_angle, rel_tol=0.0, abs_tol=angle_atol
+            if angle is None or not math.isclose(
+                angle, expected_angle, rel_tol=0.0, abs_tol=angle_atol
             ):
                 report.add_error(
-                    f"op {pos}: CPHASE({lo},{hi}) has angle {op.angle}, expected "
+                    f"op {pos}: CPHASE({lo},{hi}) has angle {angle}, expected "
                     f"{expected_angle}"
                 )
             events.append(("cphase", (lo, hi)))

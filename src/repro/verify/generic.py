@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from ..circuit.circuit import Circuit
 from ..circuit.gates import GateKind
 from ..circuit.schedule import MappedCircuit
+from .coverage import check_stamps
 
 __all__ = ["ReplayReport", "check_mapped_matches_circuit"]
 
@@ -80,7 +81,6 @@ def check_mapped_matches_circuit(
 
     n = circuit.num_qubits
     report = ReplayReport(num_logical=n)
-    topo = mapped.topology
 
     if any(g.kind == GateKind.SWAP for g in circuit.gates):
         report.add_error(
@@ -92,41 +92,8 @@ def check_mapped_matches_circuit(
     # 1 + 2: adjacency and honest logical stamps ---------------------------
     if len(set(mapped.initial_layout)) != len(mapped.initial_layout):
         report.add_error("initial layout is not injective")
-    phys_to_log: Dict[int, int] = {p: l for l, p in enumerate(mapped.initial_layout)}
-    adjacency_errors = stamp_errors = 0
-    for pos, op in enumerate(mapped.ops):
-        if op.kind == GateKind.BARRIER:
-            continue
-        if op.is_two_qubit:
-            a, b = op.physical
-            if not topo.has_edge(a, b):
-                adjacency_errors += 1
-                report.ok = False
-                if adjacency_errors <= 5:
-                    report.add_error(
-                        f"op {pos}: {op.kind} on non-adjacent physical qubits ({a}, {b})"
-                    )
-        expected = tuple(phys_to_log.get(p, -1) for p in op.physical)
-        if expected != op.logical:
-            stamp_errors += 1
-            report.ok = False
-            if stamp_errors <= 5:
-                report.add_error(
-                    f"op {pos}: logical stamp {op.logical} does not match "
-                    f"tracked layout {expected}"
-                )
-        if op.kind == GateKind.SWAP:
-            a, b = op.physical
-            la, lb = phys_to_log.get(a), phys_to_log.get(b)
-            if lb is None:
-                phys_to_log.pop(a, None)
-            else:
-                phys_to_log[a] = lb
-            if la is None:
-                phys_to_log.pop(b, None)
-            else:
-                phys_to_log[b] = la
-            report.swap_count += 1
+    check_stamps(mapped, report.add_error)
+    report.swap_count = mapped.swap_count()
 
     # 3: gate-for-gate replay through the per-qubit dependence chains ------
     # Build indegrees/successors of the per-qubit-chain DAG, then consume

@@ -9,9 +9,10 @@ broke root-level collection because ``benchmarks/conftest.py`` shadowed
 
 from __future__ import annotations
 
+from repro.circuit import MappedCircuit
 from repro.verify import verify_mapped_qft
 
-__all__ = ["assert_valid_qft"]
+__all__ = ["assert_valid_qft", "with_ops"]
 
 
 def assert_valid_qft(mapped, n=None, *, strict=False, statevector_limit=7):
@@ -22,3 +23,17 @@ def assert_valid_qft(mapped, n=None, *, strict=False, statevector_limit=7):
     )
     assert result.ok, result.summary()
     return result
+
+
+def with_ops(mapped, ops):
+    """A copy of ``mapped`` carrying the op list ``ops`` instead (a mapped
+    circuit's op stream is read-only, so fault injection edits a copy)."""
+
+    return MappedCircuit(
+        mapped.topology,
+        mapped.num_logical,
+        mapped.initial_layout,
+        ops,
+        mapped.name,
+        dict(mapped.metadata),
+    )

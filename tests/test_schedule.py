@@ -39,8 +39,8 @@ class TestMappingBuilder:
     def test_cphase_stamps_logicals(self):
         b = _builder()
         b.swap(0, 1)
-        op = b.cphase(0, 1, 0.5)
-        assert op.logical == (1, 0)
+        b.cphase(0, 1, 0.5)
+        assert b.build().ops[-1].logical == (1, 0)
 
     def test_two_qubit_on_non_adjacent_raises(self):
         b = _builder()

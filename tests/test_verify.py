@@ -12,6 +12,8 @@ from repro.verify import (
     verify_mapped_qft,
 )
 
+from helpers import with_ops
+
 
 def good_mapped_qft(n=4):
     return LNNQFTMapper(LNNTopology(n)).map_qft()
@@ -120,8 +122,7 @@ class TestDetectsDefects:
             if op.kind == GateKind.CPHASE:
                 bad_ops[i] = Op(GateKind.CPHASE, (0, 2), op.logical, op.angle)
                 break
-        mapped.ops = bad_ops
-        rep = check_mapped_qft_structure(mapped, 3)
+        rep = check_mapped_qft_structure(with_ops(mapped, bad_ops), 3)
         assert not rep.ok
         assert any("non-adjacent" in e for e in rep.errors)
 
@@ -132,8 +133,7 @@ class TestDetectsDefects:
             if op.kind == GateKind.CPHASE:
                 bad_ops[i] = Op(op.kind, op.physical, (op.logical[1], op.logical[0]), op.angle)
                 break
-        mapped.ops = bad_ops
-        rep = check_mapped_qft_structure(mapped, 3)
+        rep = check_mapped_qft_structure(with_ops(mapped, bad_ops), 3)
         assert not rep.ok
 
     def test_strict_order_check_flags_relaxed_schedules(self):

@@ -11,6 +11,8 @@ from repro.verify.generic import check_mapped_matches_circuit
 from repro.workloads import workload_names
 from repro.workloads.qaoa import qaoa_graph
 
+from helpers import with_ops
+
 
 class TestBuilders:
     @pytest.mark.parametrize("name", ["qft", "qaoa", "random"])
@@ -71,23 +73,23 @@ class TestGenericReplayCheck:
         topo = GridTopology(3, 3)
         circ = get_workload("random").build(9, seed=2)
         mapped = SabreMapper(topo, seed=4).map_circuit(circ)
-        dropped = next(
-            i for i, op in enumerate(mapped.ops) if op.kind == GateKind.CPHASE
-        )
-        del mapped.ops[dropped]
-        report = check_mapped_matches_circuit(mapped, circ)
+        ops = list(mapped.ops)
+        dropped = next(i for i, op in enumerate(ops) if op.kind == GateKind.CPHASE)
+        del ops[dropped]
+        report = check_mapped_matches_circuit(with_ops(mapped, ops), circ)
         assert not report.ok
 
     def test_rejects_wrong_angle(self):
         topo = GridTopology(2, 2)
         circ = get_workload("qaoa").build(4, seed=1)
         mapped = SabreMapper(topo, seed=0).map_circuit(circ)
-        idx = next(i for i, op in enumerate(mapped.ops) if op.kind == GateKind.CPHASE)
-        op = mapped.ops[idx]
-        mapped.ops[idx] = type(op)(
+        ops = list(mapped.ops)
+        idx = next(i for i, op in enumerate(ops) if op.kind == GateKind.CPHASE)
+        op = ops[idx]
+        ops[idx] = type(op)(
             op.kind, op.physical, op.logical, (op.angle or 0.0) + 0.5, op.tag
         )
-        assert not check_mapped_matches_circuit(mapped, circ).ok
+        assert not check_mapped_matches_circuit(with_ops(mapped, ops), circ).ok
 
 
 class TestVerification:
