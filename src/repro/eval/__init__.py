@@ -2,7 +2,8 @@
 
 The surface is ``plan()`` / ``execute()`` over registered experiments
 (:mod:`repro.eval.runs`) and pluggable executors
-(:mod:`repro.eval.executors`).  Results persist in one place, the SQLite
+(:mod:`repro.eval.executors`); the ``pool`` executor and the compile service
+share one supervised worker pool (:mod:`repro.eval.workers`).  Results persist in one place, the SQLite
 experiment store (:mod:`repro.store`): :class:`ResultCache` keeps its cells
 there, and ``execute(..., store=DB)`` records each run there, resumable
 after a crash with ``resume=True``.
@@ -28,7 +29,6 @@ from .executors import (
     register_executor,
     run_specs,
 )
-from .dispatch import DispatchClient, DispatchServer, run_worker
 from .runs import (
     EXPERIMENT_REGISTRY,
     ExperimentEntry,
@@ -58,9 +58,6 @@ __all__ = [
     "code_version",
     "CellSpec",
     "cell_key",
-    "DispatchClient",
-    "DispatchServer",
-    "run_worker",
     "EXECUTOR_REGISTRY",
     "ExecutionContext",
     "ExecutionOutcome",

@@ -1,29 +1,19 @@
-"""Deterministic fault injection for the dispatcher and its tests.
+"""Deterministic fault injection for the worker pool and its tests.
 
 Fault tolerance that is never exercised is a story, not a property.  This
-module turns every failure mode the dispatcher claims to survive into a
-*directive* that tests (and the CI chaos smoke leg) inject deliberately:
+module turns the worker failures the supervised pool
+(:mod:`repro.eval.workers`, behind both the ``pool`` executor and
+``repro.serve``) claims to survive into *directives* that tests (and the CI
+chaos smoke leg) inject deliberately.  Cells are counted per worker from 1,
+across its batches:
 
 ``kill-worker@worker=w0,cell=1``
     The worker whose id is ``w0`` SIGKILLs itself the moment it starts its
-    second leased cell (0-based, counted per worker) -- a hard mid-cell
-    crash, no cleanup, no goodbye.  The lease it holds must expire and the
-    cell must be reassigned.
-``freeze-heartbeat@worker=w1,cell=2``
-    From its third leased cell on, ``w1`` stops sending heartbeats (the
-    process keeps computing -- this is the "hung but alive" failure, not a
-    crash).  Combined with ``stall``, the lease outlives its deadline and
-    the dispatcher must steal the cell back.
+    first cell -- a hard mid-batch crash, no cleanup, no goodbye.  The pool
+    must respawn a worker and resubmit the batch.
 ``stall@worker=w1,cell=2,s=1.2``
-    ``w1`` sleeps 1.2 s mid-cell (after taking the lease, before
-    computing) -- the deterministic stand-in for a slow or wedged machine.
-``delay-response@path=/lease,s=0.2,times=2``
-    The dispatcher delays its next two ``/lease`` responses by 0.2 s
-    (network latency injection).
-``drop-response@path=/result,times=1``
-    The dispatcher closes the connection without replying to the next
-    ``/result`` request *before* processing it -- the worker must retry
-    with backoff and the retry must be idempotent.
+    ``w1`` sleeps 1.2 s before computing its second cell -- the
+    deterministic stand-in for a slow machine.
 
 Directives live in the ``REPRO_CHAOS`` environment variable (so they cross
 the process boundary into spawned workers), separated by ``;``.  Matching
@@ -32,9 +22,9 @@ is exact string equality on every parameter except the action parameters
 reproducible as a clean one.  ``times`` caps how often a directive fires
 (default: once).
 
-Nothing here imports the dispatcher; the dispatcher (and its worker loop)
-calls :func:`active` at its hook points and stays fully functional -- with
-zero overhead beyond a dict lookup -- when ``REPRO_CHAOS`` is unset.
+Nothing here imports the pool; the pool's worker loop calls :func:`active`
+once and :meth:`ChaosConfig.fires` at its hook points, which costs a loop
+over an empty list when ``REPRO_CHAOS`` is unset.
 """
 
 from __future__ import annotations
@@ -61,13 +51,7 @@ _ACTION_PARAMS = frozenset({"s", "times"})
 
 #: recognised directive kinds (unknown kinds raise at parse time: a typo'd
 #: chaos spec that silently injects nothing would "pass" every chaos test)
-KINDS = (
-    "kill-worker",
-    "freeze-heartbeat",
-    "stall",
-    "delay-response",
-    "drop-response",
-)
+KINDS = ("kill-worker", "stall")
 
 
 class ChaosDirective:

@@ -10,17 +10,14 @@ registries) and expose one method, :meth:`Executor.run`.  Built-ins:
     Every cell in order, in-process.  No pool overhead; the right choice for
     tiny sweeps and debugging.
 ``pool``
-    The topology-grouped process pool: cells that target the same coupling
-    graph are dispatched to workers as whole chunks, every worker resolves
+    The topology-grouped worker pool: cells that target the same coupling
+    graph are sent to workers as whole chunks, every worker resolves
     topologies through the process-local memo in :mod:`repro.eval.runners`,
     and on fork-based platforms the parent prewarms each distinct topology
     so workers inherit the distance matrices and SABRE tables copy-on-write.
-``dispatch``
-    The fault-tolerant work-stealing dispatcher
-    (:mod:`repro.eval.dispatch`): cells are leased over a localhost HTTP
-    queue to dynamically joining worker processes, heartbeats keep leases
-    alive, expired leases are reassigned (fast workers drain what slow or
-    dead ones shed), and the dispatcher is the single run-record writer.
+    The workers are the supervised :class:`~repro.eval.workers.WarmWorkerPool`
+    the compile service also runs on: a worker killed mid-chunk is respawned
+    and its chunk resubmitted, so the sweep finishes bit-equal to a serial run.
 
 :func:`repro.eval.execute` owns the run record: with ``store=DB`` it hands
 every executor a :class:`~repro.store.RunRecorder` (``ctx.recorder``) that
@@ -41,7 +38,8 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import queue
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +48,7 @@ from .cache import ResultCache, cell_key
 from .metrics import CompilationResult
 from .parallel import CellSpec
 from .runners import architecture_key, cached_topology, prepare_topology, run_cell
+from .workers import WarmWorkerPool
 
 __all__ = [
     "Executor",
@@ -87,26 +86,9 @@ def _run_spec(spec: CellSpec) -> CompilationResult:
     return result
 
 
-def _run_chunk(
-    specs: Sequence[CellSpec],
-) -> Tuple[List[CompilationResult], Optional[Exception]]:
-    """Worker-side entry point: run a same-topology chunk of cells in order.
-
-    Returns the results plus the first raised exception (if any), so the
-    parent can record -- and cache -- the cells that *did* finish
-    before re-raising; with one task per chunk, a plain raise would otherwise
-    discard every completed result in the chunk.  Only ``Exception`` is
-    forwarded: KeyboardInterrupt/SystemExit must keep killing the worker
-    promptly rather than ride along as a value.
-    """
-
-    results: List[CompilationResult] = []
-    for spec in specs:
-        try:
-            results.append(_run_spec(spec))
-        except Exception as exc:
-            return results, exc
-    return results, None
+#: chunks queued per pool worker: one running, one waiting, so a worker never
+#: idles while the parent commits the previous chunk's cells to the store
+_CHUNKS_PER_WORKER = 2
 
 
 def _topology_chunks(
@@ -211,25 +193,40 @@ def run_specs(
                 if key not in seen:
                     seen.add(key)
                     prepare_topology(specs[i].kind, specs[i].size)
-        chunks = _topology_chunks(specs, todo, jobs)
-        # Record each chunk's finished cells as it completes -- including the
-        # prefix of a chunk whose later cell crashed (the worker forwards the
-        # exception instead of raising) -- so a mid-sweep failure (worker
-        # OOM, Ctrl-C, one bad cell) does not discard hours of finished work.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            futures = {
-                pool.submit(_run_chunk, [specs[i] for i in chunk]): chunk
-                for chunk in chunks
-            }
-            failure: Optional[Exception] = None
-            for fut in as_completed(futures):
-                chunk_results, exc = fut.result()
-                for i, result in zip(futures[fut], chunk_results):
+        chunks = deque(_topology_chunks(specs, todo, jobs))
+        workers = min(jobs, len(chunks))
+        landed: "queue.SimpleQueue" = queue.SimpleQueue()
+        # One pool per call, forked here: workers inherit the warmed tables.
+        pool = WarmWorkerPool(
+            workers, task=_run_spec, on_result=lambda *batch: landed.put(batch)
+        )
+        owners: Dict[int, List[int]] = {}
+
+        def refill() -> None:
+            while chunks and len(owners) < _CHUNKS_PER_WORKER * workers:
+                chunk = chunks.popleft()
+                owners[pool.submit([specs[i] for i in chunk])] = chunk
+
+        # Record each chunk's finished cells as it lands -- including the
+        # prefix of a chunk whose later cell raised (the worker returns the
+        # exception with the cells before it) -- so a mid-sweep failure does
+        # not discard hours of finished work; the first exception is raised
+        # once every chunk is in.
+        failure: Optional[BaseException] = None
+        try:
+            refill()
+            while owners:
+                batch_id, chunk_results, exc = landed.get()
+                chunk = owners.pop(batch_id)
+                refill()  # before recording: see _CHUNKS_PER_WORKER
+                for i, result in zip(chunk, chunk_results):
                     record(i, result)
                 if exc is not None and failure is None:
                     failure = exc
-            if failure is not None:
-                raise failure
+        finally:
+            pool.close(drain=False)
+        if failure is not None:
+            raise failure
     else:
         for i in todo:
             record(i, _run_spec(specs[i]))
@@ -259,9 +256,6 @@ class ExecutionContext:
     #: budget; >1 lets a marginally-too-slow cell recover instead of timing
     #: out identically twice)
     retry_timeout_multiplier: float = 1.0
-    #: dispatcher options (``dispatch`` executor only): host/port binding,
-    #: lease_s, heartbeat_s, spawn_workers, on_start callback
-    dispatch_opts: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -272,8 +266,6 @@ class ExecutionOutcome:
     resumed: int = 0  # cells served from the resumed run, not re-run
     retried: int = 0  # straggler cells re-dispatched
     recovered: int = 0  # retried cells whose second attempt succeeded
-    reassigned: int = 0  # expired leases returned to the queue (dispatch)
-    dead_workers: int = 0  # workers whose lease expired unheartbeaten
 
 
 class Executor:
@@ -303,24 +295,15 @@ def register_executor(name: str, *, synonyms: Sequence[str] = ()):
     return _register
 
 
-def _ensure_builtin_executors() -> None:
-    # The built-in executors below register at module import; the dispatch
-    # executor lives in its own module (it pulls in the HTTP stack), which
-    # must be imported before name resolution can find it.
-    from . import dispatch  # noqa: F401
-
-
 def get_executor(name: str) -> Executor:
     """Resolve an executor by any registered spelling (raises with hints)."""
 
-    _ensure_builtin_executors()
     return EXECUTOR_REGISTRY.get(name)
 
 
 def executor_names() -> Tuple[str, ...]:
     """Canonical names of every registered executor."""
 
-    _ensure_builtin_executors()
     return EXECUTOR_REGISTRY.names()
 
 
@@ -426,4 +409,4 @@ class SerialExecutor(_LocalExecutor):
 
 @register_executor("pool", synonyms=("process-pool", "parallel"))
 class PoolExecutor(_LocalExecutor):
-    """The topology-grouped process pool (``jobs`` workers)."""
+    """The topology-grouped worker pool (``jobs`` workers)."""

@@ -5,12 +5,11 @@ registry via :func:`~repro.eval.runs.register_experiment`; the declarative
 run API (:func:`repro.eval.plan` / :func:`repro.eval.execute`) resolves the
 name (synonyms included, unknown names raise with did-you-mean suggestions),
 builds the ordered cell list, optionally slices a deterministic
-``shard=(i, n)`` of it, and dispatches it through a registered executor --
-``serial``, the topology-grouped ``pool``, or the work-stealing
-``dispatch`` -- optionally recording the run in an experiment store
-(``--store``; crash resume with ``--resume``, straggler retry).  The module
-CLI (``python -m repro.eval``) is a thin shell over exactly that pair of
-calls.
+``shard=(i, n)`` of it, and runs it through a registered executor --
+``serial`` or the topology-grouped ``pool`` -- optionally recording the run
+in an experiment store (``--store``; crash resume with ``--resume``,
+straggler retry).  The module CLI (``python -m repro.eval``) is a thin
+shell over exactly that pair of calls.
 
 Two profiles control instance sizes:
 
@@ -30,7 +29,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..approaches import approach_names
 from ..arch.registry import architecture_names
@@ -359,22 +358,6 @@ def _specs_sweep_profile(
 # ---------------------------------------------------------------------------
 
 
-def _parse_serve(text: str) -> Tuple[str, int]:
-    """Parse ``--serve [HOST:]PORT`` (bare port binds localhost only)."""
-
-    host, _, port_s = text.rpartition(":")
-    try:
-        port = int(port_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--serve expects [HOST:]PORT (e.g. 8765 or 0.0.0.0:8765), "
-            f"got {text!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise argparse.ArgumentTypeError(f"port out of range in {text!r}")
-    return (host or "127.0.0.1", port)
-
-
 def _parse_shard(text: str) -> Tuple[int, int]:
     try:
         index_s, count_s = text.split("/", 1)
@@ -481,44 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "required)",
     )
     parser.add_argument(
-        "--serve",
-        type=_parse_serve,
-        default=None,
-        metavar="[HOST:]PORT",
-        help="serve the plan's cells as a work-stealing dispatcher on this "
-        "address (implies --executor dispatch); workers join with --join. "
-        "--jobs local workers are spawned too (use --jobs 0 to only serve)",
-    )
-    parser.add_argument(
-        "--join",
-        metavar="URL",
-        default=None,
-        help="run as a worker: join the dispatcher at URL (e.g. "
-        "http://host:8765), compute leased cells until the run completes, "
-        "then exit; all other experiment options are ignored",
-    )
-    parser.add_argument(
-        "--worker-id",
-        metavar="NAME",
-        default=None,
-        help="worker name to join with (default: hostname-pid)",
-    )
-    parser.add_argument(
-        "--lease-s",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="dispatcher lease duration: a cell whose worker misses "
-        "heartbeats for this long is reassigned (default 30)",
-    )
-    parser.add_argument(
-        "--heartbeat-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="worker heartbeat interval (default: lease duration / 4)",
-    )
-    parser.add_argument(
         "--retry-timeout-mult",
         type=float,
         default=1.0,
@@ -548,36 +493,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list:
         print(_experiment_table())
         return 0
-    if args.join:
-        # Worker mode: no plan of our own -- the dispatcher serves specs.
-        from .dispatch import DispatchError, run_worker
-
-        if args.serve:
-            parser.error("--join (worker) and --serve (dispatcher) conflict")
-        try:
-            stats = run_worker(
-                args.join,
-                worker_id=args.worker_id,
-                heartbeat_s=args.heartbeat_s,
-            )
-        except DispatchError as exc:
-            print(f"worker failed: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"worker done: {stats['cells']} cells computed, "
-            f"{stats['stale']} stale, {stats['leased']} leased"
-        )
-        return 0
-    if args.serve:
-        if args.executor not in (None, "dispatch"):
-            parser.error("--serve requires --executor dispatch")
-        args.executor = "dispatch"
-    if args.jobs < 1 and not (args.serve and args.jobs == 0):
-        parser.error(
-            f"--jobs must be >= 1, got {args.jobs} "
-            "(--jobs 0 is only meaningful with --serve: serve-only, no "
-            "local workers)"
-        )
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     import sqlite3
 
     try:
@@ -628,35 +545,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             **options,
         )
         print(f"\n=== {run_plan.describe()} ===")
-        dispatch_opts: Optional[Dict[str, object]] = None
-        if args.serve:
-            host, port = args.serve
-            dispatch_opts = {
-                "host": host,
-                "port": port,
-                "lease_s": args.lease_s,
-                "heartbeat_s": args.heartbeat_s,
-                "spawn_workers": args.jobs,
-                "on_start": lambda url: print(
-                    f"dispatcher serving at {url} "
-                    f"(workers join with: python -m repro.eval --join {url})"
-                ),
-            }
-        elif args.executor == "dispatch":
-            dispatch_opts = {
-                "lease_s": args.lease_s,
-                "heartbeat_s": args.heartbeat_s,
-            }
         try:
             report = execute(
                 run_plan,
                 executor=args.executor,
-                jobs=max(1, args.jobs),
+                jobs=args.jobs,
                 cache=cache,
                 resume=args.resume,
                 store=args.store,
                 retry_timeout_multiplier=args.retry_timeout_mult,
-                dispatch=dispatch_opts,
             )
         except UnknownNameError as exc:
             parser.error(str(exc))

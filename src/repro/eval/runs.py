@@ -11,11 +11,11 @@ entry point over registries instead of a function-per-figure layout.
   the profile, verification policy and (optionally) a deterministic
   ``shard=(i, n)`` slice, partitioned so every shard gets a balanced share
   of work without serializing on one big coupling graph.
-* :func:`execute` dispatches a plan through a registered
-  :class:`~repro.eval.executors.Executor` (``serial``, ``pool`` or
-  ``dispatch``), records the run in a SQLite experiment store when asked
-  (``store=``, resumable with ``resume=True``) and returns a typed,
-  JSON-serializable :class:`RunReport`.
+* :func:`execute` runs a plan through a registered
+  :class:`~repro.eval.executors.Executor` (``serial`` or ``pool``), records
+  the run in a SQLite experiment store when asked (``store=``, resumable
+  with ``resume=True``) and returns a typed, JSON-serializable
+  :class:`RunReport`.
 
 Typical use::
 
@@ -342,11 +342,9 @@ class RunReport:
     per-cell statuses; ``resumed`` / ``retried`` / ``recovered`` are the
     recorded run's accounting (cells served from the resumed run, straggler
     cells re-dispatched, and retries whose second attempt succeeded).
-    ``reassigned`` / ``dead_workers`` are dispatcher-only:
-    leases that expired and went back to the queue, and distinct workers
-    whose leases expired (crashed or hung).  ``retry_timeout_multiplier``
-    records how straggler-retry timeout budgets were scaled, so a report is
-    a complete record of the retry policy that produced it.
+    ``retry_timeout_multiplier`` records how straggler-retry timeout budgets
+    were scaled, so a report is a complete record of the retry policy that
+    produced it.
     """
 
     experiment: str
@@ -362,8 +360,6 @@ class RunReport:
     resumed: int = 0
     retried: int = 0
     recovered: int = 0
-    reassigned: int = 0
-    dead_workers: int = 0
     retry_timeout_multiplier: float = 1.0
     #: path of the SQLite experiment store the run was recorded into
     store: Optional[str] = None
@@ -390,8 +386,6 @@ class RunReport:
             "resumed": self.resumed,
             "retried": self.retried,
             "recovered": self.recovered,
-            "reassigned": self.reassigned,
-            "dead_workers": self.dead_workers,
             "retry_timeout_multiplier": self.retry_timeout_multiplier,
             "store": self.store,
             "cache_stats": self.cache_stats,
@@ -410,11 +404,6 @@ class RunReport:
                 f", resumed={self.resumed}, retried={self.retried}, "
                 f"recovered={self.recovered}"
             )
-        if self.reassigned or self.dead_workers:
-            extras += (
-                f", reassigned={self.reassigned}, "
-                f"dead_workers={self.dead_workers}"
-            )
         return (
             f"run: {self.experiment} [{self.executor}] "
             f"{len(self.results)} cells in {self.wall_s:.2f}s ({counts}{extras})"
@@ -431,7 +420,6 @@ def execute(
     store: Optional[str] = None,
     retry_timeouts: int = 1,
     retry_timeout_multiplier: float = 1.0,
-    dispatch: Optional[Dict[str, object]] = None,
 ) -> RunReport:
     """Run a plan through a registered executor and report the outcome.
 
@@ -439,8 +427,7 @@ def execute(
     ``"serial"``.  ``store`` records the run -- a ``runs`` row plus every
     finished cell the moment it lands -- into a SQLite
     :class:`repro.store.ExperimentStore`, for every executor; recorded
-    ``serial``/``pool`` runs also re-dispatch timed-out cells up to
-    ``retry_timeouts`` times (the ``dispatch`` executor always does).
+    runs also re-dispatch timed-out cells up to ``retry_timeouts`` times.
     ``resume=True`` continues the newest run in ``store`` with this plan's
     fingerprint: its recorded cells are served, not re-run, each recorded
     timeout keeps its retry budget, and a run recorded by another code
@@ -449,9 +436,7 @@ def execute(
     ``retry_timeout_multiplier`` scales a straggler retry's ``timeout_s``
     by ``multiplier**attempt`` (default 1.0: retry with the same budget), so
     a marginally-too-slow cell can recover instead of timing out twice
-    identically.  ``dispatch`` passes executor options to the ``dispatch``
-    executor (``lease_s``, ``heartbeat_s``, ``spawn_workers``,
-    ``host``/``port``, ``on_start``).
+    identically.
     """
 
     if jobs < 1:
@@ -481,7 +466,6 @@ def execute(
         resumed=resumed,
         retry_timeouts=retry_timeouts,
         retry_timeout_multiplier=retry_timeout_multiplier,
-        dispatch_opts=dict(dispatch or {}),
     )
     start = time.perf_counter()
     try:
@@ -505,8 +489,6 @@ def execute(
         resumed=outcome.resumed,
         retried=outcome.retried,
         recovered=outcome.recovered,
-        reassigned=outcome.reassigned,
-        dead_workers=outcome.dead_workers,
         retry_timeout_multiplier=retry_timeout_multiplier,
         store=store,
         cache_stats=cache.stats() if cache is not None else None,

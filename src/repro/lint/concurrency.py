@@ -1,9 +1,9 @@
 """The fork/signal-safety checker: resources must not cross process lines.
 
-PR 7's dispatcher forks worker processes (``multiprocessing.Process``,
-``ProcessPoolExecutor``) and PR 8 put a WAL-mode SQLite store under
-everything.  Two conventions keep that combination sound, and until now
-both were enforced only by chaos tests:
+The evaluation pool and the compile service run their work in forked
+worker processes (:class:`repro.eval.workers.WarmWorkerPool`), and a
+WAL-mode SQLite store sits under everything.  Two conventions keep that
+combination sound:
 
 1. **Fork safety** -- a SQLite connection, open file handle, seeded
    ``random.Random`` or lock created *before* the fork point must never
@@ -21,9 +21,11 @@ This checker makes both static properties of the tree, driven entirely
 by the shared :class:`~repro.lint.graph.ProjectGraph`:
 
 * *fork points* are found syntactically -- ``Process(target=f)``,
-  ``executor.submit(f, ...)``, ``pool.map(f, ...)`` -- and the functions
-  passed there are the *worker entries*; the worker-side set is their
-  forward reachability closure.
+  ``WarmWorkerPool(..., task=f)``, ``executor.submit(f, ...)``,
+  ``pool.map(f, ...)`` -- and the functions passed there are the *worker
+  entries*; the worker-side set is their forward reachability closure.
+  (The pool's worker loop calls ``task(item)``, which the call graph
+  cannot resolve, so the ``task=`` argument itself names an entry.)
 * a module-scope resource (``sqlite3.connect`` result, ``open`` handle,
   ``random.Random``, ``threading``/``multiprocessing`` lock) referenced
   from any worker-side function is flagged at its creation site.
@@ -126,13 +128,23 @@ class ConcurrencyChecker(Checker):
     def check(self, project: Project) -> Iterator[Finding]:
         graph = project.graph()
         fork_points = self._fork_points(graph)
-        worker_entries = sorted(
-            {ref for fp in fork_points for ref in fp.entries}
-        )
-        worker_side = graph.reachable(worker_entries)
+        worker_side = self.worker_side(graph, fork_points)
         yield from self._check_module_resources(graph, worker_side)
         yield from self._check_resources_into_fork(graph, fork_points)
         yield from self._check_signal_handlers(graph)
+
+    def worker_side(
+        self,
+        graph: ProjectGraph,
+        fork_points: Optional[List[_ForkPoint]] = None,
+    ) -> Set[FunctionRef]:
+        """Every function that may run in a forked worker."""
+
+        if fork_points is None:
+            fork_points = self._fork_points(graph)
+        return graph.reachable(
+            sorted({ref for fp in fork_points for ref in fp.entries})
+        )
 
     # -- fork points -------------------------------------------------------
     def _fork_points(self, graph: ProjectGraph) -> List[_ForkPoint]:
@@ -170,6 +182,8 @@ class ConcurrencyChecker(Checker):
         tail = name.split(".")[-1] if name else ""
         if external.endswith(".Process") or external == "Process":
             return [k.value for k in node.keywords if k.arg == "target"]
+        if external.split(".")[-1] == "WarmWorkerPool":
+            return [k.value for k in node.keywords if k.arg == "task"]
         if tail in _SUBMIT_TAILS and node.args:
             # executor.submit(f, ...) / pool.map(f, it): only treat as a
             # fork point when the receiver smells like a pool/executor --

@@ -1,7 +1,8 @@
 """``repro.serve`` -- the compilation service.
 
 An asyncio HTTP/JSON front door over :func:`repro.compile`: prewarmed
-forked workers (:mod:`.pool`), online batching by topology group and
+forked workers (the shared :class:`~repro.eval.workers.WarmWorkerPool`
+running :func:`.pool.serve_task`), online batching by topology group and
 bounded-queue admission control (:mod:`.server`), an in-memory LRU over
 the batch harness's cache keys (:mod:`.lru`), and the versioned
 request/response schema shared with the library (:mod:`.api`).  Run it

@@ -7,10 +7,8 @@ takes exactly the :func:`repro.compile` keyword surface -- swapping a local
 ``repro.compile(...)`` call for ``client.compile(...)`` is a one-line
 change.
 
-Transport errors are typed the same way the dispatcher's client types
-them: transient connection trouble is retried with capped exponential
-backoff and per-client deterministic jitter
-(:class:`~repro.eval.dispatch.DispatchClient` is the template); a server
+Transport errors are typed: transient connection trouble is retried with
+capped exponential backoff and per-client deterministic jitter; a server
 that *answered* is never blindly retried -- 400 raises
 :class:`ServeRequestError` with the server's did-you-mean message, 429/503
 raise :class:`ServeOverloaded` carrying the advisory ``Retry-After`` (the

@@ -1,376 +1,27 @@
-"""Prewarmed process-pool backend for the compilation service.
+"""The compile service's worker task, run on the shared warm worker pool.
 
-Workers are long-lived forked processes that build their hot state *once* --
-:func:`~repro.eval.runners.prepare_topology` for every prewarm target
-(topology instance, all-pairs distance matrix, SABRE routing tables, and the
-C kernel import) -- then loop on a per-worker task queue.  Batches are
-addressed to a specific worker, which is what makes the pool *warm*: the
-server routes a topology group's batches at workers that already hold that
-topology's tables (any worker keeps a process-local
-:func:`~repro.eval.runners.cached_topology` memo, so even unrouted groups
-pay construction once per worker, not once per request).
-
-Fault model, in the :class:`~repro.eval.dispatch._WorkerFleet` mold: a
-supervisor thread reaps dead workers, respawns them under a bounded budget,
-and *resubmits* the dead worker's in-flight batches to a live worker -- the
-parent tracks every assignment, so a SIGKILLed worker (chaos:
-``kill-worker``) costs latency, never an error surfaced to a client.  A
-batch that was computed twice (worker finished, then died before the parent
-reaped it) is delivered once: completions for unknown batch ids are
-dropped, and re-execution is safe because cells are deterministic.
-
-Results travel over a **per-worker pipe** whose only writer is that
-worker's main thread -- deliberately not a shared ``multiprocessing.Queue``.
-A queue's write end is guarded by a lock shared by every writer *process*,
-taken by a background feeder thread; SIGKILL a worker in the window where
-its feeder holds that lock (on one CPU the feeder routinely waits out the
-main thread's whole GIL slice there) and the lock is orphaned, wedging
-every surviving and future worker's sends forever.  With one pipe per
-worker and in-thread ``Connection.send``, a killed worker can tear nothing
-but its own channel: the parent-side reader thread sees ``EOFError`` and
-exits, and the supervisor's reap/respawn path owns recovery.  Each reader
-thread delivers its worker's results via the ``on_result`` callback; the
-asyncio server trampolines that back into its event loop with
-``call_soon_threadsafe``.
+The pool itself -- prewarmed forked workers, per-worker result pipes, one
+supervisor with a crash budget, the orphan watchdog -- is
+:class:`repro.eval.workers.WarmWorkerPool`, re-exported here and from
+:mod:`repro.serve`.  The server builds it with ``task=serve_task``: each
+batch item is one :class:`~repro.serve.api.CompileRequest`, each row the
+``CompilationResult`` dict it compiles to.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..eval import chaos
+from ..eval.workers import PoolShutdown, WarmWorkerPool
 from .api import CompileRequest, execute_request
 
-__all__ = ["WarmWorkerPool", "PoolShutdown"]
+__all__ = ["WarmWorkerPool", "PoolShutdown", "serve_task"]
 
 
-class PoolShutdown(RuntimeError):
-    """Submission after ``close()``: the pool is no longer accepting work."""
+def serve_task(request: CompileRequest) -> dict:
+    """Compile one request inside a pool worker.
 
-
-#: (batch_id, rows or None, error message or None)
-ResultCallback = Callable[[int, Optional[List[dict]], Optional[str]], None]
-
-
-def _worker_main(
-    worker_id: str,
-    tasks: "multiprocessing.queues.Queue",
-    results: "multiprocessing.connection.Connection",
-    prewarm: Sequence[Tuple[str, int]],
-) -> None:
-    """One pool worker: prewarm, announce readiness, then serve batches."""
-
-    # A *respawned* worker forks after the server installed its asyncio
-    # signal handlers and bound its socket, so the child inherits both: a
-    # SIGTERM disposition that only writes to the parent's (dead) wakeup
-    # pipe, and the listening fd.  Reset the dispositions so the default
-    # actions apply again -- otherwise a worker orphaned by a killed server
-    # shrugs off SIGTERM and keeps the port open forever.
-    import os
-    import signal
-
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-    # Orphan watchdog: if the server dies without dismissing us (SIGKILL --
-    # nothing runs parent-side), exit instead of blocking on tasks.get()
-    # forever with the inherited listening socket still open.
-    parent = os.getppid()
-
-    def _watch_parent() -> None:  # pragma: no cover - exercised via e2e kill
-        while True:
-            time.sleep(1.0)
-            if os.getppid() != parent:
-                os._exit(0)
-
-    threading.Thread(
-        target=_watch_parent, name="repro-serve-orphan-watch", daemon=True
-    ).start()
-
-    chaos.reload()  # fresh fire counters; a fork must not inherit the parent's
-    cfg = chaos.active()
-    from ..eval.runners import prepare_topology
-
-    for kind, size in prewarm:
-        prepare_topology(kind, size)
-    # In-thread sends on a pipe this process alone writes: no feeder
-    # thread, no cross-process lock a SIGKILL could orphan (see module
-    # docstring).
-    results.send(("ready", None))
-    ordinal = 0
-    while True:
-        task = tasks.get()
-        if task is None:
-            break
-        batch_id, requests = task
-        rows = []
-        for request in requests:
-            ordinal += 1
-            if cfg.fires("kill-worker", worker=worker_id, cell=ordinal):
-                chaos.kill_self()  # pragma: no cover - the process dies here
-            try:
-                rows.append(execute_request(request).to_dict())
-            except Exception as exc:  # caller bugs -> typed error rows
-                results.send(
-                    ("failed", (batch_id, f"{type(exc).__name__}: {exc}"))
-                )
-                break
-        else:
-            results.send(("done", (batch_id, rows)))
-    results.close()
-
-
-class WarmWorkerPool:
-    """Supervised fleet of prewarmed compile workers.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes.
-    on_result:
-        ``on_result(batch_id, rows, error)`` -- invoked from a worker's
-        reader thread for every finished batch (``rows`` is a list of
-        ``CompilationResult`` dicts; on unrecoverable failure ``rows`` is
-        None and ``error`` the message).
-    prewarm:
-        ``(kind, size)`` topology targets every worker warms before
-        announcing readiness.
-    max_respawns:
-        Crash budget across the pool's lifetime (default ``2 * workers``);
-        once exhausted, the dead worker's batches fail instead of hanging.
+    ``execute_request`` is resolved through this module's global at call
+    time, so a wrapper installed on ``repro.serve.pool.execute_request``
+    (the traced benchmark installs one) sees every served compile.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        on_result: ResultCallback,
-        prewarm: Sequence[Tuple[str, int]] = (),
-        max_respawns: Optional[int] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker (got {workers})")
-        self._mp = multiprocessing.get_context()
-        self._on_result = on_result
-        self._prewarm = tuple(prewarm)
-        self._lock = threading.Lock()
-        self._procs: Dict[str, multiprocessing.process.BaseProcess] = {}
-        self._queues: Dict[str, "multiprocessing.queues.Queue"] = {}
-        self._readers: Dict[str, threading.Thread] = {}
-        #: batch_id -> (worker_id, requests) for every in-flight batch
-        self._assigned: Dict[int, Tuple[str, List[CompileRequest]]] = {}
-        self._ready: set = set()
-        self._all_ready = threading.Event()
-        self._idle = threading.Event()
-        self._idle.set()
-        self._next_worker = 0
-        self._next_batch = 0
-        self._closed = False
-        self._stop = threading.Event()
-        self.respawns = 0
-        self.reassigned_batches = 0
-        self._respawns_left = (
-            max_respawns if max_respawns is not None else 2 * workers
-        )
-        for _ in range(workers):
-            self._spawn_one()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, name="repro-serve-supervisor", daemon=True
-        )
-        self._supervisor.start()
-
-    # -- lifecycle ---------------------------------------------------------
-    def _spawn_one(self) -> str:
-        """Start one worker with a fresh task queue (caller holds no lock)."""
-
-        worker_id = f"w{self._next_worker}"
-        self._next_worker += 1
-        tasks = self._mp.Queue()
-        recv_conn, send_conn = self._mp.Pipe(duplex=False)
-        proc = self._mp.Process(
-            target=_worker_main,
-            args=(worker_id, tasks, send_conn, self._prewarm),
-            name=f"repro-serve-{worker_id}",
-            daemon=True,
-        )
-        proc.start()
-        send_conn.close()  # the child holds the only write end now
-        reader = threading.Thread(
-            target=self._reader_loop,
-            args=(worker_id, recv_conn),
-            name=f"repro-serve-read-{worker_id}",
-            daemon=True,
-        )
-        with self._lock:
-            self._procs[worker_id] = proc
-            self._queues[worker_id] = tasks
-            self._readers[worker_id] = reader
-        reader.start()
-        return worker_id
-
-    def wait_ready(self, timeout_s: float = 60.0) -> bool:
-        """Block until every worker finished prewarming (True on success)."""
-
-        return self._all_ready.wait(timeout_s)
-
-    # -- submission --------------------------------------------------------
-    def submit(self, requests: Sequence[CompileRequest]) -> int:
-        """Queue one batch on the least-loaded live worker; returns batch id."""
-
-        requests = list(requests)
-        with self._lock:
-            if self._closed:
-                raise PoolShutdown("pool is shut down")
-            batch_id = self._next_batch
-            self._next_batch += 1
-            worker_id = self._pick_worker_locked()
-            self._assigned[batch_id] = (worker_id, requests)
-            self._idle.clear()
-            self._queues[worker_id].put((batch_id, requests))
-        return batch_id
-
-    def _pick_worker_locked(self) -> str:
-        """Least-loaded worker by in-flight batch count (ready ones first)."""
-
-        load = {wid: 0 for wid in self._procs}
-        for wid, _ in self._assigned.values():
-            if wid in load:
-                load[wid] += 1
-        candidates = [wid for wid in load if wid in self._ready] or list(load)
-        if not candidates:
-            raise PoolShutdown("no live workers")
-        return min(candidates, key=lambda wid: (load[wid], wid))
-
-    # -- readers + supervision ---------------------------------------------
-    def _reader_loop(
-        self,
-        worker_id: str,
-        conn: "multiprocessing.connection.Connection",
-    ) -> None:
-        """Drain one worker's result pipe until it dies or closes it."""
-
-        try:
-            while True:
-                try:
-                    kind, payload = conn.recv()
-                except (EOFError, OSError):
-                    return  # worker exited (or was killed); supervisor reaps
-                if kind == "ready":
-                    with self._lock:
-                        self._ready.add(worker_id)
-                        if self._ready >= set(self._procs):
-                            self._all_ready.set()
-                    continue
-                batch_id, body = payload
-                with self._lock:
-                    known = self._assigned.pop(batch_id, None)
-                    if not self._assigned:
-                        self._idle.set()
-                if known is None:
-                    continue  # duplicate completion after a reassignment
-                if kind == "done":
-                    self._on_result(batch_id, body, None)
-                else:
-                    self._on_result(batch_id, None, body)
-        finally:
-            conn.close()
-            with self._lock:
-                self._readers.pop(worker_id, None)
-
-    def _supervise_loop(self) -> None:
-        while not self._stop.wait(0.1):
-            self._reap_dead()
-
-    def _reap_dead(self) -> None:
-        """Respawn crashed workers and resubmit their in-flight batches."""
-
-        with self._lock:
-            dead = [
-                wid for wid, proc in self._procs.items() if not proc.is_alive()
-            ]
-            if not dead:
-                return
-            orphaned: List[Tuple[int, List[CompileRequest]]] = []
-            for wid in dead:
-                self._procs.pop(wid, None)
-                self._queues.pop(wid, None)
-                self._ready.discard(wid)
-                for batch_id, (owner, requests) in list(self._assigned.items()):
-                    if owner == wid:
-                        orphaned.append((batch_id, requests))
-            closing = self._closed and not orphaned
-            can_respawn = self._respawns_left > 0 and not self._closed
-            if can_respawn:
-                self._respawns_left -= len(dead)
-                self.respawns += len(dead)
-        if closing:
-            return
-        fresh = [self._spawn_one() for _ in dead] if can_respawn else []
-        with self._lock:
-            for batch_id, requests in orphaned:
-                targets = fresh or [
-                    wid for wid in self._procs if self._procs[wid].is_alive()
-                ]
-                if not targets:
-                    self._assigned.pop(batch_id, None)
-                    if not self._assigned:
-                        self._idle.set()
-                    self._on_result(
-                        batch_id,
-                        None,
-                        "worker crashed and the respawn budget is exhausted",
-                    )
-                    continue
-                target = min(targets)
-                self._assigned[batch_id] = (target, requests)
-                self.reassigned_batches += 1
-                self._queues[target].put((batch_id, requests))
-
-    # -- shutdown ----------------------------------------------------------
-    def drain(self, timeout_s: float = 30.0) -> bool:
-        """Wait for every in-flight batch to finish (True if none remain)."""
-
-        return self._idle.wait(timeout_s)
-
-    def close(self, *, drain: bool = True, timeout_s: float = 30.0) -> None:
-        """Stop the pool: optionally drain, then dismiss and join workers."""
-
-        if drain:
-            self.drain(timeout_s)
-        with self._lock:
-            self._closed = True
-            queues = list(self._queues.values())
-            procs = list(self._procs.values())
-        for tasks in queues:
-            try:
-                tasks.put(None)
-            except (ValueError, OSError):  # pragma: no cover - closed queue
-                pass
-        deadline = time.monotonic() + 10.0
-        for proc in procs:
-            proc.join(timeout=max(0.1, deadline - time.monotonic()))
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-        self._stop.set()
-        self._supervisor.join(timeout=5.0)
-        with self._lock:
-            readers = list(self._readers.values())
-        for reader in readers:
-            reader.join(timeout=5.0)
-
-    # -- introspection -----------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "workers": len(self._procs),
-                "ready": len(self._ready),
-                "inflight_batches": len(self._assigned),
-                "respawns": self.respawns,
-                "reassigned_batches": self.reassigned_batches,
-            }
+    return execute_request(request).to_dict()

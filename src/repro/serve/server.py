@@ -1,11 +1,11 @@
 """The asyncio compilation service: batching front end over warm workers.
 
 One event loop owns everything client-facing: a minimal HTTP/1.1 JSON
-protocol (stdlib streams, same spirit as the dispatcher's
-``ThreadingHTTPServer`` protocol, but async so thousands of waiting clients
-cost a coroutine each, not a thread each), the admission queue, the
-in-memory LRU, and the batcher.  Compilation itself happens in the
-:class:`~repro.serve.pool.WarmWorkerPool` -- forked processes that hold
+protocol (stdlib streams, async so thousands of waiting clients cost a
+coroutine each, not a thread each), the admission queue, the in-memory
+LRU, and the batcher.  Compilation itself happens in the shared
+:class:`~repro.eval.workers.WarmWorkerPool` running
+:func:`~repro.serve.pool.serve_task` -- forked processes that hold
 prewarmed topology tables -- so the loop never blocks on a mapper.
 
 Request lifecycle::
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..registry import UnknownNameError
 from .api import API_VERSION, ApiError, CompileRequest, CompileResponse
 from .lru import LRUCache
-from .pool import PoolShutdown, WarmWorkerPool
+from .pool import PoolShutdown, WarmWorkerPool, serve_task
 
 __all__ = ["ServeConfig", "CompileService"]
 
@@ -126,6 +126,7 @@ class CompileService:
         # children must never inherit an open database connection.
         self._pool = WarmWorkerPool(
             self.config.workers,
+            task=serve_task,
             on_result=self._pool_result,
             prewarm=self.config.prewarm,
             max_respawns=self.config.max_respawns,
@@ -190,23 +191,25 @@ class CompileService:
 
     # -- pool results ------------------------------------------------------
     def _pool_result(
-        self, batch_id: int, rows: Optional[List[dict]], error: Optional[str]
+        self, batch_id: int, rows: List[dict], error: Optional[BaseException]
     ) -> None:
-        """Pump-thread callback: trampoline into the event loop."""
+        """Supervisor-thread callback: trampoline into the event loop."""
 
         self._loop.call_soon_threadsafe(self._finish_batch, batch_id, rows, error)
 
     def _finish_batch(
-        self, batch_id: int, rows: Optional[List[dict]], error: Optional[str]
+        self, batch_id: int, rows: List[dict], error: Optional[BaseException]
     ) -> None:
         chunk = self._batches.pop(batch_id, None)
         if chunk is None:
             return
-        if rows is None:
+        if error is not None:
             self.counters["pool_failures"] += 1
             for _, fut in chunk:
                 if not fut.done():
-                    fut.set_exception(_PoolFailure(error or "pool failure"))
+                    fut.set_exception(
+                        _PoolFailure(f"{type(error).__name__}: {error}")
+                    )
             return
         for (request, fut), row in zip(chunk, rows):
             if row.get("status") == "ok":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import queue
+
 import pytest
 
 from repro.arch import (
@@ -37,3 +39,34 @@ def lattice4() -> LatticeSurgeryTopology:
 @pytest.fixture
 def caterpillar10() -> CaterpillarTopology:
     return CaterpillarTopology.regular_groups(2)
+
+
+class _PoolResults:
+    """Thread-safe ``on_result`` sink: ``next()`` is the next finished batch."""
+
+    def __init__(self) -> None:
+        self.results: "queue.Queue" = queue.Queue()
+
+    def __call__(self, batch_id, rows, error) -> None:
+        self.results.put((batch_id, rows, error))
+
+    def next(self, timeout_s: float = 120.0):
+        return self.results.get(timeout=timeout_s)
+
+
+@pytest.fixture
+def make_pool():
+    """``make_pool(workers, task=f, **kw) -> (pool, sink)``, closed at teardown."""
+
+    from repro.eval.workers import WarmWorkerPool
+
+    pools = []
+
+    def _make(workers: int = 1, **kwargs):
+        sink = _PoolResults()
+        pools.append(WarmWorkerPool(workers, on_result=sink, **kwargs))
+        return pools[-1], sink
+
+    yield _make
+    for pool in pools:
+        pool.close(drain=False, timeout_s=5.0)

@@ -23,7 +23,6 @@ from repro.store import ExperimentStore, RunRecorder, comparable_result
 EXECUTORS = [
     pytest.param("serial", 1, id="serial"),
     pytest.param("pool", 2, id="pool"),
-    pytest.param("dispatch", 2, id="dispatch"),
 ]
 
 #: small pages so one recorded cell spans several WAL frames

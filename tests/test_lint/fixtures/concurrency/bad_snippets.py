@@ -6,8 +6,11 @@ import signal
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.eval.workers import WarmWorkerPool
+
 RNG = random.Random(1234)  # FINDING: module-scope RNG used by the worker
 DB = sqlite3.connect("cells.db")  # FINDING: module-scope connection crosses fork
+LEDGER = sqlite3.connect("ledger.db")  # FINDING: read by a pool task= function
 
 
 def worker(spec):
@@ -18,6 +21,15 @@ def worker(spec):
 def run_all(specs):
     with ProcessPoolExecutor() as pool:
         return list(pool.map(worker, specs))
+
+
+def record(cell):
+    LEDGER.execute("SELECT 1")
+    return cell
+
+
+def run_on_pool(sink):
+    return WarmWorkerPool(2, task=record, on_result=sink)
 
 
 def child(conn, url):

@@ -6,6 +6,8 @@ import signal
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.eval.workers import WarmWorkerPool
+
 _timed_out = False  # plain flag: fine at module scope
 
 
@@ -22,6 +24,19 @@ def worker(spec):
 def run_all(specs):
     with ProcessPoolExecutor() as pool:
         return list(pool.map(worker, specs))
+
+
+def record(cell):
+    # a pool task opens what it needs inside the worker, too
+    conn = sqlite3.connect("ledger.db")
+    try:
+        return conn.execute("SELECT ?", (cell,)).fetchone()
+    finally:
+        conn.close()
+
+
+def run_on_pool(sink):
+    return WarmWorkerPool(2, task=record, on_result=sink)
 
 
 def spawn(url):

@@ -2,7 +2,8 @@
 
 ``bad_snippets.py`` exercises all three rules: a module-scope RNG and
 sqlite connection read by a worker function reached through
-``pool.map``, a connection created in the parent and passed through
+``pool.map``, a module-scope connection read by a ``WarmWorkerPool``
+``task=`` function, a connection created in the parent and passed through
 ``Process(args=...)``, and a ``print`` reachable from a registered
 SIGALRM handler.  ``good_snippets.py`` does the same jobs with
 per-worker resources and a flag-only handler.
@@ -23,6 +24,8 @@ def test_each_rule_fires(lint_fixture):
     assert "module-scope random.Random instance 'RNG'" in blob
     assert "module-scope sqlite connection 'DB'" in blob
     assert "worker-side function worker()" in blob
+    assert "module-scope sqlite connection 'LEDGER'" in blob
+    assert "worker-side function record()" in blob
     assert "sqlite connection 'conn'" in blob
     assert "passed across a fork/submit point" in blob
     assert "call to print()" in blob
@@ -33,3 +36,19 @@ def test_good_fixture_is_clean(lint_fixture):
     assert lint_fixture(
         "concurrency/good_snippets.py", only=["concurrency"]
     ) == []
+
+
+def test_pool_tasks_are_worker_side_in_the_real_tree(repo_root):
+    """The pool's worker loop calls ``task(item)``; the ``task=`` argument
+    of each ``WarmWorkerPool(...)`` must still put the code it runs on the
+    worker side, or a hoisted connection there would go unflagged."""
+
+    from repro.lint.concurrency import ConcurrencyChecker
+    from repro.lint.framework import Project
+
+    graph = Project.load([repo_root / "src" / "repro"], root=repo_root).graph()
+    side = {(ref.rel, ref.qual) for ref in ConcurrencyChecker().worker_side(graph)}
+    assert ("src/repro/eval/executors.py", "_run_spec") in side
+    assert ("src/repro/eval/runners.py", "run_cell") in side
+    assert ("src/repro/serve/pool.py", "serve_task") in side
+    assert ("src/repro/serve/api.py", "execute_request") in side

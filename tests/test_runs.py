@@ -22,6 +22,7 @@ from repro.eval import (
     sample_verifies,
 )
 from repro.eval.cache import ResultCache
+from repro.eval.executors import retry_spec
 from repro.eval.experiments import QUICK, main
 from repro.eval.metrics import CompilationResult
 from repro.registry import UnknownNameError
@@ -165,8 +166,10 @@ class TestRunPlan:
 
 class TestExecutors:
     def test_builtin_executors_registered(self):
-        assert set(executor_names()) >= {"serial", "pool", "dispatch"}
+        assert set(executor_names()) == {"serial", "pool"}
         assert get_executor("parallel").name == "pool"
+        with pytest.raises(UnknownNameError):
+            get_executor("dispatch")
 
     def test_unknown_executor_suggests(self):
         p = adhoc_plan("x", [CellSpec.make("sabre", "grid", 2)])
@@ -203,6 +206,23 @@ class TestExecutors:
         p = adhoc_plan("x", [CellSpec.make("sabre", "grid", 2)])
         with pytest.raises(ValueError, match="store="):
             execute(p, resume=True)
+
+
+class TestRetrySpec:
+    def test_default_multiplier_returns_spec_unchanged(self):
+        spec = CellSpec.make("satmap", "sycamore", 4, timeout_s=0.5)
+        assert retry_spec(spec, 1, 1.0) is spec
+
+    def test_budget_scales_per_attempt(self):
+        spec = CellSpec.make("satmap", "sycamore", 4, timeout_s=0.5)
+        assert retry_spec(spec, 1, 2.0).timeout_s == 1.0
+        assert retry_spec(spec, 2, 2.0).timeout_s == 2.0
+
+    def test_untimed_cells_and_first_attempts_unscaled(self):
+        untimed = CellSpec.make("sabre", "grid", 2)
+        assert retry_spec(untimed, 1, 2.0) is untimed
+        timed = CellSpec.make("satmap", "sycamore", 4, timeout_s=0.5)
+        assert retry_spec(timed, 0, 2.0) is timed
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +520,11 @@ class TestCLI:
         assert main(["-e", "fig27", "--profile", "paper", "--shard", "0/2"]) == 0
         out = capsys.readouterr().out
         assert "shard 0/2" in out and "run: fig27" in out
+
+    def test_jobs_zero_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["-e", "fig27", "--jobs", "0"])
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_bad_shard_spec_errors(self):
         for bad in ("zero-of-two", "2/2", "-1/2", "0/0"):

@@ -1,31 +1,13 @@
-"""The warm worker pool: prewarmed batches, crash recovery, clean drain."""
+"""The shared warm worker pool running the serve task: prewarmed batches,
+crash recovery, clean drain."""
 
 from __future__ import annotations
 
-import queue
-import threading
-
 import pytest
 
-from repro.serve import (
-    CompileRequest,
-    PoolShutdown,
-    WarmWorkerPool,
-    execute_request,
-)
-
-
-class Collector:
-    """Thread-safe sink for pool results."""
-
-    def __init__(self) -> None:
-        self.results: "queue.Queue" = queue.Queue()
-
-    def __call__(self, batch_id, rows, error) -> None:
-        self.results.put((batch_id, rows, error))
-
-    def next(self, timeout_s: float = 120.0):
-        return self.results.get(timeout=timeout_s)
+from repro.eval.workers import PoolShutdown
+from repro.serve import CompileRequest, execute_request
+from repro.serve.pool import serve_task
 
 
 def _request(seed: int, size: int = 4) -> CompileRequest:
@@ -39,21 +21,15 @@ def _request(seed: int, size: int = 4) -> CompileRequest:
 
 
 @pytest.fixture
-def pool_factory():
-    pools = []
-
+def pool_factory(make_pool):
     def _make(workers: int = 1, **kwargs) -> tuple:
-        sink = Collector()
-        pool = WarmWorkerPool(
-            workers, on_result=sink, prewarm=(("grid", 4),), **kwargs
+        pool, sink = make_pool(
+            workers, task=serve_task, prewarm=(("grid", 4),), **kwargs
         )
-        pools.append(pool)
         assert pool.wait_ready(120.0)
         return pool, sink
 
-    yield _make
-    for pool in pools:
-        pool.close(drain=False, timeout_s=5.0)
+    return _make
 
 
 def test_pool_computes_batches_in_order(pool_factory):

@@ -326,20 +326,6 @@ class TestStoreSink:
             # cell was appended on top of the two recorded ones
             assert run["appended"] == len(p.cells)
 
-    def test_dispatch_executor_records_its_run(self, tmp_path):
-        p = self._plan()
-        report = execute(
-            p, executor="dispatch", jobs=2, store=str(tmp_path / "s.db")
-        )
-        assert report.status_counts.get("ok") == 3
-        with ExperimentStore(tmp_path / "s.db") as store:
-            runs = store.list_runs()
-            assert runs[0]["executor"] == "dispatch"
-            assert store.run_results(runs[0]["id"]) == {
-                cell_key(spec): result.to_dict()
-                for spec, result in zip(p.cells, report.results)
-            }
-
 
 class TestImportLegacy:
     def test_committed_bench_snapshots_roundtrip(self, tmp_path):
