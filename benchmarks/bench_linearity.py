@@ -2,8 +2,9 @@
 
 Compiles growing instances of each architecture with the analytical mapper and
 records depth / N; the assertion is that the ratio stays bounded (heavy-hex
-~5-6, Sycamore ~8-10, lattice surgery ~13-16 with our constants -- see
-EXPERIMENTS.md for the comparison against the paper's 5N / 7N / 5N)."""
+~5-6, Sycamore ~8-10, lattice surgery ~13-16 with our constants; the
+comparison against the paper's 5N / 7N / 5N is the ROADMAP "Paper-claim
+conformance" item)."""
 
 import pytest
 

@@ -11,9 +11,10 @@ cd "$(dirname "$0")/.."
 
 # ---------------------------------------------------------------------------
 # Static invariants first: repro.lint checks determinism, cache-key purity,
-# registry hygiene and error discipline over the whole tree.  This is the
+# error discipline and fork/signal safety over the whole tree.  This is the
 # cheapest gate (a couple of seconds, no builds), so it runs before anything
-# else -- and `--lint-only` lets the dedicated CI lint job stop here.
+# else -- and `--lint-only` lets the dedicated CI lint job stop here.  Store
+# SQL, store transactions and the registries are checked by tier-1 instead.
 # ---------------------------------------------------------------------------
 # Inside GitHub Actions, findings render as workflow annotations so they
 # land on the diff; locally they stay plain file:line:checker:message.
@@ -21,9 +22,9 @@ lint_format="text"
 if [ -n "${GITHUB_ACTIONS:-}" ]; then
     lint_format="github"
 fi
-echo "=== repro.lint: static invariant checks (all seven checkers) ==="
+echo "=== repro.lint: static invariant checks (all four checkers) ==="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.lint --target src \
-    --baseline LINT_BASELINE.txt --format "$lint_format"
+    --format "$lint_format"
 echo "=== repro.lint: scripts/ + tests/ (determinism, error-discipline) ==="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.lint --target tools \
     --format "$lint_format"

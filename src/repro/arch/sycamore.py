@@ -16,7 +16,7 @@ of an ``m x m`` Sycamore patch (m even):
 adjacent rows it places the vertical (same-column) links plus one diagonal
 link per column, with the diagonal direction chosen so that each unit's two
 rows form the zigzag line.  The resulting degree is at most 4, as on the real
-device.  (DESIGN.md, "Substitutions", records this modelling choice.)
+device.  (README.md, "Substitutions", records this modelling choice.)
 """
 
 from __future__ import annotations

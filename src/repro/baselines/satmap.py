@@ -22,7 +22,8 @@ offline) by an exact uniform-cost (Dijkstra) search over
 
 The search is *provably optimal for the explored seeds* and raises
 :class:`SatmapTimeout` when the time budget is exhausted, mirroring the TLE
-behaviour reported in the paper.  DESIGN.md documents this substitution.
+behaviour reported in the paper.  README.md ("Substitutions") documents
+this substitution.
 """
 
 from __future__ import annotations

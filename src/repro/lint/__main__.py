@@ -1,18 +1,13 @@
 """CLI for ``repro.lint``: ``python -m repro.lint [paths] [options]``.
 
-Exit status is the contract CI relies on: 0 when every finding is either
-absent or absorbed by the baseline *and* the baseline has no stale
-entries; 1 otherwise.  Findings print one per line as
+Exit status is the contract CI relies on: 0 when there are no findings,
+1 otherwise.  Findings print one per line as
 ``file:line:checker:message`` (sorted, so output is diffable);
 ``--fix-hints`` adds an indented hint line under each.
 
-``--write-baseline`` bootstraps/refreshes the baseline from the current
-findings -- the only sanctioned way to edit it besides deleting lines.
-
 ``--format github`` renders findings as GitHub workflow annotations
-(``::error file=...``) so CI failures land on the diff; ``--format
-jsonl`` emits one JSON object per finding for tooling.  ``--target``
-names a preset: ``src`` is the full seven-checker run over ``src/repro``,
+(``::error file=...``) so CI failures land on the diff.  ``--target``
+names a preset: ``src`` is the full four-checker run over ``src/repro``,
 ``tools`` runs the style-portable checkers (determinism,
 error-discipline) over ``scripts/`` and ``tests/``.
 """
@@ -20,13 +15,10 @@ error-discipline) over ``scripts/`` and ``tests/``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import CHECKERS, run_lint
-from .baseline import apply_baseline, format_baseline, load_baseline
 
 #: --target presets: name -> (paths, checkers or None for all, excludes)
 #: excludes are path prefixes dropped when expanding the preset -- the
@@ -63,17 +55,6 @@ def _render(finding, fmt: str) -> str:
             f"::error file={finding.path},line={finding.line},"
             f"title=repro.lint[{finding.checker}]::{finding.message}"
         )
-    if fmt == "jsonl":
-        return json.dumps(
-            {
-                "path": finding.path,
-                "line": finding.line,
-                "checker": finding.checker,
-                "message": finding.message,
-                "hint": finding.hint,
-            },
-            sort_keys=True,
-        )
     return finding.render()
 
 
@@ -81,7 +62,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based invariant checker (determinism, cache-key "
-        "purity, registry hygiene, error discipline)",
+        "purity, error discipline, fork/signal safety)",
     )
     parser.add_argument(
         "paths", nargs="*", default=[],
@@ -93,17 +74,9 @@ def main(argv=None) -> int:
         "'tools' = determinism+error-discipline over scripts/ and tests/",
     )
     parser.add_argument(
-        "--format", dest="fmt", choices=("text", "github", "jsonl"),
+        "--format", dest="fmt", choices=("text", "github"),
         default="text",
         help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="shrink-only baseline file of grandfathered findings",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to --baseline and exit 0",
     )
     parser.add_argument(
         "--fix-hints", action="store_true",
@@ -139,49 +112,12 @@ def main(argv=None) -> int:
         paths = ["src/repro"]
 
     findings = run_lint(paths, only=only)
-
-    if args.write_baseline:
-        if not args.baseline:
-            parser.error("--write-baseline requires --baseline FILE")
-        Path(args.baseline).write_text(
-            format_baseline(findings), encoding="utf-8"
-        )
-        print(
-            f"wrote {len(findings)} grandfathered finding(s) to "
-            f"{args.baseline}"
-        )
-        return 0
-
-    baseline = Counter()
-    if args.baseline and Path(args.baseline).is_file():
-        baseline = load_baseline(Path(args.baseline))
-    new, grandfathered, stale = apply_baseline(findings, baseline)
-
-    for finding in new:
+    for finding in findings:
         print(_render(finding, args.fmt))
         if args.fmt == "text" and args.fix_hints and finding.hint:
             print(f"    hint: {finding.hint}")
-    for key in stale:
-        message = (
-            f"stale baseline entry (violation fixed -- delete the line): "
-            f"{key}"
-        )
-        if args.fmt == "github":
-            print(f"::error title=repro.lint[baseline]::{message}")
-        elif args.fmt == "jsonl":
-            print(json.dumps(
-                {"checker": "baseline", "message": message}, sort_keys=True
-            ))
-        else:
-            print(message)
-
-    summary = (
-        f"repro.lint: {len(new)} finding(s), "
-        f"{len(grandfathered)} baselined, {len(stale)} stale baseline "
-        f"entr{'y' if len(stale) == 1 else 'ies'}"
-    )
-    print(summary, file=sys.stderr)
-    return 1 if new or stale else 0
+    print(f"repro.lint: {len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ The moving parts:
 :class:`Finding`
     One structured violation, rendered ``file:line:checker:message``.
 :class:`Module` / :class:`Project`
-    Parsed source files plus the cross-file context checkers need (the
-    tests tree for registry hygiene, ``approaches.py`` for the engine
-    kwarg list).  Modules are parsed once and shared by every checker.
+    Parsed source files plus the cross-file context checkers need
+    (``approaches.py`` for the engine kwarg list).  Modules are parsed
+    once and shared by every checker.
 :func:`register_checker`
     The registration decorator, backed by the same
     :class:`~repro.registry.Registry` as workloads/approaches/
@@ -25,8 +25,7 @@ The moving parts:
 
 Suppression is per line: a ``# repro-lint: ignore[checker]`` comment on
 the flagged line silences that checker there (``ignore[a,b]`` for
-several, bare ``ignore`` for all).  Wholesale suppression goes through
-the baseline file (:mod:`repro.lint.baseline`), which may only shrink.
+several, bare ``ignore`` for all).
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ SUPPRESS_ALL: FrozenSet[str] = frozenset({"*"})
 class Finding:
     """One structured lint violation.
 
-    ``path`` is stored repo-relative (POSIX separators) so renderings and
-    baseline entries are stable across machines and working directories.
+    ``path`` is stored repo-relative (POSIX separators) so renderings are
+    stable across machines and working directories.
     ``hint`` is the suggested fix shown under ``--fix-hints``; it is not
     part of the finding's identity.
     """
@@ -75,17 +74,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.checker}:{self.message}"
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-insensitive identity used by the baseline file.
-
-        Baselined findings must survive unrelated edits shifting line
-        numbers; the (path, checker, message) triple is stable while the
-        flagged code exists at all.
-        """
-
-        return f"{self.path}:{self.checker}:{self.message}"
 
 
 def _suppressions(source: str) -> Dict[int, FrozenSet[str]]:
@@ -125,7 +113,7 @@ class Module:
     """One parsed source file plus its per-line suppression table."""
 
     path: Path  # absolute
-    rel: str  # repo-relative POSIX path (finding/baseline identity)
+    rel: str  # repo-relative POSIX path (finding identity)
     source: str
     tree: ast.Module
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
@@ -143,22 +131,13 @@ class Project:
     ``targets`` are the modules findings are reported against.  Context
     modules (``context_module``) are parsed on demand and cached -- the
     purity checker reads ``approaches.py`` for the engine kwarg list even
-    when only a subtree is being linted.  ``tests_text`` concatenates the
-    tests tree once for the registry-hygiene name search.
+    when only a subtree is being linted.
     """
 
-    def __init__(
-        self,
-        root: Path,
-        targets: Iterable[Module],
-        *,
-        tests_root: Optional[Path] = None,
-    ) -> None:
+    def __init__(self, root: Path, targets: Iterable[Module]) -> None:
         self.root = Path(root)
         self.targets: List[Module] = list(targets)
-        self.tests_root = tests_root if tests_root is not None else self.root / "tests"
         self._context_cache: Dict[str, Optional[Module]] = {}
-        self._tests_text: Optional[str] = None
         self._graph = None
         #: parse failures encountered while loading targets, as findings
         self.parse_errors: List[Finding] = []
@@ -166,11 +145,7 @@ class Project:
     # -- construction ------------------------------------------------------
     @classmethod
     def load(
-        cls,
-        paths: Iterable[Path],
-        *,
-        root: Optional[Path] = None,
-        tests_root: Optional[Path] = None,
+        cls, paths: Iterable[Path], *, root: Optional[Path] = None
     ) -> "Project":
         """Build a project from files and/or directories of ``*.py`` files."""
 
@@ -182,7 +157,7 @@ class Project:
             else:
                 files.append(p)
         root = Path(root) if root is not None else find_root(files)
-        project = cls(root, [], tests_root=tests_root)
+        project = cls(root, [])
         seen = set()
         for path in files:
             path = path.resolve()
@@ -256,20 +231,6 @@ class Project:
             self._graph = ProjectGraph(self)
         return self._graph
 
-    def tests_text(self) -> str:
-        """Concatenated source of every ``*.py`` under the tests root."""
-
-        if self._tests_text is None:
-            parts: List[str] = []
-            if self.tests_root.is_dir():
-                for path in sorted(self.tests_root.rglob("*.py")):
-                    try:
-                        parts.append(path.read_text(encoding="utf-8"))
-                    except OSError:
-                        continue
-            self._tests_text = "\n".join(parts)
-        return self._tests_text
-
 
 def find_root(files: Iterable[Path]) -> Path:
     """Nearest ancestor of the first file that looks like the repo root.
@@ -293,9 +254,9 @@ class Checker:
 
     Subclasses set ``name``/``description``/``hint`` and implement
     :meth:`check`, yielding findings over the whole project (cross-file
-    checkers -- the purity call-graph walk, registry uniqueness -- need
-    more than one module at a time).  Per-line suppression and baseline
-    subtraction are applied by the driver, not by checkers.
+    checkers -- the purity call-graph walk, fork-side reachability -- need
+    more than one module at a time).  Per-line suppression is applied by
+    :func:`run_checkers`, not by checkers.
     """
 
     name: str = ""
@@ -341,7 +302,7 @@ def run_checkers(
 
     ``only`` restricts to the named checkers (any registered spelling);
     empty/None means all.  Findings come back sorted by (path, line,
-    checker, message) so output and baselines are deterministic.
+    checker, message) so output is deterministic.
     Unparseable target files are reported as ``parse`` findings (a linter
     that silently skips what it cannot read is not checking anything).
     """

@@ -1,11 +1,11 @@
 """The whole-program index: symbols, imports, call graph, reachability.
 
-Before this module every cross-file checker hand-rolled its own
-resolution: the purity checker matched call targets by dotted-name tail,
-the hygiene checker grepped the tests tree, and a checker that needed
-"which functions run inside a forked worker?" had nowhere to ask.  The
-graph layer builds -- once per lint run, shared by every checker via
-:meth:`Project.graph` -- a project-wide index over the already-parsed
+Without this module every cross-file checker would hand-roll its own
+resolution: the purity checker would match call targets by dotted-name
+tail, and a checker that needs "which functions run inside a forked
+worker?" would have nowhere to ask.  The graph layer builds -- once per
+lint run, shared by every checker via :meth:`Project.graph` -- a
+project-wide index over the already-parsed
 :class:`~repro.lint.framework.Project`:
 
 :class:`ModuleIndex`
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .framework import Module, Project, dotted_name, iter_functions
 
@@ -197,9 +197,6 @@ class ModuleIndex:
         if node.module:
             parts = parts + node.module.split(".")
         return ".".join(parts)
-
-    def function_node(self, qual: str) -> Optional[ast.AST]:
-        return self.functions.get(qual)
 
 
 class ProjectGraph:
@@ -418,22 +415,6 @@ class ProjectGraph:
         return None
 
     # -- derived tables ----------------------------------------------------
-    def functions(self) -> Iterator[Tuple[ModuleIndex, str, ast.AST]]:
-        """Every (module index, qual, def node) over *target* modules."""
-
-        for module in self.project.targets:
-            index = self.modules.get(module.rel)
-            if index is None:
-                continue
-            for qual, node in index.functions.items():
-                yield index, qual, node
-
-    def calls_in(self, rel: str, qual: str) -> List[CallSite]:
-        index = self.modules.get(rel)
-        if index is None:
-            return []
-        return index.calls.get(qual, [])
-
     def calls_by_tail(self, tail: str) -> List[Tuple[str, str, CallSite]]:
         """Target-module call sites whose dotted name ends in ``tail``."""
 

@@ -43,6 +43,7 @@ of any key or fingerprint.
 from __future__ import annotations
 
 import sqlite3
+from typing import Callable, ContextManager
 
 __all__ = ["SCHEMA_VERSION", "ensure_schema"]
 
@@ -160,20 +161,25 @@ CREATE INDEX IF NOT EXISTS bench_cells_by_spec
 """
 
 
-def ensure_schema(conn: sqlite3.Connection) -> None:
-    """Create the schema if absent; refuse a mismatched schema version."""
+def ensure_schema(
+    conn: sqlite3.Connection,
+    transaction: Callable[[], ContextManager[sqlite3.Connection]],
+) -> None:
+    """Create the schema if absent; refuse a mismatched schema version.
+
+    ``transaction`` is the store's write-transaction factory
+    (``ExperimentStore._tx``), so the check-then-stamp below is one
+    ``BEGIN IMMEDIATE`` unit: two processes opening the same fresh database
+    serialize there instead of racing between the SELECT and the INSERT.
+    """
 
     conn.executescript(_DDL)
-    # BEGIN IMMEDIATE so the check-then-stamp below is one atomic unit:
-    # two processes opening the same fresh database serialize here instead
-    # of racing between the SELECT and the INSERT.
-    conn.execute("BEGIN IMMEDIATE")
-    try:
-        row = conn.execute(
+    with transaction() as tx:
+        row = tx.execute(
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
         if row is None:
-            conn.execute(
+            tx.execute(
                 "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
@@ -183,7 +189,3 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
                 "this database was written by an incompatible repro version -- "
                 "export with its own tooling, or start a fresh store"
             )
-        conn.execute("COMMIT")
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise

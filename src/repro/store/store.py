@@ -196,7 +196,7 @@ class ExperimentStore:
         cur.execute(f"PRAGMA synchronous = {synchronous.upper()}")
         cur.execute("PRAGMA foreign_keys = ON")
         with self._lock:
-            ensure_schema(self._conn)
+            ensure_schema(self._conn, self._tx)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -217,16 +217,6 @@ class ExperimentStore:
         return _Transaction(self._conn, self._lock)
 
     # -- cells (the cache) ---------------------------------------------
-    def record_code_version(self, version: Optional[str]) -> None:
-        if not version:
-            return
-        with self._tx() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO code_versions (version, first_seen) "
-                "VALUES (?, ?)",
-                (version, _utc_now()),
-            )
-
     def _cell_row(
         self,
         key: str,

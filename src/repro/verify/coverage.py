@@ -174,6 +174,9 @@ def check_mapped_qft_structure(
             if la < 0 or lb < 0 or la >= n or lb >= n:
                 report.add_error(f"op {pos}: CPHASE on unknown logical qubits {(la, lb)}")
                 continue
+            if la == lb:
+                report.add_error(f"op {pos}: CPHASE on one logical qubit {la}")
+                continue
             lo, hi = (la, lb) if la < lb else (lb, la)
             pair_seen[(lo, hi)] = pair_seen.get((lo, hi), 0) + 1
             expected_angle = qft_angle(lo, hi)

@@ -27,7 +27,8 @@ class TestLatticeSurgeryMapper:
         n = topo.num_qubits
         mapped = LatticeSurgeryQFTMapper(topo).map_qft()
         # paper: ~5N; our row-unit construction has a larger constant but must
-        # stay linear in N (DESIGN.md discusses the constant-factor gap)
+        # stay linear in N (the ROADMAP "Paper-claim conformance" item
+        # measures the constant-factor gap)
         assert mapped.depth() <= 20 * n + 60
 
     def test_weighted_depth_exceeds_unit_depth(self):

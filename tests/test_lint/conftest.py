@@ -16,6 +16,7 @@ from typing import List
 import pytest
 
 from repro.lint import run_lint
+from repro.lint.framework import Project, run_checkers
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -54,18 +55,15 @@ def lint_purity_fixture():
 
 
 @pytest.fixture(scope="session")
-def lint_sql_fixture():
-    """Lint one store/ file of the sql mini-project (root = the project)."""
+def real_tree():
+    """``(project, findings)`` for ``src/repro`` under every checker.
 
-    def _lint(filename: str):
-        root = FIXTURES / "sql"
-        return run_lint(
-            [root / "src" / "repro" / "store" / filename],
-            root=root,
-            only=["sql-schema"],
-        )
+    The one whole-tree lint run of the suite: the clean-tree assertion
+    and the worker-side reachability test share it (and its call graph).
+    """
 
-    return _lint
+    project = Project.load([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    return project, run_checkers(project)
 
 
 @pytest.fixture(scope="session")

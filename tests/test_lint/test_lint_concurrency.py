@@ -38,15 +38,15 @@ def test_good_fixture_is_clean(lint_fixture):
     ) == []
 
 
-def test_pool_tasks_are_worker_side_in_the_real_tree(repo_root):
+def test_pool_tasks_are_worker_side_in_the_real_tree(real_tree):
     """The pool's worker loop calls ``task(item)``; the ``task=`` argument
     of each ``WarmWorkerPool(...)`` must still put the code it runs on the
     worker side, or a hoisted connection there would go unflagged."""
 
     from repro.lint.concurrency import ConcurrencyChecker
-    from repro.lint.framework import Project
 
-    graph = Project.load([repo_root / "src" / "repro"], root=repo_root).graph()
+    project, _ = real_tree
+    graph = project.graph()
     side = {(ref.rel, ref.qual) for ref in ConcurrencyChecker().worker_side(graph)}
     assert ("src/repro/eval/executors.py", "_run_spec") in side
     assert ("src/repro/eval/runners.py", "run_cell") in side

@@ -1,5 +1,7 @@
 """Registry behaviour: suggestions, duplicates, synonyms, cache policy."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -15,8 +17,14 @@ from repro import (
 )
 from repro.approaches import APPROACH_REGISTRY
 from repro.arch.registry import ARCHITECTURES
+from repro.core.mapper import _SPECIALISTS
 from repro.eval import CellSpec, ResultCache, run_specs
+from repro.eval.executors import EXECUTOR_REGISTRY
+from repro.eval.runs import EXPERIMENT_REGISTRY
+from repro.lint import CHECKERS
 from repro.workloads import WORKLOADS
+
+TESTS_ROOT = Path(__file__).resolve().parent
 
 
 class TestRegistryCore:
@@ -93,6 +101,40 @@ class TestBuiltinRegistries:
             WORKLOADS.register("qft", object())
         with pytest.raises(DuplicateRegistrationError):
             ARCHITECTURES.register("heavy-hex", object())
+
+    def test_every_builtin_entry_is_documented_and_named_by_a_test(self):
+        """Each registered object carries a docstring (an experiment may
+        give a ``description=`` instead; ``--list`` output and the README
+        tables are generated from registrations), and each
+        canonical name is spelled in quotes somewhere under ``tests/``, so a
+        name cannot break or vanish without a test noticing.  Colliding
+        synonyms need no check here: ``Registry.register`` refuses them at
+        import time."""
+
+        docs = {
+            APPROACH_REGISTRY: lambda entry: entry.factory.__doc__,
+            ARCHITECTURES: lambda entry: entry.factory.__doc__,
+            WORKLOADS: lambda entry: type(entry).__doc__,
+            EXECUTOR_REGISTRY: lambda entry: type(entry).__doc__,
+            EXPERIMENT_REGISTRY: lambda entry: entry.description,
+            CHECKERS: lambda entry: type(entry).__doc__,
+        }
+        tests = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(TESTS_ROOT.rglob("*.py"))
+        )
+        undocumented, unnamed = [], []
+        for registry, doc in docs.items():
+            for name, entry in registry.items():
+                if not (doc(entry) or "").strip():
+                    undocumented.append(f"{registry.kind} {name!r}")
+                if f'"{name}"' not in tests and f"'{name}'" not in tests:
+                    unnamed.append(f"{registry.kind} {name!r}")
+        for topology, factory in _SPECIALISTS.items():
+            if not (factory.__doc__ or "").strip():
+                undocumented.append(f"specialist for {topology.__name__}")
+        assert undocumented == []
+        assert unnamed == []
 
     def test_approach_entry_carries_allowed_kwargs(self):
         assert get_approach("sabre").allowed_kwargs == {

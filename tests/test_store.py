@@ -105,6 +105,43 @@ class TestStoreCore:
             assert rows[0]["depth"] == 40  # metric lifted from the result JSON
             assert store.query_cells(min_qubits=10) == []
 
+    def test_limit_caps_every_listing(self, tmp_path):
+        cell = {"workload": "qft", "approach": "sabre", "kind": "grid"}
+        with ExperimentStore(tmp_path / "s.db") as store:
+            for i in range(3):
+                store.put_cell(
+                    f"{i}" * 24,
+                    _result(),
+                    identity=identity_columns("sabre", "grid", 3 + i),
+                )
+                store.finish_run(store.begin_run({"experiment": f"e{i}"}))
+                store.record_bench(
+                    {"suite": "smoke", "groups": [
+                        {"name": "g", "cells": [{**cell, "size": 3 + i}]}
+                    ]}
+                )
+            assert [r["size"] for r in store.query_cells(limit=2)] == [3, 4]
+            assert [r["experiment"] for r in store.list_runs(limit=2)] == [
+                "e2", "e1",
+            ]
+            assert [r["size"] for r in store.bench_history(limit=2)] == [3, 4]
+
+    def test_raising_transaction_rolls_back_and_releases_the_lock(
+        self, tmp_path
+    ):
+        path = tmp_path / "s.db"
+        with ExperimentStore(path) as store:
+            with pytest.raises(RuntimeError, match="boom"):
+                with store._tx() as conn:
+                    conn.execute(
+                        "INSERT INTO code_versions (version, first_seen) "
+                        "VALUES ('v1', 'now')"
+                    )
+                    raise RuntimeError("boom")
+            assert store.code_versions() == []
+            assert not store._conn.in_transaction
+            _assert_write_lock_free(path)
+
     def test_gc_drops_only_named_versions_and_keeps_history(self, tmp_path):
         with ExperimentStore(tmp_path / "s.db") as store:
             store.put_cell("a" * 24, _result(), code="v1")
@@ -124,14 +161,24 @@ class TestStoreCore:
     def test_schema_version_mismatch_refuses_to_open(self, tmp_path):
         path = tmp_path / "s.db"
         ExperimentStore(path).close()
-        import sqlite3
-
         conn = sqlite3.connect(path)
         conn.execute("UPDATE meta SET value = '999' WHERE key = 'schema_version'")
         conn.commit()
         conn.close()
         with pytest.raises(ValueError, match="schema version"):
             ExperimentStore(path)
+        _assert_write_lock_free(path)
+
+
+def _assert_write_lock_free(path):
+    """A second connection can take the write lock at once (no waiting)."""
+
+    other = sqlite3.connect(path, timeout=0, isolation_level=None)
+    try:
+        other.execute("BEGIN IMMEDIATE")
+        other.execute("ROLLBACK")
+    finally:
+        other.close()
 
 
 class TestStoreBackedCache:

@@ -136,6 +136,17 @@ class TestDetectsDefects:
         rep = check_mapped_qft_structure(with_ops(mapped, bad_ops), 3)
         assert not rep.ok
 
+    def test_cphase_with_two_equal_logical_stamps_is_reported(self):
+        mapped = good_mapped_qft(3)
+        bad_ops = list(mapped.ops)
+        pos, op = next(
+            (i, op) for i, op in enumerate(bad_ops) if op.kind == GateKind.CPHASE
+        )
+        bad_ops[pos] = Op(op.kind, op.physical, (0, 0), op.angle)
+        rep = check_mapped_qft_structure(with_ops(mapped, bad_ops), 3)
+        assert not rep.ok
+        assert f"op {pos}: CPHASE on one logical qubit 0" in rep.errors
+
     def test_strict_order_check_flags_relaxed_schedules(self):
         # our mappers use relaxed ordering; a strict-order check should
         # eventually flag some circuit produced from the relaxed rules
