@@ -12,17 +12,50 @@ A mapped circuit is a *correct* hardware QFT kernel iff
    ``H(i) < CPHASE(i, j) < H(j)`` (and additionally Type I when a mapper
    claims strict ordering).
 
-These checks are cheap (linear in the number of ops) so they run on every
-size used in the evaluation, including 1024-qubit lattice-surgery instances.
-The statevector cross-check lives in :mod:`repro.verify.checker` and is only
-applied to small instances.
+Two implementations check these, and they split the work: an array proof
+decides, and a loop explains.
+
+* **The proof** (:func:`_qft_proved`, with :func:`_proved_stamps` for checks
+  1 and 2) reads the op columns into narrow numpy arrays and decides pass or
+  fail with whole-array operations.  Two-qubit ops are looked up as
+  ``lo*N+hi`` codes in the sorted edge codes.  For the stamps, the operand
+  incidences (slot ``2i`` is ``p0`` of op ``i``, slot ``2i+1`` its ``p1``)
+  are stable-sorted by physical qubit, so each one follows the previous
+  incidence on its qubit in op order.  Each stamp must equal what that
+  predecessor left there (the other operand's stamp after a SWAP, the same
+  stamp otherwise), or the initial layout's occupant (``-1`` on an empty
+  site) for the first.  This passes exactly when the SWAP replay passes: if
+  every stamp is honest, the values the incidences leave are the replayed
+  layout; otherwise the first dishonest stamp in op order is compared with
+  an honest predecessor, so it is caught.  Coverage, angles and Type II
+  order are counts, a sort of the pair codes, a per-distance angle table
+  and a comparison with each qubit's H position.
+* **The loop** (:func:`_check_qft_by_loop`, with :func:`check_stamps` for
+  checks 1 and 2) replays the stream op by op and writes the error
+  messages and counts.  It is the reference, and it runs only when the
+  proof fails (or for ``strict_order``), so a failing circuit gets the same
+  report either way.
+
+The proof is never more lenient than the loop.  It also refuses what the
+loop can overlook: an operand or an initial placement off the device, or a
+column value too wide for the proof's integer dtype.  Such a circuit goes to
+the loop, which then decides.
+
+Both are linear in the number of ops (the proof's sort is a radix sort on
+``int16`` sites below 32,768 qubits), so they run on every size used in the
+evaluation, including 1024-qubit lattice-surgery instances.  The statevector
+cross-check lives in :mod:`repro.verify.checker` and is only applied to
+small instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..circuit.dag import qft_type1_order_ok, qft_type2_order_ok
 from ..circuit.gates import (
@@ -41,6 +74,9 @@ _CPHASE = KIND_CODES[GateKind.CPHASE]
 _SWAP = KIND_CODES[GateKind.SWAP]
 _BARRIER = KIND_CODES[GateKind.BARRIER]
 _TWO_QUBIT_CODES = frozenset(KIND_CODES[kind] for kind in TWO_QUBIT_KINDS)
+#: indexed by a kind code viewed as uint8: does the op take two qubits?
+_IS_TWO_QUBIT = np.zeros(256, dtype=bool)
+_IS_TWO_QUBIT[sorted(_TWO_QUBIT_CODES)] = True
 
 
 @dataclass
@@ -140,6 +176,173 @@ def check_stamps(mapped: MappedCircuit, add_error: Callable[[str], None]) -> Non
                 phys_to_log[b] = ea
 
 
+def _outside(values: np.ndarray, bound: int) -> bool:
+    """True if any value lies outside ``0..bound-1``."""
+
+    return bool(values.size) and (values.min() < 0 or values.max() >= bound)
+
+
+def _proved_stamps(mapped: MappedCircuit) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Array proof of checks 1 and 2, over an injective on-device layout.
+
+    Returns the kind codes (``int8``) and the interleaved logical stamps
+    (slot ``2i`` holds ``l0`` of op ``i``, slot ``2i+1`` its ``l1``) when the
+    proof passes, ``None`` when it fails; :func:`check_stamps` explains a
+    failure.  Temporaries are deleted as soon as they are used: the sort
+    order (8 bytes per incidence) dominates the peak.
+    """
+
+    ops = mapped.ops
+    k = len(ops)
+    nq = mapped.topology.num_qubits
+    # sites 0..nq-1, the sentinel nq and stamps -1..nq-1 in the narrowest dtype
+    site_t = np.int16 if nq < 2**15 else np.int32 if nq < 2**31 else np.int64
+    try:
+        placed = np.array(mapped.initial_layout, dtype=np.int64)
+        kinds = np.array(ops.kinds, dtype=np.int8)
+        phys = np.empty(2 * k, dtype=site_t)
+        phys[0::2] = ops.p0
+        phys[1::2] = ops.p1
+        stamps = np.empty(2 * k, dtype=site_t)
+        stamps[0::2] = ops.l0
+        stamps[1::2] = ops.l1
+    except (OverflowError, TypeError, ValueError):
+        return None  # a value too wide for these dtypes, or not an int
+
+    # The initial layout, range-checked before it indexes anything (a
+    # negative index would wrap).
+    if placed.size > nq or _outside(placed, nq):
+        return None
+    occupant = np.full(nq, -1, dtype=site_t)
+    occupant[placed] = np.arange(placed.size)
+    if np.count_nonzero(occupant >= 0) != placed.size:
+        return None  # two logical qubits on one site
+
+    # Mask by kind, not by value: a barrier has no operand and a
+    # single-qubit op no second one.  Their slots go on the sentinel site
+    # nq, which sorts after every real one.
+    barrier = kinds == _BARRIER
+    two = _IS_TWO_QUBIT[kinds.view(np.uint8)]
+    phys[0::2][barrier] = nq
+    phys[1::2][~two] = nq
+    incidences = 2 * k - np.count_nonzero(barrier) - (k - np.count_nonzero(two))
+    del barrier
+    if _outside(phys, nq + 1):
+        return None
+
+    # 1: every two-qubit op on a coupling edge, as lo*nq+hi codes
+    code_t = np.int32 if (nq + 1) ** 2 < 2**31 else np.int64
+    pairs = phys.reshape(-1, 2)[two].astype(code_t)
+    del two
+    codes = pairs.min(axis=1)
+    codes *= nq
+    codes += pairs.max(axis=1)
+    del pairs
+    if codes.size:
+        # the coupling set's (lo, hi) pairs, sorted, give sorted codes
+        edges = np.array(sorted(mapped.topology.edge_set), dtype=np.int64).reshape(-1, 2)
+        edge_codes = edges[:, 0] * nq + edges[:, 1]
+        if not edge_codes.size:
+            return None
+        at = edge_codes.searchsorted(codes)
+        np.minimum(at, edge_codes.size - 1, out=at)
+        if not (edge_codes[at] == codes).all():
+            return None
+        del at
+    del codes
+
+    # 2: what each incidence leaves on its site: after a SWAP the other
+    # operand's stamp, after any other op its own
+    swap = kinds == _SWAP
+    left = stamps.copy()
+    left[0::2][swap] = stamps[1::2][swap]
+    left[1::2][swap] = stamps[0::2][swap]
+    del swap
+    order = phys.argsort(kind="stable")[:incidences]
+    site = phys[order]
+    del phys
+    if incidences and site[-1] == nq:
+        return None  # an operand on the sentinel, i.e. off the device
+    after = left[order]
+    del left
+    seen = stamps[order]
+    del order
+    # Each stamp must be what the previous incidence on its site left, or
+    # the initial occupant (-1 on an empty site) at a site's first.
+    expected = np.empty_like(seen)
+    expected[1:] = after[:-1]
+    del after
+    first = np.empty(site.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(site[1:], site[:-1], out=first[1:])
+    expected[first] = occupant[site[first]]
+    if not (seen == expected).all():
+        return None
+    return kinds, stamps
+
+
+def _qft_proved(mapped: MappedCircuit, n: int, angle_atol: float) -> bool:
+    """Array proof of checks 1-5 (Type II order only): True iff they hold.
+
+    Never more lenient than :func:`_check_qft_by_loop`, and agrees with it
+    on every circuit whose operands and initial placements are on the
+    device.  Builds no per-pair Python set, event list or dict.
+    """
+
+    proved = _proved_stamps(mapped)
+    if proved is None:
+        return False
+    kinds, stamps = proved
+    la, lb = stamps[0::2], stamps[1::2]
+
+    # 3: one H per logical qubit
+    is_h = kinds == _H
+    h_at = np.flatnonzero(is_h)
+    h_on = la[is_h]
+    del is_h
+    if h_at.size != n or _outside(h_on, n):
+        return False
+    if n and np.bincount(h_on).max() != 1:
+        return False
+    h_pos = np.empty(n, dtype=np.int64)
+    h_pos[h_on] = h_at
+
+    # 4: one CPHASE per pair, at its angle
+    is_cp = kinds == _CPHASE
+    if np.count_nonzero(is_cp) != n * (n - 1) // 2:
+        return False
+    if n < 2:
+        return True
+    a, b = la[is_cp], lb[is_cp]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    del a, b
+    if _outside(lo, n) or _outside(hi, n) or (lo == hi).any():
+        return False
+    try:
+        angles = np.array(list(compress(mapped.ops.angles, is_cp.tobytes())), dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        return False  # the loop explains (or raises on) what is not a float
+    table = np.array([0.0] + [qft_angle(0, d) for d in range(1, n)])
+    if not (np.abs(angles - table[hi - lo]) <= angle_atol).all():
+        return False
+    del angles
+
+    # 5: Type II order, H(lo) < CPHASE(lo, hi) < H(hi)
+    cp_at = np.flatnonzero(is_cp)
+    del is_cp
+    if (h_pos[lo] > cp_at).any() or (h_pos[hi] < cp_at).any():
+        return False
+    del cp_at
+
+    pair_t = np.int32 if n * n < 2**31 else np.int64
+    pairs = lo.astype(pair_t)
+    pairs *= n
+    pairs += hi
+    del lo, hi
+    pairs.sort()
+    return not (pairs[1:] == pairs[:-1]).any()
+
+
 def check_mapped_qft_structure(
     mapped: MappedCircuit,
     num_qubits: Optional[int] = None,
@@ -147,9 +350,28 @@ def check_mapped_qft_structure(
     strict_order: bool = False,
     angle_atol: float = 1e-9,
 ) -> CoverageReport:
-    """Run all structural checks on a mapped QFT circuit."""
+    """Run all structural checks on a mapped QFT circuit.
+
+    The array proof decides; when it fails (or ``strict_order`` asks for
+    the Type I check too) the op-by-op loop runs and writes the report.
+    """
 
     n = num_qubits if num_qubits is not None else mapped.num_logical
+    if not strict_order and _qft_proved(mapped, n, angle_atol):
+        return CoverageReport(
+            num_logical=n,
+            h_count=n,
+            cphase_count=n * (n - 1) // 2,
+            swap_count=mapped.swap_count(),
+        )
+    return _check_qft_by_loop(mapped, n, strict_order, angle_atol)
+
+
+def _check_qft_by_loop(
+    mapped: MappedCircuit, n: int, strict_order: bool, angle_atol: float
+) -> CoverageReport:
+    """The reference: checks 1-5 op by op, with a message per violation."""
+
     report = CoverageReport(num_logical=n)
 
     # 1 + 2: adjacency and honest logical stamps -------------------------------

@@ -12,8 +12,14 @@ our reproduction: it can
   each op, so SWAP tracking is already folded in) and compare against the
   reference.
 
-Everything is vectorised with numpy reshape/transpose tricks; a 10-qubit
-unitary check takes milliseconds, which keeps the property-based tests fast.
+Gates act on a trailing batch axis too: ``apply_gate`` takes a state of
+shape ``(2^n,)`` or a batch of shape ``(2^n, k)``, one state per column, and
+applies the gate to all of them with one reshape and one small matrix
+product.  A unitary is therefore built from the identity with each gate
+applied once to the whole ``2^n x 2^n`` matrix: about a millisecond for a
+5-qubit QFT and tens of milliseconds at 8 qubits (the largest instance the
+verifiers cross-check by default), which keeps the property-based tests
+fast.
 """
 
 from __future__ import annotations
@@ -51,33 +57,37 @@ def _single_qubit_matrix(kind: str, angle: Optional[float]) -> np.ndarray:
 
 
 def _apply_single(state: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to qubit ``q`` of an ``n``-qubit state.
+    """Apply a 2x2 matrix to qubit ``q`` of an ``n``-qubit state or of each
+    column of a ``(2^n, k)`` batch of states.
 
     Qubit 0 is the most significant bit of the basis-state index (the usual
     "qubit 0 on top of the circuit diagram" convention).
     """
 
-    state = state.reshape((2,) * n)
+    out_shape = state.shape
+    state = state.reshape((2,) * n + (-1,))
     state = np.moveaxis(state, q, 0)
     shape = state.shape
     state = state.reshape(2, -1)
     state = mat @ state
     state = state.reshape(shape)
     state = np.moveaxis(state, 0, q)
-    return state.reshape(-1)
+    return state.reshape(out_shape)
 
 
 def _apply_two(state: np.ndarray, n: int, a: int, b: int, mat4: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 matrix to qubits (a, b); ``a`` indexes the first factor."""
+    """Apply a 4x4 matrix to qubits (a, b) of a state or a batch of states;
+    ``a`` indexes the first factor."""
 
-    state = state.reshape((2,) * n)
+    out_shape = state.shape
+    state = state.reshape((2,) * n + (-1,))
     state = np.moveaxis(state, (a, b), (0, 1))
     shape = state.shape
     state = state.reshape(4, -1)
     state = mat4 @ state
     state = state.reshape(shape)
     state = np.moveaxis(state, (0, 1), (a, b))
-    return state.reshape(-1)
+    return state.reshape(out_shape)
 
 
 def _cphase_matrix(angle: float) -> np.ndarray:
@@ -107,7 +117,8 @@ _CNOT_MATRIX = np.array(
 
 def apply_gate(state: np.ndarray, n: int, kind: str, qubits: Sequence[int],
                angle: Optional[float] = None) -> np.ndarray:
-    """Apply one gate to an ``n``-qubit statevector and return the new state."""
+    """Apply one gate to an ``n``-qubit statevector, or to every column of a
+    ``(2^n, k)`` batch of them, and return the new state(s)."""
 
     if kind in (GateKind.H, GateKind.RZ):
         (q,) = qubits
@@ -147,34 +158,21 @@ def simulate_circuit(circuit: Circuit, state: Optional[np.ndarray] = None) -> np
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary of a logical circuit (dimension ``2^n``; keep n small)."""
 
-    n = circuit.num_qubits
-    dim = 2 ** n
-    unitary = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        # apply the gate to every column at once
-        unitary = unitary.reshape(dim, dim)
-        cols = []
-        # vectorised: treat the unitary's columns as a batch of states
-        state_batch = unitary.T.reshape(dim, dim)
-        new_batch = np.empty_like(state_batch)
-        for i in range(dim):
-            new_batch[i] = apply_gate(state_batch[i], n, gate.kind, gate.qubits, gate.angle)
-        unitary = new_batch.T
-    return unitary
+    return mapped_events_unitary(
+        circuit.num_qubits, ((g.kind, g.qubits, g.angle) for g in circuit.gates)
+    )
 
 
 def mapped_events_unitary(n: int, events: Iterable[Tuple[str, Tuple[int, ...], Optional[float]]]) -> np.ndarray:
-    """Unitary of a sequence of logical events (kind, logical qubits, angle)."""
+    """Unitary of a sequence of logical events (kind, logical qubits, angle).
 
-    dim = 2 ** n
-    basis = np.eye(dim, dtype=complex)
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        state = basis[:, col].copy()
-        for kind, qubits, angle in events:
-            state = apply_gate(state, n, kind, qubits, angle)
-        out[:, col] = state
-    return out
+    Each event is applied once, to all ``2^n`` columns of the identity.
+    """
+
+    unitary = np.eye(2 ** n, dtype=complex)
+    for kind, qubits, angle in events:
+        unitary = apply_gate(unitary, n, kind, qubits, angle)
+    return unitary
 
 
 def qft_reference_unitary(n: int, *, bit_reversed_output: bool = True) -> np.ndarray:

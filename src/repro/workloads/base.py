@@ -32,6 +32,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.schedule import MappedCircuit
 from ..registry import Registry, UnsupportedWorkload
 from ..utils import BoundedCache
+from ..verify.checker import DEFAULT_STATEVECTOR_LIMIT
 from ..verify.generic import check_mapped_matches_circuit
 from ..verify.statevector import (
     circuit_unitary,
@@ -47,9 +48,6 @@ __all__ = [
     "get_workload",
     "workload_names",
 ]
-
-#: above this qubit count the dense unitary cross-check is skipped
-DEFAULT_STATEVECTOR_LIMIT = 8
 
 
 @dataclass

@@ -72,6 +72,28 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(basis(1, 0), 1, "foo", (0,))
 
+    @pytest.mark.parametrize(
+        "kind,qubits,angle",
+        [
+            (GateKind.H, (1,), None),
+            (GateKind.RZ, (2,), 0.3),
+            (GateKind.CPHASE, (2, 0), 0.7),
+            (GateKind.SWAP, (0, 2), None),
+            (GateKind.CNOT, (2, 1), None),
+        ],
+    )
+    def test_batch_equals_one_call_per_column(self, kind, qubits, angle):
+        n, k = 3, 5
+        batch = np.stack([random_state(n, seed=s) for s in range(k)], axis=1)
+        out = apply_gate(batch, n, kind, qubits, angle)
+        assert out.shape == (2 ** n, k)
+        # The matrix product may sum its (at most 4) terms in another order
+        # for a wider batch: allow a few ulps of a unit-norm amplitude.
+        atol = 4 * np.finfo(float).eps
+        for col in range(k):
+            single = apply_gate(batch[:, col].copy(), n, kind, qubits, angle)
+            assert np.allclose(out[:, col], single, rtol=0.0, atol=atol)
+
 
 class TestSimulateCircuit:
     def test_default_initial_state_is_all_zero(self):

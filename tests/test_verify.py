@@ -1,16 +1,35 @@
 """Tests for the QFT verifier: it must accept correct circuits and pinpoint
-every class of defect (the paper's 'open-source simulator to check correctness')."""
+every class of defect (the paper's 'open-source simulator to check correctness').
+
+The array proof decides pass or fail and the op-by-op loop explains a
+failure, so the last part checks that their verdicts agree on corrupted
+circuits and that the proof stays lean."""
+
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.approaches import make_mapper
 from repro.arch import LNNTopology
-from repro.circuit import GateKind, MappingBuilder, Op, qft_angle
+from repro.arch.registry import make_architecture
+from repro.circuit import GateKind, MappedCircuit, MappingBuilder, Op, qft_angle
+from repro.circuit.gates import KIND_NAMES
+from repro.circuit.schedule import OpStream
 from repro.core import LNNQFTMapper
 from repro.verify import (
     VerificationResult,
     check_mapped_qft_structure,
     verify_mapped_qft,
 )
+from repro.verify.coverage import (
+    _check_qft_by_loop,
+    _proved_stamps,
+    _qft_proved,
+    check_stamps,
+)
+from repro.workloads import get_workload
 
 from helpers import with_ops
 
@@ -171,3 +190,207 @@ class TestDetectsDefects:
         res = verify_mapped_qft(good_mapped_qft(3), 3)
         assert isinstance(res, VerificationResult)
         assert res.ok == (res.structure.ok and res.unitary_ok)
+
+
+# ---------------------------------------------------------------------------
+# The array proof decides, the loop explains: they must agree
+# ---------------------------------------------------------------------------
+
+#: (approach, architecture, size, workload, qubits or None, workload params)
+QFT_CELLS = (
+    ("ours", "heavyhex", 3, "qft", None, {}),
+    ("ours", "grid", 3, "qft", None, {}),
+    ("ours", "sycamore", 4, "qft", None, {}),
+    ("ours", "lattice", 4, "qft", None, {}),
+    ("lnn", "lattice", 4, "qft", None, {}),
+    ("sabre", "grid", 4, "qft", None, {}),
+    ("greedy", "grid", 4, "qft", None, {}),
+)
+GENERIC_CELLS = (
+    ("sabre", "grid", 3, "qaoa", 9, {"seed": 1}),
+    ("greedy", "grid", 3, "qaoa", 6, {"seed": 1}),
+    ("sabre", "grid", 3, "random", 9, {"seed": 2}),
+    ("greedy", "grid", 3, "random", 9, {"seed": 2}),
+)
+CORRUPTIONS = (
+    "stamp", "operand", "angle", "kind", "drop", "duplicate", "reorder", "layout",
+)
+_COLUMNS = ("kinds", "p0", "p1", "l0", "l1", "angles", "tags")
+
+
+def _map_cell(approach, kind, size, workload, qubits, params):
+    topology = make_architecture(kind, size)
+    n = qubits or topology.num_qubits
+    mapped = get_workload(workload).map_with(make_mapper(approach, topology), n, **params)
+    # Every placed logical qubit carries a stamp somewhere, so an off-device
+    # placement shows in the loop too (the proof refuses it outright).
+    stamped = set(mapped.ops.l0) | set(mapped.ops.l1)
+    assert stamped >= set(range(len(mapped.initial_layout)))
+    return mapped, n
+
+
+@pytest.fixture(scope="module")
+def qft_cells():
+    return [_map_cell(*cell) for cell in QFT_CELLS]
+
+
+@pytest.fixture(scope="module")
+def generic_cells():
+    return [_map_cell(*cell) for cell in GENERIC_CELLS]
+
+
+def _corrupt(mapped, data):
+    """``mapped`` with one drawn corruption, built from edited columns."""
+
+    columns = {name: list(getattr(mapped.ops, name)) for name in _COLUMNS}
+    layout = list(mapped.initial_layout)
+    k, nq, placed = len(columns["kinds"]), mapped.topology.num_qubits, len(layout)
+    what = data.draw(st.sampled_from(CORRUPTIONS), label="corruption")
+    i = data.draw(st.integers(0, k - 2), label="op")
+    if what == "stamp":
+        column = data.draw(st.sampled_from(("l0", "l1")))
+        columns[column][i] = data.draw(st.integers(-2, placed + 1))
+    elif what == "operand":
+        column = data.draw(st.sampled_from(("p0", "p1")))
+        columns[column][i] = data.draw(st.integers(-2, nq + 1))
+    elif what == "angle":
+        angle = columns["angles"][i]
+        options = [None] if angle is None else [None, angle + 1e-6, angle - 1e-6, angle + 1e-10]
+        columns["angles"][i] = data.draw(st.sampled_from(options))
+    elif what == "kind":
+        columns["kinds"][i] = data.draw(st.integers(0, len(KIND_NAMES) - 1))
+    elif what == "drop":
+        for column in columns.values():
+            del column[i]
+    elif what == "duplicate":
+        for column in columns.values():
+            column.insert(i, column[i])
+    elif what == "reorder":
+        for column in columns.values():
+            column[i], column[i + 1] = column[i + 1], column[i]
+    else:
+        j = data.draw(st.integers(0, placed - 1))
+        if data.draw(st.booleans(), label="move on the device"):
+            # to an empty site, or an exchange with the logical qubit there
+            site = data.draw(st.integers(0, nq - 1))
+            if site in layout:
+                layout[layout.index(site)] = layout[j]
+            layout[j] = site
+        else:  # off the device, or onto another logical qubit's site
+            layout[j] = data.draw(st.sampled_from((-1, -2, nq, nq + 3, layout[(j + 1) % placed])))
+    ops = OpStream(*(columns[name] for name in _COLUMNS))
+    return MappedCircuit(mapped.topology, mapped.num_logical, layout, ops, mapped.name)
+
+
+class TestArrayProofAgreesWithLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_qft_verdicts_agree_on_single_corruptions(self, qft_cells, data):
+        mapped, n = qft_cells[data.draw(st.integers(0, len(qft_cells) - 1), label="cell")]
+        bad = _corrupt(mapped, data)
+        loop = _check_qft_by_loop(bad, n, False, 1e-9)
+        assert _qft_proved(bad, n, 1e-9) == loop.ok, loop.summary()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stamp_verdicts_agree_on_single_corruptions(self, generic_cells, data):
+        mapped, _ = generic_cells[data.draw(st.integers(0, len(generic_cells) - 1), label="cell")]
+        bad = _corrupt(mapped, data)
+        errors = []
+        check_stamps(bad, errors.append)
+        injective = len(set(bad.initial_layout)) == len(bad.initial_layout)
+        assert (_proved_stamps(bad) is not None) == (injective and not errors), errors
+
+    def test_passing_report_equals_the_loops(self, qft_cells):
+        for mapped, n in qft_cells:
+            assert check_mapped_qft_structure(mapped, n) == _check_qft_by_loop(mapped, n, False, 1e-9)
+
+    def test_off_device_placement_fails_the_proof_and_the_loop_explains(self):
+        # The honest ops of a 2-qubit QFT, with logical 1 placed off the
+        # device: numpy would wrap the -1 to the last site.
+        ops = [
+            Op(GateKind.H, (0,), (0,)),
+            Op(GateKind.CPHASE, (0, 1), (0, 1), qft_angle(0, 1)),
+            Op(GateKind.H, (1,), (1,)),
+        ]
+        mapped = MappedCircuit(LNNTopology(2), 2, [0, -1], ops)
+        assert not _qft_proved(mapped, 2, 1e-9)
+        rep = check_mapped_qft_structure(mapped, 2)
+        assert not rep.ok
+        assert "op 1: logical stamp (0, 1) does not match tracked layout (0, -1)" in rep.errors
+
+    @pytest.mark.parametrize("site", [-1, 3, 4])
+    def test_single_qubit_op_off_the_device_fails_the_proof(self, site):
+        mapped = good_mapped_qft(3)
+        ops = list(mapped.ops)
+        h = next(i for i, op in enumerate(ops) if op.kind == GateKind.H)
+        ops[h] = Op(GateKind.H, (site,), ops[h].logical)
+        bad = with_ops(mapped, ops)
+        assert _proved_stamps(bad) is None
+        rep = check_mapped_qft_structure(bad, 3)
+        assert f"op {h}: logical stamp {ops[h].logical} does not match tracked layout (-1,)" in rep.errors
+
+    def test_non_adjacent_ops_with_honest_stamps_fail_the_proof(self):
+        topo = LNNTopology(3)
+        b = MappingBuilder(topo, [0, 1, 2], check_adjacency=False)
+        b.h(0)
+        b.cphase(0, 2, qft_angle(0, 2))
+        b.cphase(0, 1, qft_angle(0, 1))
+        b.h(1)
+        b.cphase(1, 2, qft_angle(1, 2))
+        b.h(2)
+        mapped = b.build()
+        assert not _qft_proved(mapped, 3, 1e-9)
+        assert _proved_stamps(mapped) is None
+        rep = check_mapped_qft_structure(mapped, 3)
+        assert rep.errors == ["op 1: cphase on non-adjacent physical qubits (0, 2)"]
+
+    def test_duplicate_pair_that_keeps_the_count_fails_the_proof(self):
+        topo, b = _manual_builder(3)
+        b.h(0)
+        b.cphase(0, 1, qft_angle(0, 1))
+        b.cphase(0, 1, qft_angle(0, 1))  # in place of the pair (0, 2)
+        b.h(1)
+        b.cphase(1, 2, qft_angle(1, 2))
+        b.h(2)
+        mapped = b.build()
+        assert not _qft_proved(mapped, 3, 1e-9)
+        rep = check_mapped_qft_structure(mapped, 3)
+        assert rep.missing_pairs == 1 and rep.duplicate_pairs == 1
+
+    def test_values_wider_than_the_proof_dtype_fall_to_the_loop(self):
+        mapped = good_mapped_qft(4)
+        columns = {name: list(getattr(mapped.ops, name)) for name in _COLUMNS}
+        h = columns["kinds"].index(KIND_NAMES.index(GateKind.H))
+        # an unused second operand the loop never reads: the loop passes it
+        columns["p1"][h] = 2**40
+        odd = with_ops(mapped, OpStream(*(columns[name] for name in _COLUMNS)))
+        assert _proved_stamps(odd) is None
+        assert check_mapped_qft_structure(odd, 4).ok
+        # a stamp no layout can hold: the loop reports it
+        columns["p1"][h] = -1
+        columns["l0"][h] = 2**40
+        bad = with_ops(mapped, OpStream(*(columns[name] for name in _COLUMNS)))
+        rep = check_mapped_qft_structure(bad, 4)
+        assert not rep.ok
+        assert any(f"op {h}: logical stamp ({2**40},)" in e for e in rep.errors)
+
+
+class TestVerifierMemory:
+    def test_transient_peak_under_100_bytes_per_op(self):
+        topology = make_architecture("heavyhex", 20)
+        n = topology.num_qubits
+        mapped = get_workload("qft").map_with(make_mapper("ours", topology), n)
+        assert check_mapped_qft_structure(mapped, n).ok  # warm imports and caches
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert check_mapped_qft_structure(mapped, n).ok
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak / len(mapped.ops) < 100, f"{peak / len(mapped.ops):.0f} B/op"
