@@ -96,12 +96,16 @@ def qft_angle(i: int, j: int) -> float:
     The angle only depends on the *distance* ``|i - j|`` which is what makes
     CPHASE reordering safe: the mapper may execute the pair interactions in any
     Type-II-respecting order and each pair still receives its own fixed angle.
+
+    ``math.ldexp`` scales by the power of two, so the value is the correctly
+    rounded ``pi / 2^d`` at every distance (``0.0`` from ``d = 1077``;
+    ``pi / float(2 ** d)`` gives the same values but overflows from
+    ``d = 1024``).
     """
 
     if i == j:
         raise ValueError("qft_angle requires two distinct qubits")
-    d = abs(j - i)
-    return math.pi / float(2 ** d)
+    return math.ldexp(math.pi, -abs(j - i))
 
 
 @dataclass(frozen=True)

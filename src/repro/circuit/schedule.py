@@ -27,7 +27,10 @@ uniform NISQ depth and the weighted FT depth.
 :class:`MappingBuilder` is the convenience layer used by every mapper: it
 tracks the logical<->physical correspondence as SWAPs are emitted and stamps
 each op with the logical qubits involved, which is what makes verification
-(and logical replay on a statevector) straightforward.
+(and logical replay on a statevector) straightforward.  Mappers emit either
+op by op (``h``, ``cphase``, ``swap``, ...) or a whole layer of decided ops at
+once (:meth:`MappingBuilder.layer`); both stamp, check and move the layout
+the same way.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ _CPHASE = KIND_CODES[GateKind.CPHASE]
 _CNOT = KIND_CODES[GateKind.CNOT]
 _SWAP = KIND_CODES[GateKind.SWAP]
 _BARRIER = KIND_CODES[GateKind.BARRIER]
+_CODES = frozenset(KIND_CODES.values())
 
 
 def asap_depth(ops: Sequence[Op], latency_fn) -> int:
@@ -354,6 +358,12 @@ class MappingBuilder:
     distinct operands) of two-qubit ops as they are emitted, so a buggy
     mapper fails fast instead of producing an invalid circuit.  Emitters
     return ``None``.
+
+    The per-op emitters (``h``, ``rz``, ``cphase``, ``cnot``, ``swap``,
+    ``barrier``) append one op each.  :meth:`layer` takes a batch of ops as
+    parallel columns and gives the same result as the per-op calls in the
+    same order, in one call: the paper engines decide a whole layer and hand
+    it over at once.
     """
 
     def __init__(
@@ -379,6 +389,11 @@ class MappingBuilder:
         self._ops = OpStream.from_ops(())
         # the bound appends of the seven columns, in OpStream field order
         self._push = tuple(column.append for column in self._ops._columns())
+        ops = self._ops
+        # what layer() writes: the stamp columns, and the bound extends of
+        # the other five
+        self._stamps = (ops.l0, ops.l1)
+        self._extend = (ops.kinds.extend, ops.p0.extend, ops.p1.extend, ops.angles.extend, ops.tags.extend)
         self._edges = topology.edge_set
         self.name = name
         self.check_adjacency = check_adjacency
@@ -455,6 +470,87 @@ class MappingBuilder:
 
     def barrier(self) -> None:
         self._append(_BARRIER, -1, -1, -1, -1, None, "")
+
+    def layer(
+        self,
+        codes: Sequence[int],
+        p0: Sequence[int],
+        p1: Sequence[int],
+        angles: Sequence[Optional[float]],
+        tags: Sequence[str],
+    ) -> None:
+        """Emit a batch of ops, given as parallel columns, in order.
+
+        ``codes`` holds kind codes; ``p1`` is ``-1`` for a single-qubit op,
+        and both operands of a barrier are ``-1``.  Each op is stamped from
+        the live layout, and each SWAP moves the layout before the next op
+        is stamped, exactly as a per-op emitter call would.  Each op is
+        checked as it is reached: its operands must fit its kind (else
+        :class:`ValueError`, as :meth:`OpStream.from_ops` reports it), and a
+        two-qubit op must act on coupled sites (when ``check_adjacency`` is
+        on) and on two distinct ones, with the per-op emitters' messages.  A
+        failing op raises with the ops before it emitted.  Each column is
+        extended once.
+        """
+
+        k = len(codes)
+        if len(p0) != k or len(p1) != k or len(angles) != k or len(tags) != k:
+            raise ValueError("layer columns differ in length")
+        p2l = self.phys_to_log
+        l2p = self.log_to_phys
+        edges = self._edges
+        check = self.check_adjacency
+        # the stamps go straight onto their columns; the other five columns
+        # are extended once the loop has run
+        l0, l1 = self._stamps
+        start = len(l0)
+        try:
+            for code, a, b in zip(codes, p0, p1):
+                if code == _CPHASE or code == _SWAP or code == _CNOT:
+                    if check and ((a, b) if a < b else (b, a)) not in edges:
+                        raise ValueError(
+                            f"{KIND_NAMES[code].upper()} emitted on non-adjacent physical "
+                            f"qubits ({a}, {b})"
+                        )
+                    if a == b:
+                        raise ValueError(f"duplicate physical qubits in op: {(a, b)}")
+                    la = p2l[a]
+                    lb = p2l[b]
+                    if code == _SWAP:
+                        if la != -1:
+                            l2p[la] = b
+                        if lb != -1:
+                            l2p[lb] = a
+                        p2l[a] = lb
+                        p2l[b] = la
+                    l0.append(la)
+                    l1.append(lb)
+                elif b == -1 and (code == _H or code == _RZ):
+                    l0.append(p2l[a])
+                    l1.append(-1)
+                elif a == b == -1 and code == _BARRIER:
+                    l0.append(-1)
+                    l1.append(-1)
+                else:
+                    kind = KIND_NAMES[code] if code in _CODES else code
+                    raise ValueError(
+                        f"a mapped circuit cannot hold a {kind!r} op on qubits {(a, b)}"
+                    )
+        finally:
+            done = len(l0) - start
+            kinds, c0, c1, c_angles, c_tags = self._extend
+            if done == k:
+                kinds(codes)
+                c0(p0)
+                c1(p1)
+                c_angles(angles)
+                c_tags(tags)
+            else:
+                kinds(codes[:done])
+                c0(p0[:done])
+                c1(p1[:done])
+                c_angles(angles[:done])
+                c_tags(tags[:done])
 
     # -- finish ----------------------------------------------------------
     def build(self, metadata: Optional[Dict[str, object]] = None) -> MappedCircuit:

@@ -28,9 +28,11 @@ Both engines use the relaxed (Type II only) dependence rules through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import qft_angle
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappingBuilder
 from .dependence import QFTDependenceTracker
 from .routed import complete_remaining
@@ -40,7 +42,18 @@ __all__ = [
     "abstract_line_qft_schedule",
     "cascade_on_line",
     "CascadeStalled",
+    "WHOLE_SCAN_MAX_SITES",
 ]
+
+#: Lines of at most this many sites are scanned whole every layer; longer
+#: ones visit only the sites the previous layer touched (see
+#: :func:`cascade_on_line`).  Below it, building the frontier costs more
+#: than the sites it skips.
+WHOLE_SCAN_MAX_SITES = 24
+
+_H = KIND_CODES[GateKind.H]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
 
 
 class CascadeStalled(RuntimeError):
@@ -136,6 +149,24 @@ def abstract_line_qft_schedule(k: int) -> List[AbstractStep]:
     return steps
 
 
+def _complete(
+    builder: MappingBuilder, tracker: QFTDependenceTracker, part: Set[int], tag: str
+) -> int:
+    """Routed completion of the participants' pending pairs, then their
+    Hadamards; returns the SWAPs inserted."""
+
+    qs = sorted(part)
+    pairs = [
+        (a, b) for i, a in enumerate(qs) for b in qs[i + 1 :] if tracker.pair_is_pending(a, b)
+    ]
+    swaps = complete_remaining(builder, tracker, pairs, tag=tag + "-fallback")
+    for q in qs:
+        if tracker.can_h(q):
+            builder.h(builder.phys_of(q), tag=tag)
+            tracker.mark_h(q)
+    return swaps
+
+
 def cascade_on_line(
     builder: MappingBuilder,
     tracker: QFTDependenceTracker,
@@ -174,8 +205,9 @@ def cascade_on_line(
 
     positions = list(line)
     L = len(positions)
+    edges = builder.topology.edge_set
     for a, b in zip(positions, positions[1:]):
-        if not builder.topology.has_edge(a, b):
+        if ((a, b) if a < b else (b, a)) not in edges:
             raise ValueError(f"line entries {a} and {b} are not coupled")
 
     at = builder.phys_to_log  # live layout, -1 on an empty site
@@ -209,27 +241,34 @@ def cascade_on_line(
                     pend_in[b] += 1
                     pending_pair_count += 1
     h_missing = sum(1 for q in part if not tracker.h_done[q])
-
-    def note_cphase(lo: int, hi: int) -> None:
-        nonlocal pending_pair_count
-        if lo in part and hi in part:
-            pend_in[lo] -= 1
-            pend_in[hi] -= 1
-            pending_pair_count -= 1
-
-    def participant_pending(q: int) -> bool:
-        # == q in part and any(tracker.pair_is_pending(q, r) for r in part)
-        return q in part and pend_in[q] > 0
-
-    def finished() -> bool:
-        # == tracker.all_pairs_done_within(part) and all participants H'd
-        return pending_pair_count == 0 and h_missing == 0
+    # The loop runs until every participant pair is done and every
+    # participant H'd; `q in part and pend_in[q] > 0` says that q still owes
+    # a participant an interaction.
 
     # The tracker's flat state, read per site below; only mark_h and
-    # mark_cphase write it.
+    # mark_cphases write it.
+    n = tracker.n
     h_done = tracker.h_done
     pending_smaller = tracker.pending_smaller
-    pair_done = tracker.pair_done
+    done = tracker.pair_done
+    angles = tracker.angles
+
+    # The engine decides against its own copy of the line's occupants
+    # (-1 on an empty site) and hands the decided ops to the builder in one
+    # layer() call: per layer on a long line, once per call on a short one.
+    line_log = [at[p] for p in positions]
+    codes: List[int] = []
+    p0: List[int] = []
+    p1: List[int] = []
+    angs: List[Optional[float]] = []
+
+    def flush() -> None:
+        if codes:
+            builder.layer(codes, p0, p1, angs, [tag] * len(codes))
+            codes.clear()
+            p0.clear()
+            p1.clear()
+            angs.clear()
 
     swaps = 0
     fallback_swaps = 0
@@ -237,68 +276,88 @@ def cascade_on_line(
     flips = 0
     acted_since_flip = True
     max_layers = 8 * max(L, len(part)) + 16
+    all_sites = range(L)
+    all_pairs = range(L - 1)
+    whole = L <= WHOLE_SCAN_MAX_SITES
+    unclaimed = bytearray(L)
+    touched: Optional[bytearray] = None  # the previous layer's claims
 
-    while not finished():
+    while pending_pair_count or h_missing:
         if layer > max_layers:
             if allow_fallback:
-                pairs = [
-                    (a, b)
-                    for i, a in enumerate(sorted(part))
-                    for b in sorted(part)[i + 1 :]
-                    if tracker.pair_is_pending(a, b)
-                ]
-                fallback_swaps += complete_remaining(builder, tracker, pairs, tag=tag + "-fallback")
-                for q in sorted(part):
-                    if tracker.can_h(q):
-                        builder.h(builder.phys_of(q), tag=tag)
-                        tracker.mark_h(q)
+                flush()
+                fallback_swaps += _complete(builder, tracker, part, tag)
                 break
+            flush()
             raise CascadeStalled("cascade_on_line exceeded its layer budget")
 
-        claimed: Set[int] = set()
-        emitted_any = False
+        if touched is None or whole:
+            sites, pairs = all_sites, all_pairs
+        else:
+            sites = compress(all_sites, touched)
+            pairs = compress(all_pairs, map(or_, touched[:-1], touched[1:]))
+        claim = unclaimed.copy()
+        emitted = len(codes)
+        los: List[int] = []
+        his: List[int] = []
 
-        # Hadamards first.
-        for pos, phys in enumerate(positions):
-            lq = at[phys]
+        # Hadamards first.  An H is marked at once: no later decision of the
+        # layer reads its qubit, whose site it claims.
+        for pos in sites:
+            lq = line_log[pos]
             if lq in part and not h_done[lq] and pending_smaller[lq] == 0:
-                builder.h(phys, tag=tag)
+                codes.append(_H)
+                p0.append(positions[pos])
+                p1.append(-1)
+                angs.append(None)
                 tracker.mark_h(lq)
                 h_missing -= 1
-                claimed.add(pos)
-                emitted_any = True
+                claim[pos] = 1
 
         # CPHASE / SWAP over adjacent line positions.
-        for pos in range(L - 1):
-            if pos in claimed or pos + 1 in claimed:
+        for pos in pairs:
+            if claim[pos] or claim[pos + 1]:
                 continue
-            pa, pb = positions[pos], positions[pos + 1]
-            a, b = at[pa], at[pb]
+            a, b = line_log[pos], line_log[pos + 1]
             if a < 0 or b < 0:
                 continue
             lo, hi = (a, b) if a < b else (b, a)
             if (
                 h_done[lo]
                 and not h_done[hi]
-                and (lo, hi) not in pair_done
+                and not done[lo * n + hi]
                 and (opportunistic or (a in part and b in part))
             ):
-                builder.cphase(pa, pb, qft_angle(lo, hi), tag=tag)
-                tracker.mark_cphase(lo, hi)
-                note_cphase(lo, hi)
-                claimed.update((pos, pos + 1))
-                emitted_any = True
+                codes.append(_CPHASE)
+                p0.append(positions[pos])
+                p1.append(positions[pos + 1])
+                angs.append(angles[hi - lo])
+                los.append(lo)
+                his.append(hi)
+                if lo in part and hi in part:
+                    pend_in[lo] -= 1
+                    pend_in[hi] -= 1
+                    pending_pair_count -= 1
+                claim[pos] = claim[pos + 1] = 1
             elif (
                 a < b
-                and (a, b) in pair_done
-                and (participant_pending(a) or participant_pending(b))
+                and done[a * n + b]
+                and ((a in part and pend_in[a] > 0) or (b in part and pend_in[b] > 0))
             ):
-                builder.swap(pa, pb, tag=tag)
+                codes.append(_SWAP)
+                p0.append(positions[pos])
+                p1.append(positions[pos + 1])
+                angs.append(None)
+                line_log[pos], line_log[pos + 1] = b, a
                 swaps += 1
-                claimed.update((pos, pos + 1))
-                emitted_any = True
+                claim[pos] = claim[pos + 1] = 1
 
-        if emitted_any:
+        if los:
+            tracker.mark_cphases(los, his)
+        if len(codes) > emitted:
+            if not whole:
+                flush()
+            touched = claim
             acted_since_flip = True
         else:
             # The cascade moves smaller-index qubits toward the high end of the
@@ -310,26 +369,20 @@ def cascade_on_line(
             # do we resort to routed completion.
             if acted_since_flip:
                 positions.reverse()
+                line_log.reverse()
                 flips += 1
                 acted_since_flip = False
+                touched = None  # positions are renumbered: rescan them all
                 continue
+            flush()
             if allow_fallback:
-                pairs = [
-                    (a, b)
-                    for i, a in enumerate(sorted(part))
-                    for b in sorted(part)[i + 1 :]
-                    if tracker.pair_is_pending(a, b)
-                ]
-                fallback_swaps += complete_remaining(builder, tracker, pairs, tag=tag + "-fallback")
-                for q in sorted(part):
-                    if tracker.can_h(q):
-                        builder.h(builder.phys_of(q), tag=tag)
-                        tracker.mark_h(q)
+                fallback_swaps += _complete(builder, tracker, part, tag)
                 break
             raise CascadeStalled(
                 "cascade_on_line stalled; participants' interactions incomplete"
             )
         layer += 1
+    flush()
 
     return {
         "layers": layer,

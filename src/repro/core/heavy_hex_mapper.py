@@ -25,16 +25,23 @@ result metadata and is zero on the paper's layouts (tests assert this).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from operator import or_
+from typing import Dict, List, Optional
 
 from ..arch.heavy_hex import CaterpillarTopology, HeavyHexTopology
-from ..circuit.gates import qft_angle
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappedCircuit, MappingBuilder, OpStream
+from .cascade import WHOLE_SCAN_MAX_SITES
 from .dependence import QFTDependenceTracker
 from .routed import complete_remaining
 from .qft_specialist import QFTSpecialistMixin
 
 __all__ = ["HeavyHexQFTMapper"]
+
+_H = KIND_CODES[GateKind.H]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
 
 
 class HeavyHexQFTMapper(QFTSpecialistMixin):
@@ -86,21 +93,36 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
         n: int,
     ) -> Dict[str, int]:
         L = cat.main_length
+        nq = cat.num_qubits
         junctions = list(cat.dangling_junctions)
-        dangling_of = cat.dangling_of
-        parked: Set[int] = set()  # dangling *physical* qubits holding a parked qubit
+        # dangling site of each junction, -1 elsewhere; the dangling sites
+        # are L.. in junction order
+        dangling_at = [-1] * nq
+        for j in junctions:
+            dangling_at[j] = cat.dangling_of[j]
+        parked = bytearray(nq)  # dangling sites holding a parked qubit
+        num_parked = 0
         layers = 0
         fallback_swaps = 0
         max_layers = 14 * n + 64
 
         # Flat state read once per site: the builder's layout (-1 on an empty
-        # site) and the tracker's progress.  Only builder.swap and the
-        # tracker's mark_* methods write them, so the reads stay live.
+        # site) and the tracker's progress.  Only builder.layer and the
+        # tracker's mark_* methods write them, once per layer.
         at = builder.phys_to_log
+        where = builder.log_to_phys
         h_done = tracker.h_done
         pending_smaller = tracker.pending_smaller
         pending_larger = tracker.pending_larger
-        pair_done = tracker.pair_done
+        done = tracker.pair_done
+        angles = tracker.angles
+
+        all_sites = range(nq)
+        all_pairs = range(L - 1)
+        whole = L <= WHOLE_SCAN_MAX_SITES
+        unclaimed = bytearray(nq)
+        touched: Optional[bytearray] = None  # the previous layer's claims
+        small_main = min([lq for lq in at[:L] if lq >= 0], default=None)
 
         while not tracker.all_done():
             if layers > max_layers:
@@ -108,92 +130,129 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
                 self._finish_h(builder, tracker)
                 break
 
-            claimed: Set[int] = set()
-            emitted = False
-            small_main = min([lq for lq in at[:L] if lq >= 0], default=None)
+            if touched is None or whole:
+                sites, line, juncs = all_sites, all_pairs, junctions
+            else:
+                sites = compress(all_sites, touched)
+                line = list(compress(all_pairs, map(or_, touched[: L - 1], touched[1:L])))
+                juncs = compress(
+                    junctions, map(or_, map(touched.__getitem__, junctions), touched[L:])
+                )
+            claim = unclaimed.copy()
+            codes: List[int] = []
+            p0: List[int] = []
+            p1: List[int] = []
+            angs: List[Optional[float]] = []
+            tags: List[str] = []
+            los: List[int] = []
+            his: List[int] = []
 
-            # 1. Hadamards.
-            for phys, lq in enumerate(at):
+            # 1. Hadamards, marked at once: no later decision of the layer
+            #    reads a qubit whose site it claims.
+            for phys in sites:
+                lq = at[phys]
                 if lq >= 0 and not h_done[lq] and pending_smaller[lq] == 0:
-                    builder.h(phys, tag="hh")
+                    codes.append(_H)
+                    p0.append(phys)
+                    p1.append(-1)
+                    angs.append(None)
+                    tags.append("hh")
                     tracker.mark_h(lq)
-                    claimed.add(phys)
-                    emitted = True
+                    claim[phys] = 1
 
             # 2. Junction CPHASEs (stall rule: take priority over movement).
-            for j in junctions:
-                d = dangling_of[j]
-                if j in claimed or d in claimed:
+            for j in juncs:
+                d = dangling_at[j]
+                if claim[j] or claim[d]:
                     continue
                 a, b = at[j], at[d]
                 if a < 0 or b < 0:
                     continue
                 lo, hi = (a, b) if a < b else (b, a)
-                if h_done[lo] and not h_done[hi] and (lo, hi) not in pair_done:
-                    builder.cphase(j, d, qft_angle(lo, hi), tag="hh-dangling")
-                    tracker.mark_cphase(lo, hi)
-                    claimed.update((j, d))
-                    emitted = True
+                if h_done[lo] and not h_done[hi] and not done[lo * n + hi]:
+                    codes.append(_CPHASE)
+                    p0.append(j)
+                    p1.append(d)
+                    angs.append(angles[hi - lo])
+                    tags.append("hh-dangling")
+                    los.append(lo)
+                    his.append(hi)
+                    claim[j] = claim[d] = 1
 
             # 3. Main-line CPHASEs.
-            for p in range(L - 1):
-                if p in claimed or p + 1 in claimed:
+            for p in line:
+                if claim[p] or claim[p + 1]:
                     continue
                 a, b = at[p], at[p + 1]
                 if a < 0 or b < 0:
                     continue
                 lo, hi = (a, b) if a < b else (b, a)
-                if h_done[lo] and not h_done[hi] and (lo, hi) not in pair_done:
-                    builder.cphase(p, p + 1, qft_angle(lo, hi), tag="hh")
-                    tracker.mark_cphase(lo, hi)
-                    claimed.update((p, p + 1))
-                    emitted = True
+                if h_done[lo] and not h_done[hi] and not done[lo * n + hi]:
+                    codes.append(_CPHASE)
+                    p0.append(p)
+                    p1.append(p + 1)
+                    angs.append(angles[hi - lo])
+                    tags.append("hh")
+                    los.append(lo)
+                    his.append(hi)
+                    claim[p] = claim[p + 1] = 1
 
-            # 4. Parking SWAPs: the smallest main-line qubit enters the first
-            #    unparked dangling position it has reached (and interacted with).
-            for j in junctions:
-                d = dangling_of[j]
-                if d in parked or j in claimed or d in claimed:
-                    continue
-                a, b = at[j], at[d]
-                if a < 0 or b < 0:
-                    continue
-                if a != small_main:
-                    continue
-                if not h_done[a]:
-                    continue
-                if ((a, b) if a < b else (b, a)) not in pair_done:
-                    continue  # the junction CPHASE will fire first
-                builder.swap(j, d, tag="hh-park")
-                parked.add(d)
-                claimed.update((j, d))
-                emitted = True
+            # 4. Parking SWAP: the smallest main-line qubit enters the
+            #    unparked dangling position it has reached (and interacted
+            #    with).
+            parking = False
+            if small_main is not None and h_done[small_main]:
+                j = where[small_main]
+                d = dangling_at[j]
+                if d >= 0 and not (parked[d] or claim[j] or claim[d]):
+                    b = at[d]
+                    if b >= 0 and done[small_main * n + b if small_main < b else b * n + small_main]:
+                        codes.append(_SWAP)
+                        p0.append(j)
+                        p1.append(d)
+                        angs.append(None)
+                        tags.append("hh-park")
+                        parked[d] = 1
+                        num_parked += 1
+                        parking = True
+                        claim[j] = claim[d] = 1
 
             # 5. Main-line SWAPs (LNN cascade movement).
-            for p in range(L - 1):
-                if p in claimed or p + 1 in claimed:
+            for p in line:
+                if claim[p] or claim[p + 1]:
                     continue
                 a, b = at[p], at[p + 1]
                 if a < 0 or b < 0:
                     continue
-                if a < b and (a, b) in pair_done and (
+                if a < b and done[a * n + b] and (
                     pending_smaller[a] + pending_larger[a] > 0
                     or pending_smaller[b] + pending_larger[b] > 0
                 ):
-                    builder.swap(p, p + 1, tag="hh")
-                    claimed.update((p, p + 1))
-                    emitted = True
+                    codes.append(_SWAP)
+                    p0.append(p)
+                    p1.append(p + 1)
+                    angs.append(None)
+                    tags.append("hh")
+                    claim[p] = claim[p + 1] = 1
 
-            if not emitted:
+            if not codes:
                 fallback_swaps += complete_remaining(builder, tracker, tag="hh-fallback")
                 self._finish_h(builder, tracker)
                 break
+            builder.layer(codes, p0, p1, angs, tags)
+            if los:
+                tracker.mark_cphases(los, his)
+            if parking:
+                # the park is the only move between the main line and a
+                # dangling site
+                small_main = min([lq for lq in at[:L] if lq >= 0], default=None)
+            touched = claim
             layers += 1
 
         return {
             "layers": layers,
             "fallback_swaps": fallback_swaps,
-            "parked": len(parked),
+            "parked": num_parked,
         }
 
     @staticmethod

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import qft_angle
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappingBuilder
 from .dependence import QFTDependenceTracker
 from .routed import complete_remaining
@@ -45,15 +45,24 @@ def _residents(builder: MappingBuilder, line: Sequence[int]) -> List[int]:
     return [at[p] for p in line if at[p] >= 0]
 
 
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
+
+
 def _cross_pending(
     tracker: QFTDependenceTracker, side_a: Iterable[int], side_b: Iterable[int]
-) -> Set[Tuple[int, int]]:
-    sa, sb = set(side_a), set(side_b)
-    pend: Set[Tuple[int, int]] = set()
-    for x in sa:
+) -> Set[int]:
+    """The pending cross pairs, as ``pair_done`` indices ``lo*n + hi``."""
+
+    n, done = tracker.n, tracker.pair_done
+    sb = set(side_b)
+    pend: Set[int] = set()
+    for x in set(side_a):
         for y in sb:
-            if x != y and tracker.pair_is_pending(x, y):
-                pend.add((x, y) if x < y else (y, x))
+            if x != y:
+                code = x * n + y if x < y else y * n + x
+                if not done[code]:
+                    pend.add(code)
     return pend
 
 
@@ -119,16 +128,21 @@ def bipartite_all_to_all(
     """
 
     La, Lb = len(line_a), len(line_b)
+    edges = builder.topology.edge_set
+
+    def coupled(a: int, b: int) -> bool:
+        return ((a, b) if a < b else (b, a)) in edges
+
     for a, b in zip(line_a, line_a[1:]):
-        if not builder.topology.has_edge(a, b):
+        if not coupled(a, b):
             raise ValueError("line_a is not a coupled path")
     for a, b in zip(line_b, line_b[1:]):
-        if not builder.topology.has_edge(a, b):
+        if not coupled(a, b):
             raise ValueError("line_b is not a coupled path")
     for ia, ib in inter_links:
         if not (0 <= ia < La and 0 <= ib < Lb):
             raise ValueError(f"inter link ({ia}, {ib}) out of range")
-        if not builder.topology.has_edge(line_a[ia], line_b[ib]):
+        if not coupled(line_a[ia], line_b[ib]):
             raise ValueError(
                 f"inter link positions ({ia}, {ib}) are not coupled physically"
             )
@@ -137,8 +151,8 @@ def bipartite_all_to_all(
     side_b = _residents(builder, line_b)
     # `pending` starts as the full target set and shrinks as cphase_pass
     # completes pairs (nothing else marks pairs while this function runs), so
-    # membership doubles as the pair_is_pending check and remaining() is O(1)
-    # instead of rescanning every target each round.
+    # membership doubles as the pair_is_pending check and the loop's
+    # emptiness test is O(1) instead of rescanning every target each round.
     pending = _cross_pending(tracker, side_a, side_b)
     stats: InterUnitStats = {
         "target_pairs": len(pending),
@@ -160,64 +174,113 @@ def bipartite_all_to_all(
     if strict:
         rounds *= 2
 
-    at = builder.phys_to_log  # live layout, -1 on an empty site
+    n = tracker.n
     h_done = tracker.h_done
+    angles = tracker.angles
+    # The primitive decides against its own copy of the two lines' occupants
+    # (-1 on an empty site) and hands its ops to the builder in one layer()
+    # call for the whole travel pattern, then one per fix-up step.
+    at = builder.phys_to_log
+    occ = ([at[p] for p in line_a], [at[p] for p in line_b])
+    occ_a, occ_b = occ
+    lines = (line_a, line_b)
+    links = [(ia, ib, line_a[ia], line_b[ib]) for ia, ib in inter_links]
+    codes: List[int] = []
+    p0: List[int] = []
+    p1: List[int] = []
+    angs: List[Optional[float]] = []
+    tags: List[str] = []
 
     def cphase_pass() -> None:
-        for ia, ib in inter_links:
-            pa, pb = line_a[ia], line_b[ib]
-            x, y = at[pa], at[pb]
+        """Decide the eligible link CPHASEs.
+
+        Relaxed: the pass reads no mark it makes (each pair sits on one
+        link at most), so its CPHASEs are marked in one call.  Strict:
+        ``_strict_ready`` reads the marks made earlier in the pass, so each
+        is marked as it is decided."""
+
+        los: List[int] = []
+        his: List[int] = []
+        for ia, ib, pa, pb in links:
+            x, y = occ_a[ia], occ_b[ib]
             if x < 0 or y < 0:
                 continue
             lo, hi = (x, y) if x < y else (y, x)
-            if (lo, hi) not in pending:
+            code = lo * n + hi
+            if code not in pending:
                 continue
-            # (lo, hi) is pending, so this is the tracker's can_cphase
+            # the pair is pending, so this is the tracker's can_cphase
             if not h_done[lo] or h_done[hi]:
                 continue
-            if strict and not _strict_ready(tracker, x, y, side_of, side_members):
-                continue
-            builder.cphase(pa, pb, qft_angle(lo, hi), tag=tag)
-            tracker.mark_cphase(lo, hi)
-            pending.discard((lo, hi))
+            if strict:
+                if not _strict_ready(tracker, x, y, side_of, side_members):
+                    continue
+                tracker.mark_cphase(lo, hi)
+            else:
+                los.append(lo)
+                his.append(hi)
+            codes.append(_CPHASE)
+            p0.append(pa)
+            p1.append(pb)
+            angs.append(angles[hi - lo])
+            tags.append(tag)
+            pending.discard(code)
+        if los:
+            tracker.mark_cphases(los, his)
 
-    def remaining() -> Set[Tuple[int, int]]:
-        return pending
+    def swap_layer(which: int, parity: int, swap_tag: str) -> None:
+        """One odd-even transposition SWAP layer on line ``which``."""
 
-    def swap_layer(line: Sequence[int], parity: int, swap_tag: str) -> None:
-        for p in range(parity % 2, len(line) - 1, 2):
-            builder.swap(line[p], line[p + 1], tag=swap_tag)
+        line, o = lines[which], occ[which]
+        parity %= 2
+        end = len(line) - 1
+        sa = line[parity:end:2]
+        k = len(sa)
+        codes.extend([_SWAP] * k)
+        p0.extend(sa)
+        p1.extend(line[parity + 1 :: 2])
+        angs.extend([None] * k)
+        tags.extend([swap_tag] * k)
+        o[parity:end:2], o[parity + 1 :: 2] = o[parity + 1 :: 2], o[parity:end:2]
+
+    def flush() -> None:
+        if codes:
+            builder.layer(codes, p0, p1, angs, tags)
+            for column in (codes, p0, p1, angs, tags):
+                column.clear()
 
     # -- main travel pattern -----------------------------------------------
     for t in range(rounds + 1):
         cphase_pass()
         stats["pattern_rounds"] = t + 1
-        if not remaining():
+        if not pending:
             break
         if t < rounds:
-            swap_layer(line_a, t + offset_a, tag)
-            swap_layer(line_b, t + offset_b, tag)
+            swap_layer(0, t + offset_a, tag)
+            swap_layer(1, t + offset_b, tag)
             stats["swap_layers"] += 2
+    flush()
 
-    stats["missed_after_pattern"] = len(remaining())
+    stats["missed_after_pattern"] = len(pending)
 
     # -- constant-depth structured fix-up ----------------------------------
-    if fixup and remaining():
-        for side_line, parity in ((line_a, 0), (line_b, 0), (line_a, 1), (line_b, 1)):
-            if not remaining():
+    if fixup and pending:
+        for which, parity in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            if not pending:
                 break
-            swap_layer(side_line, parity, tag + "-fixup")
+            swap_layer(which, parity, tag + "-fixup")
             cphase_pass()
-            swap_layer(side_line, parity, tag + "-fixup")
+            swap_layer(which, parity, tag + "-fixup")
+            flush()
             stats["fixup_rounds"] += 1
             stats["swap_layers"] += 2
 
     # -- guaranteed completion ----------------------------------------------
-    left = remaining()
-    if left and allow_fallback:
+    if pending and allow_fallback:
+        left = [divmod(code, n) for code in pending]
         stats["fallback_swaps"] = complete_remaining(builder, tracker, left, tag=tag + "-fallback")
-    elif left:
+    elif pending:
         raise RuntimeError(
-            f"inter-unit interaction left {len(left)} pairs incomplete and fallback is disabled"
+            f"inter-unit interaction left {len(pending)} pairs incomplete and fallback is disabled"
         )
     return stats

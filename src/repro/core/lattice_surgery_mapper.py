@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from ..arch.grid import GridTopology
 from ..arch.lattice_surgery import LatticeSurgeryTopology
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappedCircuit, MappingBuilder
 from .cascade import cascade_on_line
 from .dependence import QFTDependenceTracker
@@ -37,6 +38,8 @@ from .unit import UnitLevelScheduler
 from .qft_specialist import QFTSpecialistMixin
 
 __all__ = ["RowUnitQFTMapper", "LatticeSurgeryQFTMapper", "GridQFTMapper"]
+
+_SWAP = KIND_CODES[GateKind.SWAP]
 
 
 class RowUnitQFTMapper(QFTSpecialistMixin):
@@ -98,10 +101,13 @@ class RowUnitQFTMapper(QFTSpecialistMixin):
             return stats
 
         def unit_swap(slot_a: int, slot_b: int) -> None:
-            row_a = self._row_line(slot_a)
-            row_b = self._row_line(slot_b)
-            for pa, pb in zip(row_a, row_b):
-                builder.swap(pa, pb, tag="unit-swap")
+            builder.layer(
+                [_SWAP] * cols,
+                self._row_line(slot_a),
+                self._row_line(slot_b),
+                [None] * cols,
+                ["unit-swap"] * cols,
+            )
 
         scheduler = UnitLevelScheduler(num_units, ia, ie, unit_swap)
         stats = scheduler.run()

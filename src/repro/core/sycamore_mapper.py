@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..arch.sycamore import SycamoreTopology
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappedCircuit, MappingBuilder
 from .cascade import cascade_on_line
 from .dependence import QFTDependenceTracker
@@ -29,6 +30,8 @@ from .unit import UnitLevelScheduler
 from .qft_specialist import QFTSpecialistMixin
 
 __all__ = ["SycamoreQFTMapper"]
+
+_SWAP = KIND_CODES[GateKind.SWAP]
 
 
 class SycamoreQFTMapper(QFTSpecialistMixin):
@@ -55,14 +58,13 @@ class SycamoreQFTMapper(QFTSpecialistMixin):
         """
 
         topo = self.topology
-        line_a = topo.unit_line(slot)
-        line_b = topo.unit_line(slot + 1)
-        links = []
-        for ia, pa in enumerate(line_a):
-            for ib, pb in enumerate(line_b):
-                if topo.has_edge(pa, pb):
-                    links.append((ia, ib))
-        return links
+        at_b = {pb: ib for ib, pb in enumerate(topo.unit_line(slot + 1))}
+        return sorted(
+            (ia, at_b[q])
+            for ia, pa in enumerate(topo.unit_line(slot))
+            for q in topo.neighbors(pa)
+            if q in at_b
+        )
 
     # ------------------------------------------------------------------
     def map_qft(self, num_qubits: Optional[int] = None) -> MappedCircuit:
@@ -109,17 +111,18 @@ class SycamoreQFTMapper(QFTSpecialistMixin):
             return stats
 
         def unit_swap(slot_a: int, slot_b: int) -> None:
-            # Rows A,B belong to the unit in slot_a; rows C,D to slot_b.
+            # Rows A,B belong to the unit in slot_a; rows C,D to slot_b: the
+            # B-C links, then A-B and C-D interleaved by column, then B-C.
             row_a, row_b = topo.unit_rows(slot_a)
             row_c, row_d = topo.unit_rows(slot_b)
-            m = topo.m
-            for c in range(m):
-                builder.swap(topo.index(row_b, c), topo.index(row_c, c), tag="unit-swap")
-            for c in range(m):
-                builder.swap(topo.index(row_a, c), topo.index(row_b, c), tag="unit-swap")
-                builder.swap(topo.index(row_c, c), topo.index(row_d, c), tag="unit-swap")
-            for c in range(m):
-                builder.swap(topo.index(row_b, c), topo.index(row_c, c), tag="unit-swap")
+            cols = range(topo.m)
+            a, b, c, d = ([topo.index(row, col) for col in cols] for row in (row_a, row_b, row_c, row_d))
+            middle0 = [q for pair in zip(a, c) for q in pair]
+            middle1 = [q for pair in zip(b, d) for q in pair]
+            k = 4 * topo.m
+            builder.layer(
+                [_SWAP] * k, b + middle0 + b, c + middle1 + c, [None] * k, ["unit-swap"] * k
+            )
 
         scheduler = UnitLevelScheduler(num_units, ia, ie, unit_swap)
         stats = scheduler.run()

@@ -119,11 +119,14 @@ _ENGINE_RUNS = {"cell": _paper_cell, "caterpillar": _caterpillar, "cascade": _sh
 # emitted a layer per builder call and scanned only the sites the previous
 # layer touched.  The caterpillars are the irregular inputs of
 # test_heavy_hex_mapper.py plus three longer lines, each at full size and with
-# three sites left empty.
+# three sites left empty.  Lines on both sides of WHOLE_SCAN_MAX_SITES are
+# covered: Sycamore 16 runs its cascades on 32-site unit lines.
 ENGINE_PINS = {
     ('cell', ('heavyhex', 50)): "f3aaec820555db3dd0efadc60cb5ffa14a8660fb3377cda89da6c8f8d36fa589",
     ('cell', ('sycamore', 12)): "158475654d4a92bc3d0dca8b44c67e4f12a731cc8beb2be80def65a141c47335",
     ('cell', ('lattice', 14)): "24d3618496487060bd74957a01f5fcffbeaa00aa4e2c0e90c0ab496560473b8b",
+    ('cell', ('sycamore', 16)): "a6940604fe093c0b9346506f29304489e1c3b4824661aafaf0bb16a1f7b7bd4c",
+    ('cell', ('heavyhex', 8)): "20ac2718695d06e9d2e983542abfd95e341009311b7ae98a0fc86bafd873f836",
     ('caterpillar', (6, (0,), 0)): "2c593c0270fd57debc5c63af4b74000e2f664d93022aea8bb65088da4d06f146",
     ('caterpillar', (6, (0,), 3)): "860107298badd5df17cf8f130846e23a55086289e45f60a0fbb4be0923d8b33d",
     ('caterpillar', (8, (2, 5), 0)): "e2287d0498ae6d96ba821174868495c8acaa560c8483450e8c3f69d1b7c349e8",
