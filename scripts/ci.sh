@@ -359,6 +359,21 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python examples/compare_backends.py > 
 echo "examples ok"
 
 echo
+echo "=== large-QFT smoke: a 1,089-qubit lattice compile verifies ==="
+# Tier-1 stays below 1,025 qubits, the size at which qft_angle overflowed
+# (distance 1,024) while it divided by float(2 ** d).  About 5 s and 210 MB.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
+import repro
+res = repro.compile(workload="qft", architecture="lattice", size=33)
+if not (res.ok and res.verified):
+    raise SystemExit(
+        f"ci.sh: FAIL — lattice 33 QFT: status={res.status} "
+        f"verified={res.verified} {res.message}"
+    )
+print(f"lattice 33 QFT ok: {res.num_qubits} qubits, {len(res.mapped)} ops, verified")
+PY
+
+echo
 echo "=== workload smoke: --workload qaoa registry cross-product sweep ==="
 # Short SATMAP budget: its cells time out (typed) instead of eating 20s each.
 sweep_out=$(REPRO_SATMAP_TIMEOUT_S=2 \

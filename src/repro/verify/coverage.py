@@ -2,7 +2,9 @@
 
 A mapped circuit is a *correct* hardware QFT kernel iff
 
-1. every two-qubit op acts on coupled physical qubits,
+0. it holds only H, CPHASE, SWAP and barrier ops,
+1. every operand and initial placement is a site of the device, and every
+   two-qubit op acts on coupled physical qubits,
 2. the logical stamps on every op are consistent with replaying the SWAPs
    from the initial layout (i.e. the mapper's own bookkeeping is honest),
 3. every logical qubit receives exactly one Hadamard,
@@ -11,6 +13,15 @@ A mapped circuit is a *correct* hardware QFT kernel iff
 5. the execution order satisfies the Type II dependence
    ``H(i) < CPHASE(i, j) < H(j)`` (and additionally Type I when a mapper
    claims strict ordering).
+
+Together these prove the circuit equals the QFT up to its final
+permutation.  With honest stamps, dropping the SWAPs (they only relabel)
+leaves H and CPHASE gates on logical qubits.  CPHASEs commute with each
+other, and a CPHASE fails to commute only with an H on one of its own
+qubits, so any order with ``H(i)`` before and ``H(j)`` after every
+``CPHASE(i, j)`` (``i < j``) gives the textbook circuit's unitary.  Check 0
+is what makes this complete: one stray gate of another kind would slip past
+checks 1-5.
 
 Two implementations check these, and they split the work: an array proof
 decides, and a loop explains.
@@ -36,10 +47,10 @@ decides, and a loop explains.
   proof fails (or for ``strict_order``), so a failing circuit gets the same
   report either way.
 
-The proof is never more lenient than the loop.  It also refuses what the
-loop can overlook: an operand or an initial placement off the device, or a
-column value too wide for the proof's integer dtype.  Such a circuit goes to
-the loop, which then decides.
+The proof is never more lenient than the loop.  It also refuses a column
+value too wide for its integer dtype, which the loop may accept (an unused
+second operand of a single-qubit op).  Such a circuit goes to the loop,
+which then decides.
 
 Both are linear in the number of ops (the proof's sort is a radix sort on
 ``int16`` sites below 32,768 qubits), so they run on every size used in the
@@ -74,9 +85,14 @@ _CPHASE = KIND_CODES[GateKind.CPHASE]
 _SWAP = KIND_CODES[GateKind.SWAP]
 _BARRIER = KIND_CODES[GateKind.BARRIER]
 _TWO_QUBIT_CODES = frozenset(KIND_CODES[kind] for kind in TWO_QUBIT_KINDS)
+#: the kinds a mapped QFT may hold
+_QFT_CODES = frozenset((_H, _CPHASE, _SWAP, _BARRIER))
 #: indexed by a kind code viewed as uint8: does the op take two qubits?
 _IS_TWO_QUBIT = np.zeros(256, dtype=bool)
 _IS_TWO_QUBIT[sorted(_TWO_QUBIT_CODES)] = True
+#: indexed by a kind code viewed as uint8: may a mapped QFT hold it?
+_IS_QFT_KIND = np.zeros(256, dtype=bool)
+_IS_QFT_KIND[sorted(_QFT_CODES)] = True
 
 
 @dataclass
@@ -121,16 +137,29 @@ class CoverageReport:
 
 
 def check_stamps(mapped: MappedCircuit, add_error: Callable[[str], None]) -> None:
-    """Checks 1 and 2: adjacency and honest logical stamps.
+    """Checks 1 and 2: operands on the device, adjacency and honest stamps.
 
     Replays the SWAPs from the initial layout over the op columns and reports
     through ``add_error``, in op order, the first
-    :attr:`CoverageReport.MAX_ERRORS_PER_CATEGORY` two-qubit ops on uncoupled
-    physical qubits and the first as many ops whose logical stamps disagree
-    with the replayed layout.  Shared by the QFT and the generic verifier.
+    :attr:`CoverageReport.MAX_ERRORS_PER_CATEGORY` initial placements and
+    single-qubit operands off the device, the first as many two-qubit ops on
+    uncoupled physical qubits (every coupling edge joins two sites of the
+    device, so this covers their operands' range) and the first as many ops
+    whose logical stamps disagree with the replayed layout.  Shared by the
+    QFT and the generic verifier.
     """
 
     cap = CoverageReport.MAX_ERRORS_PER_CATEGORY
+    nq = mapped.topology.num_qubits
+    off_device = 0
+    for l, p in enumerate(mapped.initial_layout):
+        if not 0 <= p < nq:
+            off_device += 1
+            if off_device <= cap:
+                add_error(
+                    f"initial layout places logical qubit {l} on physical qubit {p}, "
+                    "off the device"
+                )
     edges = mapped.topology.edge_set
     phys_to_log: Dict[int, int] = {p: l for l, p in enumerate(mapped.initial_layout)}
     tracked = phys_to_log.get
@@ -141,6 +170,12 @@ def check_stamps(mapped: MappedCircuit, add_error: Callable[[str], None]) -> Non
         if kind == _BARRIER:
             continue
         if kind not in _TWO_QUBIT_CODES:
+            if not 0 <= a < nq:
+                off_device += 1
+                if off_device <= cap:
+                    add_error(
+                        f"op {pos}: {_kind_name(kind)} on physical qubit {a}, off the device"
+                    )
             ea = tracked(a, -1)
             if ea != la:
                 stamp_errors += 1
@@ -174,6 +209,10 @@ def check_stamps(mapped: MappedCircuit, add_error: Callable[[str], None]) -> Non
                 phys_to_log.pop(b, None)
             else:
                 phys_to_log[b] = ea
+
+
+def _kind_name(code: int) -> str:
+    return KIND_NAMES[code] if code in KIND_CODES.values() else f"kind code {code}"
 
 
 def _outside(values: np.ndarray, bound: int) -> bool:
@@ -293,6 +332,9 @@ def _qft_proved(mapped: MappedCircuit, n: int, angle_atol: float) -> bool:
     if proved is None:
         return False
     kinds, stamps = proved
+    # 0: only H, CPHASE, SWAP and barriers
+    if not _IS_QFT_KIND[kinds.view(np.uint8)].all():
+        return False
     la, lb = stamps[0::2], stamps[1::2]
 
     # 3: one H per logical qubit
@@ -379,14 +421,22 @@ def _check_qft_by_loop(
         report.add_error("initial layout is not injective")
     check_stamps(mapped, report.add_error)
 
-    # 3 + 4: H and CPHASE coverage -------------------------------------------
+    # 0, 3 + 4: the gate set, H and CPHASE coverage ---------------------------
     h_seen: Dict[int, int] = {}
     pair_seen: Dict[Tuple[int, int], int] = {}
     events: List[Tuple[str, Tuple[int, ...]]] = []
+    foreign = 0
     ops = mapped.ops
     columns = zip(ops.kinds, ops.l0, ops.l1, ops.angles)
     for pos, (kind, la, lb, angle) in enumerate(columns):
-        if kind == _H:
+        if kind not in _QFT_CODES:
+            foreign += 1
+            if foreign <= CoverageReport.MAX_ERRORS_PER_CATEGORY:
+                report.add_error(
+                    f"op {pos}: {_kind_name(kind)} is not a QFT gate "
+                    "(H, CPHASE, SWAP or barrier)"
+                )
+        elif kind == _H:
             if la < 0 or la >= n:
                 report.add_error(f"op {pos}: H on unknown logical qubit {la}")
                 continue

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit import qft_angle
 from repro.core import QFTDependenceTracker
 
 
@@ -154,3 +155,61 @@ class TestFullKernelProperty:
                 t.mark_cphase(a, b)
         assert t.pairs_completed == t.total_pairs
         assert t.h_completed == n
+
+
+def _state(t):
+    return (
+        bytes(t.pair_done),
+        list(t.h_done),
+        list(t.pending_smaller),
+        list(t.pending_larger),
+        t.pairs_completed,
+        t.h_completed,
+    )
+
+
+def _attempt(mark):
+    try:
+        mark()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestBatchedMarks:
+    """``mark_cphases`` equals ``mark_cphase`` called pair by pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_raises_and_marks_what_single_marks_do(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        qubit = st.integers(0, n - 1)
+        step = st.one_of(
+            st.tuples(st.just("h"), qubit),
+            st.tuples(st.just("cphases"), st.lists(st.tuples(qubit, qubit), max_size=4)),
+        )
+        single, batched = QFTDependenceTracker(n), QFTDependenceTracker(n)
+        for kind, arg in data.draw(st.lists(step, max_size=12), label="steps"):
+            if kind == "h":
+                got = _attempt(lambda: batched.mark_h(arg))
+                want = _attempt(lambda: single.mark_h(arg))
+            else:
+                got = _attempt(lambda: batched.mark_cphases([a for a, _ in arg], [b for _, b in arg]))
+
+                def one_by_one():
+                    for a, b in arg:
+                        single.mark_cphase(a, b)
+
+                want = _attempt(one_by_one)
+            assert got == want
+            assert _state(batched) == _state(single)
+            if want is not None:
+                break
+
+    def test_pair_table_and_angle_table(self):
+        t = QFTDependenceTracker(4)
+        t.mark_h(0)
+        t.mark_cphases([2], [0])
+        assert t.pair_done[0 * 4 + 2] == 1 and sum(t.pair_done) == 1
+        assert t.pair_is_done(2, 0) and not t.pair_is_done(0, 0)
+        assert [t.angles[d] for d in range(1, 4)] == [qft_angle(0, d) for d in range(1, 4)]

@@ -40,6 +40,14 @@ class TestQftAngle:
     def test_halves_with_each_extra_distance(self, d):
         assert qft_angle(0, d) == pytest.approx(math.pi / 2 ** d)
 
+    def test_bit_equal_to_pi_over_a_power_of_two_below_distance_1024(self):
+        assert all(qft_angle(0, d) == math.pi / float(2**d) for d in range(1, 1024))
+
+    @pytest.mark.parametrize("d", [1024, 1100])
+    def test_no_overflow_at_distance_1024_and_above(self, d):
+        # float(2 ** 1024) overflows; a 1,025-qubit QFT needs this distance
+        assert 0.0 <= qft_angle(3, 3 + d) < 1e-300
+
 
 class TestGateConstruction:
     def test_h_is_single_qubit(self):

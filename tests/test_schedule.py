@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import LatticeSurgeryTopology, LNNTopology
+from repro.arch import GridTopology, LatticeSurgeryTopology, LNNTopology
 from repro.circuit import GateKind, MappingBuilder, Op, asap_depth, asap_layers
+from repro.circuit.gates import KIND_CODES
 
 
 def _builder(n=4):
@@ -67,6 +70,101 @@ class TestMappingBuilder:
         assert mc.num_logical == 4
         assert mc.metadata["x"] == 1
         assert len(mc.ops) == 1
+
+
+_TOPOLOGIES = (LNNTopology(4), GridTopology(2, 3), LNNTopology(5))
+
+
+def _per_op(builder, kind, a, b, angle, tag):
+    if kind == GateKind.H:
+        builder.h(a, tag=tag)
+    elif kind == GateKind.RZ:
+        builder.rz(a, angle, tag=tag)
+    elif kind == GateKind.CPHASE:
+        builder.cphase(a, b, angle, tag=tag)
+    elif kind == GateKind.CNOT:
+        builder.cnot(a, b, tag=tag)
+    elif kind == GateKind.SWAP:
+        builder.swap(a, b, tag=tag)
+    else:
+        builder.barrier()
+
+
+def _columns(kind, a, b, angle, tag):
+    """The layer() columns of what the per-op emitter call appends."""
+
+    if kind in (GateKind.H, GateKind.RZ):
+        b = -1
+    if kind == GateKind.BARRIER:
+        a = b = -1
+        tag = ""
+    if kind not in (GateKind.RZ, GateKind.CPHASE):
+        angle = None
+    return KIND_CODES[kind], a, b, angle, tag
+
+
+def _outcome(builder, emit):
+    try:
+        emit()
+        error = None
+    except Exception as exc:  # the type and message are what is compared
+        error = (type(exc), str(exc))
+    return builder.ops._columns(), builder.phys_to_log, builder.log_to_phys, error
+
+
+class TestLayerEmitter:
+    """``layer()`` equals the per-op emitters called in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_op_emission(self, data):
+        topo = data.draw(st.sampled_from(_TOPOLOGIES), label="topology")
+        nq = topo.num_qubits
+        placed = data.draw(st.integers(1, nq), label="logical qubits")
+        layout = data.draw(st.permutations(range(nq)), label="layout")[:placed]
+        check = data.draw(st.booleans(), label="check_adjacency")
+        site = st.integers(-1, nq)  # one step off the device at each end
+        op = st.tuples(
+            st.sampled_from(sorted(KIND_CODES, key=KIND_CODES.get)),
+            site,
+            site,
+            st.sampled_from([0.25, 1.5]),
+            st.sampled_from(["a", "b"]),
+        )
+        ops = data.draw(st.lists(op, max_size=24), label="ops")
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(ops))), label="cuts") | {0, len(ops)})
+
+        def make():
+            return MappingBuilder(topo, layout, num_logical=placed, check_adjacency=check)
+
+        reference = make()
+
+        def per_op():
+            for fields in ops:
+                _per_op(reference, *fields)
+
+        batched = make()
+
+        def layers():
+            for lo, hi in zip(cuts, cuts[1:]):
+                columns = list(zip(*(_columns(*fields) for fields in ops[lo:hi])))
+                batched.layer(*(list(c) for c in columns) if columns else ([],) * 5)
+
+        assert _outcome(batched, layers) == _outcome(reference, per_op)
+
+    def test_refuses_operands_that_do_not_fit_the_kind(self):
+        b = _builder()
+        h, swap = KIND_CODES[GateKind.H], KIND_CODES[GateKind.SWAP]
+        with pytest.raises(ValueError, match="cannot hold a .*h.* op on qubits \\(0, 1\\)"):
+            b.layer([swap, h], [2, 0], [3, 1], [None, None], ["", ""])
+        # the op before the refused one is emitted, as a per-op call would have
+        assert b.ops.kinds == [swap] and b.logical_at(2) == 3
+
+    def test_refuses_columns_of_different_lengths(self):
+        b = _builder()
+        with pytest.raises(ValueError, match="differ in length"):
+            b.layer([KIND_CODES[GateKind.H]], [0], [-1], [None], [])
+        assert len(b.ops) == 0
 
 
 class TestAsapScheduling:

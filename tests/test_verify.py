@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.approaches import make_mapper
 from repro.arch import LNNTopology
 from repro.arch.registry import make_architecture
@@ -23,6 +24,8 @@ from repro.verify import (
     check_mapped_qft_structure,
     verify_mapped_qft,
 )
+from repro.circuit.circuit import Circuit
+from repro.verify.generic import check_mapped_matches_circuit
 from repro.verify.coverage import (
     _check_qft_by_loop,
     _proved_stamps,
@@ -374,6 +377,58 @@ class TestArrayProofAgreesWithLoop:
         rep = check_mapped_qft_structure(bad, 4)
         assert not rep.ok
         assert any(f"op {h}: logical stamp ({2**40},)" in e for e in rep.errors)
+
+
+def _lnn_qft_with(extra):
+    """The 12-qubit LNN QFT with ``extra(op)`` inserted before its first
+    CPHASE, on that CPHASE's sites and stamps (honest, since neither stray
+    kind moves a qubit); returns the circuit and the stray op's position."""
+
+    mapped = repro.compile(workload="qft", architecture="lnn", size=12, verify=False).mapped
+    ops = list(mapped.ops)
+    at = next(i for i, op in enumerate(ops) if op.kind == GateKind.CPHASE)
+    ops.insert(at, extra(ops[at]))
+    return with_ops(mapped, ops), at
+
+
+STRAY_GATES = {
+    "cnot": lambda cp: Op(GateKind.CNOT, cp.physical, cp.logical),
+    "rz": lambda cp: Op(GateKind.RZ, cp.physical[:1], cp.logical[:1], 0.3),
+}
+
+
+class TestGateSetAndDeviceRange:
+    """Circuits that satisfied every other check and verified ok before the
+    verifier closed the gate set and range-checked operands and placements."""
+
+    @pytest.mark.parametrize("kind", sorted(STRAY_GATES))
+    def test_a_stray_gate_fails_the_proof_and_the_loop_names_it(self, kind):
+        bad, at = _lnn_qft_with(STRAY_GATES[kind])
+        assert not _qft_proved(bad, 12, 1e-9)
+        loop = _check_qft_by_loop(bad, 12, False, 1e-9)
+        assert loop.errors == [f"op {at}: {kind} is not a QFT gate (H, CPHASE, SWAP or barrier)"]
+        result = verify_mapped_qft(bad, 12)
+        assert not result.ok and result.structure == loop
+        assert not get_workload("qft").verify(bad, 12).ok
+
+    def test_off_device_placement_and_operand_fail_the_proof_and_the_loop_names_them(self):
+        mapped = MappedCircuit(LNNTopology(2), 1, [7], [Op(GateKind.H, (7,), (0,))])
+        assert not _qft_proved(mapped, 1, 1e-9)
+        loop = _check_qft_by_loop(mapped, 1, False, 1e-9)
+        assert loop.errors == [
+            "initial layout places logical qubit 0 on physical qubit 7, off the device",
+            "op 0: h on physical qubit 7, off the device",
+        ]
+        assert check_mapped_qft_structure(mapped, 1) == loop
+        assert not verify_mapped_qft(mapped, 1).ok
+
+    def test_generic_verifier_range_checks_too(self):
+        mapped = MappedCircuit(LNNTopology(2), 1, [7], [Op(GateKind.H, (7,), (0,))])
+        circuit = Circuit(1)
+        circuit.h(0)
+        report = check_mapped_matches_circuit(mapped, circuit)
+        assert not report.ok
+        assert "op 0: h on physical qubit 7, off the device" in report.errors
 
 
 class TestVerifierMemory:
