@@ -21,6 +21,20 @@ interact with high-index qubits *before* ``q0`` does.
 A routed fallback guarantees completion on irregular caterpillars (e.g. very
 uneven dangling spacing); the number of fallback SWAPs is reported in the
 result metadata and is zero on the paper's layouts (tests assert this).
+
+Each layer is decided in five passes (Hadamards ascending, junction CPHASEs,
+main-line CPHASEs ascending, the park, main-line SWAPs ascending), then
+emitted in one :meth:`~repro.circuit.schedule.MappingBuilder.layer` call and
+marked in one ``mark_cphases`` call.  Batching is exact: claims make a
+layer's ops disjoint, and every later decision of the layer reads only
+unclaimed sites, so no mark or SWAP of the layer can change it.  By the same
+argument a site's eligibility changes only through an op on it, so on a
+main line longer than :data:`~repro.core.cascade.WHOLE_SCAN_MAX_SITES` the
+pair passes visit only pairs with a site the previous layer touched (a pair
+a claim kept from firing had a touched site), and the H pass only the
+qubits whose last smaller-index CPHASE the previous layer marked.  The park
+candidate is the site of the smallest main-line qubit, recomputed only after
+a park, the only move between the main line and a dangling site.
 """
 
 from __future__ import annotations
@@ -122,6 +136,7 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
         whole = L <= WHOLE_SCAN_MAX_SITES
         unclaimed = bytearray(nq)
         touched: Optional[bytearray] = None  # the previous layer's claims
+        freed: List[int] = []  # sites of the qubits its CPHASEs made H-ready
         small_main = min([lq for lq in at[:L] if lq >= 0], default=None)
 
         while not tracker.all_done():
@@ -133,8 +148,8 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
             if touched is None or whole:
                 sites, line, juncs = all_sites, all_pairs, junctions
             else:
-                sites = compress(all_sites, touched)
-                line = list(compress(all_pairs, map(or_, touched[: L - 1], touched[1:L])))
+                sites = freed
+                line = compress(all_pairs, map(or_, touched[: L - 1], touched[1:L]))
                 juncs = compress(
                     junctions, map(or_, map(touched.__getitem__, junctions), touched[L:])
                 )
@@ -179,7 +194,10 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
                     his.append(hi)
                     claim[j] = claim[d] = 1
 
-            # 3. Main-line CPHASEs.
+            # 3. Main-line CPHASEs.  A pair whose CPHASE is done may SWAP in
+            #    step 5 instead; the pairs that qualify are noted here, and
+            #    step 5 skips those that a later claim took.
+            movable: List[int] = []
             for p in line:
                 if claim[p] or claim[p + 1]:
                     continue
@@ -187,7 +205,13 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
                 if a < 0 or b < 0:
                     continue
                 lo, hi = (a, b) if a < b else (b, a)
-                if h_done[lo] and not h_done[hi] and not done[lo * n + hi]:
+                if done[lo * n + hi]:
+                    if a < b and (
+                        pending_smaller[a] + pending_larger[a] > 0
+                        or pending_smaller[b] + pending_larger[b] > 0
+                    ):
+                        movable.append(p)
+                elif h_done[lo] and not h_done[hi]:
                     codes.append(_CPHASE)
                     p0.append(p)
                     p1.append(p + 1)
@@ -218,22 +242,15 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
                         claim[j] = claim[d] = 1
 
             # 5. Main-line SWAPs (LNN cascade movement).
-            for p in line:
+            for p in movable:
                 if claim[p] or claim[p + 1]:
                     continue
-                a, b = at[p], at[p + 1]
-                if a < 0 or b < 0:
-                    continue
-                if a < b and done[a * n + b] and (
-                    pending_smaller[a] + pending_larger[a] > 0
-                    or pending_smaller[b] + pending_larger[b] > 0
-                ):
-                    codes.append(_SWAP)
-                    p0.append(p)
-                    p1.append(p + 1)
-                    angs.append(None)
-                    tags.append("hh")
-                    claim[p] = claim[p + 1] = 1
+                codes.append(_SWAP)
+                p0.append(p)
+                p1.append(p + 1)
+                angs.append(None)
+                tags.append("hh")
+                claim[p] = claim[p + 1] = 1
 
             if not codes:
                 fallback_swaps += complete_remaining(builder, tracker, tag="hh-fallback")
@@ -242,6 +259,10 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
             builder.layer(codes, p0, p1, angs, tags)
             if los:
                 tracker.mark_cphases(los, his)
+                if not whole:
+                    freed = sorted([where[q] for q in his if not pending_smaller[q]])
+            elif not whole:
+                freed = []
             if parking:
                 # the park is the only move between the main line and a
                 # dangling site
