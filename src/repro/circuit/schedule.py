@@ -61,7 +61,6 @@ _CPHASE = KIND_CODES[GateKind.CPHASE]
 _CNOT = KIND_CODES[GateKind.CNOT]
 _SWAP = KIND_CODES[GateKind.SWAP]
 _BARRIER = KIND_CODES[GateKind.BARRIER]
-_CODES = frozenset(KIND_CODES.values())
 
 
 def asap_depth(ops: Sequence[Op], latency_fn) -> int:
@@ -389,11 +388,13 @@ class MappingBuilder:
         self._ops = OpStream.from_ops(())
         # the bound appends of the seven columns, in OpStream field order
         self._push = tuple(column.append for column in self._ops._columns())
-        ops = self._ops
         # what layer() writes: the stamp columns, and the bound extends of
         # the other five
+        ops = self._ops
         self._stamps = (ops.l0, ops.l1)
-        self._extend = (ops.kinds.extend, ops.p0.extend, ops.p1.extend, ops.angles.extend, ops.tags.extend)
+        self._extend = tuple(
+            column.extend for column in (ops.kinds, ops.p0, ops.p1, ops.angles, ops.tags)
+        )
         self._edges = topology.edge_set
         self.name = name
         self.check_adjacency = check_adjacency
@@ -532,7 +533,7 @@ class MappingBuilder:
                     l0.append(-1)
                     l1.append(-1)
                 else:
-                    kind = KIND_NAMES[code] if code in _CODES else code
+                    kind = KIND_NAMES[code] if code in KIND_CODES.values() else code
                     raise ValueError(
                         f"a mapped circuit cannot hold a {kind!r} op on qubits {(a, b)}"
                     )

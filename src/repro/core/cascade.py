@@ -231,9 +231,8 @@ def cascade_on_line(
 
     positions = list(line)
     L = len(positions)
-    edges = builder.topology.edge_set
     for a, b in zip(positions, positions[1:]):
-        if ((a, b) if a < b else (b, a)) not in edges:
+        if not builder.topology.has_edge(a, b):
             raise ValueError(f"line entries {a} and {b} are not coupled")
 
     at = builder.phys_to_log  # live layout, -1 on an empty site

@@ -26,9 +26,8 @@ Two flat tables serve the engines' inner loops:
   directly; only :meth:`QFTDependenceTracker.mark_cphases` writes it.  At
   1,024 qubits it takes 1 MiB.
 * ``angles[d]`` is :func:`~repro.circuit.gates.qft_angle` at distance ``d``
-  (``angles[0]`` is unused), so an engine looks a CPHASE's angle up as
-  ``angles[hi - lo]``.  Trackers share one read-only table, rebuilt longer
-  when a larger tracker needs it.
+  (``angles[0]`` is unused), built once per tracker, so an engine looks a
+  CPHASE's angle up as ``angles[hi - lo]``.
 
 :meth:`QFTDependenceTracker.mark_cphases` marks a whole layer's CPHASEs in one
 call, with the checks and messages of :meth:`~QFTDependenceTracker.mark_cphase`
@@ -42,20 +41,6 @@ from typing import Iterable, List, Sequence, Tuple
 from ..circuit.gates import qft_angle
 
 __all__ = ["QFTDependenceTracker"]
-
-#: qft_angle(0, d) at index d >= 1; replaced, never modified, when it grows
-_angle_table: List[float] = [0.0]
-
-
-def _angles(n: int) -> List[float]:
-    """The shared angle table, covering distances below ``n``."""
-
-    global _angle_table
-    table = _angle_table
-    if len(table) < n:
-        table = [0.0] + [qft_angle(0, d) for d in range(1, n)]
-        _angle_table = table
-    return table
 
 
 class QFTDependenceTracker:
@@ -71,7 +56,7 @@ class QFTDependenceTracker:
         # pending_larger[q] = number of pending CPHASE(q, y) with y > q
         self.pending_larger: List[int] = [n - 1 - q for q in range(n)]
         self.pair_done = bytearray(n * n)
-        self.angles = _angles(n)
+        self.angles: List[float] = [0.0] + [qft_angle(0, d) for d in range(1, n)]
         self.total_pairs = n * (n - 1) // 2
         self.pairs_completed = 0
         self.h_completed = 0

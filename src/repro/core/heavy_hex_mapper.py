@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import or_
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..arch.heavy_hex import CaterpillarTopology, HeavyHexTopology
 from ..circuit.gates import KIND_CODES, GateKind
@@ -114,8 +114,7 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
         dangling_at = [-1] * nq
         for j in junctions:
             dangling_at[j] = cat.dangling_of[j]
-        parked = bytearray(nq)  # dangling sites holding a parked qubit
-        num_parked = 0
+        parked: Set[int] = set()  # dangling *physical* qubits holding a parked qubit
         layers = 0
         fallback_swaps = 0
         max_layers = 14 * n + 64
@@ -228,16 +227,17 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
             if small_main is not None and h_done[small_main]:
                 j = where[small_main]
                 d = dangling_at[j]
-                if d >= 0 and not (parked[d] or claim[j] or claim[d]):
-                    b = at[d]
-                    if b >= 0 and done[small_main * n + b if small_main < b else b * n + small_main]:
+                if d >= 0 and not (d in parked or claim[j] or claim[d]):
+                    a, b = small_main, at[d]
+                    # b < 0 is an empty site; an undone pair fires its
+                    # junction CPHASE first
+                    if b >= 0 and done[a * n + b if a < b else b * n + a]:
                         codes.append(_SWAP)
                         p0.append(j)
                         p1.append(d)
                         angs.append(None)
                         tags.append("hh-park")
-                        parked[d] = 1
-                        num_parked += 1
+                        parked.add(d)
                         parking = True
                         claim[j] = claim[d] = 1
 
@@ -259,10 +259,8 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
             builder.layer(codes, p0, p1, angs, tags)
             if los:
                 tracker.mark_cphases(los, his)
-                if not whole:
-                    freed = sorted([where[q] for q in his if not pending_smaller[q]])
-            elif not whole:
-                freed = []
+            if not whole:
+                freed = sorted([where[q] for q in his if not pending_smaller[q]])
             if parking:
                 # the park is the only move between the main line and a
                 # dangling site
@@ -273,7 +271,7 @@ class HeavyHexQFTMapper(QFTSpecialistMixin):
         return {
             "layers": layers,
             "fallback_swaps": fallback_swaps,
-            "parked": num_parked,
+            "parked": len(parked),
         }
 
     @staticmethod

@@ -39,14 +39,13 @@ __all__ = ["bipartite_all_to_all", "InterUnitStats"]
 
 InterUnitStats = Dict[str, int]
 
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
+
 
 def _residents(builder: MappingBuilder, line: Sequence[int]) -> List[int]:
     at = builder.phys_to_log
     return [at[p] for p in line if at[p] >= 0]
-
-
-_CPHASE = KIND_CODES[GateKind.CPHASE]
-_SWAP = KIND_CODES[GateKind.SWAP]
 
 
 def _cross_pending(
@@ -128,21 +127,16 @@ def bipartite_all_to_all(
     """
 
     La, Lb = len(line_a), len(line_b)
-    edges = builder.topology.edge_set
-
-    def coupled(a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in edges
-
     for a, b in zip(line_a, line_a[1:]):
-        if not coupled(a, b):
+        if not builder.topology.has_edge(a, b):
             raise ValueError("line_a is not a coupled path")
     for a, b in zip(line_b, line_b[1:]):
-        if not coupled(a, b):
+        if not builder.topology.has_edge(a, b):
             raise ValueError("line_b is not a coupled path")
     for ia, ib in inter_links:
         if not (0 <= ia < La and 0 <= ib < Lb):
             raise ValueError(f"inter link ({ia}, {ib}) out of range")
-        if not coupled(line_a[ia], line_b[ib]):
+        if not builder.topology.has_edge(line_a[ia], line_b[ib]):
             raise ValueError(
                 f"inter link positions ({ia}, {ib}) are not coupled physically"
             )

@@ -115,8 +115,10 @@ class SycamoreQFTMapper(QFTSpecialistMixin):
             # B-C links, then A-B and C-D interleaved by column, then B-C.
             row_a, row_b = topo.unit_rows(slot_a)
             row_c, row_d = topo.unit_rows(slot_b)
-            cols = range(topo.m)
-            a, b, c, d = ([topo.index(row, col) for col in cols] for row in (row_a, row_b, row_c, row_d))
+            a, b, c, d = (
+                [topo.index(row, col) for col in range(topo.m)]
+                for row in (row_a, row_b, row_c, row_d)
+            )
             middle0 = [q for pair in zip(a, c) for q in pair]
             middle1 = [q for pair in zip(b, d) for q in pair]
             k = 4 * topo.m
