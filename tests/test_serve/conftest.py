@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import re
@@ -71,6 +72,29 @@ def serve_subprocess():
         if handle.proc.poll() is None:
             handle.proc.kill()
             handle.proc.wait(timeout=10)
+        handle.proc.stdout.close()
+
+
+@pytest.fixture
+def run_service():
+    """``run_service(config, scenario)``: start an in-process
+    :class:`~repro.serve.CompileService`, return ``await scenario(service)``
+    and always drain the service afterwards."""
+
+    from repro.serve import CompileService
+
+    def _run(config, scenario):
+        async def main():
+            service = CompileService(config)
+            await service.start()
+            try:
+                return await scenario(service)
+            finally:
+                await service.stop()
+
+        return asyncio.run(main())
+
+    return _run
 
 
 @pytest.fixture
@@ -82,8 +106,6 @@ def http_post():
 
 async def post_json(port: int, path: str, payload: dict):
     """Raw async HTTP POST; returns (status, body dict, headers dict)."""
-
-    import asyncio
 
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     body = json.dumps(payload).encode()
