@@ -3,10 +3,11 @@
 Workers are long-lived forked processes.  Each builds its hot state once --
 :func:`~repro.eval.runners.prepare_topology` for every prewarm target -- then
 loops on its own task queue, applying the pool's ``task`` function to every
-item of each batch it is sent, in order.  Batches are addressed to a specific
-worker: the compile service routes a topology group's batches at workers
-that already hold its tables, and the ``pool`` executor sends whole
-same-topology chunks of cells.
+item of each batch it is sent, in order.  Each batch goes to the
+least-loaded live worker (fewest batches in flight, ready ones first among
+equals): the ``pool`` executor sends whole same-topology chunks of cells,
+and the compile service sends its topology-grouped queue whenever
+:meth:`WarmWorkerPool.has_idle_worker` says a worker is free.
 
 Fault model: one supervisor thread waits on every worker's result pipe and
 process sentinel at once.  A worker that dies is reaped -- after its pipe is
@@ -248,16 +249,31 @@ class WarmWorkerPool:
         return batch_id
 
     def _pick_worker_locked(self) -> str:
-        """Least-loaded worker by in-flight batch count (ready ones first)."""
+        """Least-loaded worker by in-flight batch count (ready ones first
+        among equals), so an idle worker gets the batch even while it is
+        still prewarming."""
 
         load = {wid: 0 for wid in self._procs}
         for wid, _ in self._assigned.values():
             if wid in load:
                 load[wid] += 1
-        candidates = [wid for wid in load if wid in self._ready] or list(load)
-        if not candidates:
+        if not load:
             raise PoolShutdown("no live workers")
-        return min(candidates, key=lambda wid: (load[wid], wid))
+        return min(load, key=lambda wid: (load[wid], wid not in self._ready, wid))
+
+    def has_idle_worker(self) -> bool:
+        """True when a live worker has no batch in flight, ready or not.
+
+        Also true once no worker is left or the pool is closed, so that a
+        caller holding work submits it and gets :class:`PoolShutdown`
+        instead of waiting for a worker that will never free up.
+        """
+
+        with self._lock:
+            busy = {wid for wid, _ in self._assigned.values()}
+            return self._closed or not self._procs or any(
+                wid not in busy for wid in self._procs
+            )
 
     # -- supervision -------------------------------------------------------
     def _supervise(self) -> None:

@@ -54,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lru-size", type=int, default=256, help="in-memory hot entries (0 off)"
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=10.0,
-        help="batching window: how long arrivals coalesce before a flush",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=8, help="largest per-worker batch"
     )
     parser.add_argument(
@@ -98,7 +92,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         workers=args.workers,
         store=args.store,
         lru_size=args.lru_size,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         default_timeout_s=args.timeout_s,

@@ -13,19 +13,22 @@ that *answered* is never blindly retried -- 400 raises
 :class:`ServeRequestError` with the server's did-you-mean message, 429/503
 raise :class:`ServeOverloaded` carrying the advisory ``Retry-After`` (the
 caller owns its load-shedding policy; ``retry_overload=True`` opts into
-honoring it client-side).
+honoring it client-side), and any other status raises :class:`ServeError`.
+
+Each attempt is one plain-HTTP exchange on a fresh
+:class:`http.client.HTTPConnection`, closed on every path (the server
+answers one request per connection).  The URL must be ``http://``; a base
+path in it prefixes every endpoint.  No proxy is consulted.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import socket
 import time
-import urllib.error
-import urllib.request
 import zlib
 from typing import Dict, Optional
+from urllib.parse import urlsplit
 
 from .api import API_VERSION, CompileRequest, CompileResponse
 
@@ -38,14 +41,11 @@ __all__ = [
 ]
 
 #: exception types treated as transient connection trouble (retried with
-#: backoff); HTTP *status* errors are answers and are handled typed.
-_TRANSIENT_ERRORS = (
-    urllib.error.URLError,
-    http.client.HTTPException,
-    ConnectionError,
-    TimeoutError,
-    socket.timeout,
-)
+#: backoff): refused or reset connections, timeouts, unresolvable hosts and
+#: malformed answers; HTTP *status* errors are answers and are handled typed.
+_TRANSIENT_ERRORS = (http.client.HTTPException, OSError)
+
+_HEADERS = {"Content-Type": "application/json"}
 
 
 class ServeError(RuntimeError):
@@ -85,7 +85,15 @@ class ServeClient:
     ) -> None:
         import random  # seeded instance only; never the global generator
 
+        parts = urlsplit(url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(
+                f"ServeClient speaks plain HTTP: expected http://HOST[:PORT][/PATH] "
+                f"(got {url!r})"
+            )
         self.url = url.rstrip("/")
+        self._host, self._port = parts.hostname, parts.port
+        self._prefix = parts.path.rstrip("/")
         self._timeout_s = timeout_s
         self._max_tries = max(1, int(max_tries))
         self._base = backoff_base_s
@@ -142,49 +150,50 @@ class ServeClient:
         for attempt in range(self._max_tries):
             if attempt:
                 time.sleep(self.backoff_s(attempt))
+            conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self._timeout_s
+            )
             try:
-                request = urllib.request.Request(
-                    self.url + path,
-                    data=body,
-                    method=method,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(
-                    request, timeout=self._timeout_s
-                ) as response:
-                    return json.loads(response.read().decode())
-            except urllib.error.HTTPError as exc:
-                typed = self._status_error(path, exc)
-                if typed is None:  # overload with retry_overload=True
-                    last_error = ServeOverloaded(exc.code, "overloaded", None)
-                    continue
-                raise typed
+                conn.request(method, self._prefix + path, body=body, headers=_HEADERS)
+                with conn.getresponse() as response:
+                    data = response.read()
             except _TRANSIENT_ERRORS as exc:
                 last_error = exc
                 self.retries += 1
+                continue
+            finally:
+                conn.close()
+            if 200 <= response.status < 300:
+                return json.loads(data.decode())
+            typed = self._status_error(path, response, data)
+            if typed is None:  # overload with retry_overload=True
+                last_error = ServeOverloaded(response.status, "overloaded", None)
+                continue
+            raise typed
         raise ServeUnreachable(
             f"server at {self.url} unreachable after {self._max_tries} "
             f"tries to {path}: {last_error!r}"
         )
 
-    def _status_error(self, path, exc) -> Optional[ServeError]:
+    def _status_error(self, path, response, data: bytes) -> Optional[ServeError]:
         """Typed error for an HTTP status answer (None = retry overload)."""
 
         try:
-            detail = json.loads(exc.read().decode()).get("error", "")
-        except (ValueError, OSError):
+            detail = json.loads(data.decode()).get("error", "")
+        except ValueError:
             detail = ""
-        message = detail or f"HTTP {exc.code} {exc.reason}"
-        if exc.code in (429, 503):
-            retry_after = exc.headers.get("Retry-After")
+        status = response.status
+        message = detail or f"HTTP {status} {response.reason}"
+        if status in (429, 503):
+            retry_after = response.getheader("Retry-After")
             retry_after = int(retry_after) if retry_after else None
             if self._retry_overload:
                 wait_s = retry_after if retry_after is not None else 0.1
                 time.sleep(wait_s)
                 self.retries += 1
                 return None
-            return ServeOverloaded(exc.code, message, retry_after)
-        if exc.code == 400:
+            return ServeOverloaded(status, message, retry_after)
+        if status == 400:
             return ServeRequestError(message)
         return ServeError(f"server rejected {path}: {message}")
 

@@ -1,8 +1,10 @@
 """A counted LRU map over cache keys -- the server's in-memory hot set.
 
 Keys are :func:`repro.eval.cache.cell_cache_key` strings (the same keys the
-disk/store cache uses), values are
-:class:`~repro.eval.metrics.CompilationResult` dicts.  Deliberately tiny:
+disk/store cache uses); the server's values are finished responses: the
+encoded ``cache="lru"`` body of the key's
+:class:`~repro.serve.api.CompileResponse`, built once when a computed row or
+a store hit is inserted, so a hit writes stored bytes.  Deliberately tiny:
 no locks (the asyncio server touches it from one event loop thread only),
 no TTL (cache keys embed the code version, so entries can never go stale
 within one server process), just bounded recency eviction plus the
@@ -32,12 +34,13 @@ class LRUCache:
         self.evictions = 0
 
     def get(self, key: str) -> Optional[object]:
-        if key not in self._data:
+        value = self._data.get(key)
+        if value is None:
             self.misses += 1
             return None
         self._data.move_to_end(key)
         self.hits += 1
-        return self._data[key]
+        return value
 
     def put(self, key: str, value: object) -> None:
         if self.capacity <= 0:

@@ -13,13 +13,22 @@ Request lifecycle::
     POST /v1/compile
       -> parse + strict-validate (ApiError/UnknownNameError -> 400 + hints)
       -> draining?                     -> 503 + Retry-After
-      -> LRU hit?                      -> 200 (cache="lru")
+      -> LRU hit?                      -> 200 (cache="lru"), body stored
       -> store hit? (--store DB)       -> 200 (cache="store"), LRU warmed
       -> admission: inflight >= cap    -> 429 + Retry-After
-      -> queue; the batcher sleeps one batching window, groups the queue
-         by topology (the sweep grouping of PR 2/4, applied online), and
-         submits per-group chunks to the pool
-      -> worker computes -> 200, ok rows populate LRU + store
+      -> queue; if a worker is idle, the queue is flushed at once: grouped
+         by topology (the sweep grouping, applied online) and submitted to
+         the pool in chunks of at most max_batch
+      -> worker computes -> 200, ok rows populate LRU + store; the freed
+         worker takes the next flush
+
+Dispatch is on idle, not on a timer: a request that finds a worker idle is
+submitted in the loop turn it arrives in, and requests coalesce into
+batches only while every worker is busy -- they are flushed together when
+a batch finishes.  So batching forms under load and costs nothing at low
+load.  A request whose ``Content-Length`` is not a non-negative integer is
+answered 400, and one above :data:`MAX_BODY_BYTES` 413 without its body
+being read.
 
 Backpressure is by *bounded inflight count*: the queue cap counts queued +
 batched-but-unfinished requests, so a stalled pool turns arrivals away with
@@ -38,7 +47,7 @@ import asyncio
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..registry import UnknownNameError
 from .api import API_VERSION, ApiError, CompileRequest, CompileResponse
@@ -47,11 +56,15 @@ from .pool import PoolShutdown, WarmWorkerPool, serve_task
 
 __all__ = ["ServeConfig", "CompileService"]
 
+#: largest request body the server reads (a compile request is ~200 bytes)
+MAX_BODY_BYTES = 1 << 20
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -62,6 +75,18 @@ class _PoolFailure(RuntimeError):
     """A batch failed at the pool layer (crash budget exhausted)."""
 
 
+class _BadFraming(ValueError):
+    """The request head is unusable; answered with ``status``, unread."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _encode(payload: dict) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode()
+
+
 @dataclass
 class ServeConfig:
     """Knobs of one :class:`CompileService` instance."""
@@ -69,10 +94,9 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  #: 0 = ephemeral; the bound port is ``service.port``
     workers: int = 2
-    #: how long the batcher waits after the first arrival before flushing --
-    #: the window in which concurrent requests coalesce into one batch
-    batch_window_s: float = 0.01
-    max_batch: int = 8  #: largest batch handed to one worker at once
+    #: largest batch handed to one worker at once; bounds a flush under
+    #: load, when requests queued behind busy workers coalesce
+    max_batch: int = 8
     #: admission cap: queued + in-flight requests beyond this are 429'd
     max_queue: int = 64
     lru_size: int = 256  #: in-memory hot-set entries (0 disables)
@@ -100,8 +124,6 @@ class CompileService:
         self._lru = LRUCache(self.config.lru_size)
         self._queue: List[Tuple[CompileRequest, asyncio.Future]] = []
         self._batches: Dict[int, List[Tuple[CompileRequest, asyncio.Future]]] = {}
-        self._wake = asyncio.Event()
-        self._batcher: Optional[asyncio.Task] = None
         self._draining = False
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -145,7 +167,6 @@ class CompileService:
             self._handle_conn, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._batcher = asyncio.create_task(self._batch_loop())
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT trigger a graceful drain (main thread only)."""
@@ -170,8 +191,6 @@ class CompileService:
         deadline = self._loop.time() + self.config.drain_timeout_s
         while self._inflight() and self._loop.time() < deadline:
             await asyncio.sleep(0.02)
-        if self._batcher is not None:
-            self._batcher.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -201,8 +220,18 @@ class CompileService:
         self, batch_id: int, rows: List[dict], error: Optional[BaseException]
     ) -> None:
         chunk = self._batches.pop(batch_id, None)
-        if chunk is None:
-            return
+        if chunk is not None:
+            self._answer(chunk, rows, error)
+        self._flush()  # a worker just freed up: hand it what queued meanwhile
+
+    def _answer(
+        self,
+        chunk: List[Tuple[CompileRequest, asyncio.Future]],
+        rows: List[dict],
+        error: Optional[BaseException],
+    ) -> None:
+        """Resolve one finished batch's futures with their responses."""
+
         if error is not None:
             self.counters["pool_failures"] += 1
             for _, fut in chunk:
@@ -211,50 +240,56 @@ class CompileService:
                         _PoolFailure(f"{type(error).__name__}: {error}")
                     )
             return
+        from ..eval.metrics import CompilationResult
+
         for (request, fut), row in zip(chunk, rows):
-            if row.get("status") == "ok":
+            result = CompilationResult.from_dict(row)
+            response = CompileResponse.from_result(result).to_dict()
+            if result.ok:
                 # Mirror the batch harness: only ok cells are cacheable
                 # (timeouts depend on the machine, errors on the moment).
                 key = self._key_for(request)
-                self._lru.put(key, row)
+                self._remember(key, response)
                 if self._cache is not None:
-                    from ..eval.metrics import CompilationResult
-
-                    self._cache.put(key, CompilationResult.from_dict(row))
+                    self._cache.put(key, result)
             self.counters["computed"] += 1
             if not fut.done():
-                fut.set_result(row)
+                fut.set_result(response)
+
+    def _remember(self, key: str, response: dict) -> None:
+        """Keep the encoded ``cache="lru"`` answer to ``key``: a later hit
+        writes these bytes as they are."""
+
+        self._lru.put(key, _encode({**response, "cache": "lru"}))
 
     # -- batching ----------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        """Coalesce the live queue into topology-grouped pool batches."""
+    def _flush(self) -> None:
+        """Submit the whole queue, grouped by topology, if a worker is idle.
 
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            if not self._queue:
-                continue
-            # The batching window: arrivals during this sleep join the
-            # flush, which is where concurrent same-topology requests
-            # coalesce into one warm-worker batch.
-            await asyncio.sleep(self.config.batch_window_s)
-            pending, self._queue = self._queue, []
-            groups: Dict[Tuple[str, int], List] = {}
-            for item in pending:
-                groups.setdefault(item[0].group_key(), []).append(item)
-            for group in sorted(groups):
-                items = groups[group]
-                for lo in range(0, len(items), self.config.max_batch):
-                    chunk = items[lo : lo + self.config.max_batch]
-                    try:
-                        batch_id = self._pool.submit([r for r, _ in chunk])
-                    except PoolShutdown as exc:
-                        for _, fut in chunk:
-                            if not fut.done():
-                                fut.set_exception(_PoolFailure(str(exc)))
-                        continue
-                    self._batches[batch_id] = chunk
-                    self.counters["batches"] += 1
+        Runs on every arrival and on every finished batch, so a request
+        that finds a worker idle is submitted at once, and requests queued
+        while every worker was busy coalesce into the next flush.
+        """
+
+        if not self._queue or not self._pool.has_idle_worker():
+            return
+        pending, self._queue = self._queue, []
+        groups: Dict[Tuple[str, int], List] = {}
+        for item in pending:
+            groups.setdefault(item[0].group_key(), []).append(item)
+        for group in sorted(groups):
+            items = groups[group]
+            for lo in range(0, len(items), self.config.max_batch):
+                chunk = items[lo : lo + self.config.max_batch]
+                try:
+                    batch_id = self._pool.submit([r for r, _ in chunk])
+                except PoolShutdown as exc:
+                    for _, fut in chunk:
+                        if not fut.done():
+                            fut.set_exception(_PoolFailure(str(exc)))
+                    continue
+                self._batches[batch_id] = chunk
+                self.counters["batches"] += 1
 
     def _inflight(self) -> int:
         return len(self._queue) + sum(len(c) for c in self._batches.values())
@@ -283,7 +318,13 @@ class CompileService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await self._read_request(reader)
+            except _BadFraming as exc:
+                payload = {"error": str(exc), "api_version": API_VERSION}
+                self._write_response(writer, exc.status, payload, None)
+                await writer.drain()
+                return
             if parsed is None:
                 return
             method, path, body = parsed
@@ -318,15 +359,25 @@ class CompileService:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    length = 0
+                    length = -1
+        if length < 0:
+            raise _BadFraming(400, "Content-Length must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            raise _BadFraming(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, body
 
     @staticmethod
     def _write_response(
-        writer, status: int, payload: dict, retry_after: Optional[int]
+        writer, status: int, payload: Union[dict, bytes], retry_after: Optional[int]
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
+        """``payload`` is a JSON object, or an LRU hit's stored body."""
+
+        body = payload if isinstance(payload, bytes) else _encode(payload)
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
@@ -339,7 +390,7 @@ class CompileService:
 
     async def _route(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, dict, Optional[int]]:
+    ) -> Tuple[int, Union[dict, bytes], Optional[int]]:
         if path == "/v1/compile":
             if method != "POST":
                 return 405, {"error": "POST only"}, None
@@ -351,7 +402,9 @@ class CompileService:
             return 200, self.stats(), None
         return 404, {"error": f"unknown endpoint {method} {path}"}, None
 
-    async def _compile(self, body: bytes) -> Tuple[int, dict, Optional[int]]:
+    async def _compile(
+        self, body: bytes
+    ) -> Tuple[int, Union[dict, bytes], Optional[int]]:
         self.counters["requests"] += 1
         retry_after = self.config.retry_after_s
         try:
@@ -370,18 +423,19 @@ class CompileService:
                 retry_after,
             )
         key = self._key_for(request)
-        row = self._lru.get(key)
-        if row is not None:
+        hit = self._lru.get(key)
+        if hit is not None:
             self.counters["lru_hits"] += 1
-            return 200, self._response_for(row, cache="lru"), None
+            return 200, hit, None
         if self._cache is not None:
             cached = self._cache.get(key)
             if cached is not None:
                 self.counters["store_hits"] += 1
-                row = cached.to_dict()
-                row.get("extra", {}).pop("cache", None)
-                self._lru.put(key, row)
-                return 200, self._response_for(row, cache="store"), None
+                cached.extra.pop("cache", None)
+                response = CompileResponse.from_result(cached, cache="store")
+                response = response.to_dict()
+                self._remember(key, response)
+                return 200, response, None
         if self._inflight() >= self.config.max_queue:
             self.counters["rejected_429"] += 1
             return (
@@ -397,19 +451,11 @@ class CompileService:
             )
         fut = self._loop.create_future()
         self._queue.append((request, fut))
-        self._wake.set()
+        self._flush()
         try:
-            row = await fut
+            return 200, await fut, None
         except _PoolFailure as exc:
             return 503, {"error": str(exc), "api_version": API_VERSION}, retry_after
-        return 200, self._response_for(row, cache=None), None
-
-    @staticmethod
-    def _response_for(row: dict, *, cache: Optional[str]) -> dict:
-        from ..eval.metrics import CompilationResult
-
-        result = CompilationResult.from_dict(dict(row))
-        return CompileResponse.from_result(result, cache=cache).to_dict()
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> Dict[str, object]:

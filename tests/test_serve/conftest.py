@@ -104,16 +104,30 @@ def http_post():
     return post_json
 
 
+@pytest.fixture
+def http_exchange():
+    """``await http_exchange(port, request_bytes)``: send raw bytes, return
+    (status, body dict, headers dict)."""
+
+    return exchange
+
+
 async def post_json(port: int, path: str, payload: dict):
     """Raw async HTTP POST; returns (status, body dict, headers dict)."""
 
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     body = json.dumps(payload).encode()
     head = (
         f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
     )
-    writer.write(head.encode() + body)
+    return await exchange(port, head.encode() + body)
+
+
+async def exchange(port: int, request: bytes):
+    """Send ``request`` on a fresh connection and parse the whole answer."""
+
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
     await writer.drain()
     raw = await reader.read()
     writer.close()

@@ -158,6 +158,11 @@ def scripted_server():
 
 
 class TestTransport:
+    def test_only_plain_http_urls_are_accepted(self):
+        for url in ("https://127.0.0.1:8181", "127.0.0.1:8181", "http://"):
+            with pytest.raises(ValueError, match="plain HTTP"):
+                ServeClient(url)
+
     def test_base_path_in_the_url_is_kept(self, scripted_server):
         url, paths = scripted_server(200, b'{"status": "ok"}')
         client = ServeClient(url + "/prefix/")

@@ -73,6 +73,7 @@ def test_pool_respawns_killed_worker_and_reassigns(pool_factory, monkeypatch):
 def test_pool_rejects_after_close(pool_factory):
     pool, _ = pool_factory(workers=1)
     pool.close(drain=True, timeout_s=30.0)
+    assert pool.has_idle_worker()  # a caller submits, and is refused
     with pytest.raises(PoolShutdown):
         pool.submit([_request(1)])
 

@@ -110,8 +110,40 @@ class TestCrashBudget:
             "worker w0 exited with code -9; 0 batch(es) resubmitted "
             "(respawn budget exhausted)"
         )
+        # no live worker counts as idle: a caller holding work submits it
+        # and is refused, instead of waiting for a worker that never frees
+        assert pool.has_idle_worker()
         with pytest.raises(PoolShutdown, match="no live workers"):
             pool.submit([2])
+
+
+class TestIdleWorkers:
+    def test_idle_until_every_worker_holds_a_batch(self, make_pool, monkeypatch):
+        monkeypatch.setenv(chaos.ENV_VAR, "stall@worker=w0,cell=1,s=1.0")
+        pool, sink = make_pool(task=_times_ten)
+        assert pool.has_idle_worker()
+        batch_id = pool.submit([1])
+        assert not pool.has_idle_worker()  # w0 stalls on the batch
+        assert sink.next() == (batch_id, [10], None)
+        assert pool.has_idle_worker()
+
+    def test_an_idle_worker_takes_the_batch_even_while_prewarming(
+        self, make_pool, monkeypatch
+    ):
+        monkeypatch.setenv(
+            chaos.ENV_VAR,
+            "stall@worker=w0,cell=1,s=1.0;stall@worker=w1,cell=1,s=1.0",
+        )
+        pool, sink = make_pool(2, task=_times_ten)
+        busy = pool.submit([1])
+        with pool._lock:
+            assert pool._assigned[busy][0] == "w0"
+            pool._ready.discard("w1")  # as a respawned worker still prewarming
+        assert pool.has_idle_worker()
+        idle = pool.submit([2])
+        with pool._lock:
+            assert pool._assigned[idle][0] == "w1"
+        assert sorted(sink.next()[:2] for _ in range(2)) == [(busy, [10]), (idle, [20])]
 
 
 def test_concurrent_submitters_get_every_batch_exactly_once(make_pool, monkeypatch):
