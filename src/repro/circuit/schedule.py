@@ -344,6 +344,16 @@ class MappedCircuit:
         )
 
 
+def _off_device(code: int, operands: Tuple[int, ...], num_physical: int) -> ValueError:
+    """The error for an op with an operand outside ``[0, num_physical)``."""
+
+    return ValueError(
+        f"{KIND_NAMES[code].upper()} emitted on physical qubit(s) "
+        f"{', '.join(map(str, operands))} outside the topology's "
+        f"{num_physical} qubits"
+    )
+
+
 class MappingBuilder:
     """Helper that mappers use to emit ops while tracking the layout.
 
@@ -353,10 +363,11 @@ class MappingBuilder:
     an empty site), both plain lists that mappers may read but only the
     builder's SWAPs update.  Ops are emitted against *physical* indices and
     appended to the columns of :attr:`ops`; the builder stamps the resident
-    logical qubits automatically and validates coupling-graph adjacency (then
-    distinct operands) of two-qubit ops as they are emitted, so a buggy
-    mapper fails fast instead of producing an invalid circuit.  Emitters
-    return ``None``.
+    logical qubits automatically and validates every operand against the
+    device (``[0, num_physical)``), then coupling-graph adjacency (when
+    ``check_adjacency`` is on) and distinct operands of two-qubit ops, as
+    they are emitted, so a buggy mapper fails fast instead of producing an
+    invalid circuit.  Emitters return ``None``.
 
     The per-op emitters (``h``, ``rz``, ``cphase``, ``cnot``, ``swap``,
     ``barrier``) append one op each.  :meth:`layer` takes a batch of ops as
@@ -396,6 +407,7 @@ class MappingBuilder:
             column.extend for column in (ops.kinds, ops.p0, ops.p1, ops.angles, ops.tags)
         )
         self._edges = topology.edge_set
+        self._n = topology.num_qubits
         self.name = name
         self.check_adjacency = check_adjacency
 
@@ -436,6 +448,9 @@ class MappingBuilder:
     def _append_pair(
         self, code: int, phys_a: int, phys_b: int, angle: Optional[float], tag: str
     ) -> None:
+        n = self._n
+        if not 0 <= phys_a < n > phys_b >= 0:  # both operands on the device
+            raise _off_device(code, (phys_a, phys_b), n)
         edge = (phys_a, phys_b) if phys_a < phys_b else (phys_b, phys_a)
         if self.check_adjacency and edge not in self._edges:
             raise ValueError(
@@ -448,9 +463,13 @@ class MappingBuilder:
         self._append(code, phys_a, phys_b, p2l[phys_a], p2l[phys_b], angle, tag)
 
     def h(self, phys: int, tag: str = "") -> None:
+        if not 0 <= phys < self._n:
+            raise _off_device(_H, (phys,), self._n)
         self._append(_H, phys, -1, self.phys_to_log[phys], -1, None, tag)
 
     def rz(self, phys: int, angle: float, tag: str = "") -> None:
+        if not 0 <= phys < self._n:
+            raise _off_device(_RZ, (phys,), self._n)
         self._append(_RZ, phys, -1, self.phys_to_log[phys], -1, angle, tag)
 
     def cphase(self, phys_a: int, phys_b: int, angle: float, tag: str = "") -> None:
@@ -487,11 +506,11 @@ class MappingBuilder:
         the live layout, and each SWAP moves the layout before the next op
         is stamped, exactly as a per-op emitter call would.  Each op is
         checked as it is reached: its operands must fit its kind (else
-        :class:`ValueError`, as :meth:`OpStream.from_ops` reports it), and a
-        two-qubit op must act on coupled sites (when ``check_adjacency`` is
-        on) and on two distinct ones, with the per-op emitters' messages.  A
-        failing op raises with the ops before it emitted.  Each column is
-        extended once.
+        :class:`ValueError`, as :meth:`OpStream.from_ops` reports it) and lie
+        on the device, and a two-qubit op must act on coupled sites (when
+        ``check_adjacency`` is on) and on two distinct ones, with the per-op
+        emitters' messages.  A failing op raises with the ops before it
+        emitted.  Each column is extended once.
         """
 
         k = len(codes)
@@ -501,6 +520,7 @@ class MappingBuilder:
         l2p = self.log_to_phys
         edges = self._edges
         check = self.check_adjacency
+        n = self._n
         # the stamps go straight onto their columns; the other five columns
         # are extended once the loop has run
         l0, l1 = self._stamps
@@ -508,6 +528,8 @@ class MappingBuilder:
         try:
             for code, a, b in zip(codes, p0, p1):
                 if code == _CPHASE or code == _SWAP or code == _CNOT:
+                    if not 0 <= a < n > b >= 0:
+                        raise _off_device(code, (a, b), n)
                     if check and ((a, b) if a < b else (b, a)) not in edges:
                         raise ValueError(
                             f"{KIND_NAMES[code].upper()} emitted on non-adjacent physical "
@@ -527,6 +549,8 @@ class MappingBuilder:
                     l0.append(la)
                     l1.append(lb)
                 elif b == -1 and (code == _H or code == _RZ):
+                    if not 0 <= a < n:
+                        raise _off_device(code, (a,), n)
                     l0.append(p2l[a])
                     l1.append(-1)
                 elif a == b == -1 and code == _BARRIER:

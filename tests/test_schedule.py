@@ -55,6 +55,35 @@ class TestMappingBuilder:
         b = MappingBuilder(topo, [0, 1, 2, 3], check_adjacency=False)
         b.cphase(0, 3, 0.5)  # no exception
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_refuses_operands_off_the_device(self, check):
+        h, cphase = KIND_CODES[GateKind.H], KIND_CODES[GateKind.CPHASE]
+        barrier = KIND_CODES[GateKind.BARRIER]
+        b = MappingBuilder(LNNTopology(3), [0, 1, 2], check_adjacency=check)
+        emits = (
+            lambda: b.h(-1),
+            lambda: b.h(3),
+            lambda: b.rz(-1, 0.5),
+            lambda: b.cphase(2, 3, 0.5),
+            lambda: b.cnot(0, -1),
+            lambda: b.swap(-1, 0),
+            lambda: b.layer([h], [-1], [-1], [None], [""]),
+            lambda: b.layer([h], [3], [-1], [None], [""]),
+            lambda: b.layer([cphase], [-1], [0], [0.5], [""]),
+        )
+        for emit in emits:
+            with pytest.raises(ValueError, match="outside the topology's 3 qubits"):
+                emit()
+        with pytest.raises(ValueError, match=r"^H emitted on physical qubit\(s\) -1 "):
+            b.h(-1)
+        with pytest.raises(ValueError, match=r"^CPHASE emitted on physical qubit\(s\) 2, 3 "):
+            b.cphase(2, 3, 0.5)
+        assert len(b.ops) == 0 and b.phys_to_log == [0, 1, 2]
+        # the -1 sentinels of single-qubit ops and barriers stay legal
+        b.layer([h, barrier], [2, -1], [-1, -1], [None, None], ["", ""])
+        b.barrier()
+        assert len(b.ops) == 3
+
     def test_partial_layout_leaves_empty_positions(self):
         topo = LNNTopology(4)
         b = MappingBuilder(topo, [0, 1], num_logical=2)
