@@ -304,8 +304,13 @@ PY
 
 if [ "${1:-}" = "--serve-only" ]; then
     echo "=== serve tests: tests/test_serve/ + public-surface contract ==="
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest \
-        tests/test_serve tests/test_public_api.py -q
+    # Under -X dev: asyncio debug mode on the batcher, and ResourceWarning
+    # shown.  A leaked file, socket or connection fails the leg -- most
+    # surface from a finalizer, as an unraisable-exception warning.
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -m pytest \
+        tests/test_serve tests/test_public_api.py -q \
+        -W error::ResourceWarning \
+        -W error::pytest.PytestUnraisableExceptionWarning
     serve_smoke
     echo "ci.sh: serve-only run complete"
     exit 0
