@@ -354,6 +354,21 @@ def _off_device(code: int, operands: Tuple[int, ...], num_physical: int) -> Valu
     )
 
 
+def _uncoupled(code: int, a: int, b: int, num_physical: int) -> ValueError:
+    """The error for a two-qubit op on a pair the coupling graph lacks.
+
+    The graph holds on-device pairs only, so its membership test is also the
+    range check of an adjacency-checked op; this tells the two cases apart.
+    """
+
+    if not 0 <= a < num_physical > b >= 0:
+        return _off_device(code, (a, b), num_physical)
+    return ValueError(
+        f"{KIND_NAMES[code].upper()} emitted on non-adjacent physical "
+        f"qubits ({a}, {b})"
+    )
+
+
 class MappingBuilder:
     """Helper that mappers use to emit ops while tracking the layout.
 
@@ -448,15 +463,12 @@ class MappingBuilder:
     def _append_pair(
         self, code: int, phys_a: int, phys_b: int, angle: Optional[float], tag: str
     ) -> None:
-        n = self._n
-        if not 0 <= phys_a < n > phys_b >= 0:  # both operands on the device
-            raise _off_device(code, (phys_a, phys_b), n)
-        edge = (phys_a, phys_b) if phys_a < phys_b else (phys_b, phys_a)
-        if self.check_adjacency and edge not in self._edges:
-            raise ValueError(
-                f"{KIND_NAMES[code].upper()} emitted on non-adjacent physical "
-                f"qubits ({phys_a}, {phys_b})"
-            )
+        if self.check_adjacency:
+            edge = (phys_a, phys_b) if phys_a < phys_b else (phys_b, phys_a)
+            if edge not in self._edges:
+                raise _uncoupled(code, phys_a, phys_b, self._n)
+        elif not 0 <= phys_a < self._n > phys_b >= 0:  # both on the device
+            raise _off_device(code, (phys_a, phys_b), self._n)
         if phys_a == phys_b:
             raise ValueError(f"duplicate physical qubits in op: {(phys_a, phys_b)}")
         p2l = self.phys_to_log
@@ -528,13 +540,11 @@ class MappingBuilder:
         try:
             for code, a, b in zip(codes, p0, p1):
                 if code == _CPHASE or code == _SWAP or code == _CNOT:
-                    if not 0 <= a < n > b >= 0:
+                    if check:
+                        if ((a, b) if a < b else (b, a)) not in edges:
+                            raise _uncoupled(code, a, b, n)
+                    elif not 0 <= a < n > b >= 0:
                         raise _off_device(code, (a, b), n)
-                    if check and ((a, b) if a < b else (b, a)) not in edges:
-                        raise ValueError(
-                            f"{KIND_NAMES[code].upper()} emitted on non-adjacent physical "
-                            f"qubits ({a}, {b})"
-                        )
                     if a == b:
                         raise ValueError(f"duplicate physical qubits in op: {(a, b)}")
                     la = p2l[a]

@@ -89,7 +89,11 @@ def _encode(payload: dict) -> bytes:
 
 @dataclass
 class ServeConfig:
-    """Knobs of one :class:`CompileService` instance."""
+    """Knobs of one :class:`CompileService` instance.
+
+    Batching has no timer to tune: requests coalesce only while every
+    worker is busy, bounded by ``max_batch`` per batch.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  #: 0 = ephemeral; the bound port is ``service.port``
@@ -432,8 +436,7 @@ class CompileService:
             if cached is not None:
                 self.counters["store_hits"] += 1
                 cached.extra.pop("cache", None)
-                response = CompileResponse.from_result(cached, cache="store")
-                response = response.to_dict()
+                response = CompileResponse.from_result(cached, cache="store").to_dict()
                 self._remember(key, response)
                 return 200, response, None
         if self._inflight() >= self.config.max_queue:

@@ -2,10 +2,12 @@
 deterministic per-client jitter, and the typed error each answer maps to."""
 
 import asyncio
+import gc
 import http.server
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -123,16 +125,19 @@ class TestTypedErrors:
 
 @pytest.fixture
 def scripted_server():
-    """``scripted_server(status, body) -> (url, paths)``: a plain HTTP
-    server answering every GET with one fixed status and JSON body, and
-    recording each request path."""
+    """``scripted_server(status, body, protocol=...) -> (url, paths)``: a
+    plain HTTP server answering every GET with one fixed status and JSON
+    body, and recording each request path.  Under ``HTTP/1.1`` it keeps
+    each connection open after answering, until the client closes it."""
 
     servers = []
 
-    def _start(status: int, body: bytes):
+    def _start(status: int, body: bytes, protocol: str = "HTTP/1.0"):
         paths = []
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = protocol
+
             def do_GET(self):
                 paths.append(self.path)
                 self.send_response(status)
@@ -168,6 +173,14 @@ class TestTransport:
         client = ServeClient(url + "/prefix/")
         assert client.health() == {"status": "ok"}
         assert paths == ["/prefix/v1/health"]
+
+    def test_client_closes_a_connection_the_server_keeps_open(self, scripted_server):
+        url, _ = scripted_server(200, b'{"status": "ok"}', protocol="HTTP/1.1")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert ServeClient(url).health() == {"status": "ok"}
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_other_status_raises_serve_error_without_retry(self, scripted_server):
         url, paths = scripted_server(500, b'{"error": "boom"}')
