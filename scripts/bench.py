@@ -236,14 +236,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--label", default=None, help="free-form label stored in the output"
     )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DB",
-        help="additionally record the payload as bench history in a SQLite "
-        "experiment store (queryable via 'python -m repro.store history DB'; "
-        "the perf gate reads its baseline from there with --db)",
-    )
     args = parser.parse_args(argv)
     if args.stages:
         return _stages(args)
@@ -290,12 +282,6 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
     print(f"total {total:.2f}s -> {out}")
-    if args.store:
-        from repro.store import ExperimentStore
-
-        with ExperimentStore(args.store) as store:
-            bench_id = store.record_bench(payload, source=os.path.basename(out))
-        print(f"recorded as bench {bench_id} in {args.store}")
     return 0
 
 

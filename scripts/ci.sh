@@ -161,9 +161,8 @@ fi
 # complementary fig27 shards, each recording its run into and caching into
 # its own .db; the union of the shards' run records must equal an unsharded
 # pool run cell for cell, a crashed shard resumes from its record, the
-# merged shard caches must serve the full sweep warm, a seeded divergent
-# merge must be refused by the UNIQUE constraint, and the perf gate must
-# read its baseline from imported legacy bench history (--db).
+# merged shard caches must serve the full sweep warm, and a seeded divergent
+# merge must be refused by the UNIQUE constraint.
 # ---------------------------------------------------------------------------
 store_smoke() {
     echo "=== store smoke: sharded fig27 through the SQLite experiment store ==="
@@ -242,26 +241,9 @@ else:
 finally:
     cache.close()
 PY
-    # Legacy bench history in, then the perf gate reads its baseline from
-    # the store (--db) instead of the committed JSON.
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.store \
-        import-legacy "$db" --bench BENCH_*.json
-    local bench_json="$store_dir/bench.json"
-    python scripts/bench.py --smoke --out "$bench_json"
-    local gate_out
-    gate_out=$(python scripts/perf_gate.py "$bench_json" --db "$db")
-    echo "$gate_out"
-    echo "$gate_out" | grep -q "of store results.db" || {
-        echo "ci.sh: FAIL — perf gate did not use the store baseline" >&2
-        exit 1
-    }
-    # Record this run as history too, then the query/history CLI smoke.
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.store \
-        import-legacy "$db" --bench "$bench_json"
+    # The query/info CLI smoke.
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.store \
         query "$db" --approach sabre --status ok --limit 3
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.store \
-        history "$db" --suite smoke --approach sabre --kind grid --limit 5
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.store info "$db"
     rm -rf "$store_dir"
 }

@@ -20,25 +20,20 @@ Exit status: 0 = within budget, 1 = regression (offenders listed),
 Usage::
 
     python scripts/perf_gate.py CURRENT.json [--baseline BENCH_baseline_smoke.json]
-                                [--db STORE.db] [--factor 1.5] [--slack-s 0.05]
+                                [--factor 1.5] [--slack-s 0.05]
 
-With ``--db`` the baseline comes from a SQLite experiment store instead of
-the committed JSON: the latest recorded bench payload for the current run's
-suite (optionally pinned to one commit via ``--db-commit``), reconstructed
-cell-for-cell from ``bench_cells`` rows.  The committed-JSON baseline stays
-as the fallback when the store is absent or holds no matching recording, so
-CI cannot go silently ungated during the migration.  Whichever way the
-baseline was resolved, a ``perf gate: baseline source: ...`` line names it
-before any verdict -- pass, fail, store hit or JSON fallback alike.
+A ``perf gate: baseline source: committed JSON <file>`` line names the
+baseline before any verdict, pass or fail, because the compile and serve
+gates read different files.
 
 The gate also pins the serve layer: ``scripts/serve_bench.py`` emits the
 same ``groups``/``cells`` shape (one cell per load shape, ``compile_time_s``
 = the shape's p50 latency), gated against the committed
 ``BENCH_baseline_serve_smoke.json`` by ``scripts/ci.sh --serve-only``.
 
-Environment overrides (for slow/shared runners): ``REPRO_PERF_GATE_FACTOR``,
-``REPRO_PERF_GATE_SLACK_S``, ``REPRO_PERF_BASELINE``; ``REPRO_PERF_GATE=off``
-skips the gate entirely (prints a notice, exits 0).
+Environment overrides (for slow/shared runners): ``REPRO_PERF_GATE_FACTOR``
+and ``REPRO_PERF_GATE_SLACK_S``; ``REPRO_PERF_GATE=off`` skips the gate
+entirely (prints a notice, exits 0).
 """
 
 from __future__ import annotations
@@ -81,23 +76,6 @@ def _cells(payload: dict) -> dict:
     return out
 
 
-def _store_baseline(db_path: str, suite: str, commit: str | None) -> dict | None:
-    """Latest recorded bench payload for ``suite`` from a store, or ``None``.
-
-    Returns ``None`` (caller falls back to the committed JSON) when the
-    store file is missing or holds no recording for the suite; the notice
-    is printed by the caller so the fallback is always visible in CI logs.
-    """
-
-    if not os.path.isfile(db_path):
-        return None
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.store import ExperimentStore
-
-    with ExperimentStore(db_path) as store:
-        return store.latest_baseline(suite, commit=commit)
-
-
 def _fmt(key: tuple) -> str:
     group, workload, approach, kind, size, k = key
     tail = f" [#{k + 1}]" if k else ""
@@ -109,23 +87,8 @@ def main(argv=None) -> int:
     parser.add_argument("current", help="bench JSON produced by this run")
     parser.add_argument(
         "--baseline",
-        default=os.environ.get("REPRO_PERF_BASELINE", DEFAULT_BASELINE),
+        default=DEFAULT_BASELINE,
         help="committed baseline JSON (default: BENCH_baseline_smoke.json)",
-    )
-    parser.add_argument(
-        "--db",
-        default=None,
-        metavar="STORE.db",
-        help="read the baseline from this SQLite experiment store (latest "
-        "bench recording for the current suite); falls back to --baseline "
-        "when the store is absent or empty",
-    )
-    parser.add_argument(
-        "--db-commit",
-        default=None,
-        metavar="SHA",
-        help="with --db: pin the baseline to the latest recording of this "
-        "commit instead of the latest overall",
     )
     parser.add_argument(
         "--factor",
@@ -148,37 +111,12 @@ def main(argv=None) -> int:
     try:
         with open(args.current, encoding="utf-8") as fh:
             current = json.load(fh)
+        with open(args.baseline, encoding="utf-8") as fh:
+            baseline = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"perf gate: cannot load inputs: {exc}", file=sys.stderr)
         return 2
-
-    baseline = None
-    baseline_name = os.path.basename(args.baseline)
-    if args.db:
-        baseline = _store_baseline(args.db, current.get("suite"), args.db_commit)
-        if baseline is None:
-            print(
-                f"perf gate: store {args.db} has no "
-                f"{current.get('suite')!r} bench recording; falling back to "
-                f"{baseline_name}"
-            )
-        else:
-            baseline_name = (
-                f"store {os.path.basename(args.db)} "
-                f"(commit {baseline.get('commit') or '?'}, "
-                f"recorded {baseline.get('timestamp') or '?'})"
-            )
-    if baseline is None:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"perf gate: cannot load inputs: {exc}", file=sys.stderr)
-            return 2
-        baseline_name = f"committed JSON {os.path.basename(args.baseline)}"
-
-    # Name the source on *every* path -- pass or fail, store or fallback --
-    # so a CI log always shows which numbers the run was gated against.
+    baseline_name = f"committed JSON {os.path.basename(args.baseline)}"
     print(f"perf gate: baseline source: {baseline_name}")
 
     if baseline.get("suite") != current.get("suite"):

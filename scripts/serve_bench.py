@@ -23,7 +23,7 @@ an already-running server instead.
 Usage::
 
     python scripts/serve_bench.py [--smoke] [--url URL] [--workers N]
-                                  [--out BENCH_serve.json] [--store DB]
+                                  [--out BENCH_serve.json]
 """
 
 from __future__ import annotations
@@ -203,10 +203,9 @@ def _gate_cells(shapes: list) -> list:
     """The load shapes as perf-gate-pinnable bench cells.
 
     One cell per shape, keyed like ``scripts/bench.py`` cells so
-    ``perf_gate.py`` and the store's ``bench_cells`` table need no special
-    casing: ``kind`` carries the load shape, ``compile_time_s`` is the
-    shape's p50 request latency (p99 is a single sample at smoke sizes and
-    would flap the gate).
+    ``perf_gate.py`` needs no special casing: ``kind`` carries the load
+    shape, ``compile_time_s`` is the shape's p50 request latency (p99 is a
+    single sample at smoke sizes and would flap the gate).
     """
 
     cells = []
@@ -255,9 +254,6 @@ def main(argv=None) -> int:
                         help="output JSON path")
     parser.add_argument("--label", default=None,
                         help="free-form label stored in the output")
-    parser.add_argument("--store", default=None, metavar="DB",
-                        help="additionally record the payload as bench "
-                        "history in a SQLite experiment store")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -310,7 +306,7 @@ def main(argv=None) -> int:
         "unique_seeds": args.unique_seeds,
         "shapes": shapes,
         # the same numbers in scripts/bench.py's groups/cells shape, so the
-        # perf gate pins them and the store records per-cell history
+        # perf gate pins them
         "groups": [
             {
                 "name": "serve",
@@ -324,14 +320,6 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
     print(f"-> {args.out}")
-    if args.store:
-        from repro.store import ExperimentStore
-
-        with ExperimentStore(args.store) as store:
-            bench_id = store.record_bench(
-                payload, source=os.path.basename(args.out)
-            )
-        print(f"recorded as bench {bench_id} in {args.store}")
 
     total_errors = sum(s["errors"] for s in shapes)
     return 1 if total_errors else 0

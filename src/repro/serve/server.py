@@ -66,6 +66,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -81,6 +82,17 @@ class _BadFraming(ValueError):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of the request head; a line past the reader's limit is a 431."""
+
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised by readline
+        raise _BadFraming(
+            431, "request line or header exceeds the 64 KiB line limit"
+        ) from None
 
 
 def _encode(payload: dict) -> bytes:
@@ -346,16 +358,16 @@ class CompileService:
 
     @staticmethod
     async def _read_request(reader) -> Optional[Tuple[str, str, bytes]]:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
-            return None
+            return None  # the client went away before sending anything
         parts = line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            raise _BadFraming(400, "request line needs a method and a path")
         method, path = parts[0].upper(), parts[1]
         length = 0
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")

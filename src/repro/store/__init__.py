@@ -1,16 +1,13 @@
 """`repro.store`: the SQLite-backed experiment store.
 
 One WAL-mode database is the only place results persist: the result cache
-(``ResultCache`` rows), run records (``execute(..., store=DB)``) and the
-committed ``BENCH_*.json`` snapshots' history, behind indexed queries and a
-conflict-checked merge enforced as a SQL constraint.
+(``ResultCache`` rows) and run records (``execute(..., store=DB)``), behind
+indexed queries and a conflict-checked merge enforced as a SQL constraint.
 
-``ResultCache`` stores cells here, every executor records its run here
+``ResultCache`` stores cells here, and every executor records its run here
 through :class:`RunRecorder` (``--store``; ``--resume`` continues the
-newest run of the same plan), and ``scripts/bench.py`` /
-``scripts/perf_gate.py`` write/read bench history as rows.  CLI:
-``python -m repro.store`` (``query``, ``history``, ``runs``,
-``import-legacy``, ``gc``, ``info``).
+newest run of the same plan).  CLI: ``python -m repro.store`` (``query``,
+``runs``, ``gc``, ``info``).
 """
 
 from .schema import SCHEMA_VERSION, ensure_schema

@@ -5,18 +5,11 @@ Subcommands
 ``query``
     Indexed cell query over the cache table:
     ``python -m repro.store query results.db --approach sabre --min-qubits 576``
-``history``
-    Wall-clock trend for pinned bench cells across recordings:
-    ``python -m repro.store history results.db --approach sabre --size 16``
 ``runs``
     Recorded runs (``python -m repro.eval --store``), newest first.
-``import-legacy``
-    Ingest the committed ``BENCH_*.json`` snapshots, so bench history starts
-    with the first recorded suite rather than empty:
-    ``python -m repro.store import-legacy results.db --bench BENCH_*.json``
 ``gc``
     Drop cells of superseded code versions (``--keep-codes N`` or
-    explicit ``--code V``); runs and bench history are never collected.
+    explicit ``--code V``); runs are never collected.
 ``info``
     Row counts per table and known code versions.
 """
@@ -82,27 +75,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     q.add_argument("--limit", type=int)
     q.add_argument("--json", action="store_true", help="emit JSON rows")
 
-    h = sub.add_parser("history", help="bench wall-clock trend per cell")
-    h.add_argument("db")
-    h.add_argument("--suite")
-    h.add_argument("--group", dest="grp")
-    h.add_argument("--workload")
-    h.add_argument("--approach")
-    h.add_argument("--kind")
-    h.add_argument("--size", type=int)
-    h.add_argument("--limit", type=int)
-    h.add_argument("--json", action="store_true", help="emit JSON rows")
-
     r = sub.add_parser("runs", help="recorded runs, newest first")
     r.add_argument("db")
     r.add_argument("--limit", type=int)
     r.add_argument("--json", action="store_true", help="emit JSON rows")
-
-    imp = sub.add_parser(
-        "import-legacy", help="ingest committed BENCH_*.json snapshots"
-    )
-    imp.add_argument("db")
-    imp.add_argument("--bench", nargs="*", default=[], metavar="FILE")
 
     g = sub.add_parser("gc", help="drop cells of superseded code versions")
     g.add_argument("db")
@@ -116,8 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.cmd == "import-legacy" and not args.bench:
-        parser.error("import-legacy needs at least one --bench FILE")
     if args.cmd == "gc" and args.keep_codes is None and not args.code:
         parser.error("gc needs --keep-codes N or --code VERSION")
 
@@ -140,23 +114,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.json,
             )
             print(f"{len(rows)} cell(s)", file=sys.stderr)
-        elif args.cmd == "history":
-            rows = store.bench_history(
-                suite=args.suite,
-                grp=args.grp,
-                workload=args.workload,
-                approach=args.approach,
-                kind=args.kind,
-                size=args.size,
-                limit=args.limit,
-            )
-            _emit(
-                rows,
-                ("timestamp", "commit_hash", "suite", "grp", "workload",
-                 "approach", "kind", "size", "status", "wall_s"),
-                args.json,
-            )
-            print(f"{len(rows)} bench cell(s)", file=sys.stderr)
         elif args.cmd == "runs":
             rows = store.list_runs(limit=args.limit)
             _emit(
@@ -166,19 +123,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                  "finished_at"),
                 args.json,
             )
-        elif args.cmd == "import-legacy":
-            from . import legacy
-
-            for path in args.bench:
-                try:
-                    info = legacy.import_bench_file(store, path)
-                except ValueError as exc:
-                    print(f"bench {path}: skipped ({exc})")
-                    continue
-                print(
-                    f"bench {path}: recorded as id {info['bench_id']} "
-                    f"({info['cells']} cells, suite {info['suite']})"
-                )
         elif args.cmd == "gc":
             out = store.gc(
                 keep_codes=args.keep_codes,

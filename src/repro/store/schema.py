@@ -1,7 +1,7 @@
 """DDL for the SQLite experiment store.
 
-One database holds every persisted result: the result cache, run records
-and the history of the committed ``BENCH_*.json`` snapshots:
+One database holds every persisted result: the result cache and run
+records:
 
 ``cells``
     The cache: one row per (spec, code version), keyed by the 24-hex
@@ -26,12 +26,6 @@ and the history of the committed ``BENCH_*.json`` snapshots:
     once (straggler retries); last-per-key wins at query time.  A resumed
     run appends to its original row.
 
-``bench`` / ``bench_cells``
-    Bench history: one ``bench`` row per ``scripts/bench.py`` payload and
-    one ``bench_cells`` row per pinned cell, with the original cell JSON
-    kept verbatim so the perf gate can reconstruct a baseline payload
-    bit-equal to the committed ``BENCH_*.json`` snapshots.
-
 ``code_versions``
     Every code version that ever wrote a cell, with first-seen timestamps;
     ``gc`` drops superseded versions' cells by this table.
@@ -49,7 +43,8 @@ __all__ = ["SCHEMA_VERSION", "ensure_schema"]
 
 #: Bump when the DDL changes incompatibly; ``ensure_schema`` refuses to
 #: open a database written by a different schema version rather than
-#: guessing at a migration.
+#: guessing at a migration.  Tables an older file holds beyond this DDL are
+#: left in place, unread, so dropping a table needs no bump.
 SCHEMA_VERSION = 1
 
 _DDL = """
@@ -126,38 +121,6 @@ CREATE TABLE IF NOT EXISTS run_cells (
     PRIMARY KEY (run_id, seq)
 );
 CREATE INDEX IF NOT EXISTS run_cells_by_key ON run_cells (cell_key);
-
-CREATE TABLE IF NOT EXISTS bench (
-    id           INTEGER PRIMARY KEY,
-    suite        TEXT,
-    label        TEXT,
-    commit_hash  TEXT,
-    dirty        INTEGER,
-    timestamp    TEXT,
-    python       TEXT,
-    jobs         INTEGER,
-    total_wall_s REAL,
-    source       TEXT,
-    imported_at  TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS bench_by_suite ON bench (suite, timestamp);
-
-CREATE TABLE IF NOT EXISTS bench_cells (
-    bench_id INTEGER NOT NULL REFERENCES bench (id) ON DELETE CASCADE,
-    grp      TEXT NOT NULL,
-    seq      INTEGER NOT NULL,
-    workload TEXT,
-    approach TEXT,
-    kind     TEXT,
-    size     INTEGER,
-    qubits   INTEGER,
-    status   TEXT,
-    wall_s   REAL,
-    cell     TEXT NOT NULL,
-    PRIMARY KEY (bench_id, grp, seq)
-);
-CREATE INDEX IF NOT EXISTS bench_cells_by_spec
-    ON bench_cells (approach, kind, size);
 """
 
 

@@ -1,10 +1,9 @@
-"""`ExperimentStore`: one SQLite database for the result cache, run records
-and bench history.
+"""`ExperimentStore`: one SQLite database for the result cache and run
+records.
 
-The store is the single place results persist: cells (cache entries), run
-records and bench history land in one WAL-mode SQLite file with indexed
-spec columns, so cross-run questions ("all sabre cells >= 576q across
-commits", "wall-clock trend for this cell across commits") are single
+The store is the single place results persist: cells (cache entries) and
+run records land in one WAL-mode SQLite file with indexed spec columns, so
+cross-run questions ("all sabre cells >= 576q across commits") are single
 queries.
 
 Design rules:
@@ -584,149 +583,12 @@ class ExperimentStore:
         with self._lock:
             return [dict(r) for r in self._conn.execute(sql, params).fetchall()]
 
-    # -- bench history ---------------------------------------------------
-    def record_bench(self, payload: Dict[str, object], *, source: Optional[str] = None) -> int:
-        """Ingest one ``scripts/bench.py`` payload (cells kept verbatim)."""
-
-        with self._tx() as conn:
-            cur = conn.execute(
-                "INSERT INTO bench (suite, label, commit_hash, dirty, "
-                "timestamp, python, jobs, total_wall_s, source, imported_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    payload.get("suite"),
-                    payload.get("label"),
-                    payload.get("commit"),
-                    None if payload.get("dirty") is None else int(bool(payload["dirty"])),
-                    payload.get("timestamp"),
-                    payload.get("python"),
-                    payload.get("jobs"),
-                    payload.get("total_wall_s"),
-                    source,
-                    _utc_now(),
-                ),
-            )
-            bench_id = int(cur.lastrowid)
-            for group in payload.get("groups", ()):
-                for seq, cell in enumerate(group.get("cells", ())):
-                    conn.execute(
-                        "INSERT INTO bench_cells (bench_id, grp, seq, "
-                        "workload, approach, kind, size, qubits, status, "
-                        "wall_s, cell) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            bench_id,
-                            group.get("name"),
-                            seq,
-                            cell.get("workload"),
-                            cell.get("approach"),
-                            cell.get("kind"),
-                            cell.get("size"),
-                            cell.get("qubits"),
-                            cell.get("status"),
-                            cell.get("compile_time_s"),
-                            json.dumps(cell, sort_keys=True),
-                        ),
-                    )
-            return bench_id
-
-    def bench_payload(self, bench_id: int) -> Optional[Dict[str, object]]:
-        """Reconstruct a bench payload bit-equal in cells to its source."""
-
-        with self._lock:
-            head = self._conn.execute(
-                "SELECT * FROM bench WHERE id = ?", (bench_id,)
-            ).fetchone()
-            rows = self._conn.execute(
-                "SELECT grp, cell FROM bench_cells WHERE bench_id = ? "
-                "ORDER BY rowid",
-                (bench_id,),
-            ).fetchall()
-        if head is None:
-            return None
-        groups: List[Dict[str, object]] = []
-        by_name: Dict[str, Dict[str, object]] = {}
-        for grp, cell in rows:
-            bucket = by_name.get(grp)
-            if bucket is None:
-                bucket = {"name": grp, "cells": []}
-                by_name[grp] = bucket
-                groups.append(bucket)
-            bucket["cells"].append(json.loads(cell))
-        return {
-            "suite": head["suite"],
-            "label": head["label"],
-            "commit": head["commit_hash"],
-            "dirty": None if head["dirty"] is None else bool(head["dirty"]),
-            "timestamp": head["timestamp"],
-            "python": head["python"],
-            "jobs": head["jobs"],
-            "total_wall_s": head["total_wall_s"],
-            "groups": groups,
-        }
-
-    def latest_baseline(
-        self, suite: str, *, commit: Optional[str] = None
-    ) -> Optional[Dict[str, object]]:
-        """Latest recorded bench payload for ``suite`` (optionally pinned
-        to a commit) -- the perf gate's baseline query."""
-
-        sql = "SELECT id FROM bench WHERE suite = ?"
-        params: List[object] = [suite]
-        if commit is not None:
-            sql += " AND commit_hash = ?"
-            params.append(commit)
-        sql += " ORDER BY timestamp DESC, id DESC LIMIT 1"
-        with self._lock:
-            row = self._conn.execute(sql, params).fetchone()
-        return None if row is None else self.bench_payload(int(row[0]))
-
-    def bench_history(
-        self,
-        *,
-        suite: Optional[str] = None,
-        grp: Optional[str] = None,
-        workload: Optional[str] = None,
-        approach: Optional[str] = None,
-        kind: Optional[str] = None,
-        size: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> List[Dict[str, object]]:
-        """Wall-clock trend rows for pinned bench cells across recordings."""
-
-        clauses, params = [], []
-        for col, val in (
-            ("b.suite", suite),
-            ("c.grp", grp),
-            ("c.workload", workload),
-            ("c.approach", approach),
-            ("c.kind", kind),
-            ("c.size", size),
-        ):
-            if val is not None:
-                clauses.append(f"{col} = ?")
-                params.append(val)
-        sql = (
-            "SELECT b.timestamp, b.commit_hash, b.label, b.suite, c.grp, "
-            "c.workload, c.approach, c.kind, c.size, c.status, c.wall_s "
-            "FROM bench_cells c JOIN bench b ON b.id = c.bench_id"
-        )
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += (
-            " ORDER BY b.timestamp, b.id, c.grp, c.seq"
-        )
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        with self._lock:
-            return [dict(r) for r in self._conn.execute(sql, params).fetchall()]
-
     # -- maintenance -----------------------------------------------------
     def counts(self) -> Dict[str, int]:
         out = {}
         with self._lock:
-            for table in ("cells", "metrics", "runs", "run_cells", "bench",
-                          "bench_cells", "code_versions"):
+            for table in ("cells", "metrics", "runs", "run_cells",
+                          "code_versions"):
                 out[table] = self._conn.execute(
                     f"SELECT COUNT(*) FROM {table}"
                 ).fetchone()[0]
@@ -755,8 +617,8 @@ class ExperimentStore:
 
         Either name versions explicitly (``codes``) or keep the newest
         ``keep_codes`` versions by first-seen time and drop the rest.
-        Runs and bench history are never collected: they are the historical
-        record the store exists to keep.
+        Runs are never collected: they are the historical record the store
+        exists to keep.
         """
 
         if codes:

@@ -439,3 +439,24 @@ def test_oversized_content_length_answered_413_unread(http_exchange, run_service
     status, body, _ = run_service(ServeConfig(workers=1), scenario)
     assert status == 413
     assert "limit" in body["error"]
+
+
+def test_overlong_header_line_answered_431(http_exchange, run_service):
+    async def scenario(service):
+        head = b"GET /v1/health HTTP/1.1\r\nHost: x\r\nX-Long: " + b"a" * 70_000
+        return await asyncio.wait_for(
+            http_exchange(service.port, head + b"\r\n\r\n"), timeout=30.0
+        )
+
+    status, body, _ = run_service(ServeConfig(workers=1), scenario)
+    assert status == 431
+    assert "line limit" in body["error"]
+
+
+def test_request_line_without_a_path_answered_400(http_exchange, run_service):
+    async def scenario(service):
+        return await http_exchange(service.port, b"GET\r\nHost: x\r\n\r\n")
+
+    status, body, _ = run_service(ServeConfig(workers=1), scenario)
+    assert status == 400
+    assert "method and a path" in body["error"]

@@ -1,17 +1,15 @@
 """Tests for the SQLite experiment store (repro.store).
 
-The store is the one place results persist: ``ResultCache`` rows, run
-records (``execute(..., store=DB)``), bench history and the perf gate's
-``--db`` baseline all go through it.  These tests hold each view to its
-contract -- same keys, same bytes, conflict-checked merges -- plus the
-store-only surfaces (queries, gc, CLI, legacy bench import).
+The store is the one place results persist: ``ResultCache`` rows and run
+records (``execute(..., store=DB)``) both go through it.  These tests hold
+each view to its contract -- same keys, same bytes, conflict-checked merges
+-- plus the store-only surfaces (queries, gc, CLI) and files written before
+bench history was dropped.
 """
 
 import json
+import re
 import sqlite3
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -32,8 +30,6 @@ from repro.store import (
     result_fingerprint,
 )
 from repro.store.__main__ import main as store_cli
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _result(depth=40, swaps=22, wall=0.1, **extra):
@@ -106,7 +102,6 @@ class TestStoreCore:
             assert store.query_cells(min_qubits=10) == []
 
     def test_limit_caps_every_listing(self, tmp_path):
-        cell = {"workload": "qft", "approach": "sabre", "kind": "grid"}
         with ExperimentStore(tmp_path / "s.db") as store:
             for i in range(3):
                 store.put_cell(
@@ -115,16 +110,10 @@ class TestStoreCore:
                     identity=identity_columns("sabre", "grid", 3 + i),
                 )
                 store.finish_run(store.begin_run({"experiment": f"e{i}"}))
-                store.record_bench(
-                    {"suite": "smoke", "groups": [
-                        {"name": "g", "cells": [{**cell, "size": 3 + i}]}
-                    ]}
-                )
             assert [r["size"] for r in store.query_cells(limit=2)] == [3, 4]
             assert [r["experiment"] for r in store.list_runs(limit=2)] == [
                 "e2", "e1",
             ]
-            assert [r["size"] for r in store.bench_history(limit=2)] == [3, 4]
 
     def test_raising_transaction_rolls_back_and_releases_the_lock(
         self, tmp_path
@@ -168,6 +157,42 @@ class TestStoreCore:
         with pytest.raises(ValueError, match="schema version"):
             ExperimentStore(path)
         _assert_write_lock_free(path)
+
+    def test_file_with_a_leftover_bench_table_still_opens(self, tmp_path, capsys):
+        """Stores written while the store kept bench history hold a
+        ``bench`` table; the same schema version opens them and ignores it."""
+
+        path = tmp_path / "old.db"
+        with ExperimentStore(path) as store:
+            store.put_cell(
+                "a" * 24, _result(), code="v1",
+                identity=identity_columns("sabre", "grid", 3),
+            )
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "CREATE TABLE bench (id INTEGER PRIMARY KEY, suite TEXT, "
+                "label TEXT, commit_hash TEXT, dirty INTEGER, timestamp TEXT, "
+                "python TEXT, jobs INTEGER, total_wall_s REAL, source TEXT, "
+                "imported_at TEXT NOT NULL)"
+            )
+            conn.execute(
+                "INSERT INTO bench (suite, commit_hash, imported_at) "
+                "VALUES ('smoke', 'c1', '2026-01-01T00:00:00+00:00')"
+            )
+        conn.close()
+        with ExperimentStore(path) as store:
+            assert store.get_cell("a" * 24) == _result().to_dict()
+        with ExperimentStore(tmp_path / "fresh.db") as fresh:
+            assert fresh.merge_from(path) == {
+                "imported": 1, "skipped": 0, "invalid": 0,
+            }
+        assert store_cli(["info", str(path)]) == 0
+        tables = re.findall(r"^\s*(\w+): \d+$", capsys.readouterr().out, re.M)
+        assert tables == ["cells", "code_versions", "metrics", "run_cells", "runs"]
+        with ExperimentStore(path) as store:
+            assert store.gc(codes=("v1",))["cells_deleted"] == 1
+            assert store.get_cell("a" * 24) is None
 
 
 def _assert_write_lock_free(path):
@@ -374,38 +399,6 @@ class TestStoreSink:
             assert run["appended"] == len(p.cells)
 
 
-class TestImportLegacy:
-    def test_committed_bench_snapshots_roundtrip(self, tmp_path):
-        from repro.store import legacy
-
-        snapshots = legacy.default_bench_snapshots(REPO_ROOT)
-        assert len(snapshots) >= 3  # the repo commits its perf trajectory
-        with ExperimentStore(tmp_path / "s.db") as store:
-            for path in snapshots:
-                info = legacy.import_bench_file(store, path)
-                payload = json.loads(Path(path).read_text(encoding="utf-8"))
-                stored = store.bench_payload(info["bench_id"])
-                assert stored["commit"] == payload.get("commit")
-                # group order and per-cell records are bit-equal (group-level
-                # run reports are JSON-file detail the gate never reads)
-                assert [g["name"] for g in stored["groups"]] == [
-                    g["name"] for g in payload["groups"]
-                ]
-                for got, src in zip(stored["groups"], payload["groups"]):
-                    assert got["cells"] == src["cells"]
-
-    def test_latest_baseline_prefers_newest_timestamp(self, tmp_path):
-        base = {"suite": "smoke", "commit": "c1", "groups": []}
-        with ExperimentStore(tmp_path / "s.db") as store:
-            store.record_bench({**base, "timestamp": "2026-01-01T00:00:00+00:00"})
-            store.record_bench(
-                {**base, "commit": "c2", "timestamp": "2026-02-01T00:00:00+00:00"}
-            )
-            assert store.latest_baseline("smoke")["commit"] == "c2"
-            assert store.latest_baseline("smoke", commit="c1")["commit"] == "c1"
-            assert store.latest_baseline("full") is None
-
-
 class TestStoreCLI:
     """``python -m repro.store`` argv-level behaviour (in-process)."""
 
@@ -415,25 +408,6 @@ class TestStoreCLI:
             store.put_cell(
                 "a" * 24, _result(), code="v1",
                 identity=identity_columns("sabre", "grid", 3, (("seed", 1),)),
-            )
-            store.record_bench(
-                {
-                    "suite": "smoke",
-                    "commit": "c1",
-                    "timestamp": "2026-01-01T00:00:00+00:00",
-                    "groups": [
-                        {
-                            "name": "g",
-                            "cells": [
-                                {
-                                    "workload": "qft", "approach": "sabre",
-                                    "kind": "grid", "size": 3, "status": "ok",
-                                    "compile_time_s": 0.25,
-                                }
-                            ],
-                        }
-                    ],
-                }
             )
         return db
 
@@ -451,12 +425,6 @@ class TestStoreCLI:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["approach"] == "sabre" and rows[0]["depth"] == 40
 
-    def test_history(self, tmp_path, capsys):
-        db = self._seeded_db(tmp_path)
-        assert store_cli(["history", str(db), "--suite", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "0.250" in out and "c1" in out
-
     def test_info_and_gc(self, tmp_path, capsys):
         db = self._seeded_db(tmp_path)
         assert store_cli(["info", str(db)]) == 0
@@ -469,26 +437,9 @@ class TestStoreCLI:
         assert store_cli(["query", str(db)]) == 0
         assert "(no rows)" in capsys.readouterr().out
 
-    def test_import_legacy_requires_a_source(self, tmp_path):
-        with pytest.raises(SystemExit):
-            store_cli(["import-legacy", str(tmp_path / "s.db")])
-
     def test_gc_requires_a_policy(self, tmp_path):
         with pytest.raises(SystemExit):
             store_cli(["gc", str(tmp_path / "s.db")])
-
-    def test_import_legacy_bench(self, tmp_path, capsys):
-        db = tmp_path / "s.db"
-        rc = store_cli(
-            [
-                "import-legacy", str(db),
-                "--bench", str(REPO_ROOT / "BENCH_baseline_smoke.json"),
-            ]
-        )
-        assert rc == 0
-        assert "suite smoke" in capsys.readouterr().out
-        with ExperimentStore(db) as store:
-            assert store.latest_baseline("smoke") is not None
 
 
 class TestExperimentsCLI:
@@ -509,108 +460,3 @@ class TestExperimentsCLI:
 
         with pytest.raises(SystemExit):
             main(["-e", "fig27", "-e", "fig17", "--store", str(tmp_path / "s.db")])
-
-
-class TestPerfGateDb:
-    """scripts/perf_gate.py --db: store-queried baseline with JSON fallback."""
-
-    def _gate(self, *argv):
-        return subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "perf_gate.py"), *argv],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-        )
-
-    def _current(self, tmp_path, wall=0.1):
-        payload = {
-            "suite": "smoke",
-            "commit": "cur",
-            "timestamp": "2026-02-01T00:00:00+00:00",
-            "groups": [
-                {
-                    "name": "g",
-                    "cells": [
-                        {
-                            "workload": "qft", "approach": "sabre",
-                            "kind": "grid", "size": 3, "status": "ok",
-                            "compile_time_s": wall,
-                        }
-                    ],
-                }
-            ],
-        }
-        path = tmp_path / "cur.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return path
-
-    def _db_with_baseline(self, tmp_path, wall=0.1):
-        db = tmp_path / "s.db"
-        with ExperimentStore(db) as store:
-            store.record_bench(
-                {
-                    "suite": "smoke",
-                    "commit": "base",
-                    "timestamp": "2026-01-01T00:00:00+00:00",
-                    "groups": [
-                        {
-                            "name": "g",
-                            "cells": [
-                                {
-                                    "workload": "qft", "approach": "sabre",
-                                    "kind": "grid", "size": 3, "status": "ok",
-                                    "compile_time_s": wall,
-                                }
-                            ],
-                        }
-                    ],
-                },
-                source="seed",
-            )
-        return db
-
-    def test_gate_passes_against_store_baseline(self, tmp_path):
-        cur = self._current(tmp_path, wall=0.1)
-        db = self._db_with_baseline(tmp_path, wall=0.1)
-        proc = self._gate(str(cur), "--db", str(db))
-        assert proc.returncode == 0, proc.stderr
-        assert "store s.db" in proc.stdout and "commit base" in proc.stdout
-
-    def test_gate_fails_on_regression_from_store_baseline(self, tmp_path):
-        cur = self._current(tmp_path, wall=10.0)
-        db = self._db_with_baseline(tmp_path, wall=0.1)
-        proc = self._gate(str(cur), "--db", str(db))
-        assert proc.returncode == 1
-        assert "qft/sabre on grid-3" in proc.stderr
-
-    def test_missing_store_falls_back_to_json_baseline(self, tmp_path):
-        cur = self._current(tmp_path, wall=0.1)
-        base = self._current(tmp_path, wall=0.1).rename(tmp_path / "base.json")
-        cur = self._current(tmp_path, wall=0.1)
-        proc = self._gate(
-            str(cur), "--db", str(tmp_path / "missing.db"),
-            "--baseline", str(base),
-        )
-        # The fallback is visible, then the gate runs against the JSON file.
-        assert "falling back to base.json" in proc.stdout
-        assert proc.returncode == 0, proc.stderr
-        assert "baseline source: committed JSON base.json" in proc.stdout
-        assert "of committed JSON base.json" in proc.stdout
-
-    def test_baseline_source_named_on_every_path(self, tmp_path):
-        # store hit, JSON fallback and FAIL verdict all name their source
-        db = self._db_with_baseline(tmp_path, wall=0.1)
-        hit = self._gate(str(self._current(tmp_path, wall=0.1)), "--db", str(db))
-        assert "baseline source: store s.db (commit base" in hit.stdout
-        fail = self._gate(str(self._current(tmp_path, wall=10.0)), "--db", str(db))
-        assert fail.returncode == 1
-        assert "baseline source: store s.db" in fail.stdout
-        assert "of store s.db" in fail.stderr  # the verdict names it too
-
-    def test_bench_store_flag_records_history(self, tmp_path):
-        from repro.store import legacy
-
-        db = tmp_path / "s.db"
-        with ExperimentStore(db) as store:
-            legacy.import_bench_file(
-                store, REPO_ROOT / "BENCH_baseline_smoke.json"
-            )
-            assert store.counts()["bench"] == 1
