@@ -193,6 +193,8 @@ class TestStoreCore:
         with ExperimentStore(path) as store:
             assert store.gc(codes=("v1",))["cells_deleted"] == 1
             assert store.get_cell("a" * 24) is None
+            # the leftover rows are never read and never collected
+            assert store._conn.execute("SELECT COUNT(*) FROM bench").fetchone()[0] == 1
 
 
 def _assert_write_lock_free(path):
