@@ -35,6 +35,7 @@ import hashlib
 import json
 import sqlite3
 import threading
+import time
 import uuid
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -144,6 +145,26 @@ def result_fingerprint(data: Dict[str, object]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _enable_wal(conn: sqlite3.Connection, timeout_s: float) -> None:
+    """``PRAGMA journal_mode = WAL``, retried for ``timeout_s`` while locked.
+
+    Processes that convert the same fresh file at once deadlock on the lock
+    upgrade, and SQLite answers one of them "database is locked" at once
+    instead of calling the busy handler.  A retry finds the file already
+    converted by the other.
+    """
+
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.01)
+
+
 class ExperimentStore:
     """SQLite-backed experiment store (WAL mode, safe for concurrent use).
 
@@ -189,7 +210,7 @@ class ExperimentStore:
         cur.execute(f"PRAGMA busy_timeout = {int(timeout_s * 1000)}")
         if page_size is not None:
             cur.execute(f"PRAGMA page_size = {int(page_size)}")
-        cur.execute("PRAGMA journal_mode = WAL")
+        _enable_wal(cur, timeout_s)
         if synchronous.upper() not in ("FULL", "NORMAL"):
             raise ValueError(f"synchronous must be FULL or NORMAL, not {synchronous!r}")
         cur.execute(f"PRAGMA synchronous = {synchronous.upper()}")
@@ -693,8 +714,6 @@ class RunRecorder:
         jobs: Optional[int] = None,
         run_id: Optional[int] = None,
     ) -> None:
-        import time
-
         self.store = store
         if run_id is None:
             run_id = store.begin_run(meta, executor=executor, jobs=jobs)
@@ -711,8 +730,6 @@ class RunRecorder:
         if self._finished:
             return
         self._finished = True
-        import time
-
         wall = time.monotonic() - self._wall_t0
         try:
             self.store.finish_run(self.run_id, wall_s=round(wall, 3))
