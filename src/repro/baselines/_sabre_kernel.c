@@ -1,22 +1,39 @@
 /* Compiled SABRE routing kernel.
  *
- * One C pass over the whole SABRE swap loop -- executable-gate sweeps,
- * front-layer / extended-set maintenance, exact delta scoring against the
- * maintained base sums, the reference tie-break scan and the swap
- * application -- operating on the flat tables the vectorized Python path
- * already maintains (distance matrix, adjacency mask, lexicographic edge
- * list, per-qubit incidence CSR).
+ * One C pass over the whole SABRE swap loop: executable-gate sweeps, front
+ * and extended-set upkeep, exact delta scoring against maintained base
+ * sums, the reference tie-break scan and the swap application.  The caller
+ * hands over per-topology tables (distance matrix, adjacency mask,
+ * lexicographic edge list, per-qubit incidence CSR) and per-circuit tables
+ * (gate endpoints, dependence-DAG CSR, indegrees).
+ *
+ * A swap iteration costs what the swap touched, not the size of the front
+ * or of the extended set:
+ *
+ * - the front is kept in ascending gate order: a sweep pass keeps the gates
+ *   it did not execute in place and merges in the successors it readied
+ *   (usually 0-2, insertion-sorted), and the front rebuild reads the
+ *   two-qubit gates straight off it;
+ * - candidate SWAPs are set in a bitset over edge ids and read back word
+ *   by word, so they come out in ascending edge id without a sort;
+ * - a candidate's front delta is O(1): front gates are vertex-disjoint, so
+ *   each site holds at most one front endpoint;
+ * - each site keeps the list of extended-set endpoint slots on it, so a
+ *   candidate's extended-set delta sums only the gates with an endpoint on
+ *   its two sites.  The lists are rebuilt lazily, after a swap that moved
+ *   an endpoint.
  *
  * Bit-identical to ``SabreMapper._route_fast`` / ``_route_reference`` by
  * construction:
  *
- * - gates are executed in the same sorted-front sweep order, candidate
- *   SWAPs are enumerated in the same ascending-edge-id order, and the
+ * - gates are executed in the same ascending-front sweep order, candidate
+ *   SWAPs are scored in the same ascending-edge-id order, and the
  *   tie-break is the literal reference scan (running best, 1e-12 window);
- * - every distance sum is a sum of integer-valued float64 entries, so the
- *   delta bookkeeping is exact regardless of summation order, and the
- *   scalar score composition applies the same IEEE-754 double operations
- *   in the same order as the numpy expressions;
+ * - every distance is an integer-valued float64, so every sum and delta is
+ *   exact regardless of summation order (the extended-set delta equals the
+ *   reference's ``sum(after) - base_ext`` exactly), and the score is
+ *   composed with the same IEEE-754 double operations in the same order as
+ *   the numpy expressions;
  * - the tie-break RNG reproduces CPython's ``random.Random`` exactly: the
  *   MT19937 generator below is the one from CPython's ``_randommodule.c``,
  *   ``getrandbits``/``_randbelow``/``choice`` consume 32-bit words the way
@@ -25,10 +42,16 @@
  *   pass sees exactly the stream it would have seen with the Python
  *   kernel.
  *
- * The kernel returns the routing decisions as an *event stream* (executed
- * gate indices and applied swap edge ids, interleaved in exact order); the
- * Python wrapper replays it through the ordinary ``MappingBuilder``, so
- * emitted ops are constructed by the same code as the Python paths.
+ * The kernel returns the routing decisions as an *event stream* of int32
+ * triples ``(code, p0, p1)`` in execution order: ``code >= 0`` executes gate
+ * ``code`` on physical sites ``p0``/``p1`` (``p1 == -1`` for a one-qubit
+ * gate), and ``code == -1`` is a SWAP of the coupled sites ``p0 < p1``.  The
+ * Python wrapper replays it through ``MappingBuilder.layer``, so emitted ops
+ * are stamped and checked by the same code as every other mapper's.
+ *
+ * The main thread's signal handlers run every SIGNAL_POLL_ITERS swap
+ * iterations (``PyErr_CheckSignals``): an exception they raise, such as a
+ * SIGALRM budget's or Ctrl-C's, ends the pass through the cleanup path.
  *
  * No numpy C API: inputs arrive through the buffer protocol as
  * C-contiguous arrays of fixed dtypes (lengths validated here; the Python
@@ -118,32 +141,59 @@ mt_randbelow(mt_state *st, uint32_t n)
 /* Helpers                                                             */
 /* ------------------------------------------------------------------ */
 
+/* Swap iterations between two runs of the main thread's signal handlers,
+ * so a SIGALRM budget or Ctrl-C stops a long pass within milliseconds. */
+#define SIGNAL_POLL_ITERS 1024
+
+/* Index of the lowest set bit of a nonzero word. */
 static int
-cmp_i32(const void *a, const void *b)
+lowest_bit(uint64_t w)
 {
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_ctzll(w);
+#else
+    int k = 0;
+    while (!(w & 1)) {
+        w >>= 1;
+        k++;
+    }
+    return k;
+#endif
+}
+
+/* dist(after) - dist(before) of extended-set gate j when the swap (ca, cb)
+ * relabels its endpoints; exact, since every distance is integer-valued. */
+static double
+ext_move(const double *dist, int N, const int32_t *ext_pos, int32_t n_ext,
+         int32_t j, int32_t ca, int32_t cb)
+{
+    int32_t a = ext_pos[j], b = ext_pos[j + n_ext];
+    int32_t a2 = a == ca ? cb : a == cb ? ca : a;
+    int32_t b2 = b == ca ? cb : b == cb ? ca : b;
+    return dist[(size_t)a2 * N + b2] - dist[(size_t)a * N + b];
 }
 
 typedef struct {
-    int64_t *data;
+    int32_t *data; /* (code, p0, p1) triples */
     Py_ssize_t len;
     Py_ssize_t cap;
 } event_buf;
 
 static int
-events_push(event_buf *ev, int64_t value)
+events_push(event_buf *ev, int32_t code, int32_t p0, int32_t p1)
 {
-    if (ev->len == ev->cap) {
-        Py_ssize_t cap = ev->cap ? ev->cap * 2 : 4096;
-        int64_t *data =
-            (int64_t *)realloc(ev->data, (size_t)cap * sizeof(int64_t));
+    if (ev->len + 3 > ev->cap) {
+        Py_ssize_t cap = ev->cap ? ev->cap * 2 : 3 * 4096;
+        int32_t *data =
+            (int32_t *)realloc(ev->data, (size_t)cap * sizeof(int32_t));
         if (data == NULL)
             return -1;
         ev->data = data;
         ev->cap = cap;
     }
-    ev->data[ev->len++] = value;
+    ev->data[ev->len++] = code;
+    ev->data[ev->len++] = p0;
+    ev->data[ev->len++] = p1;
     return 0;
 }
 
@@ -200,12 +250,13 @@ route(PyObject *self, PyObject *args)
     (void)self;
 
     /* working storage */
-    int32_t *indeg = NULL, *front = NULL, *snapshot = NULL, *front_2q = NULL;
+    int32_t *indeg = NULL, *front = NULL, *ready = NULL, *front_2q = NULL;
     int32_t *frontier = NULL, *next_frontier = NULL, *seen_stamp = NULL;
-    int32_t *ext_gates = NULL, *cand_stamp = NULL, *eids = NULL, *best = NULL;
-    int32_t *pos_other = NULL, *ext_pos = NULL, *ext_cnt = NULL;
+    int32_t *ext_gates = NULL, *eids = NULL, *best = NULL, *pos_other = NULL;
+    int32_t *ext_pos = NULL, *ext_head = NULL, *ext_next = NULL;
     int64_t *ltp = NULL, *ptl = NULL;
-    uint8_t *ok_flags = NULL, *pos_in_front = NULL;
+    uint64_t *cand_bits = NULL;
+    uint8_t *pos_in_front = NULL;
     double *decay = NULL;
 
     if (!PyArg_ParseTuple(
@@ -232,9 +283,9 @@ route(PyObject *self, PyObject *args)
         int64_t *layout = (int64_t *)b_layout.buf;
         mt_state rng;
 
-        int32_t front_n = 0, snap_n = 0, n_front = 0, n_ext = 0, n_cand = 0;
-        int32_t ext_pos_n = 0; /* live ext_cnt marks (2 * previous n_ext) */
-        int32_t seen_gen = 0, cand_gen = 0;
+        int32_t front_n = 0, n_front = 0, n_ext = 0, n_cand = 0;
+        int32_t ext_pos_n = 0; /* live ext_head entries (2 * previous n_ext) */
+        int32_t seen_gen = 0;
         double base_front = 0.0, base_ext = 0.0;
         int front_dirty = 1, cand_dirty = 1, ext_stale = 0, need_sweep = 1;
         int swaps_since_reset = 0;
@@ -265,20 +316,20 @@ route(PyObject *self, PyObject *args)
 
         ALLOC(indeg, int32_t, n_gates);
         ALLOC(front, int32_t, n_gates);
-        ALLOC(snapshot, int32_t, n_gates);
+        ALLOC(ready, int32_t, n_gates);
         ALLOC(front_2q, int32_t, n_gates);
         ALLOC(frontier, int32_t, n_gates);
         ALLOC(next_frontier, int32_t, n_gates);
         CALLOC(seen_stamp, int32_t, n_gates);
-        ALLOC(ok_flags, uint8_t, n_gates);
         ALLOC(ext_gates, int32_t, ext_size);
-        CALLOC(cand_stamp, int32_t, num_edges);
+        CALLOC(cand_bits, uint64_t, ((Py_ssize_t)num_edges + 63) / 64);
         ALLOC(eids, int32_t, num_edges);
         ALLOC(best, int32_t, num_edges);
         ALLOC(pos_other, int32_t, N);
         CALLOC(pos_in_front, uint8_t, N);
-        ALLOC(ext_pos, int32_t, 2 * (Py_ssize_t)(ext_size > 0 ? ext_size : 1));
-        CALLOC(ext_cnt, int32_t, N);
+        ALLOC(ext_pos, int32_t, 2 * (Py_ssize_t)ext_size);
+        ALLOC(ext_next, int32_t, 2 * (Py_ssize_t)ext_size);
+        ALLOC(ext_head, int32_t, N);
         ALLOC(ltp, int64_t, n_log);
         ALLOC(ptl, int64_t, N);
         ALLOC(decay, double, N);
@@ -287,11 +338,13 @@ route(PyObject *self, PyObject *args)
         for (i = 0; i < N; i++) {
             ptl[i] = -1;
             decay[i] = 1.0;
+            ext_head[i] = -1;
         }
         for (i = 0; i < n_log; i++) {
             ltp[i] = layout[i];
             ptl[layout[i]] = i;
         }
+        /* the front is kept in ascending gate order from here on */
         for (i = 0; i < n_gates; i++)
             if (indeg[i] == 0)
                 front[front_n++] = i;
@@ -306,48 +359,54 @@ route(PyObject *self, PyObject *args)
             }
 
             if (need_sweep) {
-                /* Execute everything executable, in sorted-front sweeps.
+                /* Execute everything executable, in ascending-front sweeps.
                  * The layout cannot change mid-sweep (no logical SWAPs in
-                 * the compiled path), so executability is decided for the
-                 * whole snapshot up front, exactly like the numpy path. */
-                while (front_n > 0) {
-                    int any = 0;
-                    int32_t k;
-                    memcpy(snapshot, front, sizeof(int32_t) * (size_t)front_n);
-                    snap_n = front_n;
-                    qsort(snapshot, (size_t)snap_n, sizeof(int32_t), cmp_i32);
-                    for (k = 0; k < snap_n; k++) {
-                        int32_t g = snapshot[k];
-                        uint8_t ok = !is2q[g] ||
-                                     adj[(size_t)ltp[gq0[g]] * N + ltp[gq1[g]]];
-                        ok_flags[k] = ok;
-                        any |= ok;
-                    }
-                    if (!any)
-                        break;
-                    for (k = 0; k < snap_n; k++) {
-                        int32_t g, e;
-                        if (!ok_flags[k])
+                 * the compiled path), so a pass decides every gate against
+                 * the layout it started with, exactly like the numpy path,
+                 * and the successors it readies wait for the next pass.  A
+                 * pass keeps the blocked gates in place (still ascending)
+                 * and merges the newly ready ones in behind them. */
+                for (;;) {
+                    int32_t k, j, keep = 0, new_n = 0;
+                    for (k = 0; k < front_n; k++) {
+                        int32_t g = front[k], e;
+                        int64_t p0 = ltp[gq0[g]], p1 = ltp[gq1[g]];
+                        if (is2q[g] && !adj[(size_t)p0 * N + p1]) {
+                            front[keep++] = g;
                             continue;
-                        g = snapshot[k];
-                        if (want_events && events_push(&events, g) < 0) {
+                        }
+                        if (want_events &&
+                            events_push(&events, g, (int32_t)p0,
+                                        is2q[g] ? (int32_t)p1 : -1) < 0) {
                             PyErr_NoMemory();
                             goto cleanup;
                         }
-                        /* remove g from front (swap-remove; order restored
-                         * by the qsort at every snapshot/rebuild) */
-                        for (i = 0; i < front_n; i++)
-                            if (front[i] == g) {
-                                front[i] = front[--front_n];
-                                break;
-                            }
                         for (e = succ_off[g]; e < succ_off[g + 1]; e++) {
                             int32_t s = succ[e];
                             if (--indeg[s] == 0)
-                                front[front_n++] = s;
+                                ready[new_n++] = s;
                         }
-                        front_dirty = 1;
                     }
+                    if (keep == front_n)
+                        break; /* nothing executed: the front is unchanged */
+                    /* usually 0-2 newly ready gates: insertion-sort them,
+                     * then merge from the back into the kept ones */
+                    for (k = 1; k < new_n; k++) {
+                        int32_t g = ready[k];
+                        for (j = k; j > 0 && ready[j - 1] > g; j--)
+                            ready[j] = ready[j - 1];
+                        ready[j] = g;
+                    }
+                    front_n = keep + new_n;
+                    k = front_n;
+                    j = keep;
+                    while (new_n > 0) {
+                        if (j > 0 && front[j - 1] > ready[new_n - 1])
+                            front[--k] = front[--j];
+                        else
+                            front[--k] = ready[--new_n];
+                    }
+                    front_dirty = 1;
                 }
                 if (front_n == 0)
                     break;
@@ -355,11 +414,9 @@ route(PyObject *self, PyObject *args)
 
             if (front_dirty) {
                 int32_t k, fn = 0;
-                memcpy(snapshot, front, sizeof(int32_t) * (size_t)front_n);
-                qsort(snapshot, (size_t)front_n, sizeof(int32_t), cmp_i32);
                 for (k = 0; k < front_n; k++)
-                    if (is2q[snapshot[k]])
-                        front_2q[fn++] = snapshot[k];
+                    if (is2q[front[k]])
+                        front_2q[fn++] = front[k];
                 if (fn == 0) {
                     /* only blocked single-qubit gates cannot happen (they
                      * are always executable); defensive guard */
@@ -423,7 +480,7 @@ route(PyObject *self, PyObject *args)
                     ext_stale = 1;
                 } else {
                     for (k = 0; k < ext_pos_n; k++)
-                        ext_cnt[ext_pos[k]] = 0;
+                        ext_head[ext_pos[k]] = -1;
                     ext_pos_n = 0;
                     base_ext = 0.0;
                     ext_stale = 0;
@@ -434,36 +491,48 @@ route(PyObject *self, PyObject *args)
 
             if (cand_dirty) {
                 /* candidate SWAPs = unique edges incident to a front-gate
-                 * position, ascending edge id (== lexicographic (a, b));
-                 * generation-stamped dedupe, so no per-recompute clearing.
-                 * `cand_gen` is bounded by the iteration guard (< 2^31),
-                 * so the stamp never wraps within a call. */
-                int32_t k, e;
-                cand_gen++;
+                 * position, in ascending edge id (== lexicographic (a, b)):
+                 * set their bits, then read the touched words back in
+                 * order, clearing them for the next recompute.  Each
+                 * incidence list ascends, so its ends bound the words. */
+                int32_t k, e, w, lo = INT32_MAX, hi = -1;
                 n_cand = 0;
                 for (k = 0; k < n_front; k++) {
                     int64_t ps[2];
                     int s;
                     ps[0] = ltp[gq0[front_2q[k]]];
                     ps[1] = ltp[gq1[front_2q[k]]];
-                    for (s = 0; s < 2; s++)
-                        for (e = inc_off[ps[s]]; e < inc_off[ps[s] + 1]; e++) {
-                            int32_t eid = inc_eid[e];
-                            if (cand_stamp[eid] != cand_gen) {
-                                cand_stamp[eid] = cand_gen;
-                                eids[n_cand++] = eid;
-                            }
-                        }
+                    for (s = 0; s < 2; s++) {
+                        int32_t e0 = inc_off[ps[s]], e1 = inc_off[ps[s] + 1];
+                        if (e0 == e1)
+                            continue;
+                        if (inc_eid[e0] >> 6 < lo)
+                            lo = inc_eid[e0] >> 6;
+                        if (inc_eid[e1 - 1] >> 6 > hi)
+                            hi = inc_eid[e1 - 1] >> 6;
+                        for (e = e0; e < e1; e++)
+                            cand_bits[inc_eid[e] >> 6] |=
+                                (uint64_t)1 << (inc_eid[e] & 63);
+                    }
                 }
-                qsort(eids, (size_t)n_cand, sizeof(int32_t), cmp_i32);
+                for (w = lo; w <= hi; w++) {
+                    uint64_t word = cand_bits[w];
+                    cand_bits[w] = 0;
+                    while (word) {
+                        eids[n_cand++] = w * 64 + lowest_bit(word);
+                        word &= word - 1;
+                    }
+                }
                 cand_dirty = 0;
             }
 
             if (ext_stale) {
-                /* lazy refresh of the extended-set position tables */
+                /* lazy rebuild of the per-site extended-set lists: slot k
+                 * is gate k's first endpoint and slot k + n_ext its second;
+                 * ext_head[p] starts site p's list, ext_next chains it */
                 int32_t k;
                 for (k = 0; k < ext_pos_n; k++)
-                    ext_cnt[ext_pos[k]] = 0;
+                    ext_head[ext_pos[k]] = -1;
                 base_ext = 0.0;
                 for (k = 0; k < n_ext; k++) {
                     int32_t a = (int32_t)ltp[gq0[ext_gates[k]]];
@@ -473,13 +542,17 @@ route(PyObject *self, PyObject *args)
                     base_ext += dist[(size_t)a * N + b];
                 }
                 ext_pos_n = 2 * n_ext;
-                for (k = 0; k < ext_pos_n; k++)
-                    ext_cnt[ext_pos[k]]++;
+                for (k = 0; k < ext_pos_n; k++) {
+                    ext_next[k] = ext_head[ext_pos[k]];
+                    ext_head[ext_pos[k]] = k;
+                }
                 ext_stale = 0;
             }
 
             n_iterations++;
             cand_total += n_cand;
+            if (n_iterations % SIGNAL_POLL_ITERS == 0 && PyErr_CheckSignals() < 0)
+                goto cleanup;
 
             /* Score every candidate and tie-break exactly like the
              * reference loop (ascending edge id, running best, 1e-12
@@ -493,7 +566,7 @@ route(PyObject *self, PyObject *args)
 
                 for (k = 0; k < n_cand; k++) {
                     int32_t eid = eids[k];
-                    int32_t ca = eu[eid], cb = ev[eid];
+                    int32_t ca = eu[eid], cb = ev[eid], s;
                     double fdel = 0.0, edel = 0.0, s_front, s_ext, dmax, score;
                     if (pos_in_front[ca]) {
                         int32_t o = pos_other[ca];
@@ -507,22 +580,15 @@ route(PyObject *self, PyObject *args)
                             fdel += dist[(size_t)ca * N + o] -
                                     dist[(size_t)cb * N + o];
                     }
-                    if (n_ext > 0 && (ext_cnt[ca] || ext_cnt[cb])) {
-                        double s = 0.0;
-                        int32_t j;
-                        for (j = 0; j < n_ext; j++) {
-                            int32_t a = ext_pos[j], b = ext_pos[j + n_ext];
-                            if (a == ca)
-                                a = cb;
-                            else if (a == cb)
-                                a = ca;
-                            if (b == ca)
-                                b = cb;
-                            else if (b == cb)
-                                b = ca;
-                            s += dist[(size_t)a * N + b];
-                        }
-                        edel = s - base_ext;
+                    /* extended-set delta: only the gates with an endpoint
+                     * on ca or cb move; a gate on both lists counts once */
+                    for (s = ext_head[ca]; s >= 0; s = ext_next[s])
+                        edel += ext_move(dist, N, ext_pos, n_ext,
+                                         s < n_ext ? s : s - n_ext, ca, cb);
+                    for (s = ext_head[cb]; s >= 0; s = ext_next[s]) {
+                        int32_t j = s < n_ext ? s : s - n_ext;
+                        if (ext_pos[j] != ca && ext_pos[j + n_ext] != ca)
+                            edel += ext_move(dist, N, ext_pos, n_ext, j, ca, cb);
                     }
                     s_front = (base_front + fdel) / inv_front;
                     if (n_ext > 0)
@@ -557,8 +623,7 @@ route(PyObject *self, PyObject *args)
                     int in_a, in_b;
                     pa = eu[eid];
                     pb = ev[eid];
-                    if (want_events &&
-                        events_push(&events, -((int64_t)eid + 1)) < 0) {
+                    if (want_events && events_push(&events, -1, pa, pb) < 0) {
                         PyErr_NoMemory();
                         goto cleanup;
                     }
@@ -575,11 +640,9 @@ route(PyObject *self, PyObject *args)
 
                     need_sweep = 0;
 
-                    /* extended-set maintenance: the compiled path mirrors
-                     * the default (non-incremental) Python path -- a swap
-                     * touching an ext position marks the tables stale for
-                     * a lazy from-scratch refresh next iteration. */
-                    if (n_ext > 0 && (ext_cnt[pa] || ext_cnt[pb]))
+                    /* a swap that moved an extended-set endpoint marks the
+                     * per-site lists stale for a lazy rebuild */
+                    if (ext_head[pa] >= 0 || ext_head[pb] >= 0)
                         ext_stale = 1;
 
                     /* front-position maintenance: O(1) base-sum updates for
@@ -633,7 +696,7 @@ route(PyObject *self, PyObject *args)
             if (want_events)
                 ev_obj = PyBytes_FromStringAndSize(
                     (const char *)events.data,
-                    events.len * (Py_ssize_t)sizeof(int64_t));
+                    events.len * (Py_ssize_t)sizeof(int32_t));
             else {
                 ev_obj = Py_None;
                 Py_INCREF(ev_obj);
@@ -649,20 +712,20 @@ route(PyObject *self, PyObject *args)
 cleanup:
     free(indeg);
     free(front);
-    free(snapshot);
+    free(ready);
     free(front_2q);
     free(frontier);
     free(next_frontier);
     free(seen_stamp);
-    free(ok_flags);
     free(ext_gates);
-    free(cand_stamp);
+    free(cand_bits);
     free(eids);
     free(best);
     free(pos_other);
     free(pos_in_front);
     free(ext_pos);
-    free(ext_cnt);
+    free(ext_next);
+    free(ext_head);
     free(ltp);
     free(ptl);
     free(decay);
@@ -691,8 +754,9 @@ cleanup:
 static PyMethodDef kernel_methods[] = {
     {"route", route, METH_VARARGS,
      "Run one SABRE routing pass over flat tables; returns (events|None, "
-     "iterations, front_rebuilds, candidates_total) and updates the MT "
-     "state and layout buffers in place."},
+     "iterations, front_rebuilds, candidates_total), where events holds "
+     "int32 (code, p0, p1) triples, and updates the MT state and layout "
+     "buffers in place."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -16,11 +16,15 @@ base sums: the front term costs O(1) per candidate (front gates are
 vertex-disjoint), and the extended-set term is gathered only for candidates
 incident to an extended-set endpoint -- every other candidate's ext delta is
 exactly 0 -- so the per-iteration cost no longer carries the full
-``candidates x extended-set`` relabel matrix and 1024-qubit instances route
-at a near-flat per-swap-iteration cost (see EXPERIMENTS.md "Performance").
-The reference path (``vectorized=False``) keeps the textbook per-candidate
-loop and stays bit-identical; it is the only path for circuits containing
-logical SWAP gates, and the equivalence suites' oracle.
+``candidates x extended-set`` relabel matrix.  The compiled kernel
+(:mod:`repro.baselines.sabre_kernel`) goes further: it keeps the front
+sorted, reads candidates off an edge bitset and sums a candidate's
+extended-set delta over the gates on its two sites only, so a swap
+iteration costs what the swap touched, not the size of the front or of the
+extended set (see EXPERIMENTS.md "Performance").  The reference path
+(``vectorized=False``) keeps the textbook per-candidate loop and stays
+bit-identical; it is the only path for circuits containing logical SWAP
+gates, and the equivalence suites' oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -283,17 +288,14 @@ class SabreMapper:
             rng.shuffle(phys)
             layout = phys[:n]
 
-        # Reverse-traversal refinement of the initial layout.
-        forward = circuit
-        backward = circuit.reversed()
+        # Reverse-traversal refinement of the initial layout: the passes
+        # alternate forward and backward, and the last one emits forward.
+        route = self._router(circuit)
         current = layout
         for p in range(self.passes - 1):
-            circ = forward if p % 2 == 0 else backward
-            _, final_layout = self._route(circ, current, rng, emit=False)
-            current = final_layout
-        ops_layout = current
+            _, current = route(current, rng, emit=False, backward=p % 2 == 1)
 
-        builder, _ = self._route(forward, ops_layout, rng, emit=True)
+        builder, _ = route(current, rng, emit=True, backward=False)
         mapped = builder.build(
             metadata={
                 "mapper": self.name,
@@ -308,6 +310,39 @@ class SabreMapper:
         return mapped
 
     # ------------------------------------------------------------------
+    def _router(self, circuit: Circuit):
+        """The routing passes over ``circuit``, with the engine decided once.
+
+        Returns ``route(initial_layout, rng, *, emit, backward)``, which runs
+        one traversal pass over the circuit (or, with ``backward``, over its
+        reversal) and returns ``(builder or None, final layout)``.  All
+        engines follow the identical algorithm (same execution order, same
+        candidate enumeration, same float arithmetic, same RNG consumption),
+        so they produce bit-identical routed circuits; the fast path batches
+        the per-candidate scoring and executability checks through numpy,
+        and the compiled kernel (:mod:`repro.baselines.sabre_kernel`,
+        selected at runtime via ``kernel=``/``REPRO_SABRE_KERNEL``) runs the
+        whole loop in C over tables it builds once for every pass.  Both
+        fast paths assume executing a gate never changes the layout
+        mid-sweep, which fails for circuits containing *logical* SWAP gates
+        -- those fall back to the reference path.
+        """
+
+        swap_free = GateKind.SWAP not in map(attrgetter("kind"), circuit.gates)
+        if swap_free and self._resolve_kernel() == "c":
+            from .sabre_kernel import route_compiled
+
+            self.last_kernel = "c"
+            return route_compiled(self, circuit)
+        self.last_kernel = "python"
+        engine = self._route_fast if self.vectorized and swap_free else self._route_reference
+        circuits = (circuit, circuit.reversed())
+
+        def route(initial_layout, rng, *, emit, backward):
+            return engine(circuits[backward], initial_layout, rng, emit=emit)
+
+        return route
+
     def _route(
         self,
         circuit: Circuit,
@@ -316,29 +351,9 @@ class SabreMapper:
         *,
         emit: bool,
     ) -> Tuple[Optional[MappingBuilder], List[int]]:
-        """Route one traversal pass; dispatches to the fast or reference path.
+        """Route one forward traversal pass of ``circuit`` (see :meth:`_router`)."""
 
-        All paths follow the identical algorithm (same execution order, same
-        candidate enumeration, same float arithmetic, same RNG consumption),
-        so they produce bit-identical routed circuits; the fast path batches
-        the per-candidate scoring and executability checks through numpy,
-        and the compiled kernel (:mod:`repro.baselines.sabre_kernel`,
-        selected at runtime via ``kernel=``/``REPRO_SABRE_KERNEL``) runs the
-        whole loop in C.  Both fast paths assume executing a gate never
-        changes the layout mid-sweep, which fails for circuits containing
-        *logical* SWAP gates -- those fall back to the reference path.
-        """
-
-        swap_free = not any(g.kind == GateKind.SWAP for g in circuit.gates)
-        if swap_free and self._resolve_kernel() == "c":
-            from .sabre_kernel import route_compiled
-
-            self.last_kernel = "c"
-            return route_compiled(self, circuit, initial_layout, rng, emit=emit)
-        self.last_kernel = "python"
-        if self.vectorized and swap_free:
-            return self._route_fast(circuit, initial_layout, rng, emit=emit)
-        return self._route_reference(circuit, initial_layout, rng, emit=emit)
+        return self._router(circuit)(initial_layout, rng, emit=emit, backward=False)
 
     # ------------------------------------------------------------------
     def _route_reference(

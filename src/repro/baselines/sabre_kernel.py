@@ -12,34 +12,41 @@ tables.  This module owns everything around that call:
 * **table preparation**: per-topology tables (distance matrix, adjacency
   mask, edge endpoints, per-qubit incidence CSR) are derived from the same
   shared :func:`~repro.baselines.sabre.sabre_tables_for` cache the Python
-  fast path uses, and cached process-wide per coupling graph; per-circuit
-  tables (gate endpoint arrays and the dependence-DAG CSR) are built with
-  vectorized numpy passes that reproduce ``_Dag.from_circuit`` exactly
+  fast path uses, and cached process-wide per coupling graph.  Per-circuit
+  tables (gate endpoint arrays and the dependence-DAG CSR) are built once per
+  :func:`route_compiled` call, so every traversal pass of a ``map_circuit``
+  shares them: the backward pass's tables come from the forward gate arrays
+  reversed, and the DAG passes reproduce ``_Dag.from_circuit`` exactly
   (successor lists ascending, indegree = number of *distinct* predecessors);
 * **RNG round-trip**: the caller's ``random.Random`` state is exported into
   the kernel (which implements CPython's MT19937 / ``getrandbits`` /
   ``_randbelow`` verbatim) and re-imported afterwards, so RNG consumption is
   word-for-word identical to the Python paths -- including the draw CPython
   makes even for single-candidate tie-breaks;
-* **event replay**: the kernel reports its decisions as an event stream
-  (gate index >= 0: execute the gate at the current layout; ``-(eid+1)``:
-  apply the swap on edge ``eid``), which :func:`route_compiled` replays
-  through the ordinary :class:`~repro.circuit.schedule.MappingBuilder` --
-  emitted ops are constructed (and adjacency-validated) by the same code as
-  the Python paths, so the output is the same object graph, not just the
-  same metrics.
+* **event replay**: the kernel reports its decisions as int32 triples
+  ``(code, p0, p1)`` in execution order: ``code >= 0`` executes gate ``code``
+  on physical sites ``p0``/``p1`` (``p1 == -1`` for a one-qubit gate), and
+  ``code == -1`` is a SWAP of ``(p0, p1)``.  Lookup arrays indexed by
+  ``code`` (index ``-1`` is the SWAP entry) give each event's kind code,
+  angle and tag, and the stream goes to :meth:`MappingBuilder.layer` in
+  chunks of ``_REPLAY_CHUNK`` events -- one call per chunk, so the
+  temporary lists stay bounded on 1,024-qubit routings.  The builder stamps
+  and adjacency-checks every op like the per-op emitters the Python paths
+  call, so the output is the same op stream, not just the same metrics.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..arch.topology import Topology
 from ..circuit.circuit import Circuit
-from ..circuit.gates import GateKind
+from ..circuit.gates import KIND_CODES, TWO_QUBIT_KINDS, GateKind
 from ..circuit.schedule import MappingBuilder
 from ..utils import BoundedCache
 
@@ -57,6 +64,20 @@ KERNEL_BUILD_HINT = (
     "bit-identical Python path"
 )
 
+#: events replayed per :meth:`MappingBuilder.layer` call
+_REPLAY_CHUNK = 1 << 15
+
+#: the kind code of each gate kind the replay emits; RZ and CPHASE ops carry
+#: the gate's angle, H, CNOT and the routing SWAPs carry ``None``
+_EMITTED = {kind: KIND_CODES[kind] for kind in (GateKind.H, GateKind.RZ, GateKind.CPHASE, GateKind.CNOT)}
+_RZ = KIND_CODES[GateKind.RZ]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
+#: kind-code lookup entry of a gate the replay cannot emit
+_UNSUPPORTED = -1
+#: tag lookup: index 0 for a circuit gate, 1 for a routing SWAP
+_TAGS = np.array(["sabre", "sabre-swap"], dtype=object)
+
 
 def kernel_available() -> bool:
     """True when the C extension imported (i.e. has been built)."""
@@ -72,10 +93,10 @@ _KERNEL_TABLES: BoundedCache = BoundedCache(16)
 def _kernel_tables_for(topology: Topology):
     """Flat per-topology tables in the dtypes the C kernel expects.
 
-    Returns ``(dist, adj, eu, ev, inc_off, inc_eid, edge_list)``: float64
-    distance matrix, uint8 adjacency, int32 edge endpoint arrays
-    (lexicographic edge order, shared with the Python fast path), and the
-    per-qubit incident-edge CSR (edge ids ascending per qubit).
+    Returns ``(dist, adj, eu, ev, inc_off, inc_eid)``: float64 distance
+    matrix, uint8 adjacency, int32 edge endpoint arrays (lexicographic edge
+    order, shared with the Python fast path), and the per-qubit
+    incident-edge CSR (edge ids ascending per qubit).
     """
 
     key = topology.graph_key()
@@ -105,13 +126,11 @@ def _kernel_tables_for(topology: Topology):
 
     for arr in (dist, adj, eu, ev, inc_off, inc_eid):
         arr.setflags(write=False)
-    return _KERNEL_TABLES.store(
-        key, (dist, adj, eu, ev, inc_off, inc_eid, edge_list)
-    )
+    return _KERNEL_TABLES.store(key, (dist, adj, eu, ev, inc_off, inc_eid))
 
 
-def _circuit_tables(circuit: Circuit):
-    """Per-circuit tables: gate endpoints + dependence-DAG CSR + indegree.
+def _dag_tables(gq0: np.ndarray, gq1: np.ndarray, is2q: np.ndarray):
+    """Dependence-DAG CSR + indegree of the gates given by endpoint arrays.
 
     Reproduces :meth:`repro.baselines.sabre._Dag.from_circuit` exactly, but
     with vectorized passes: program-order per-qubit chains give the edges
@@ -121,121 +140,179 @@ def _circuit_tables(circuit: Circuit):
     predecessors.
     """
 
-    gates = circuit.gates
-    m = len(gates)
-    gq0 = np.fromiter((g.qubits[0] for g in gates), dtype=np.int32, count=m)
-    gq1 = np.fromiter((g.qubits[-1] for g in gates), dtype=np.int32, count=m)
-    is2q = np.fromiter((g.is_two_qubit for g in gates), dtype=bool, count=m)
-
+    m = len(gq0)
     two = np.flatnonzero(is2q)
     qs = np.concatenate([gq0.astype(np.int64), gq1[two].astype(np.int64)])
     idx = np.concatenate([np.arange(m, dtype=np.int64), two])
-    order = np.lexsort((idx, qs))
+    order = np.argsort(qs * m + idx)  # by (qubit, gate); every key is distinct
     sq, si = qs[order], idx[order]
     same = sq[1:] == sq[:-1]
     src, dst = si[:-1][same], si[1:][same]
     if m:
-        uniq = np.unique(src * m + dst)  # dedupe; sorts by (src, dst)
-        src, dst = uniq // m, uniq % m
+        key = np.sort(src * m + dst)  # by (src, dst), then dedupe
+        key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
+        src, dst = key // m, key % m
     indeg = np.ascontiguousarray(np.bincount(dst, minlength=m), dtype=np.int32)
     succ_off = np.zeros(m + 1, dtype=np.int32)
     succ_off[1:] = np.cumsum(np.bincount(src, minlength=m))
     succ = np.ascontiguousarray(dst, dtype=np.int32)
-    return gq0, gq1, is2q.astype(np.uint8), succ_off, succ, indeg
+    return succ_off, succ, indeg
+
+
+class _CompiledRoute:
+    """One circuit's kernel tables, shared by all of its routing passes."""
+
+    def __init__(self, mapper, circuit: Circuit) -> None:
+        if _kernel is None:  # pragma: no cover - dispatch checks availability
+            raise RuntimeError(KERNEL_BUILD_HINT)
+        self.mapper = mapper
+        self.circuit = circuit
+        self.topology_tables = _kernel_tables_for(mapper.topology)
+        gates = circuit.gates
+        m = len(gates)
+        self.kinds = list(map(attrgetter("kind"), gates))
+        qubits = list(map(attrgetter("qubits"), gates))
+        gq0 = np.fromiter(map(itemgetter(0), qubits), dtype=np.int32, count=m)
+        gq1 = np.fromiter(map(itemgetter(-1), qubits), dtype=np.int32, count=m)
+        is2q = np.fromiter(
+            map(TWO_QUBIT_KINDS.__contains__, self.kinds), dtype=np.uint8, count=m
+        )
+        self._forward = (gq0, gq1, is2q)
+        self._tables = {}
+
+    def tables(self, backward: bool):
+        """Gate endpoints and DAG tables of the circuit or of its reversal."""
+
+        hit = self._tables.get(backward)
+        if hit is None:
+            gq0, gq1, is2q = self._forward
+            if backward:
+                gq0, gq1, is2q = (np.ascontiguousarray(a[::-1]) for a in (gq0, gq1, is2q))
+            hit = self._tables[backward] = (gq0, gq1, is2q, *_dag_tables(gq0, gq1, is2q))
+        return hit
+
+    def route(
+        self,
+        initial_layout: Sequence[int],
+        rng: random.Random,
+        *,
+        emit: bool,
+        backward: bool = False,
+    ) -> Tuple[Optional[MappingBuilder], List[int]]:
+        """One compiled routing pass; drop-in for ``SabreMapper._route_fast``.
+
+        Exports ``rng``'s Mersenne-Twister state into the kernel, runs the
+        whole swap loop in C, re-imports the advanced state, and (for
+        emitting passes) replays the kernel's event stream through a
+        :class:`MappingBuilder`.  Updates ``mapper.last_routing_stats`` like
+        the Python fast path.
+        """
+
+        mapper = self.mapper
+        topo = mapper.topology
+        n = self.circuit.num_qubits
+        dist, adj, eu, ev, inc_off, inc_eid = self.topology_tables
+        gq0, gq1, is2q, succ_off, succ, indeg = self.tables(backward)
+        layout = np.array(list(initial_layout), dtype=np.int64)
+
+        version, internal, gauss_next = rng.getstate()
+        state = np.array(internal, dtype=np.uint32)  # 624 words + index
+
+        events, n_iterations, n_rebuilds, cand_total = _kernel.route(
+            state,
+            topo.num_qubits,
+            n,
+            len(gq0),
+            len(eu),
+            dist,
+            adj,
+            eu,
+            ev,
+            inc_off,
+            inc_eid,
+            gq0,
+            gq1,
+            is2q,
+            succ_off,
+            succ,
+            indeg,
+            layout,
+            int(mapper.extended_set_size),
+            float(mapper.extended_set_weight),
+            float(mapper.decay_delta),
+            int(mapper.decay_reset_interval),
+            bool(emit),
+        )
+
+        rng.setstate((version, tuple(state.tolist()), gauss_next))
+        mapper.last_routing_stats = {
+            "iterations": int(n_iterations),
+            "front_rebuilds": int(n_rebuilds),
+            "candidates_mean": cand_total / max(1, n_iterations),
+        }
+        final_layout = layout.tolist()
+        if not emit:
+            return None, final_layout
+
+        builder = MappingBuilder(topo, initial_layout, num_logical=n, name=mapper.name)
+        self._replay(builder, np.frombuffer(events, dtype=np.int32).reshape(-1, 3), backward)
+        if builder.log_to_phys != final_layout:  # pragma: no cover - kernel bug net
+            raise RuntimeError(
+                "compiled SABRE kernel and replay disagree about the final layout"
+            )
+        return builder, final_layout
+
+    def _replay(self, builder: MappingBuilder, events: np.ndarray, backward: bool) -> None:
+        """Emit the kernel's ``(code, p0, p1)`` events through ``builder``."""
+
+        gates = self.circuit.gates[::-1] if backward else self.circuit.gates
+        kinds = self.kinds[::-1] if backward else self.kinds
+        m = len(gates)
+        # lookup arrays indexed by the event code; the extra last entry,
+        # reached by code -1, is the routing SWAP's
+        codes = np.empty(m + 1, dtype=np.int8)
+        codes[:m] = np.fromiter(
+            map(_EMITTED.get, kinds, repeat(_UNSUPPORTED)), dtype=np.int8, count=m
+        )
+        codes[m] = _SWAP
+        angles = np.empty(m + 1, dtype=object)
+        angles[:m] = list(map(attrgetter("angle"), gates))
+        angles[(codes != _RZ) & (codes != _CPHASE)] = None
+        # one int object per site (the last entry, reached by -1, for "no
+        # operand"), so the operand columns share them instead of holding
+        # one new int per op
+        sites = np.empty(builder.topology.num_qubits + 1, dtype=object)
+        sites[:] = [*range(builder.topology.num_qubits), -1]
+
+        for lo in range(0, len(events), _REPLAY_CHUNK):
+            chunk = events[lo : lo + _REPLAY_CHUNK]
+            code = chunk[:, 0]
+            kind_codes = codes[code]
+            bad = np.flatnonzero(kind_codes == _UNSUPPORTED)[:1]
+            if bad.size:
+                chunk, code, kind_codes = chunk[: bad[0]], code[: bad[0]], kind_codes[: bad[0]]
+            builder.layer(
+                kind_codes.tolist(),
+                sites[chunk[:, 1]].tolist(),
+                sites[chunk[:, 2]].tolist(),
+                angles[code].tolist(),
+                _TAGS[(code < 0).view(np.uint8)].tolist(),
+            )
+            if bad.size:
+                kind = gates[int(events[lo + bad[0], 0])].kind
+                raise ValueError(f"unsupported gate kind {kind!r}")
 
 
 def route_compiled(
-    mapper,
-    circuit: Circuit,
-    initial_layout: Sequence[int],
-    rng: random.Random,
-    *,
-    emit: bool,
-) -> Tuple[Optional[MappingBuilder], List[int]]:
-    """One compiled routing pass; drop-in for ``SabreMapper._route_fast``.
+    mapper, circuit: Circuit
+) -> Callable[..., Tuple[Optional[MappingBuilder], List[int]]]:
+    """Compiled routing passes over ``circuit``; drop-in for the Python engines.
 
-    Exports ``rng``'s Mersenne-Twister state into the kernel, runs the whole
-    swap loop in C, re-imports the advanced state, and (for emitting passes)
-    replays the kernel's event stream through a :class:`MappingBuilder`.
-    Updates ``mapper.last_routing_stats`` like the Python fast path.
+    Builds the circuit's tables once and returns ``route(initial_layout,
+    rng, *, emit, backward=False)``, which runs one pass over the circuit
+    or, with ``backward``, over its reversal, and returns ``(builder or
+    None, final layout)``.  ``SabreMapper.map_circuit`` calls it once for
+    all of its traversal passes.
     """
 
-    if _kernel is None:  # pragma: no cover - dispatch checks availability
-        raise RuntimeError(KERNEL_BUILD_HINT)
-
-    topo = mapper.topology
-    n = circuit.num_qubits
-    dist, adj, eu, ev, inc_off, inc_eid, edge_list = _kernel_tables_for(topo)
-    gq0, gq1, is2q, succ_off, succ, indeg = _circuit_tables(circuit)
-    layout = np.array(list(initial_layout), dtype=np.int64)
-
-    version, internal, gauss_next = rng.getstate()
-    state = np.array(internal, dtype=np.uint32)  # 624 words + index
-
-    events, n_iterations, n_rebuilds, cand_total = _kernel.route(
-        state,
-        topo.num_qubits,
-        n,
-        len(circuit.gates),
-        len(edge_list),
-        dist,
-        adj,
-        eu,
-        ev,
-        inc_off,
-        inc_eid,
-        gq0,
-        gq1,
-        is2q,
-        succ_off,
-        succ,
-        indeg,
-        layout,
-        int(mapper.extended_set_size),
-        float(mapper.extended_set_weight),
-        float(mapper.decay_delta),
-        int(mapper.decay_reset_interval),
-        bool(emit),
-    )
-
-    rng.setstate((version, tuple(int(x) for x in state), gauss_next))
-    mapper.last_routing_stats = {
-        "iterations": int(n_iterations),
-        "front_rebuilds": int(n_rebuilds),
-        "candidates_mean": cand_total / max(1, n_iterations),
-    }
-    final_layout = layout.tolist()
-    if not emit:
-        return None, final_layout
-
-    # Replay the event stream through the ordinary builder: same op
-    # construction, same adjacency validation, same tags as the Python paths.
-    builder = MappingBuilder(topo, initial_layout, num_logical=n, name=mapper.name)
-    gates = circuit.gates
-    ltp = builder.log_to_phys  # live reference, maintained by builder.swap
-    h, rz = builder.h, builder.rz
-    cphase, cnot, swap = builder.cphase, builder.cnot, builder.swap
-    for code in np.frombuffer(events, dtype=np.int64).tolist():
-        if code >= 0:
-            g = gates[code]
-            kind = g.kind
-            if kind == GateKind.H:
-                h(ltp[g.qubits[0]], tag="sabre")
-            elif kind == GateKind.RZ:
-                rz(ltp[g.qubits[0]], g.angle, tag="sabre")
-            elif kind == GateKind.CPHASE:
-                a, b = g.qubits
-                cphase(ltp[a], ltp[b], g.angle, tag="sabre")
-            elif kind == GateKind.CNOT:
-                a, b = g.qubits
-                cnot(ltp[a], ltp[b], tag="sabre")
-            else:  # pragma: no cover - SWAPs are excluded by the dispatch
-                raise ValueError(f"unsupported gate kind {kind!r}")
-        else:
-            pa, pb = edge_list[-code - 1]
-            swap(pa, pb, tag="sabre-swap")
-    if builder.log_to_phys != final_layout:  # pragma: no cover - kernel bug net
-        raise RuntimeError(
-            "compiled SABRE kernel and replay disagree about the final layout"
-        )
-    return builder, final_layout
+    return _CompiledRoute(mapper, circuit).route

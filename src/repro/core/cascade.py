@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappingBuilder
+from ..utils import BoundedCache
 from .dependence import QFTDependenceTracker
 from .routed import complete_remaining
 
@@ -80,6 +81,10 @@ WHOLE_SCAN_MAX_SITES = 24
 _H = KIND_CODES[GateKind.H]
 _CPHASE = KIND_CODES[GateKind.CPHASE]
 _SWAP = KIND_CODES[GateKind.SWAP]
+
+# abstract_line_qft_schedule's results, by item count: the unit-based
+# mappers replay the same few small schedules on every compile
+_ABSTRACT_SCHEDULES: BoundedCache = BoundedCache(32)
 
 
 class CascadeStalled(RuntimeError):
@@ -108,7 +113,7 @@ class AbstractStep:
     layer: int
 
 
-def abstract_line_qft_schedule(k: int) -> List[AbstractStep]:
+def abstract_line_qft_schedule(k: int) -> Tuple[AbstractStep, ...]:
     """Linear-depth QFT schedule for ``k`` virtual items on a ``k``-slot line.
 
     The returned steps respect the QFT Type II dependence at item granularity
@@ -116,10 +121,21 @@ def abstract_line_qft_schedule(k: int) -> List[AbstractStep]:
     interactions with larger items, and follows all interactions with smaller
     items) and consecutive items of a two-item step always occupy adjacent
     positions.  The final arrangement is the reversal of the initial one.
+
+    The schedule depends on ``k`` alone, so it is computed once per ``k`` and
+    process (in a small bounded cache) and returned as an immutable tuple of
+    frozen steps that every caller shares.
     """
 
     if k < 1:
         raise ValueError("need at least one virtual item")
+    hit = _ABSTRACT_SCHEDULES.lookup(k)
+    if hit is None:
+        hit = _ABSTRACT_SCHEDULES.store(k, tuple(_abstract_schedule(k)))
+    return hit
+
+
+def _abstract_schedule(k: int) -> List[AbstractStep]:
     tracker = QFTDependenceTracker(k)
     line: List[int] = list(range(k))  # line[pos] = virtual item id
     steps: List[AbstractStep] = []

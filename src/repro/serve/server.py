@@ -28,7 +28,9 @@ batches only while every worker is busy -- they are flushed together when
 a batch finishes.  So batching forms under load and costs nothing at low
 load.  A request whose ``Content-Length`` is not a non-negative integer is
 answered 400, and one above :data:`MAX_BODY_BYTES` 413 without its body
-being read.
+being read.  After such an answer the server half-closes the connection and
+drops what the client still sends (bounded in bytes and seconds) before it
+closes, so the client reads the answer instead of a reset.
 
 Backpressure is by *bounded inflight count*: the queue cap counts queued +
 batched-but-unfinished requests, so a stalled pool turns arrivals away with
@@ -58,6 +60,10 @@ __all__ = ["ServeConfig", "CompileService"]
 
 #: largest request body the server reads (a compile request is ~200 bytes)
 MAX_BODY_BYTES = 1 << 20
+#: after answering a request it did not read, the server drops at most this
+#: many further bytes, for at most this long, before it closes the connection
+_DISCARD_MAX_BYTES = 4 << 20
+_DISCARD_MAX_S = 2.0
 
 _REASONS = {
     200: "OK",
@@ -93,6 +99,31 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise _BadFraming(
             431, "request line or header exceeds the 64 KiB line limit"
         ) from None
+
+
+async def _discard_rest(reader: asyncio.StreamReader, writer) -> None:
+    """Half-close after an answer to an unread request, then read and drop
+    what the client still sends, up to ``_DISCARD_MAX_BYTES`` or
+    ``_DISCARD_MAX_S``.
+
+    Closing a socket with unread input makes the kernel send a reset, which
+    can destroy the answer before the client reads it.
+    """
+
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + _DISCARD_MAX_S
+    left = _DISCARD_MAX_BYTES
+    try:
+        writer.write_eof()
+        while left > 0 and loop.time() < deadline:
+            chunk = await asyncio.wait_for(
+                reader.read(min(left, 1 << 16)), deadline - loop.time()
+            )
+            if not chunk:
+                return
+            left -= len(chunk)
+    except (OSError, asyncio.TimeoutError):
+        return  # the client went away or kept sending too long
 
 
 def _encode(payload: dict) -> bytes:
@@ -340,6 +371,7 @@ class CompileService:
                 payload = {"error": str(exc), "api_version": API_VERSION}
                 self._write_response(writer, exc.status, payload, None)
                 await writer.drain()
+                await _discard_rest(reader, writer)
                 return
             if parsed is None:
                 return

@@ -11,6 +11,8 @@ architecture cross-product with ten seeds each; the selection tests pin the
 behavior when the extension is absent.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,90 @@ def test_kernel_bit_identical_across_seeds(make_topo, workload):
         assert cc.final_layout() == py.final_layout()
         assert py.metadata["kernel"] == "python"
         assert cc.metadata["kernel"] == "c"
+
+
+@requires_kernel
+@pytest.mark.parametrize("workload", ["qft", "random"])
+def test_kernel_bit_identical_past_one_bitset_word(workload):
+    """A 7x7 grid has 84 coupling edges, so the kernel's candidate bitset
+    spans two 64-bit words."""
+
+    topo = GridTopology(7, 7)
+    wl = get_workload(workload)
+    params = wl.resolve_params(**({"seed": 5} if workload != "qft" else {}))
+    circuit = wl.build_cached(topo.num_qubits, **params)
+    py, cc = _mapped_pair(topo, circuit, 5)
+    assert cc.ops == py.ops
+    assert cc.metadata["kernel"] == "c"
+
+
+@requires_kernel
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"extended_set_size": 0},
+        {"extended_set_size": 1},
+        {"extended_set_size": 60},
+        {"decay_reset_interval": 1},
+    ],
+    ids=["ext0", "ext1", "ext60", "decay1"],
+)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_kernel_bit_identical_off_the_default_scoring(config, workload):
+    """Empty, one-gate and oversized extended sets, and a decay reset after
+    every swap, route the same through both engines."""
+
+    topo = GridTopology(4, 4)
+    wl = get_workload(workload)
+    for seed in range(3):
+        params = wl.resolve_params(**({"seed": seed} if workload != "qft" else {}))
+        circuit = wl.build_cached(topo.num_qubits, **params)
+        py, cc = _mapped_pair(topo, circuit, seed, **config)
+        assert cc.ops == py.ops, f"{workload} seed {seed} {config}"
+        assert cc.metadata["kernel"] == "c"
+
+
+@requires_kernel
+def test_compile_budget_times_out_inside_the_kernel():
+    """A budgeted 529-qubit SABRE compile, which routes for seconds
+    unbudgeted, reports its timeout within the budget + 0.5 s."""
+
+    import repro
+
+    budget = 1.5
+    start = time.perf_counter()
+    result = repro.compile(
+        workload="qft",
+        architecture="lattice",
+        size=23,
+        approach="sabre",
+        timeout_s=budget,
+        verify=False,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.status == "timeout"
+    assert elapsed < budget + 0.5, f"timeout reported after {elapsed:.2f}s"
+
+
+@requires_kernel
+def test_budget_stops_the_kernel_mid_pass():
+    """The kernel runs the main thread's signal handlers every 1,024 swap
+    iterations, so a SIGALRM budget ends a C routing pass instead of
+    waiting for it.  One 529-qubit pass takes about 0.7 s on a 2-vCPU
+    host, so an alarm held until the pass ends misses the bound."""
+
+    from repro.utils import CellBudgetExceeded, cell_budget
+
+    circuit = get_workload("qft").build_cached(529)
+    mapper = SabreMapper(LatticeSurgeryTopology(23), seed=0)
+    budget = 0.3
+    start = time.perf_counter()
+    with pytest.raises(CellBudgetExceeded):
+        with cell_budget(budget):
+            mapper.map_circuit(circuit)
+    elapsed = time.perf_counter() - start
+    assert mapper.last_kernel == "c"
+    assert elapsed < budget + 0.25, f"budget took effect after {elapsed:.2f}s"
 
 
 @requires_kernel

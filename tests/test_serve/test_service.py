@@ -453,6 +453,24 @@ def test_overlong_header_line_answered_431(http_exchange, run_service):
     assert "line limit" in body["error"]
 
 
+def test_header_far_past_the_line_limit_answered_431_not_reset(
+    http_exchange, run_service
+):
+    """The client is still sending when the 431 is decided: the server
+    must read what follows before it closes, or the client's socket gets a
+    reset instead of the answer."""
+
+    async def scenario(service):
+        head = b"GET /v1/health HTTP/1.1\r\nHost: x\r\nX-Long: " + b"a" * 200_000
+        return await asyncio.wait_for(
+            http_exchange(service.port, head + b"\r\n\r\n"), timeout=30.0
+        )
+
+    status, body, _ = run_service(ServeConfig(workers=1), scenario)
+    assert status == 431
+    assert "line limit" in body["error"]
+
+
 def test_request_line_without_a_path_answered_400(http_exchange, run_service):
     async def scenario(service):
         return await http_exchange(service.port, b"GET\r\nHost: x\r\n\r\n")
