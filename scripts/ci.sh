@@ -86,7 +86,18 @@ fi
 # ---------------------------------------------------------------------------
 if [ "${1:-}" = "--asan-only" ]; then
     echo "=== asan: rebuild kernel with -fsanitize=address,undefined -Werror ==="
-    rm -f src/repro/baselines/_sabre_kernel*.so
+    # The plain extension waits aside and comes back when the leg ends, on
+    # failure too; the sanitized one is removed then, since it cannot be
+    # imported without the preloaded runtime and would poison a later run.
+    kernel_dir=src/repro/baselines
+    plain_dir=$(mktemp -d)
+    restore_plain_kernel() {
+        rm -f "$kernel_dir"/_sabre_kernel*.so
+        mv "$plain_dir"/_sabre_kernel*.so "$kernel_dir"/ 2>/dev/null || true
+        rmdir "$plain_dir"
+    }
+    trap restore_plain_kernel EXIT
+    mv "$kernel_dir"/_sabre_kernel*.so "$plain_dir"/ 2>/dev/null || true
     REPRO_KERNEL_SANITIZE=1 REPRO_REQUIRE_KERNEL=1 \
         python setup.py build_ext --inplace > /dev/null
     asan_rt=$(gcc -print-file-name=libasan.so)
@@ -97,9 +108,6 @@ if [ "${1:-}" = "--asan-only" ]; then
         REPRO_SABRE_KERNEL=c \
         PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
         python -m pytest tests/test_sabre_kernel.py -q
-    # Leave no sanitized extension behind: it cannot be imported without
-    # the preloaded runtime and would poison a later plain run.
-    rm -f src/repro/baselines/_sabre_kernel*.so
     echo "ci.sh: asan-only run complete"
     exit 0
 fi

@@ -98,6 +98,8 @@ class Topology:
         for nbrs in self._adj:
             nbrs.sort()
         self._dist: Optional[np.ndarray] = None
+        #: BFS predecessor lists by source site (see :meth:`shortest_path`)
+        self._bfs_prev: Dict[int, List[int]] = {}
 
     # -- graph accessors -----------------------------------------------------
     def graph_key(self) -> Tuple[int, FrozenSet[Edge]]:
@@ -168,26 +170,45 @@ class Topology:
         return int(self.distance_matrix()[a, b])
 
     def shortest_path(self, a: int, b: int) -> List[int]:
-        """One shortest physical path from ``a`` to ``b`` (BFS)."""
+        """One shortest physical path from ``a`` to ``b`` (BFS).
+
+        Read off the BFS tree from ``a``, which is built on first use and
+        kept (at most one list of ``num_qubits`` predecessors per source).
+        Each site's predecessor is the first frontier site, in sorted
+        adjacency order, that reaches it: the path an early-exit BFS returns.
+        """
 
         if a == b:
             return [a]
-        prev = {a: None}
-        frontier = [a]
+        prev = self._bfs_prev.get(a)
+        if prev is None:
+            prev = self._bfs_prev[a] = self._bfs_tree(a)
+        if prev[b] < 0:
+            raise ValueError(f"no path between {a} and {b}; topology is disconnected")
+        path = [b]
+        while b != a:
+            b = prev[b]
+            path.append(b)
+        path.reverse()
+        return path
+
+    def _bfs_tree(self, root: int) -> List[int]:
+        """BFS predecessor of every site from ``root`` (``root`` for itself,
+        ``-1`` where unreachable)."""
+
+        adj = self._adj
+        prev = [-1] * self.num_qubits
+        prev[root] = root
+        frontier = [root]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in self._adj[u]:
-                    if v not in prev:
+                for v in adj[u]:
+                    if prev[v] < 0:
                         prev[v] = u
-                        if v == b:
-                            path = [b]
-                            while prev[path[-1]] is not None:
-                                path.append(prev[path[-1]])
-                            return list(reversed(path))
                         nxt.append(v)
             frontier = nxt
-        raise ValueError(f"no path between {a} and {b}; topology is disconnected")
+        return prev
 
     # -- cost model --------------------------------------------------------
     def op_latency(self, op: Op) -> int:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -40,11 +39,13 @@ import numpy as np
 from ..arch.topology import Topology
 from ..utils import BoundedCache
 from ..circuit.circuit import Circuit
-from ..circuit.gates import GateKind
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.qft import qft_circuit
 from ..circuit.schedule import MappedCircuit, MappingBuilder
 
 __all__ = ["SabreMapper", "sabre_tables_for", "SABRE_KERNELS", "KERNEL_ENV_VAR"]
+
+_SWAP = KIND_CODES[GateKind.SWAP]
 
 #: recognised values for ``SabreMapper(kernel=...)`` / ``REPRO_SABRE_KERNEL``
 SABRE_KERNELS = ("auto", "c", "python")
@@ -328,7 +329,7 @@ class SabreMapper:
         -- those fall back to the reference path.
         """
 
-        swap_free = GateKind.SWAP not in map(attrgetter("kind"), circuit.gates)
+        swap_free = _SWAP not in circuit.kinds
         if swap_free and self._resolve_kernel() == "c":
             from .sabre_kernel import route_compiled
 
@@ -336,6 +337,9 @@ class SabreMapper:
             return route_compiled(self, circuit)
         self.last_kernel = "python"
         engine = self._route_fast if self.vectorized and swap_free else self._route_reference
+        # The Python engines walk Gate objects: built before the reversal,
+        # one set serves both directions.
+        circuit.gates
         circuits = (circuit, circuit.reversed())
 
         def route(initial_layout, rng, *, emit, backward):

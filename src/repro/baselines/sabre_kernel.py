@@ -15,9 +15,12 @@ tables.  This module owns everything around that call:
   fast path uses, and cached process-wide per coupling graph.  Per-circuit
   tables (gate endpoint arrays and the dependence-DAG CSR) are built once per
   :func:`route_compiled` call, so every traversal pass of a ``map_circuit``
-  shares them: the backward pass's tables come from the forward gate arrays
-  reversed, and the DAG passes reproduce ``_Dag.from_circuit`` exactly
-  (successor lists ascending, indegree = number of *distinct* predecessors);
+  shares them.  The endpoint arrays are the circuit's ``q0``/``q1`` columns
+  (a one-qubit gate's second endpoint is its qubit), so no
+  :class:`~repro.circuit.gates.Gate` is read; the backward pass's tables
+  come from the forward arrays reversed, and the DAG passes reproduce
+  ``_Dag.from_circuit`` exactly (successor lists ascending, indegree =
+  number of *distinct* predecessors);
 * **RNG round-trip**: the caller's ``random.Random`` state is exported into
   the kernel (which implements CPython's MT19937 / ``getrandbits`` /
   ``_randbelow`` verbatim) and re-imported afterwards, so RNG consumption is
@@ -27,8 +30,10 @@ tables.  This module owns everything around that call:
   ``(code, p0, p1)`` in execution order: ``code >= 0`` executes gate ``code``
   on physical sites ``p0``/``p1`` (``p1 == -1`` for a one-qubit gate), and
   ``code == -1`` is a SWAP of ``(p0, p1)``.  Lookup arrays indexed by
-  ``code`` (index ``-1`` is the SWAP entry) give each event's kind code,
-  angle and tag, and the stream goes to :meth:`MappingBuilder.layer` in
+  ``code`` (index ``-1`` is the SWAP entry), filled from the circuit's kind
+  and angle columns, give each event's kind code, angle and tag (RZ and
+  CPHASE carry the gate's angle, every other op ``None``), and the stream
+  goes to :meth:`MappingBuilder.layer` in
   chunks of ``_REPLAY_CHUNK`` events -- one call per chunk, so the
   temporary lists stay bounded on 1,024-qubit routings.  The builder stamps
   and adjacency-checks every op like the per-op emitters the Python paths
@@ -38,15 +43,13 @@ tables.  This module owns everything around that call:
 from __future__ import annotations
 
 import random
-from itertools import repeat
-from operator import attrgetter, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..arch.topology import Topology
 from ..circuit.circuit import Circuit
-from ..circuit.gates import KIND_CODES, TWO_QUBIT_KINDS, GateKind
+from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappingBuilder
 from ..utils import BoundedCache
 
@@ -67,14 +70,9 @@ KERNEL_BUILD_HINT = (
 #: events replayed per :meth:`MappingBuilder.layer` call
 _REPLAY_CHUNK = 1 << 15
 
-#: the kind code of each gate kind the replay emits; RZ and CPHASE ops carry
-#: the gate's angle, H, CNOT and the routing SWAPs carry ``None``
-_EMITTED = {kind: KIND_CODES[kind] for kind in (GateKind.H, GateKind.RZ, GateKind.CPHASE, GateKind.CNOT)}
 _RZ = KIND_CODES[GateKind.RZ]
 _CPHASE = KIND_CODES[GateKind.CPHASE]
 _SWAP = KIND_CODES[GateKind.SWAP]
-#: kind-code lookup entry of a gate the replay cannot emit
-_UNSUPPORTED = -1
 #: tag lookup: index 0 for a circuit gate, 1 for a routing SWAP
 _TAGS = np.array(["sabre", "sabre-swap"], dtype=object)
 
@@ -168,15 +166,14 @@ class _CompiledRoute:
         self.mapper = mapper
         self.circuit = circuit
         self.topology_tables = _kernel_tables_for(mapper.topology)
-        gates = circuit.gates
-        m = len(gates)
-        self.kinds = list(map(attrgetter("kind"), gates))
-        qubits = list(map(attrgetter("qubits"), gates))
-        gq0 = np.fromiter(map(itemgetter(0), qubits), dtype=np.int32, count=m)
-        gq1 = np.fromiter(map(itemgetter(-1), qubits), dtype=np.int32, count=m)
-        is2q = np.fromiter(
-            map(TWO_QUBIT_KINDS.__contains__, self.kinds), dtype=np.uint8, count=m
-        )
+        if _SWAP in circuit.kinds:  # pragma: no cover - SabreMapper._router checks
+            raise ValueError("unsupported gate kind 'swap'")
+        self.kinds = np.array(circuit.kinds, dtype=np.int8)
+        gq0 = np.array(circuit.q0, dtype=np.int32)
+        gq1 = np.array(circuit.q1, dtype=np.int32)
+        one = gq1 < 0
+        is2q = (~one).view(np.uint8)
+        gq1[one] = gq0[one]  # a one-qubit gate's second endpoint is its qubit
         self._forward = (gq0, gq1, is2q)
         self._tables = {}
 
@@ -265,18 +262,16 @@ class _CompiledRoute:
     def _replay(self, builder: MappingBuilder, events: np.ndarray, backward: bool) -> None:
         """Emit the kernel's ``(code, p0, p1)`` events through ``builder``."""
 
-        gates = self.circuit.gates[::-1] if backward else self.circuit.gates
         kinds = self.kinds[::-1] if backward else self.kinds
-        m = len(gates)
+        angle_column = self.circuit.angles[::-1] if backward else self.circuit.angles
+        m = len(kinds)
         # lookup arrays indexed by the event code; the extra last entry,
         # reached by code -1, is the routing SWAP's
         codes = np.empty(m + 1, dtype=np.int8)
-        codes[:m] = np.fromiter(
-            map(_EMITTED.get, kinds, repeat(_UNSUPPORTED)), dtype=np.int8, count=m
-        )
+        codes[:m] = kinds
         codes[m] = _SWAP
         angles = np.empty(m + 1, dtype=object)
-        angles[:m] = list(map(attrgetter("angle"), gates))
+        angles[:m] = angle_column
         angles[(codes != _RZ) & (codes != _CPHASE)] = None
         # one int object per site (the last entry, reached by -1, for "no
         # operand"), so the operand columns share them instead of holding
@@ -287,20 +282,13 @@ class _CompiledRoute:
         for lo in range(0, len(events), _REPLAY_CHUNK):
             chunk = events[lo : lo + _REPLAY_CHUNK]
             code = chunk[:, 0]
-            kind_codes = codes[code]
-            bad = np.flatnonzero(kind_codes == _UNSUPPORTED)[:1]
-            if bad.size:
-                chunk, code, kind_codes = chunk[: bad[0]], code[: bad[0]], kind_codes[: bad[0]]
             builder.layer(
-                kind_codes.tolist(),
+                codes[code].tolist(),
                 sites[chunk[:, 1]].tolist(),
                 sites[chunk[:, 2]].tolist(),
                 angles[code].tolist(),
                 _TAGS[(code < 0).view(np.uint8)].tolist(),
             )
-            if bad.size:
-                kind = gates[int(events[lo + bad[0], 0])].kind
-                raise ValueError(f"unsupported gate kind {kind!r}")
 
 
 def route_compiled(

@@ -4,7 +4,9 @@ Three flavours are provided:
 
 ``qft_circuit(n)``
     The textbook circuit of Fig. 2: for each qubit ``i`` in order, ``H(i)``
-    followed by ``CPHASE(i, j)`` for every ``j > i``.
+    followed by ``CPHASE(i, j)`` for every ``j > i``.  It is built straight
+    into the circuit's columns (no per-gate object), which is also what
+    :func:`textbook_qft_qubit_count` compares a circuit with.
 
 ``qft_partitioned(n, ranges)``
     The k-partition rewrite of Section 3.2 / Fig. 8: qubits are split into
@@ -27,10 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .circuit import Circuit
-from .gates import CPHASE, H, GateKind, qft_angle
+from .gates import CPHASE, KIND_CODES, H, GateKind, qft_angle
 
 __all__ = [
     "qft_circuit",
@@ -42,6 +47,37 @@ __all__ = [
     "qft_ie_gates",
     "qft_ia_gates",
 ]
+
+_H = KIND_CODES[GateKind.H]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
+
+
+def _qft_columns(n: int, include_final_swaps: bool = False):
+    """The kind, ``q0``, ``q1`` and angle columns of :func:`qft_circuit`."""
+
+    #: ``table[d]`` is ``qft_angle(i, i + d)``
+    table = [math.ldexp(math.pi, -d) for d in range(n)]
+    kinds: List[int] = []
+    q0: List[int] = []
+    q1: List[int] = []
+    angles: List[Optional[float]] = []
+    for i in range(n):
+        run = n - 1 - i  # H(i), then CPHASE(i, j) for every j > i
+        kinds.append(_H)
+        kinds += [_CPHASE] * run
+        q0 += [i] * (run + 1)
+        q1.append(-1)
+        q1 += range(i + 1, n)
+        angles.append(None)
+        angles += table[1 : run + 1]
+    if include_final_swaps:
+        half = n // 2
+        kinds += [_SWAP] * half
+        q0 += range(half)
+        q1 += range(n - 1, n - 1 - half, -1)
+        angles += [None] * half
+    return kinds, q0, q1, angles
 
 
 def qft_circuit(n: int, include_final_swaps: bool = False) -> Circuit:
@@ -55,19 +91,16 @@ def qft_circuit(n: int, include_final_swaps: bool = False) -> Circuit:
         The full textbook QFT ends with a layer of SWAPs that reverses the
         qubit order.  The paper (like most mapping work) treats the reversal
         as a relabelling and omits it; pass ``True`` to include it anyway.
+
+    The gates go into the circuit's columns in one validated
+    :meth:`~repro.circuit.circuit.Circuit.append_columns` call, with the
+    angles read off one ``pi / 2^d`` table.
     """
 
     if n < 1:
         raise ValueError("QFT needs at least one qubit")
     circ = Circuit(n, name=f"qft_{n}")
-    for i in range(n):
-        circ.h(i)
-        for j in range(i + 1, n):
-            circ.cphase(i, j, qft_angle(i, j))
-    if include_final_swaps:
-        for i in range(n // 2):
-            circ.swap(i, n - 1 - i)
-    return circ
+    return circ.append_columns(*_qft_columns(n, include_final_swaps))
 
 
 def qft_pair_list(n: int) -> Tuple[List[int], List[Tuple[int, int]]]:
@@ -92,30 +125,22 @@ def textbook_qft_qubit_count(circuit: Circuit) -> Optional[int]:
     :func:`qft_circuit` (same order, same pairs, same angles, no final SWAP
     layer) is compiled through the analytic construction; anything else
     makes the specialist raise
-    :class:`~repro.registry.UnsupportedWorkload`.  The scan is O(#gates)
-    and allocation-free, so guarding a 1024-qubit compile costs far less
-    than the mapping itself.
+    :class:`~repro.registry.UnsupportedWorkload`.  It compares the
+    circuit's columns with the builder's (CPHASE angles within ``1e-12``) in
+    O(#gates), so guarding a 1024-qubit compile costs far less than the
+    mapping itself.
     """
 
     n = circuit.num_qubits
-    if len(circuit.gates) != n + n * (n - 1) // 2:
+    if len(circuit) != n + n * (n - 1) // 2:
         return None
-    gates = circuit.gates
-    pos = 0
-    for i in range(n):
-        g = gates[pos]
-        pos += 1
-        if g.kind != GateKind.H or g.qubits != (i,):
-            return None
-        for j in range(i + 1, n):
-            g = gates[pos]
-            pos += 1
-            if g.kind != GateKind.CPHASE or g.qubits != (i, j):
-                return None
-            if g.angle is None or not math.isclose(
-                g.angle, qft_angle(i, j), rel_tol=0.0, abs_tol=1e-12
-            ):
-                return None
+    kinds, q0, q1, angles = _qft_columns(n)
+    if circuit.kinds != kinds or circuit.q0 != q0 or circuit.q1 != q1:
+        return None
+    cphase = [k == _CPHASE for k in kinds]
+    got = np.array(list(compress(circuit.angles, cphase)), dtype=float)
+    if not (np.abs(got - list(compress(angles, cphase))) <= 1e-12).all():
+        return None
     return n
 
 

@@ -23,12 +23,17 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..arch.topology import Topology
 from ..circuit.circuit import Circuit
-from ..circuit.gates import GateKind, qft_angle
+from ..circuit.gates import KIND_CODES, GateKind, qft_angle
 from ..circuit.qft import qft_circuit
 from ..circuit.schedule import MappedCircuit, MappingBuilder
 from .dependence import QFTDependenceTracker
 
 __all__ = ["complete_remaining", "finish_hadamards", "GreedyRouterMapper"]
+
+_H = KIND_CODES[GateKind.H]
+_RZ = KIND_CODES[GateKind.RZ]
+_CPHASE = KIND_CODES[GateKind.CPHASE]
+_SWAP = KIND_CODES[GateKind.SWAP]
 
 
 def _route_adjacent(
@@ -161,12 +166,13 @@ class GreedyRouterMapper:
             raise ValueError("more logical qubits than physical qubits")
         layout = self.initial_layout if self.initial_layout is not None else list(range(n))
         builder = MappingBuilder(self.topology, layout, num_logical=n, name=self.name)
-        for gate in circuit.gates:
-            if gate.kind == GateKind.H:
-                builder.h(builder.phys_of(gate.qubits[0]), tag="routed")
-            elif gate.kind == GateKind.RZ:
-                builder.rz(builder.phys_of(gate.qubits[0]), gate.angle, tag="routed")
-            elif gate.kind == GateKind.SWAP:
+        phys_of = builder.phys_of
+        for code, a, b, angle in zip(circuit.kinds, circuit.q0, circuit.q1, circuit.angles):
+            if code == _H:
+                builder.h(phys_of(a), tag="routed")
+            elif code == _RZ:
+                builder.rz(phys_of(a), angle, tag="routed")
+            elif code == _SWAP:
                 # A program-level SWAP cannot be told apart from a routing
                 # SWAP in the mapped stream (verification replays treat every
                 # SWAP as data movement), so compiling it silently would
@@ -176,15 +182,10 @@ class GreedyRouterMapper:
                     f"{self.name} cannot compile program-level SWAP gates; "
                     "express the permutation as a relabelling"
                 )
-            elif gate.is_two_qubit:
-                a, b = gate.qubits
-                pa, pb, _ = _route_adjacent(
-                    builder, builder.phys_of(a), builder.phys_of(b), "routed"
-                )
-                if gate.kind == GateKind.CPHASE:
-                    builder.cphase(pa, pb, gate.angle, tag="routed")
+            else:  # CPHASE or CNOT
+                pa, pb, _ = _route_adjacent(builder, phys_of(a), phys_of(b), "routed")
+                if code == _CPHASE:
+                    builder.cphase(pa, pb, angle, tag="routed")
                 else:
                     builder.cnot(pa, pb, tag="routed")
-            else:
-                raise ValueError(f"unsupported gate kind {gate.kind!r}")
         return builder.build(metadata={"mapper": self.name})

@@ -88,8 +88,9 @@ class Workload:
     def __init__(self) -> None:
         # Tiny per-workload memo so one compile() call builds the program
         # once, not once for mapping and again for verification (a 1024-qubit
-        # random instance is ~270k gate objects).  Entries are shared; the
-        # pipeline never mutates built circuits.
+        # random instance is ~270k rows in each of a circuit's four
+        # columns).  Entries are shared; the pipeline never mutates built
+        # circuits.
         self._build_memo: BoundedCache = BoundedCache(2)
 
     # -- parameters --------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.circuit import MappedCircuit
 from repro.verify import verify_mapped_qft
 
-__all__ = ["assert_valid_qft", "with_ops"]
+__all__ = ["assert_valid_qft", "reference_shortest_path", "with_ops"]
 
 
 def assert_valid_qft(mapped, n=None, *, strict=False, statevector_limit=7):
@@ -37,3 +37,27 @@ def with_ops(mapped, ops):
         mapped.name,
         dict(mapped.metadata),
     )
+
+
+def reference_shortest_path(topology, a, b):
+    """The early-exit BFS ``Topology.shortest_path`` ran before it kept a
+    BFS tree per source: the oracle its paths are compared with."""
+
+    if a == b:
+        return [a]
+    prev = {a: None}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in topology.neighbors(u):
+                if v not in prev:
+                    prev[v] = u
+                    if v == b:
+                        path = [b]
+                        while prev[path[-1]] is not None:
+                            path.append(prev[path[-1]])
+                        return list(reversed(path))
+                    nxt.append(v)
+        frontier = nxt
+    raise ValueError(f"no path between {a} and {b}; topology is disconnected")

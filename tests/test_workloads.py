@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import GridTopology, UnsupportedWorkload, get_workload
+from repro import Circuit, GridTopology, UnsupportedWorkload, get_workload
 from repro.baselines import SabreMapper
 from repro.circuit.gates import GateKind
 from repro.circuit.qft import qft_circuit, textbook_qft_qubit_count
@@ -57,8 +57,7 @@ class TestTextbookQFTDetection:
 
     def test_rejects_other_circuits(self):
         assert textbook_qft_qubit_count(get_workload("qaoa").build(5)) is None
-        reordered = qft_circuit(4)
-        reordered.gates.reverse()
+        reordered = Circuit(4, reversed(qft_circuit(4).gates))
         assert textbook_qft_qubit_count(reordered) is None
 
 
