@@ -16,11 +16,12 @@ def demo(workload: str, architecture: str, size: int, approach: str = "ours") ->
         print(f"  status          : {result.status} ({result.message})")
         return
     mapped = result.mapped
+    depth = mapped.depth()
     print(f"  mapper          : {mapped.name}")
     print(f"  qubits          : {result.num_qubits}")
-    print(f"  depth (cycles)  : {mapped.depth()}")
+    print(f"  depth (cycles)  : {depth}")
     print(f"  SWAP gates      : {mapped.swap_count()}")
-    print(f"  depth / qubit   : {mapped.depth() / result.num_qubits:.2f}")
+    print(f"  depth / qubit   : {depth / result.num_qubits:.2f}")
     print(f"  compile wall    : {result.wall_s * 1000:.1f} ms")
     verification = result.verification
     print(f"  verification    : {'OK' if verification.ok else 'FAILED'}"

@@ -354,6 +354,14 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python examples/compare_backends.py > 
 echo "examples ok"
 
 echo
+echo "=== benchmarks: the figure sweeps' depth bounds, timing off ==="
+# Several of them call depth()/unit_depth() or assert depth bounds.  The
+# SATMAP heavy-hex 10 cell is deselected: it waits out a 60 s SATMAP budget.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest benchmarks/ \
+    --benchmark-disable -q \
+    --deselect benchmarks/bench_table1.py::test_table1_satmap_heavyhex_10
+
+echo
 echo "=== large-QFT smoke: a 1,089-qubit lattice compile verifies ==="
 # Tier-1 stays below 1,025 qubits, the size at which qft_angle overflowed
 # (distance 1,024) while it divided by float(2 ** d).  About 5 s and 210 MB.

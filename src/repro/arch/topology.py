@@ -8,9 +8,11 @@ per-edge cost model.
 The cost model is what distinguishes the FT backend: on lattice surgery a
 SWAP over a "fast" (green) link has latency 2 while a SWAP over a CNOT-only
 link costs three CNOTs and therefore latency 6 (Section 2.3).  On NISQ
-backends every op costs one cycle.  Subclasses override
-:meth:`Topology.op_latency` accordingly; the ASAP scheduler in
-:mod:`repro.circuit.schedule` is cost-model agnostic.
+backends every op costs one cycle.  A topology states its cost model once,
+as :meth:`Topology.op_latency_array`, which prices a whole op stream in one
+vectorized call; the one ASAP depth loop
+(:meth:`repro.circuit.schedule.MappedCircuit.depths`) is cost-model
+agnostic.
 
 Distances are computed lazily with scipy's sparse BFS (vectorised all-pairs
 shortest path), because the SABRE baseline scores candidate SWAPs against the
@@ -27,7 +29,6 @@ import networkx as nx
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from ..circuit.gates import GateKind, Op
 from ..utils import BoundedCache, clear_process_caches
 
 __all__ = ["Topology", "Edge", "clear_distance_cache"]
@@ -211,35 +212,18 @@ class Topology:
         return prev
 
     # -- cost model --------------------------------------------------------
-    def op_latency(self, op: Op) -> int:
-        """Latency (in cycles) of a mapped op.  NISQ default: 1 cycle."""
-
-        return 1
-
     def op_latency_array(
         self, kinds: np.ndarray, q0: np.ndarray, q1: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Vectorized latency of a packed op stream, or None.
+    ) -> np.ndarray:
+        """Latency (in cycles) of each op of a packed op stream.
 
         ``kinds`` holds :data:`~repro.circuit.gates.KIND_CODES` codes; ``q0``
-        / ``q1`` the physical operands (``-1`` where absent).  Subclasses
-        with a custom cost model override this alongside :meth:`op_latency`
-        (they must agree op-for-op); a subclass that overrides only the
-        scalar method gets ``None`` here, telling
-        :func:`repro.eval.metrics.fast_metrics` to price the stream with the
-        scalar :meth:`op_latency` rather than silently using the wrong cost
-        model.
+        / ``q1`` the physical operands (``-1`` where absent).  Returns a
+        non-negative int64 array as long as ``kinds``.  NISQ default: one
+        cycle per op.  Subclasses with a custom cost model override this.
         """
 
-        if type(self).op_latency is not Topology.op_latency:
-            return None
         return np.ones(len(kinds), dtype=np.int64)
-
-    def swap_latency(self, a: int, b: int) -> int:
-        return self.op_latency(Op(GateKind.SWAP, (a, b), (-1, -1)))
-
-    def cphase_latency(self, a: int, b: int) -> int:
-        return self.op_latency(Op(GateKind.CPHASE, (a, b), (-1, -1), 0.0))
 
     # -- misc ------------------------------------------------------------
     def subtopology(self, qubits: Sequence[int], name: str = "") -> "Topology":

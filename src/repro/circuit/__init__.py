@@ -31,7 +31,7 @@ from .qft import (
     qft_pair_list,
     qft_partitioned,
 )
-from .schedule import MappedCircuit, MappingBuilder, asap_depth, asap_layers
+from .schedule import MappedCircuit, MappingBuilder
 
 __all__ = [
     "Circuit",
@@ -60,6 +60,4 @@ __all__ = [
     "qft_partitioned",
     "MappedCircuit",
     "MappingBuilder",
-    "asap_depth",
-    "asap_layers",
 ]

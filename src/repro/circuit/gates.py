@@ -72,7 +72,7 @@ TWO_QUBIT_KINDS = frozenset({GateKind.CPHASE, GateKind.SWAP, GateKind.CNOT})
 
 #: stable small-int kind codes: the kind column of a mapped circuit's op
 #: stream (:class:`repro.circuit.schedule.OpStream`), and the codes the
-#: topologies' vectorized latency models price
+#: topologies' cost models (``op_latency_array``) price
 KIND_CODES = {
     GateKind.H: 0,
     GateKind.RZ: 1,

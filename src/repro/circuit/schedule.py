@@ -20,9 +20,11 @@ The paper measures circuit *depth* in cycles.  On NISQ backends every gate
 (H, CPHASE, SWAP) costs one cycle.  On the lattice-surgery FT backend gate
 latencies are heterogeneous (Section 2.3): a SWAP on a "fast" (green) link has
 depth 2, a SWAP on a CNOT-only link costs 3 CNOTs = depth 6, and a CNOT/CPHASE
-costs depth 2 on any link.  The latency of each op is supplied by the
-topology's ``op_latency`` method, so the same ASAP scheduler produces both the
-uniform NISQ depth and the weighted FT depth.
+costs depth 2 on any link.  The topology prices the whole stream in one
+vectorized ``op_latency_array`` call, and :meth:`MappedCircuit.depths` runs
+one ASAP pass over the columns that keeps each site's busy time under both
+cost models side by side, so one loop yields the uniform NISQ depth and the
+weighted FT depth together.
 
 :class:`MappingBuilder` is the convenience layer used by every mapper: it
 tracks the logical<->physical correspondence as SWAPs are emitted and stamps
@@ -39,6 +41,8 @@ from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .gates import (
     KIND_CODES,
     KIND_NAMES,
@@ -48,68 +52,20 @@ from .gates import (
     Op,
 )
 
-__all__ = ["MappedCircuit", "MappingBuilder", "OpStream", "asap_layers", "asap_depth"]
+__all__ = ["MappedCircuit", "MappingBuilder", "OpStream"]
 
 #: the number of qubits an op of each kind code takes
 _ARITY: Tuple[int, ...] = tuple(
     1 if k in SINGLE_QUBIT_KINDS else 2 if k in TWO_QUBIT_KINDS else 0
     for k in KIND_NAMES
 )
+_ARITY_ARRAY = np.array(_ARITY, dtype=np.int8)
 _H = KIND_CODES[GateKind.H]
 _RZ = KIND_CODES[GateKind.RZ]
 _CPHASE = KIND_CODES[GateKind.CPHASE]
 _CNOT = KIND_CODES[GateKind.CNOT]
 _SWAP = KIND_CODES[GateKind.SWAP]
 _BARRIER = KIND_CODES[GateKind.BARRIER]
-
-
-def asap_depth(ops: Sequence[Op], latency_fn) -> int:
-    """Weighted ASAP depth of an op stream.
-
-    ``latency_fn(op) -> int`` supplies per-op latency.  Each op starts at the
-    max busy-time of its qubits and occupies them for its latency; the depth is
-    the max finish time over all qubits.
-    """
-
-    busy: Dict[int, int] = {}
-    fence = 0
-    depth = 0
-    for op in ops:
-        if op.kind == GateKind.BARRIER:
-            # A barrier is a global fence: nothing after it may start before
-            # everything before it has finished.
-            if busy:
-                fence = max(fence, max(busy.values()))
-            continue
-        start = max((busy.get(q, fence) for q in op.physical), default=fence)
-        start = max(start, fence)
-        end = start + latency_fn(op)
-        for q in op.physical:
-            busy[q] = end
-        if end > depth:
-            depth = end
-    return depth
-
-
-def asap_layers(ops: Sequence[Op]) -> List[List[Op]]:
-    """Unit-latency ASAP layering (each layer holds qubit-disjoint ops)."""
-
-    busy: Dict[int, int] = {}
-    fence = 0
-    layers: List[List[Op]] = []
-    for op in ops:
-        if op.kind == GateKind.BARRIER:
-            if busy:
-                fence = max(fence, max(busy.values()))
-            continue
-        start = max((busy.get(q, fence) for q in op.physical), default=fence)
-        start = max(start, fence)
-        while len(layers) <= start:
-            layers.append([])
-        layers[start].append(op)
-        for q in op.physical:
-            busy[q] = start + 1
-    return layers
 
 
 class OpStream(SequenceABC):
@@ -273,18 +229,68 @@ class MappedCircuit:
         return kinds.count(_CPHASE) + kinds.count(_CNOT) + kinds.count(_SWAP)
 
     # -- depth ----------------------------------------------------------
-    def depth(self) -> int:
-        """Latency-weighted depth using the topology's cost model."""
+    def depths(self) -> Tuple[int, int]:
+        """``(depth, unit_depth)``: the ASAP depth under the topology's cost
+        model and with every op costing one cycle, from one pass.
 
-        return asap_depth(self.ops, self.topology.op_latency)
+        The topology prices every op in one ``op_latency_array`` call.  Each
+        op starts once all its sites are free and keeps them busy for its
+        latency; a barrier is a global fence that lifts every busy time to
+        the latest finish so far.  Latencies are non-negative, so a site's
+        busy time never falls and each depth is the largest busy time at the
+        end.  The loop costs O(ops) and builds no ``Op``.
+
+        Raises :class:`ValueError` naming the first op with an operand off
+        the device (outside ``[0, num_qubits)``).
+        """
+
+        ops = self._ops
+        topology = self.topology
+        n = topology.num_qubits
+        kinds = np.array(ops.kinds, dtype=np.int8)
+        p0 = np.array(ops.p0, dtype=np.int64)
+        p1 = np.array(ops.p1, dtype=np.int64)
+        # an operand is off the device when it lies outside [0, n); read as
+        # unsigned, a negative site is a huge one
+        arity = _ARITY_ARRAY[kinds]
+        off = (p0.view(np.uint64) >= n) & (arity > 0)
+        off |= (p1.view(np.uint64) >= n) & (arity > 1)
+        if off.any():
+            i = int(off.argmax())
+            code = ops.kinds[i]
+            operands = (ops.p0[i], ops.p1[i])[: _ARITY[code]]
+            raise ValueError(f"op {i}: {_off_device(code, operands, n)}")
+        costs = topology.op_latency_array(kinds, p0, p1).tolist()
+        barrier = _BARRIER
+        unit = [0] * n  # per-site busy-until cycle, every op one cycle
+        busy = [0] * n  # the same under the topology's cost model
+        for kind, a, b, cost in zip(ops.kinds, ops.p0, ops.p1, costs):
+            if b >= 0:
+                start = unit[a]
+                if unit[b] > start:
+                    start = unit[b]
+                unit[a] = unit[b] = start + 1
+                start = busy[a]
+                if busy[b] > start:
+                    start = busy[b]
+                busy[a] = busy[b] = start + cost
+            elif kind == barrier:
+                unit = [max(unit)] * n
+                busy = [max(busy)] * n
+            else:
+                unit[a] += 1
+                busy[a] += cost
+        return max(busy), max(unit)
+
+    def depth(self) -> int:
+        """Latency-weighted depth under the topology's cost model."""
+
+        return self.depths()[0]
 
     def unit_depth(self) -> int:
         """Depth with every op costing one cycle (NISQ-style counting)."""
 
-        return asap_depth(self.ops, lambda op: 1)
-
-    def layers(self) -> List[List[Op]]:
-        return asap_layers(self.ops)
+        return self.depths()[1]
 
     # -- layouts ----------------------------------------------------------
     def final_layout(self) -> List[int]:

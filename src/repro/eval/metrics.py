@@ -2,16 +2,10 @@
 
 Metric extraction is one pass over the mapped circuit's op columns (see
 :class:`repro.circuit.schedule.OpStream`).  The gate counts are counts over
-the kind-code column; the topology prices every op in one vectorized
-``op_latency_array`` call over numpy copies of the kind and operand columns.
-Both ASAP depths -- unit (every op one cycle) and weighted (the topology's
-cost model) -- then come out of a single plain loop over the columns, which
-keeps the two per-qubit busy times side by side.  The loop costs O(ops)
-however parallel or serial the stream is, and builds no ``Op``.  The scalar
-reference (:func:`repro.circuit.schedule.asap_depth`) is the test oracle,
-and it stays the path for topologies that override the scalar ``op_latency``
-without providing ``op_latency_array``, so a custom cost model is never
-silently mis-priced.
+the kind-code column, and both ASAP depths -- unit (every op one cycle) and
+weighted (the topology's cost model, ``op_latency_array``) -- come from
+:meth:`repro.circuit.schedule.MappedCircuit.depths`, the library's one depth
+loop, which ``MappedCircuit.depth()`` and ``unit_depth()`` run as well.
 """
 
 from __future__ import annotations
@@ -19,79 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from ..circuit.gates import KIND_CODES, GateKind
-from ..circuit.schedule import MappedCircuit, asap_depth
+from ..circuit.schedule import MappedCircuit
 
 __all__ = [
     "CompilationResult",
     "result_from_mapped",
-    "mapped_op_arrays",
     "fast_metrics",
 ]
 
 
-def mapped_op_arrays(
-    mapped: MappedCircuit,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(kind codes, q0, q1)`` numpy arrays of ``mapped``'s op columns.
-
-    ``q1`` is ``-1`` for single-qubit ops, and ``q0`` and ``q1`` are ``-1``
-    for barriers; kind codes follow :data:`~repro.circuit.gates.KIND_CODES`.
-    """
-
-    ops = mapped.ops
-    return (
-        np.array(ops.kinds, dtype=np.int8),
-        np.array(ops.p0, dtype=np.int64),
-        np.array(ops.p1, dtype=np.int64),
-    )
-
-
 def fast_metrics(mapped: MappedCircuit) -> Tuple[int, int, int, int]:
-    """``(depth, unit_depth, swap_count, cphase_count)`` in one pass.
+    """``(depth, unit_depth, swap_count, cphase_count)``: both depths from
+    one :meth:`~repro.circuit.schedule.MappedCircuit.depths` pass and the
+    counts from the kind column."""
 
-    Both depths are bit-equal to :func:`~repro.circuit.schedule.asap_depth`.
-    A barrier is a global fence: it lifts every busy time to the latest
-    finish so far.  Latencies are non-negative, so a qubit's busy time never
-    falls and each depth is the largest busy time at the end.  Falls back to
-    the scalar reference when the topology has no vectorized latency model
-    (custom ``op_latency`` override without ``op_latency_array``).
-    """
-
-    ops = mapped.ops
-    swap_count = ops.kinds.count(KIND_CODES[GateKind.SWAP])
-    cphase_count = ops.kinds.count(KIND_CODES[GateKind.CPHASE])
-    topology = mapped.topology
-    lat = topology.op_latency_array(*mapped_op_arrays(mapped))
-    if lat is None:
-        depth = asap_depth(ops, topology.op_latency)
-        unit_depth = asap_depth(ops, lambda op: 1)
-        return depth, unit_depth, swap_count, cphase_count
-
-    barrier = KIND_CODES[GateKind.BARRIER]
-    num_sites = topology.num_qubits
-    unit = [0] * num_sites  # per-qubit busy-until cycle, every op one cycle
-    busy = [0] * num_sites  # the same under the topology's cost model
-    costs = np.asarray(lat, dtype=np.int64).tolist()
-    for kind, a, b, cost in zip(ops.kinds, ops.p0, ops.p1, costs):
-        if b >= 0:
-            start = unit[a]
-            if unit[b] > start:
-                start = unit[b]
-            unit[a] = unit[b] = start + 1
-            start = busy[a]
-            if busy[b] > start:
-                start = busy[b]
-            busy[a] = busy[b] = start + cost
-        elif kind == barrier:
-            unit = [max(unit)] * num_sites
-            busy = [max(busy)] * num_sites
-        else:
-            unit[a] += 1
-            busy[a] += cost
-    return max(busy), max(unit), swap_count, cphase_count
+    depth, unit_depth = mapped.depths()
+    return depth, unit_depth, mapped.swap_count(), mapped.cphase_count()
 
 
 def _jsonify(value: object) -> object:

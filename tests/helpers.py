@@ -9,10 +9,16 @@ broke root-level collection because ``benchmarks/conftest.py`` shadowed
 
 from __future__ import annotations
 
-from repro.circuit import MappedCircuit
+from repro.circuit import GateKind, MappedCircuit
 from repro.verify import verify_mapped_qft
 
-__all__ = ["assert_valid_qft", "reference_shortest_path", "with_ops"]
+__all__ = [
+    "asap_depth",
+    "asap_layers",
+    "assert_valid_qft",
+    "reference_shortest_path",
+    "with_ops",
+]
 
 
 def assert_valid_qft(mapped, n=None, *, strict=False, statevector_limit=7):
@@ -61,3 +67,39 @@ def reference_shortest_path(topology, a, b):
                     nxt.append(v)
         frontier = nxt
     raise ValueError(f"no path between {a} and {b}; topology is disconnected")
+
+
+def _asap(ops, costs):
+    """Yield ``(op, start, end)`` cycles of each op but barriers in an ASAP
+    schedule where op ``i`` takes ``costs[i]`` cycles; a barrier is a global
+    fence."""
+
+    costs = list(costs)
+    assert len(costs) == len(ops)
+    busy = {}
+    fence = 0
+    for op, cost in zip(ops, costs):
+        if op.kind == GateKind.BARRIER:
+            fence = max([fence, *busy.values()])
+            continue
+        start = max([fence] + [busy.get(q, 0) for q in op.physical])
+        for q in op.physical:
+            busy[q] = start + cost
+        yield op, start, start + cost
+
+
+def asap_depth(ops, costs):
+    """Weighted ASAP depth of an op list, op ``i`` costing ``costs[i]``
+    cycles: the scalar oracle ``MappedCircuit.depths`` is compared with."""
+
+    return max((end for _, _, end in _asap(ops, costs)), default=0)
+
+
+def asap_layers(ops):
+    """Unit-latency ASAP layering (each layer holds qubit-disjoint ops)."""
+
+    layers = []
+    for op, start, _ in _asap(ops, [1] * len(ops)):
+        layers += [[] for _ in range(start + 1 - len(layers))]
+        layers[start].append(op)
+    return layers

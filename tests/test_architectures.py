@@ -1,7 +1,9 @@
 """Tests for the concrete architecture models (Section 2.2-2.3, 4-6)."""
 
+import numpy as np
 import pytest
 
+from repro import architecture_names, make_architecture
 from repro.arch import (
     CaterpillarTopology,
     GridTopology,
@@ -11,7 +13,8 @@ from repro.arch import (
     SycamoreTopology,
     TwoRowTopology,
 )
-from repro.circuit import GateKind, Op
+from repro.circuit import GateKind
+from repro.circuit.gates import KIND_CODES, KIND_NAMES, TWO_QUBIT_KINDS
 
 
 class TestLNN:
@@ -209,12 +212,12 @@ class TestLatticeSurgery:
 
     def test_latencies(self):
         t = LatticeSurgeryTopology(3)
-        assert t.swap_latency(0, 1) == t.FAST_SWAP_LATENCY == 2
-        assert t.swap_latency(0, 3) == t.SLOW_SWAP_LATENCY == 6
-        assert t.cphase_latency(0, 1) == t.CNOT_LATENCY == 2
-        assert t.cphase_latency(0, 3) == 2
-        assert t.op_latency(Op(GateKind.H, (0,), (0,))) == 1
-        assert t.op_latency(Op(GateKind.BARRIER, (), ())) == 0
+        swap, cphase, h, barrier = (KIND_CODES[k] for k in ("swap", "cphase", "h", "barrier"))
+        # SWAP(0,1), SWAP(0,3), CPHASE(0,1), CPHASE(0,3), H(0), barrier
+        kinds = np.array([swap, swap, cphase, cphase, h, barrier])
+        lat = t.op_latency_array(kinds, np.array([0, 0, 0, 0, 0, -1]), np.array([1, 3, 1, 3, -1, -1]))
+        assert lat.tolist() == [2, 6, 2, 2, 1, 0]
+        assert (t.FAST_SWAP_LATENCY, t.SLOW_SWAP_LATENCY, t.CNOT_LATENCY) == (2, 6, 2)
 
     def test_unit_lines_use_fast_links(self):
         t = LatticeSurgeryTopology(4)
@@ -233,3 +236,18 @@ class TestLatticeSurgery:
     def test_rectangular_variant(self):
         t = LatticeSurgeryTopology(4, rows=3)
         assert t.rows == 3 and t.cols == 4
+
+
+class TestCostModel:
+    @pytest.mark.parametrize("kind", architecture_names())
+    def test_latencies_are_non_negative_int64_per_op(self, kind):
+        # the depth loop's final max(busy) relies on non-negative latencies
+        t = make_architecture(kind, 4)
+        a, b = (np.array(side) for side in zip(*t.edge_list()))
+        none = np.full(len(a), -1)
+        for code, name in enumerate(KIND_NAMES):
+            q0 = none if name == GateKind.BARRIER else a
+            q1 = b if name in TWO_QUBIT_KINDS else none
+            lat = t.op_latency_array(np.full(len(a), code, dtype=np.int8), q0, q1)
+            assert lat.dtype == np.int64 and lat.shape == (len(a),)
+            assert (lat >= 0).all()

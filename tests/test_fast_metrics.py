@@ -1,11 +1,13 @@
-"""Equivalence of the one-pass metric extraction with the scalar reference.
+"""The one depth loop against the scalar oracle.
 
-``result_from_mapped`` (and therefore every pinned metric in the harness)
-goes through :func:`repro.eval.metrics.fast_metrics`; these tests pin it to
-the scalar :func:`repro.circuit.schedule.asap_depth` / counter methods over
-real mapper outputs and adversarial synthetic streams (barriers, idle
-qubits, heterogeneous and zero latencies), checking the unit and weighted
-depths that one pass computes together.
+:meth:`repro.circuit.schedule.MappedCircuit.depths` is the library's only
+depth scheduler: ``depth()``, ``unit_depth()`` and
+:func:`repro.eval.metrics.fast_metrics` (and therefore every pinned metric in
+the harness) all return its values.  These tests pin it to the tests-only
+:func:`helpers.asap_depth` oracle, priced op for op with the topology's
+``op_latency_array``, over real mapper outputs and adversarial synthetic
+streams (barriers, idle qubits, heterogeneous and zero latencies), and check
+that the loop refuses operands off the device.
 """
 
 import random
@@ -17,17 +19,29 @@ from repro import GridTopology, LatticeSurgeryTopology, get_workload
 from repro.arch import CaterpillarTopology, LNNTopology, SycamoreTopology, Topology
 from repro.baselines import SabreMapper
 from repro.circuit.gates import GateKind, Op
-from repro.circuit.schedule import MappedCircuit, asap_depth
+from repro.circuit.schedule import MappedCircuit
 import repro
-from repro.eval.metrics import fast_metrics, mapped_op_arrays
+from repro.eval.metrics import fast_metrics
+
+from helpers import asap_depth
 
 
-def assert_fast_matches_reference(mapped: MappedCircuit):
-    depth, unit_depth, swaps, cphases = fast_metrics(mapped)
-    assert depth == mapped.depth()
-    assert unit_depth == mapped.unit_depth()
-    assert swaps == mapped.swap_count()
-    assert cphases == mapped.cphase_count()
+def assert_depths_match_oracle(mapped: MappedCircuit, costs=None):
+    """``depths()``, ``depth()``, ``unit_depth()`` and ``fast_metrics``
+    against the oracle, op ``i`` costing ``costs[i]`` (default: as the
+    topology's ``op_latency_array`` prices it); returns ``(depth, unit_depth)``."""
+
+    ops = mapped.ops
+    if costs is None:
+        costs = mapped.topology.op_latency_array(
+            np.array(ops.kinds, dtype=np.int8), np.array(ops.p0), np.array(ops.p1)
+        ).tolist()
+    ops = list(ops)
+    depths = (asap_depth(ops, costs), asap_depth(ops, [1] * len(ops)))
+    counts = tuple(sum(op.kind == k for op in ops) for k in (GateKind.SWAP, GateKind.CPHASE))
+    assert mapped.depths() == (mapped.depth(), mapped.unit_depth()) == depths
+    assert fast_metrics(mapped) == depths + counts
+    return depths
 
 
 TOPOLOGIES = [
@@ -45,18 +59,19 @@ class TestRealMappedCircuits:
         mapped = repro.compile(
             workload="qft", architecture=topo, approach="ours", verify=False
         ).mapped
-        assert_fast_matches_reference(mapped)
+        assert_depths_match_oracle(mapped)
 
     @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.name)
     def test_sabre_qft(self, topo):
-        assert_fast_matches_reference(SabreMapper(topo, seed=3).map_qft())
+        mapped = SabreMapper(topo, seed=3).map_qft()
+        assert_depths_match_oracle(mapped)
 
     @pytest.mark.parametrize("name", ["qaoa", "random"])
     def test_lattice_weighted_depth_on_new_workloads(self, name):
         topo = LatticeSurgeryTopology(3)
         wl = get_workload(name)
         mapped = wl.map_with(SabreMapper(topo, seed=5), 9)
-        assert_fast_matches_reference(mapped)
+        assert_depths_match_oracle(mapped)
 
 
 def _random_stream(seed: int, num_sites: int, n_ops: int, barriers: bool):
@@ -78,21 +93,12 @@ def _random_stream(seed: int, num_sites: int, n_ops: int, barriers: bool):
 
 
 class StreamTopology(Topology):
-    """A complete graph pricing op ``i`` of one fixed stream at ``weights[i]``.
+    """A complete graph pricing op ``i`` of one fixed stream at ``weights[i]``."""
 
-    The cost model is supplied through both the scalar ``op_latency`` (looked
-    up by op identity) and the vectorized ``op_latency_array`` (the weights in
-    stream order), which agree op for op as the topology contract requires.
-    """
-
-    def __init__(self, num_sites, ops, weights):
+    def __init__(self, num_sites, weights):
         edges = [(a, b) for a in range(num_sites) for b in range(a + 1, num_sites)]
         super().__init__(num_sites, edges, name="stream")
         self._weights = list(weights)
-        self._weight_of = {id(op): w for op, w in zip(ops, weights)}
-
-    def op_latency(self, op):
-        return self._weight_of[id(op)]
 
     def op_latency_array(self, kinds, q0, q1):
         assert len(kinds) == len(self._weights)
@@ -100,15 +106,9 @@ class StreamTopology(Topology):
 
 
 def assert_one_pass_matches_reference(ops, num_sites, weights):
-    """Both depths of one ``fast_metrics`` pass against ``asap_depth``."""
-
-    topo = StreamTopology(num_sites, ops, weights)
+    topo = StreamTopology(num_sites, weights)
     mapped = MappedCircuit(topo, num_sites, list(range(num_sites)), ops)
-    depth, unit_depth, swaps, cphases = fast_metrics(mapped)
-    assert depth == asap_depth(ops, topo.op_latency)
-    assert unit_depth == asap_depth(ops, lambda op: 1)
-    assert (swaps, cphases) == (mapped.swap_count(), mapped.cphase_count())
-    return depth, unit_depth
+    return assert_depths_match_oracle(mapped, weights)
 
 
 class TestSyntheticStreams:
@@ -145,18 +145,27 @@ class TestSyntheticStreams:
 
     def test_empty_stream(self):
         mapped = MappedCircuit(GridTopology(2, 2), 4, [0, 1, 2, 3], [])
+        assert mapped.depths() == (0, 0)
         assert fast_metrics(mapped) == (0, 0, 0, 0)
 
 
-class TestCustomCostModelFallback:
-    def test_scalar_only_override_falls_back_to_reference(self):
-        class OddTopology(Topology):
-            def op_latency(self, op):
-                return 3 if op.kind == GateKind.SWAP else 1
+class TestOffDeviceOperands:
+    """The loop indexes per-site lists by operand, so it checks them first;
+    the constructor still takes such ops (the verifier tests build
+    off-device corruptions for it to reject)."""
 
-        topo = OddTopology(4, [(0, 1), (1, 2), (2, 3)], name="odd")
-        assert topo.op_latency_array(*mapped_op_arrays(
-            MappedCircuit(topo, 2, [0, 1], [])
-        )) is None
-        mapped = SabreMapper(topo, seed=1).map_qft(4)
-        assert_fast_matches_reference(mapped)
+    H2 = Op(GateKind.H, (2,), (2,))
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ([H2, Op(GateKind.CPHASE, (0, 9), (0, -1), 0.5)], r"op 1: CPHASE .* 0, 9 outside"),
+            ([H2, H2, Op(GateKind.H, (-2,), (-1,))], r"op 2: H .* -2 outside"),
+        ],
+        ids=["cphase-past-the-end", "h-on-a-negative-site"],
+    )
+    def test_depth_refuses_off_device_operand(self, ops, message):
+        mapped = MappedCircuit(GridTopology(2, 2), 4, [0, 1, 2, 3], ops)
+        for measure in (mapped.depths, mapped.depth, mapped.unit_depth, lambda: fast_metrics(mapped)):
+            with pytest.raises(ValueError, match=message + " the topology's 4 qubits"):
+                measure()

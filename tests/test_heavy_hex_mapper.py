@@ -25,9 +25,11 @@ class TestOnRegularCaterpillars:
         topo = CaterpillarTopology.regular_groups(groups)
         n = topo.num_qubits
         mapped = HeavyHexQFTMapper(topo).map_qft()
-        # the paper proves 5N + O(1) for this layout and 6N + O(1) in general
-        assert mapped.depth() <= 7 * n + 20
-        assert mapped.depth() >= 3 * n
+        # the paper proves 5N + O(1) for this layout and 6N + O(1) in general;
+        # the mapper gives exactly 5N - 3 on regular caterpillars of 2-80 groups
+        depth = mapped.depth()
+        assert depth <= 5 * n
+        assert depth >= 3 * n
 
     @pytest.mark.parametrize("groups", [2, 4, 8])
     def test_every_dangling_position_gets_a_parked_qubit(self, groups):

@@ -61,7 +61,7 @@ class TestPaperHeadlineClaims:
 
     def test_linear_depth_on_all_three_architectures(self):
         for topo, bound in (
-            (CaterpillarTopology.regular_groups(12), 7),   # ~5N-6N
+            (CaterpillarTopology.regular_groups(12), 5),   # 5N - 3 measured
             (SycamoreTopology(8), 12),                      # ~7N (+ slack)
             (LatticeSurgeryTopology(8), 20),                # ~5N in the paper; larger constant here
         ):

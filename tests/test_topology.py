@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arch import Topology
-from repro.circuit import GateKind, Op
+from repro.circuit import GateKind
+from repro.circuit.gates import KIND_CODES
 
 
 def make_triangle_plus_tail():
@@ -78,9 +79,8 @@ class TestDistances:
 class TestMisc:
     def test_default_latency_is_one(self):
         t = make_triangle_plus_tail()
-        assert t.swap_latency(0, 1) == 1
-        assert t.cphase_latency(0, 1) == 1
-        assert t.op_latency(Op(GateKind.H, (0,), (0,))) == 1
+        kinds = np.array([KIND_CODES[k] for k in (GateKind.SWAP, GateKind.CPHASE, GateKind.H)])
+        assert t.op_latency_array(kinds, np.array([0, 0, 0]), np.array([1, 1, -1])).tolist() == [1] * 3
 
     def test_to_networkx(self):
         g = make_triangle_plus_tail().to_networkx()
