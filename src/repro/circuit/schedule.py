@@ -283,7 +283,7 @@ class MappedCircuit:
         return max(busy), max(unit)
 
     def depth(self) -> int:
-        """Latency-weighted depth under the topology's cost model."""
+        """Latency-weighted depth using the topology's cost model."""
 
         return self.depths()[0]
 
