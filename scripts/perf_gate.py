@@ -9,10 +9,11 @@ run, still be ok, and its wall-clock must stay within ``factor x baseline``
 jitter cannot flap the gate).  Offending cells are reported individually --
 the point of the gate is to name the regression, not just to go red.
 
-The committed baseline is recorded with ``REPRO_SABRE_KERNEL=python`` (the
-slowest supported engine), so both CI legs -- compiled kernel and forced
-Python fallback -- are gated against the same numbers: the compiled leg
-clears them comfortably, and the fallback leg cannot silently rot.
+The committed baseline is recorded with ``REPRO_SABRE_KERNEL=python``, so
+its SABRE cells time the textbook reference loop, the slowest engine and
+the only Python one.  Both CI legs -- compiled kernel and forced Python
+fallback -- are gated against the same numbers: the compiled leg clears
+them comfortably, and the fallback leg cannot silently rot.
 
 Exit status: 0 = within budget, 1 = regression (offenders listed),
 2 = usage/IO error.

@@ -11,11 +11,11 @@ drops ``repro/baselines/_sabre_kernel.*.so`` next to its wrapper under
 the tier-1 test command runs with ``PYTHONPATH=src``).
 
 The extension is *optional*: pure-Python environments (no C toolchain) keep
-working -- ``SabreMapper(kernel="auto")`` falls back to the vectorized
-Python path, which is bit-identical.  A failed compile therefore only warns,
-unless ``REPRO_REQUIRE_KERNEL=1`` is set (CI's compiled leg sets it, so a
-toolchain regression fails loudly there instead of silently testing the
-fallback twice).
+working -- ``SabreMapper(kernel="auto")`` falls back to the textbook Python
+reference loop, which is bit-identical but slower.  A failed compile
+therefore only warns, unless ``REPRO_REQUIRE_KERNEL=1`` is set (CI's
+compiled leg sets it, so a toolchain regression fails loudly there instead
+of silently testing the fallback twice).
 
 Environments without the ``wheel`` package (or setuptools >= 70) cannot do
 editable installs at all -- there, run with ``PYTHONPATH=src`` instead, which
@@ -91,7 +91,7 @@ class optional_build_ext(build_ext):
         print(
             "WARNING: building the compiled SABRE kernel failed "
             f"({exc!r}); continuing without it -- SabreMapper(kernel='auto') "
-            "falls back to the bit-identical Python path. "
+            "falls back to the bit-identical, slower Python reference loop. "
             "Set REPRO_REQUIRE_KERNEL=1 to make this fatal."
         )
 

@@ -23,24 +23,24 @@
  *   its two sites.  The lists are rebuilt lazily, after a swap that moved
  *   an endpoint.
  *
- * Bit-identical to ``SabreMapper._route_fast`` / ``_route_reference`` by
+ * Bit-identical to the reference loop ``SabreMapper._route_reference`` by
  * construction:
  *
  * - gates are executed in the same ascending-front sweep order, candidate
  *   SWAPs are scored in the same ascending-edge-id order, and the
  *   tie-break is the literal reference scan (running best, 1e-12 window);
  * - every distance is an integer-valued float64, so every sum and delta is
- *   exact regardless of summation order (the extended-set delta equals the
- *   reference's ``sum(after) - base_ext`` exactly), and the score is
- *   composed with the same IEEE-754 double operations in the same order as
- *   the numpy expressions;
+ *   exact regardless of summation order (``base + delta`` equals the
+ *   reference's in-order sum over the swapped layout exactly), and the
+ *   score is composed with the same IEEE-754 double operations in the same
+ *   order as the reference's expressions;
  * - the tie-break RNG reproduces CPython's ``random.Random`` exactly: the
  *   MT19937 generator below is the one from CPython's ``_randommodule.c``,
  *   ``getrandbits``/``_randbelow``/``choice`` consume 32-bit words the way
  *   the stdlib does, and the caller imports/exports the ``Random`` state
  *   around the call, so Python-side RNG use before and after a routing
- *   pass sees exactly the stream it would have seen with the Python
- *   kernel.
+ *   pass sees exactly the stream it would have seen with the reference
+ *   loop.
  *
  * The kernel returns the routing decisions as an *event stream* of int32
  * triples ``(code, p0, p1)`` in execution order: ``code >= 0`` executes gate
@@ -349,7 +349,7 @@ route(PyObject *self, PyObject *args)
             if (indeg[i] == 0)
                 front[front_n++] = i;
 
-        /* Main routing loop (mirrors SabreMapper._route_fast) ---------- */
+        /* Main routing loop (SabreMapper._route_reference's order) ----- */
         while (front_n > 0) {
             guard++;
             if (guard > max_iterations) {
@@ -362,8 +362,10 @@ route(PyObject *self, PyObject *args)
                 /* Execute everything executable, in ascending-front sweeps.
                  * The layout cannot change mid-sweep (no logical SWAPs in
                  * the compiled path), so a pass decides every gate against
-                 * the layout it started with, exactly like the numpy path,
-                 * and the successors it readies wait for the next pass.  A
+                 * the layout it started with, as the reference loop's
+                 * per-gate checks do, and the successors it readies wait
+                 * for the next pass, as they wait for the reference's next
+                 * sorted snapshot of the front.  A
                  * pass keeps the blocked gates in place (still ascending)
                  * and merges the newly ready ones in behind them. */
                 for (;;) {
@@ -610,7 +612,7 @@ route(PyObject *self, PyObject *args)
                 }
                 if (best_n == 0) {
                     /* no candidates: disconnected or edgeless topology with
-                     * a blocked 2q gate -- the Python paths would raise an
+                     * a blocked 2q gate -- the reference loop would raise an
                      * IndexError out of rng.choice([]); fail typed here */
                     PyErr_SetString(PyExc_RuntimeError,
                                     "SABRE found no candidate SWAPs");
@@ -763,7 +765,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     "repro.baselines._sabre_kernel",
-    "Compiled SABRE routing kernel (bit-identical to the Python paths).",
+    "Compiled SABRE routing kernel (bit-identical to the reference loop).",
     -1,
     kernel_methods,
     NULL, /* m_slots */

@@ -8,11 +8,12 @@ tables.  This module owns everything around that call:
 
 * **availability**: :func:`kernel_available` probes the import once; callers
   (``SabreMapper``'s runtime kernel selection) fall back to the bit-identical
-  vectorized Python path when the extension is not built;
+  reference loop when the extension is not built;
 * **table preparation**: per-topology tables (distance matrix, adjacency
-  mask, edge endpoints, per-qubit incidence CSR) are derived from the same
-  shared :func:`~repro.baselines.sabre.sabre_tables_for` cache the Python
-  fast path uses, and cached process-wide per coupling graph.  Per-circuit
+  mask, edge endpoints, per-qubit incidence CSR) are built by
+  :func:`_kernel_tables_for`, the one per-topology SABRE cache, process-wide
+  per coupling graph (``repro.eval.runners.prepare_topology`` warms it
+  before forking workers).  Per-circuit
   tables (gate endpoint arrays and the dependence-DAG CSR) are built once per
   :func:`route_compiled` call, so every traversal pass of a ``map_circuit``
   shares them.  The endpoint arrays are the circuit's ``q0``/``q1`` columns
@@ -24,8 +25,8 @@ tables.  This module owns everything around that call:
 * **RNG round-trip**: the caller's ``random.Random`` state is exported into
   the kernel (which implements CPython's MT19937 / ``getrandbits`` /
   ``_randbelow`` verbatim) and re-imported afterwards, so RNG consumption is
-  word-for-word identical to the Python paths -- including the draw CPython
-  makes even for single-candidate tie-breaks;
+  word-for-word identical to the reference loop -- including the draw
+  CPython makes even for single-candidate tie-breaks;
 * **event replay**: the kernel reports its decisions as int32 triples
   ``(code, p0, p1)`` in execution order: ``code >= 0`` executes gate ``code``
   on physical sites ``p0``/``p1`` (``p1 == -1`` for a one-qubit gate), and
@@ -36,8 +37,8 @@ tables.  This module owns everything around that call:
   goes to :meth:`MappingBuilder.layer` in
   chunks of ``_REPLAY_CHUNK`` events -- one call per chunk, so the
   temporary lists stay bounded on 1,024-qubit routings.  The builder stamps
-  and adjacency-checks every op like the per-op emitters the Python paths
-  call, so the output is the same op stream, not just the same metrics.
+  and adjacency-checks every op like the per-op emitters the reference loop
+  calls, so the output is the same op stream, not just the same metrics.
 """
 
 from __future__ import annotations
@@ -83,8 +84,11 @@ def kernel_available() -> bool:
     return _kernel is not None
 
 
-# Process-wide cache of the kernel-shaped per-topology tables, keyed like
-# every other per-topology cache by the coupling-graph identity.
+# The one per-topology SABRE cache: the kernel-shaped tables, process-wide,
+# keyed by the coupling-graph identity (`Topology.graph_key`) so seed sweeps
+# and topology-grouped evaluation workers build them once per (process,
+# topology).  LRU-bounded like the distance-matrix cache in
+# :mod:`repro.arch.topology`.
 _KERNEL_TABLES: BoundedCache = BoundedCache(16)
 
 
@@ -92,9 +96,10 @@ def _kernel_tables_for(topology: Topology):
     """Flat per-topology tables in the dtypes the C kernel expects.
 
     Returns ``(dist, adj, eu, ev, inc_off, inc_eid)``: float64 distance
-    matrix, uint8 adjacency, int32 edge endpoint arrays (lexicographic edge
-    order, shared with the Python fast path), and the per-qubit
-    incident-edge CSR (edge ids ascending per qubit).
+    matrix, uint8 adjacency, int32 edge endpoint arrays, and the per-qubit
+    incident-edge CSR (edge ids ascending per qubit).  Edge ids follow
+    ``sorted(edge_set)``, so ascending ids enumerate candidate SWAPs in the
+    reference loop's ``sorted(candidates)`` order.
     """
 
     key = topology.graph_key()
@@ -102,15 +107,14 @@ def _kernel_tables_for(topology: Topology):
     if hit is not None:
         return hit
 
-    from .sabre import sabre_tables_for
-
-    mask, edge_list, edge_arr, _edge_bits = sabre_tables_for(topology)
     n = topology.num_qubits
-    num_edges = len(edge_list)
+    edge_arr = np.array(sorted(topology.edge_set), dtype=np.int32).reshape(-1, 2)
+    num_edges = len(edge_arr)
     dist = np.ascontiguousarray(topology.distance_matrix(), dtype=np.float64)
-    adj = np.ascontiguousarray(mask, dtype=np.uint8)
-    eu = np.ascontiguousarray(edge_arr[:, 0], dtype=np.int32)
-    ev = np.ascontiguousarray(edge_arr[:, 1], dtype=np.int32)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[edge_arr[:, 0], edge_arr[:, 1]] = adj[edge_arr[:, 1], edge_arr[:, 0]] = 1
+    eu = np.ascontiguousarray(edge_arr[:, 0])
+    ev = np.ascontiguousarray(edge_arr[:, 1])
 
     # Per-qubit incidence CSR: stable sort by (qubit, edge id) groups each
     # qubit's incident edges in ascending-eid order.
@@ -196,13 +200,13 @@ class _CompiledRoute:
         emit: bool,
         backward: bool = False,
     ) -> Tuple[Optional[MappingBuilder], List[int]]:
-        """One compiled routing pass; drop-in for ``SabreMapper._route_fast``.
+        """One compiled routing pass; drop-in for ``SabreMapper._route_reference``.
 
         Exports ``rng``'s Mersenne-Twister state into the kernel, runs the
         whole swap loop in C, re-imports the advanced state, and (for
         emitting passes) replays the kernel's event stream through a
-        :class:`MappingBuilder`.  Updates ``mapper.last_routing_stats`` like
-        the Python fast path.
+        :class:`MappingBuilder`.  Records the pass's counters in
+        ``mapper.last_routing_stats``.
         """
 
         mapper = self.mapper
@@ -294,7 +298,7 @@ class _CompiledRoute:
 def route_compiled(
     mapper, circuit: Circuit
 ) -> Callable[..., Tuple[Optional[MappingBuilder], List[int]]]:
-    """Compiled routing passes over ``circuit``; drop-in for the Python engines.
+    """Compiled routing passes over ``circuit``; drop-in for the reference loop.
 
     Builds the circuit's tables once and returns ``route(initial_layout,
     rng, *, emit, backward=False)``, which runs one pass over the circuit

@@ -31,7 +31,7 @@ from ..arch.registry import (
     make_architecture,
 )
 from ..arch.topology import Topology
-from ..baselines.sabre import sabre_tables_for
+from ..baselines.sabre_kernel import _kernel_tables_for
 from ..compile_api import compile as compile_cell
 from ..utils import BoundedCache, CellBudgetExceeded, cell_budget
 from ..workloads import get_workload
@@ -91,15 +91,16 @@ def prepare_topology(kind: str, size: int) -> Optional[Topology]:
     """Build + fully warm the shared topology for ``(kind, size)``.
 
     Beyond :func:`cached_topology`, this precomputes the all-pairs distance
-    matrix and the SABRE routing tables, so forked pool workers inherit them
-    copy-on-write and never redo the work.  Returns None when the architecture
-    cannot be constructed (the per-cell run reports that as an error result).
+    matrix and the SABRE kernel's routing tables, so forked pool workers
+    inherit them copy-on-write and never redo the work.  Returns None when
+    the architecture cannot be constructed (the per-cell run reports that as
+    an error result).
     """
 
     topo = cached_topology(kind, size)
     if topo is not None:
         topo.distance_matrix()
-        sabre_tables_for(topo)
+        _kernel_tables_for(topo)
     return topo
 
 

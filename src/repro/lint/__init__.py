@@ -1,10 +1,10 @@
 """``repro.lint``: AST-based invariant checking for the reproduction.
 
-The dynamic guarantees this repo sells -- bit-identical circuits across
-the vectorized/reference/compiled engines, cache keys that never fork on
-engine options, recorded runs that resume bit-equal -- are enforced here as
-*static* properties of the source tree, checked on every CI run over
-every file (not just the (workload, architecture, seed) points the
+The dynamic guarantees this repo sells -- bit-identical circuits from the
+compiled SABRE kernel and its reference loop, cache keys that never fork
+on engine options, recorded runs that resume bit-equal -- are enforced
+here as *static* properties of the source tree, checked on every CI run
+over every file (not just the (workload, architecture, seed) points the
 equivalence suites happen to sample).
 
 Only properties a test run cannot observe are checked here.  Store SQL,

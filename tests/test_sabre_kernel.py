@@ -2,10 +2,10 @@
 
 The compiled routing kernel (``repro.baselines._sabre_kernel``) must be a
 pure speed choice: same swap sequence, same emitted ops, same metrics, same
-RNG consumption as the Python paths, on every workload / architecture / seed
--- that contract is what lets the eval harness share cache entries across
-engines and lets CI force ``REPRO_SABRE_KERNEL=python`` without changing a
-single number.  The seeded fuzz suite here sweeps the full workload x
+RNG consumption as the textbook reference loop (``kernel="python"``), on
+every workload / architecture / seed -- that contract is what lets the eval
+harness share cache entries across engines and lets CI force
+``REPRO_SABRE_KERNEL=python`` without changing a single number.  The seeded fuzz suite here sweeps the full workload x
 architecture cross-product with ten seeds each; the selection tests pin the
 ``kernel=`` / ``REPRO_SABRE_KERNEL`` resolution rules and the degradation
 behavior when the extension is absent.
@@ -25,7 +25,8 @@ from repro.arch import (
 )
 from repro.baselines import SabreMapper, sabre_kernel
 from repro.baselines.sabre import KERNEL_ENV_VAR
-from repro.baselines.sabre_kernel import kernel_available
+from repro.baselines.sabre_kernel import _kernel_tables_for, kernel_available
+from repro.circuit import Circuit, qft_circuit
 from repro.eval.cache import ResultCache, cell_key
 from repro.eval.parallel import CellSpec
 from repro.eval.runners import sample_verifies
@@ -64,8 +65,15 @@ WORKLOADS = ["qft", "qaoa", "random"]
 SEEDS = list(range(10))
 
 
+def _logical_swap_circuit():
+    """A circuit holding a logical SWAP gate, which only the reference loop
+    routes."""
+
+    return Circuit(4).h(0).cnot(0, 1).swap(1, 2).cphase(0, 3, 0.5)
+
+
 def _mapped_pair(topo, circuit, seed, **kwargs):
-    """Map ``circuit`` with the Python and the compiled kernel."""
+    """Map ``circuit`` with the reference loop and the compiled kernel."""
 
     py = SabreMapper(topo, seed=seed, kernel="python", **kwargs).map_circuit(circuit)
     cc = SabreMapper(topo, seed=seed, kernel="c", **kwargs).map_circuit(circuit)
@@ -185,24 +193,46 @@ def test_kernel_matches_reference_loop(make_topo):
     """The compiled kernel also matches the textbook reference loop."""
 
     topo = make_topo()
-    ref = SabreMapper(topo, seed=3, kernel="python", vectorized=False).map_qft(
-        topo.num_qubits
-    )
+    ref = SabreMapper(topo, seed=3, kernel="python").map_qft(topo.num_qubits)
     cc = SabreMapper(topo, seed=3, kernel="c").map_qft(topo.num_qubits)
     assert cc.ops == ref.ops
 
 
 @requires_kernel
 def test_kernel_routing_stats_match():
-    """`last_routing_stats` (iterations/rebuilds/candidates) agree exactly."""
+    """After a one-pass map, the kernel's ``iterations`` counter -- which the
+    benchmark's ``sabre_swap_iters`` and ``sabre_us_per_iter`` read -- equals
+    the number of routing SWAPs it emitted, and so does the reference
+    loop's."""
 
     topo = GridTopology(5, 5)
-    py = SabreMapper(topo, seed=0, kernel="python")
-    cc = SabreMapper(topo, seed=0, kernel="c")
-    assert py.map_qft(25).ops == cc.map_qft(25).ops
-    assert py.last_routing_stats == cc.last_routing_stats
+    py = SabreMapper(topo, seed=0, passes=1, kernel="python")
+    cc = SabreMapper(topo, seed=0, passes=1, kernel="c")
+    ref, out = py.map_qft(25), cc.map_qft(25)
+    assert out.ops == ref.ops
+    swaps = out.ops.tags.count("sabre-swap")
+    assert swaps > 0
+    assert cc.last_routing_stats["iterations"] == swaps
+    assert ref.ops.tags.count("sabre-swap") == swaps
+    assert py.last_routing_stats["iterations"] == swaps
     assert py.last_kernel == "python"
     assert cc.last_kernel == "c"
+
+
+def test_sabre_tables_shared_across_mapper_instances():
+    """The kernel's tables are the one per-topology SABRE cache: equal
+    coupling graphs share one read-only set, whose edge ids follow
+    ``sorted(edge_set)``."""
+
+    topo_a = GridTopology(4, 4)
+    topo_b = GridTopology(4, 4)  # same coupling graph, different instance
+    tables = _kernel_tables_for(topo_a)
+    assert tables is _kernel_tables_for(topo_b)
+    assert not any(arr.flags.writeable for arr in tables)
+    _dist, adj, eu, ev, _inc_off, _inc_eid = tables
+    assert list(zip(eu.tolist(), ev.tolist())) == sorted(topo_a.edge_set)
+    assert int(adj.sum()) == 2 * len(topo_a.edge_set)
+    assert _kernel_tables_for(GridTopology(4, 5)) is not tables
 
 
 @requires_kernel
@@ -259,28 +289,23 @@ def test_env_override_forces_c(monkeypatch):
 
 
 def test_env_override_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
+    """An unknown override is refused whatever the circuit, and the refused
+    call leaves no engine or counters of the mapper's previous call."""
+
     mapper = SabreMapper(GridTopology(3, 3), seed=0)
-    with pytest.raises(ValueError, match="fortran"):
-        mapper.map_qft(9)
+    mapper.map_qft(9)
+    assert mapper.last_routing_stats["iterations"] > 0
+    monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
+    for circuit in (qft_circuit(9), _logical_swap_circuit()):
+        with pytest.raises(ValueError, match="fortran"):
+            mapper.map_circuit(circuit)
+        assert mapper.last_kernel is None
+        assert mapper.last_routing_stats is None
 
 
 def test_unknown_kernel_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown SABRE kernel"):
         SabreMapper(GridTopology(3, 3), kernel="rust")
-
-
-@requires_kernel
-def test_non_default_scorer_configs_stay_python():
-    """auto/c only cover the default scoring config; the reference loop
-    keeps its Python engine (bit-identical anyway, but `vectorized=False` is
-    an explicit request for the textbook loop and must stay meaningful under
-    REPRO_SABRE_KERNEL=c)."""
-
-    topo = GridTopology(3, 3)
-    ref = SabreMapper(topo, seed=0, kernel="c", vectorized=False)
-    ref.map_qft(9)
-    assert ref.last_kernel == "python"
 
 
 class TestGracefulDegradation:
@@ -297,8 +322,9 @@ class TestGracefulDegradation:
     def test_explicit_c_raises_with_build_hint(self, monkeypatch):
         monkeypatch.setattr(sabre_kernel, "_kernel", None)
         mapper = SabreMapper(GridTopology(3, 3), seed=4, kernel="c")
-        with pytest.raises(RuntimeError, match="build_ext"):
-            mapper.map_qft(9)
+        for circuit in (qft_circuit(9), _logical_swap_circuit()):
+            with pytest.raises(RuntimeError, match="build_ext"):
+                mapper.map_circuit(circuit)
 
     def test_env_c_raises_when_absent(self, monkeypatch):
         monkeypatch.setattr(sabre_kernel, "_kernel", None)
@@ -384,21 +410,19 @@ class TestKernelIsMetricsNeutral:
 
 @requires_kernel
 def test_logical_swap_circuits_fall_back_to_reference():
-    """Circuits containing logical SWAP gates keep the reference path (the
-    compiled loop, like the numpy fast path, assumes a sweep-stable layout)."""
-
-    from repro.circuit.circuit import Circuit
+    """Circuits containing logical SWAP gates route through the reference
+    loop (the compiled loop assumes a sweep-stable layout), and the mapper
+    then reports the reference pass's counters, not its previous C pass's."""
 
     topo = GridTopology(3, 3)
-    circ = Circuit(4)
-    circ.h(0)
-    circ.cnot(0, 1)
-    circ.swap(1, 2)
-    circ.cphase(0, 3, 0.5)
+    circ = _logical_swap_circuit()
     mapper = SabreMapper(topo, seed=0, kernel="c")
+    mapper.map_qft(9)
+    assert mapper.last_kernel == "c"
     mapped = mapper.map_circuit(circ)
     assert mapper.last_kernel == "python"
-    ref = SabreMapper(topo, seed=0, kernel="python", vectorized=False).map_circuit(
-        circ
-    )
+    assert mapper.last_routing_stats == {
+        "iterations": mapped.ops.tags.count("sabre-swap")
+    }
+    ref = SabreMapper(topo, seed=0, kernel="python").map_circuit(circ)
     assert mapped.ops == ref.ops

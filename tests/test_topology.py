@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import Topology
+from repro.arch import GridTopology, LNNTopology, Topology, clear_distance_cache
 from repro.circuit import GateKind
 from repro.circuit.gates import KIND_CODES
 
@@ -93,3 +93,25 @@ class TestMisc:
         assert sub.num_qubits == 3
         assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
         assert not sub.has_edge(0, 2)
+
+
+def test_distance_matrix_shared_across_instances():
+    clear_distance_cache()
+    a = GridTopology(5, 5).distance_matrix()
+    b = GridTopology(5, 5).distance_matrix()
+    assert a is b  # cache hit: same object, Dijkstra ran once
+    assert not a.flags.writeable
+    # different graphs do not collide
+    c = GridTopology(5, 6).distance_matrix()
+    assert c is not a
+    clear_distance_cache()
+
+
+def test_distance_cache_is_lru_bounded():
+    from repro.arch.topology import _DIST_CACHE, _DIST_CACHE_MAX
+
+    clear_distance_cache()
+    for n in range(2, 2 + _DIST_CACHE_MAX + 4):
+        LNNTopology(n).distance_matrix()
+    assert len(_DIST_CACHE) == _DIST_CACHE_MAX
+    clear_distance_cache()
