@@ -365,9 +365,9 @@ route(PyObject *self, PyObject *args)
                  * the layout it started with, as the reference loop's
                  * per-gate checks do, and the successors it readies wait
                  * for the next pass, as they wait for the reference's next
-                 * sorted snapshot of the front.  A
-                 * pass keeps the blocked gates in place (still ascending)
-                 * and merges the newly ready ones in behind them. */
+                 * sorted snapshot of the front.  A pass keeps the blocked
+                 * gates in place (still ascending) and merges the newly
+                 * ready ones in behind them. */
                 for (;;) {
                     int32_t k, j, keep = 0, new_n = 0;
                     for (k = 0; k < front_n; k++) {

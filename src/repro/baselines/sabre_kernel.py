@@ -13,15 +13,14 @@ tables.  This module owns everything around that call:
   mask, edge endpoints, per-qubit incidence CSR) are built by
   :func:`_kernel_tables_for`, the one per-topology SABRE cache, process-wide
   per coupling graph (``repro.eval.runners.prepare_topology`` warms it
-  before forking workers).  Per-circuit
-  tables (gate endpoint arrays and the dependence-DAG CSR) are built once per
-  :func:`route_compiled` call, so every traversal pass of a ``map_circuit``
-  shares them.  The endpoint arrays are the circuit's ``q0``/``q1`` columns
-  (a one-qubit gate's second endpoint is its qubit), so no
-  :class:`~repro.circuit.gates.Gate` is read; the backward pass's tables
-  come from the forward arrays reversed, and the DAG passes reproduce
-  ``_Dag.from_circuit`` exactly (successor lists ascending, indegree =
-  number of *distinct* predecessors);
+  before forking workers).  Per-circuit tables (gate endpoint arrays and
+  the dependence-DAG CSR) are built once per :func:`route_compiled` call,
+  so every traversal pass of a ``map_circuit`` shares them.  The endpoint
+  arrays are the circuit's ``q0``/``q1`` columns (a one-qubit gate's second
+  endpoint is its qubit), so no :class:`~repro.circuit.gates.Gate` is read;
+  the backward pass's tables come from the forward arrays reversed, and the
+  DAG passes reproduce ``_Dag.from_circuit`` exactly (successor lists
+  ascending, indegree = number of *distinct* predecessors);
 * **RNG round-trip**: the caller's ``random.Random`` state is exported into
   the kernel (which implements CPython's MT19937 / ``getrandbits`` /
   ``_randbelow`` verbatim) and re-imported afterwards, so RNG consumption is

@@ -5,10 +5,11 @@ pure speed choice: same swap sequence, same emitted ops, same metrics, same
 RNG consumption as the textbook reference loop (``kernel="python"``), on
 every workload / architecture / seed -- that contract is what lets the eval
 harness share cache entries across engines and lets CI force
-``REPRO_SABRE_KERNEL=python`` without changing a single number.  The seeded fuzz suite here sweeps the full workload x
-architecture cross-product with ten seeds each; the selection tests pin the
-``kernel=`` / ``REPRO_SABRE_KERNEL`` resolution rules and the degradation
-behavior when the extension is absent.
+``REPRO_SABRE_KERNEL=python`` without changing a single number.  The seeded
+fuzz suite here sweeps the full workload x architecture cross-product with
+ten seeds each; the selection tests pin the ``kernel=`` /
+``REPRO_SABRE_KERNEL`` resolution rules and the degradation behavior when
+the extension is absent.
 """
 
 import time
@@ -190,7 +191,7 @@ def test_budget_stops_the_kernel_mid_pass():
 @requires_kernel
 @pytest.mark.parametrize("make_topo", ARCHITECTURES)
 def test_kernel_matches_reference_loop(make_topo):
-    """The compiled kernel also matches the textbook reference loop."""
+    """The compiled kernel matches the textbook reference loop on QFT."""
 
     topo = make_topo()
     ref = SabreMapper(topo, seed=3, kernel="python").map_qft(topo.num_qubits)
