@@ -50,8 +50,6 @@ class ApproachEntry:
     factory: Callable[..., object]
     #: option names the factory accepts (anything else is a caller typo)
     allowed_kwargs: FrozenSet[str]
-    #: factory kwarg that receives the harness time budget (SATMAP), if any
-    timeout_param: Optional[str] = None
     #: default size cap; instances above it are reported as "skipped" unless
     #: the caller overrides the cap explicitly
     max_qubits: Optional[int] = None
@@ -84,7 +82,6 @@ def register_approach(
     *,
     synonyms: Iterable[str] = (),
     kwargs: Iterable[str] = (),
-    timeout_param: Optional[str] = None,
     max_qubits: Optional[int] = None,
 ) -> Callable[[Callable[..., object]], Callable[..., object]]:
     """Decorator registering ``factory(topology, **kwargs) -> mapper``."""
@@ -96,7 +93,6 @@ def register_approach(
                 name,
                 factory,
                 frozenset(kwargs),
-                timeout_param=timeout_param,
                 max_qubits=max_qubits,
             ),
             synonyms=synonyms,
@@ -118,24 +114,11 @@ def approach_names() -> Tuple[str, ...]:
     return APPROACH_REGISTRY.names()
 
 
-def make_mapper(
-    approach: str,
-    topology: Topology,
-    *,
-    timeout_s: Optional[float] = None,
-    **kwargs: object,
-) -> object:
-    """Build the mapper for ``approach`` on ``topology`` (options validated).
-
-    ``timeout_s`` is forwarded only to approaches that declared a
-    ``timeout_param`` (SATMAP's internal wall-clock deadline); every other
-    approach is budgeted externally by the harness.
-    """
+def make_mapper(approach: str, topology: Topology, **kwargs: object) -> object:
+    """Build the mapper for ``approach`` on ``topology`` (options validated)."""
 
     entry = get_approach(approach)
     entry.validate_kwargs(kwargs)
-    if entry.timeout_param is not None and timeout_s is not None:
-        kwargs = {**kwargs, entry.timeout_param: timeout_s}
     return entry.factory(topology, **kwargs)
 
 
@@ -172,11 +155,11 @@ def _sabre(
 # Beyond ~10 qubits the exact search times out anyway (as in the paper);
 # the default cap keeps a stray ``repro.compile(approach="satmap")`` on a
 # large device from sitting in branch-and-bound for its full timeout.
-@register_approach("satmap", timeout_param="timeout_s", max_qubits=64)
-def _satmap(topology: Topology, *, timeout_s: Optional[float] = None) -> object:
-    """The exact-with-timeout SATMAP stand-in."""
+@register_approach("satmap", max_qubits=64)
+def _satmap(topology: Topology) -> object:
+    """The exact-with-timeout SATMAP stand-in (60 s, or the cell's budget)."""
 
-    return SatmapMapper(topology, timeout_s=60.0 if timeout_s is None else timeout_s)
+    return SatmapMapper(topology)
 
 
 @register_approach("lnn")

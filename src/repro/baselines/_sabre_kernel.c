@@ -49,9 +49,11 @@
  * Python wrapper replays it through ``MappingBuilder.layer``, so emitted ops
  * are stamped and checked by the same code as every other mapper's.
  *
- * The main thread's signal handlers run every SIGNAL_POLL_ITERS swap
- * iterations (``PyErr_CheckSignals``): an exception they raise, such as a
- * SIGALRM budget's or Ctrl-C's, ends the pass through the cleanup path.
+ * Every POLL_ITERS swap iterations the kernel runs the main thread's
+ * signal handlers (``PyErr_CheckSignals``, so Ctrl-C works) and then calls
+ * the ``poll`` callable the caller passed (the cell budget's check).  An
+ * exception either raises ends the pass through the cleanup path.  The
+ * kernel keeps no clock of its own.
  *
  * No numpy C API: inputs arrive through the buffer protocol as
  * C-contiguous arrays of fixed dtypes (lengths validated here; the Python
@@ -141,9 +143,9 @@ mt_randbelow(mt_state *st, uint32_t n)
 /* Helpers                                                             */
 /* ------------------------------------------------------------------ */
 
-/* Swap iterations between two runs of the main thread's signal handlers,
- * so a SIGALRM budget or Ctrl-C stops a long pass within milliseconds. */
-#define SIGNAL_POLL_ITERS 1024
+/* Swap iterations between two polls (signal handlers, then the caller's
+ * ``poll``), so a budget or Ctrl-C stops a long pass within milliseconds. */
+#define POLL_ITERS 1024
 
 /* Index of the lowest set bit of a nonzero word. */
 static int
@@ -243,6 +245,7 @@ route(PyObject *self, PyObject *args)
     Py_buffer b_inc_off = {0}, b_inc_eid = {0}, b_gq0 = {0}, b_gq1 = {0};
     Py_buffer b_is2q = {0}, b_succ_off = {0}, b_succ = {0}, b_indeg = {0};
     Py_buffer b_layout = {0};
+    PyObject *poll;
 
     PyObject *result = NULL;
     event_buf events = {NULL, 0, 0};
@@ -260,11 +263,11 @@ route(PyObject *self, PyObject *args)
     double *decay = NULL;
 
     if (!PyArg_ParseTuple(
-            args, "w*iiiiy*y*y*y*y*y*y*y*y*y*y*y*w*iddip",
+            args, "w*iiiiy*y*y*y*y*y*y*y*y*y*y*y*w*iddipO",
             &b_state, &N, &n_log, &n_gates, &num_edges, &b_dist, &b_adj,
             &b_eu, &b_ev, &b_inc_off, &b_inc_eid, &b_gq0, &b_gq1, &b_is2q,
             &b_succ_off, &b_succ, &b_indeg, &b_layout, &ext_size,
-            &ext_weight, &decay_delta, &decay_reset, &want_events))
+            &ext_weight, &decay_delta, &decay_reset, &want_events, &poll))
         return NULL;
 
     {
@@ -553,8 +556,15 @@ route(PyObject *self, PyObject *args)
 
             n_iterations++;
             cand_total += n_cand;
-            if (n_iterations % SIGNAL_POLL_ITERS == 0 && PyErr_CheckSignals() < 0)
-                goto cleanup;
+            if (n_iterations % POLL_ITERS == 0) {
+                PyObject *polled;
+                if (PyErr_CheckSignals() < 0)
+                    goto cleanup;
+                polled = PyObject_CallNoArgs(poll);
+                if (polled == NULL)
+                    goto cleanup;
+                Py_DECREF(polled);
+            }
 
             /* Score every candidate and tie-break exactly like the
              * reference loop (ascending edge id, running best, 1e-12
@@ -755,10 +765,11 @@ cleanup:
 
 static PyMethodDef kernel_methods[] = {
     {"route", route, METH_VARARGS,
-     "Run one SABRE routing pass over flat tables; returns (events|None, "
-     "iterations, front_rebuilds, candidates_total), where events holds "
-     "int32 (code, p0, p1) triples, and updates the MT state and layout "
-     "buffers in place."},
+     "Run one SABRE routing pass over flat tables, calling poll() every "
+     "1,024 swap iterations; returns (events|None, iterations, "
+     "front_rebuilds, candidates_total), where events holds int32 "
+     "(code, p0, p1) triples, and updates the MT state and layout buffers "
+     "in place."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -35,6 +35,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.qft import qft_circuit
 from ..circuit.schedule import MappedCircuit, MappingBuilder
+from ..utils import check_budget
 
 __all__ = ["SabreMapper", "SABRE_KERNELS", "KERNEL_ENV_VAR"]
 
@@ -407,6 +408,7 @@ class SabreMapper:
         iterations = 0
         max_iterations = 50 * (len(gates) + 1) + 10_000
         while front:
+            check_budget()
             guard += 1
             if guard > max_iterations:  # pragma: no cover - safety net
                 raise RuntimeError("SABRE routing did not converge")

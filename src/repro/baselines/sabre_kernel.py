@@ -51,7 +51,7 @@ from ..arch.topology import Topology
 from ..circuit.circuit import Circuit
 from ..circuit.gates import KIND_CODES, GateKind
 from ..circuit.schedule import MappingBuilder
-from ..utils import BoundedCache
+from ..utils import BoundedCache, check_budget
 
 try:  # pragma: no cover - exercised via both CI legs
     from . import _sabre_kernel as _kernel
@@ -205,7 +205,9 @@ class _CompiledRoute:
         whole swap loop in C, re-imports the advanced state, and (for
         emitting passes) replays the kernel's event stream through a
         :class:`MappingBuilder`.  Records the pass's counters in
-        ``mapper.last_routing_stats``.
+        ``mapper.last_routing_stats``.  The kernel calls
+        :func:`~repro.utils.check_budget` every 1,024 swap iterations, so a
+        cell budget ends the pass on any thread.
         """
 
         mapper = self.mapper
@@ -242,6 +244,7 @@ class _CompiledRoute:
             float(mapper.decay_delta),
             int(mapper.decay_reset_interval),
             bool(emit),
+            check_budget,
         )
 
         rng.setstate((version, tuple(state.tolist()), gauss_next))

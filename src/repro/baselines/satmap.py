@@ -40,6 +40,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.gates import GateKind
 from ..circuit.qft import qft_circuit
 from ..circuit.schedule import MappedCircuit, MappingBuilder
+from ..utils import budget_deadline
 
 __all__ = ["SatmapMapper", "SatmapTimeout"]
 
@@ -84,7 +85,11 @@ class SatmapMapper:
             raise ValueError("more logical qubits than physical qubits")
 
         two_qubit = [g for g in circuit.gates if g.is_two_qubit]
-        deadline = time.monotonic() + self.timeout_s
+        # an enclosing cell budget (the paper profile's 2 hours, say)
+        # replaces the search's own limit
+        deadline = budget_deadline()
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout_s
 
         rng = random.Random(self.seed)
         seeds: List[Tuple[int, ...]] = [tuple(range(n))]
@@ -102,9 +107,7 @@ class SatmapMapper:
             if best is None or cost < best[0]:
                 best = (cost, seed_layout, swap_plan)
         if best is None:
-            raise SatmapTimeout(
-                f"exact search exceeded {self.timeout_s:.0f}s without a solution"
-            )
+            raise SatmapTimeout("exact search ran out of time without a solution")
         _, layout, swap_plan = best
         return self._emit(circuit, layout, swap_plan)
 

@@ -43,6 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from ..utils import check_budget
 from .gates import (
     KIND_CODES,
     KIND_NAMES,
@@ -528,9 +529,12 @@ class MappingBuilder:
         on the device, and a two-qubit op must act on coupled sites (when
         ``check_adjacency`` is on) and on two distinct ones, with the per-op
         emitters' messages.  A failing op raises with the ops before it
-        emitted.  Each column is extended once.
+        emitted.  Each column is extended once.  Each call first polls the
+        cell budget (:func:`repro.utils.check_budget`), which is how the
+        paper engines and the kernel's replay honour it.
         """
 
+        check_budget()
         k = len(codes)
         if len(p0) != k or len(p1) != k or len(angles) != k or len(tags) != k:
             raise ValueError("layer columns differ in length")

@@ -42,7 +42,7 @@ from .arch.topology import Topology
 from .baselines import SatmapTimeout
 from .circuit.schedule import MappedCircuit
 from .registry import UnsupportedWorkload
-from .utils import CellBudgetExceeded, cell_budget
+from .utils import CellBudgetExceeded, cell_budget, check_budget, check_timeout
 from .workloads import VerifyResult, get_workload
 
 __all__ = ["CompileResult", "compile"]
@@ -140,8 +140,11 @@ def compile(
         Run the workload's verification (structural at every size, dense
         statevector cross-check on small instances).
     timeout_s:
-        Harness-level wall-clock budget; exceeding it yields
-        ``status == "timeout"`` instead of raising.
+        Wall-clock budget for building the mapper and mapping, a finite
+        number of seconds > 0 (else ``ValueError``); exceeding it yields
+        ``status == "timeout"`` instead of raising.  It holds on any thread
+        (:func:`repro.utils.cell_budget`), and for SATMAP it replaces the
+        search's own 60 s limit.
     max_qubits:
         Size cap override; instances above the cap (or above the approach's
         registered default cap) are reported as ``status == "skipped"``.
@@ -151,6 +154,7 @@ def compile(
         ours).
     """
 
+    check_timeout(timeout_s)
     wl = get_workload(workload)
     params = wl.resolve_params(**(workload_params or {}))
     entry = get_approach(approach)
@@ -186,19 +190,12 @@ def compile(
 
     start = time.perf_counter()
     try:
-        with cell_budget(timeout_s) as armed:
-            # With the harness budget armed, SATMAP's internal wall-clock
-            # checks are redundant -- let SIGALRM be the one clock.  Without
-            # it (non-main thread, non-Unix), the internal deadline is the
-            # fallback.
-            internal_timeout = None
-            if timeout_s is not None:
-                internal_timeout = float("inf") if armed else float(timeout_s)
-            mapper = make_mapper(
-                approach, topology, timeout_s=internal_timeout, **opts
-            )
+        with cell_budget(timeout_s):
+            mapper = make_mapper(approach, topology, **opts)
             start = time.perf_counter()
             mapped = wl.map_with(mapper, n, **params)
+            # a mapping that finished past its budget still timed out
+            check_budget()
     except UnsupportedWorkload as exc:
         return CompileResult(
             workload=wl.name,

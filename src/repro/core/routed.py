@@ -26,6 +26,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.gates import KIND_CODES, GateKind, qft_angle
 from ..circuit.qft import qft_circuit
 from ..circuit.schedule import MappedCircuit, MappingBuilder
+from ..utils import check_budget
 from .dependence import QFTDependenceTracker
 
 __all__ = ["complete_remaining", "finish_hadamards", "GreedyRouterMapper"]
@@ -167,7 +168,11 @@ class GreedyRouterMapper:
         layout = self.initial_layout if self.initial_layout is not None else list(range(n))
         builder = MappingBuilder(self.topology, layout, num_logical=n, name=self.name)
         phys_of = builder.phys_of
-        for code, a, b, angle in zip(circuit.kinds, circuit.q0, circuit.q1, circuit.angles):
+        for i, (code, a, b, angle) in enumerate(
+            zip(circuit.kinds, circuit.q0, circuit.q1, circuit.angles)
+        ):
+            if not i & 1023:
+                check_budget()
             if code == _H:
                 builder.h(phys_of(a), tag="routed")
             elif code == _RZ:

@@ -33,7 +33,7 @@ from ..arch.registry import (
 from ..arch.topology import Topology
 from ..baselines.sabre_kernel import _kernel_tables_for
 from ..compile_api import compile as compile_cell
-from ..utils import BoundedCache, CellBudgetExceeded, cell_budget
+from ..utils import BoundedCache
 from ..workloads import get_workload
 from .metrics import CompilationResult
 
@@ -45,8 +45,6 @@ __all__ = [
     "architecture_key",
     "cached_topology",
     "prepare_topology",
-    "cell_budget",
-    "CellBudgetExceeded",
     "APPROACHES",
 ]
 
@@ -177,11 +175,11 @@ def run_cell(
     full sweep for the analytical approach.  Omitted, the approach's
     registered default cap (if any) applies.
 
-    ``timeout_s`` is the harness-level per-cell budget: the mapper call is
-    interrupted once the budget elapses and the cell is reported as
-    ``status == "timeout"`` (the paper's TLE).  The budget applies to every
-    approach; for SATMAP it *replaces* the stand-in's internal wall-clock
-    checks (which remain only as a fallback where SIGALRM is unavailable).
+    ``timeout_s`` is the per-cell budget of :func:`repro.compile`: the
+    mapping stops at its next budget poll once the budget elapses, and the
+    cell is reported as ``status == "timeout"`` (the paper's TLE).  The
+    budget applies to every approach, on any thread; for SATMAP it
+    *replaces* the stand-in's own 60 s limit.
 
     ``topology`` optionally injects a prebuilt (shared) topology instance, so
     topology-grouped sweeps reuse one instance -- and its cached distance

@@ -36,8 +36,7 @@ by every checker.
 ``concurrency``
     Fork-unsafe resources (sqlite3 connections, open handles, RNG
     instances, locks) must not cross a fork/submit boundary into worker
-    code, and nothing async-signal-unsafe may be reachable from the
-    ``cell_budget`` SIGALRM handler (call-graph reachability).
+    code (call-graph reachability).
 
 Run it as ``python -m repro.lint [paths] [--fix-hints]``; findings render
 ``file:line:checker:message`` and are suppressible per line with

@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based invariant checker (determinism, cache-key "
-        "purity, error discipline, fork/signal safety)",
+        "purity, error discipline, fork safety)",
     )
     parser.add_argument(
         "paths", nargs="*", default=[],

@@ -1,23 +1,16 @@
-"""The fork/signal-safety checker: resources must not cross process lines.
+"""The fork-safety checker: resources must not cross process lines.
 
 The evaluation pool and the compile service run their work in forked
 worker processes (:class:`repro.eval.workers.WarmWorkerPool`), and a
-WAL-mode SQLite store sits under everything.  Two conventions keep that
-combination sound:
+WAL-mode SQLite store sits under everything.  So a SQLite connection, open
+file handle, seeded ``random.Random`` or lock created *before* the fork
+point must never be used on the worker side.  A forked connection
+corrupts the database (SQLite is explicit about this); a shared
+``Random`` duplicates every "random" decision in every worker; an
+inherited lock can be held forever by a thread that does not exist in
+the child.  Each worker must create its own.
 
-1. **Fork safety** -- a SQLite connection, open file handle, seeded
-   ``random.Random`` or lock created *before* the fork point must never
-   be used on the worker side.  A forked connection corrupts the
-   database (SQLite is explicit about this); a shared ``Random``
-   duplicates every "random" decision in every worker; an inherited
-   lock can be held forever by a thread that does not exist in the
-   child.  Each worker must create its own.
-2. **Async-signal safety** -- the :func:`repro.utils.cell_budget`
-   SIGALRM handler interrupts arbitrary code; anything reachable from a
-   registered handler must stay allocation-light: no file I/O, no
-   sqlite calls, no logging.
-
-This checker makes both static properties of the tree, driven entirely
+This checker makes that a static property of the tree, driven entirely
 by the shared :class:`~repro.lint.graph.ProjectGraph`:
 
 * *fork points* are found syntactically -- ``Process(target=f)``,
@@ -31,9 +24,6 @@ by the shared :class:`~repro.lint.graph.ProjectGraph`:
   from any worker-side function is flagged at its creation site.
 * a resource created in a function and then passed into a fork-point
   call (``Process(..., args=(conn,))``) is flagged at the fork point.
-* signal handlers are found at their ``signal.signal(sig, handler)``
-  registration; every function reachable from a handler is scanned for
-  non-async-signal-safe calls.
 """
 
 from __future__ import annotations
@@ -62,32 +52,6 @@ RESOURCE_KINDS: Tuple[Tuple[str, str], ...] = (
     ("multiprocessing.RLock", "lock"),
 )
 
-#: call names (canonical external form) that are not async-signal-safe
-_UNSAFE_IN_HANDLER_PREFIXES: Tuple[str, ...] = (
-    "sqlite3.",
-    "logging.",
-    "subprocess.",
-)
-_UNSAFE_IN_HANDLER_EXACT: Tuple[str, ...] = (
-    "open",
-    "io.open",
-    "print",
-    "time.sleep",
-    "os.system",
-)
-#: method tails that smell like I/O or sqlite inside a signal handler
-_UNSAFE_IN_HANDLER_TAILS: Tuple[str, ...] = (
-    "execute",
-    "executemany",
-    "executescript",
-    "commit",
-    "rollback",
-    "write",
-    "flush",
-    "read",
-    "readline",
-)
-
 #: attribute tails that submit work to a pool/executor (first arg = entry)
 _SUBMIT_TAILS = frozenset({"submit", "apply_async", "map", "imap",
                            "imap_unordered", "starmap", "map_async"})
@@ -110,20 +74,16 @@ class _ForkPoint:
         self.entries: List[FunctionRef] = []
 
 
-@register_checker("concurrency", synonyms=("fork-safety", "signal-safety"))
+@register_checker("concurrency", synonyms=("fork-safety",))
 class ConcurrencyChecker(Checker):
-    """Proves parent-side resources stay out of forked workers and
-    signal handlers stay async-signal-safe."""
+    """Proves parent-side resources stay out of forked workers."""
 
     description = (
         "resources created before a fork (sqlite connections, file "
         "handles, RNGs, locks) must not be reachable from worker-side "
-        "functions, and SIGALRM-handler code must stay async-signal-safe"
+        "functions"
     )
-    hint = (
-        "create connections/handles/RNGs inside the worker function, "
-        "and keep signal handlers allocation-light"
-    )
+    hint = "create connections/handles/RNGs inside the worker function"
 
     def check(self, project: Project) -> Iterator[Finding]:
         graph = project.graph()
@@ -131,7 +91,6 @@ class ConcurrencyChecker(Checker):
         worker_side = self.worker_side(graph, fork_points)
         yield from self._check_module_resources(graph, worker_side)
         yield from self._check_resources_into_fork(graph, fork_points)
-        yield from self._check_signal_handlers(graph)
 
     def worker_side(
         self,
@@ -342,59 +301,3 @@ class ConcurrencyChecker(Checker):
                         "is passed across a fork/submit point; workers "
                         "must open their own",
                     )
-
-    # -- rule 3: async-signal safety ---------------------------------------
-    def _check_signal_handlers(self, graph: ProjectGraph) -> Iterator[Finding]:
-        handlers: List[FunctionRef] = []
-        for module in graph.project.targets:
-            index = graph.modules.get(module.rel)
-            if index is None:
-                continue
-            for qual, sites in sorted(index.calls.items()):
-                for site in sites:
-                    external = graph.external_name(module.rel, site.name)
-                    if external != "signal.signal" or len(site.node.args) < 2:
-                        continue
-                    name = dotted_name(site.node.args[1])
-                    if not name:
-                        continue
-                    handlers.extend(
-                        graph.resolve_call(module.rel, qual, name)
-                    )
-        if not handlers:
-            return
-        seen: Set[Tuple[str, int, str]] = set()
-        for ref in sorted(graph.reachable(sorted(set(handlers)))):
-            index = graph.modules.get(ref.rel)
-            if index is None or index.module not in graph.project.targets:
-                continue
-            for site in index.calls.get(ref.qual, []):
-                reason = self._unsafe_reason(graph, ref.rel, site.name)
-                if reason is None:
-                    continue
-                key = (ref.rel, site.node.lineno, site.name)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield self.finding(
-                    index.module, site.node,
-                    f"{reason} reachable from a signal handler "
-                    f"(via {ref.qual}()); handlers must stay "
-                    "async-signal-safe",
-                )
-
-    def _unsafe_reason(
-        self, graph: ProjectGraph, rel: str, name: str
-    ) -> Optional[str]:
-        if not name:
-            return None
-        external = graph.external_name(rel, name)
-        if external in _UNSAFE_IN_HANDLER_EXACT:
-            return f"call to {external}()"
-        for prefix in _UNSAFE_IN_HANDLER_PREFIXES:
-            if external.startswith(prefix):
-                return f"call to {external}()"
-        tail = name.split(".")[-1]
-        if "." in name and tail in _UNSAFE_IN_HANDLER_TAILS:
-            return f"I/O-flavoured call .{tail}()"
-        return None

@@ -7,9 +7,8 @@ raise with did-you-mean hints, and cache corruption raises
 that model from below:
 
 * **Swallowed exceptions.**  A bare ``except:`` catches
-  ``KeyboardInterrupt`` and ``SystemExit`` (and the harness's SIGALRM
-  budget machinery); ``except Exception: pass`` turns any bug into
-  silence.  Handlers must name what they expect, or visibly re-raise /
+  ``KeyboardInterrupt`` and ``SystemExit``; ``except Exception: pass``
+  turns any bug into silence.  Handlers must name what they expect, or visibly re-raise /
   transform (``except Exception`` with a body that *does something* --
   logs, wraps, re-raises -- is accepted; an empty swallow is not).
 * **``assert`` as control flow.**  ``python -O`` strips asserts, so a
@@ -97,8 +96,7 @@ class ErrorDisciplineChecker(Checker):
         if handler.type is None:
             yield self.finding(
                 module, handler,
-                "bare except: catches KeyboardInterrupt/SystemExit and "
-                "the harness's cell-budget signal",
+                "bare except: catches KeyboardInterrupt/SystemExit",
                 hint="name the exception(s) the code can actually raise",
             )
             return

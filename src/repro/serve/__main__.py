@@ -13,6 +13,7 @@ import asyncio
 import sys
 from typing import List, Optional, Tuple
 
+from ..utils import check_timeout
 from .server import CompileService, ServeConfig
 
 
@@ -30,6 +31,17 @@ def _prewarm_target(text: str) -> Tuple[str, int]:
         raise argparse.ArgumentTypeError(
             f"prewarm size must be an integer (got {size!r})"
         ) from None
+
+
+def _budget(text: str) -> float:
+    """Parse ``--timeout-s``: a finite number of seconds > 0."""
+
+    try:
+        seconds = float(text)
+        check_timeout(seconds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout-s",
-        type=float,
+        type=_budget,
         default=None,
         help="default per-request compile budget (requests may override)",
     )

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..approaches import get_approach
 from ..arch.registry import ARCHITECTURES, architecture_key
+from ..utils import check_timeout
 from ..workloads import get_workload
 
 __all__ = [
@@ -183,6 +184,12 @@ class CompileRequest:
                 "request.size/num_qubits/max_qubits/timeout_s must be "
                 "numbers, not booleans"
             )
+        # json.loads accepts NaN and Infinity, and a budget that never
+        # fires would pin a worker
+        try:
+            check_timeout(req.timeout_s)
+        except ValueError as exc:
+            raise ApiError(f"request.{exc}") from None
         return req
 
     @classmethod

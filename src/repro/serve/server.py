@@ -38,7 +38,7 @@ batched-but-unfinished requests, so a stalled pool turns arrivals away with
 ``stop()``): new requests get 503, every accepted request is answered, then
 the pool is dismissed -- drain-without-loss is a test invariant.
 
-Per-request ``timeout_s`` rides the existing harness budget
+Per-request ``timeout_s`` is :func:`repro.compile`'s cooperative budget
 (:func:`repro.utils.cell_budget` inside the worker), so a runaway cell
 yields a typed ``status == "timeout"`` response, never a hung connection.
 """

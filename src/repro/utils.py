@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
-import signal
-import sys
-import threading
+import math
+import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import List, Optional, TypeVar
 
 __all__ = [
     "BoundedCache",
     "clear_process_caches",
     "CellBudgetExceeded",
+    "budget_deadline",
     "cell_budget",
+    "check_budget",
+    "check_timeout",
 ]
 
 V = TypeVar("V")
@@ -67,50 +70,53 @@ class CellBudgetExceeded(Exception):
     """Raised inside a compilation whose harness-level time budget ran out."""
 
 
-@contextmanager
-def cell_budget(seconds: Optional[float]):
-    """Enforce a wall-clock budget on the enclosed block via ``SIGALRM``.
+#: ``time.monotonic()`` deadline of the innermost :func:`cell_budget`, or
+#: None.  A context variable, so each thread (and asyncio task) has its own.
+_DEADLINE: "ContextVar[Optional[float]]" = ContextVar("cell_deadline", default=None)
 
-    Yields True when the budget is armed.  Yields False -- and enforces
-    nothing -- when no budget was requested or the platform cannot deliver
-    SIGALRM here (non-main thread, non-Unix); callers may then fall back to
-    approach-internal deadline checks.
+
+def check_timeout(seconds: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``seconds`` is None or a finite number > 0."""
+
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ValueError(
+            f"timeout_s must be a finite number of seconds > 0 (got {seconds!r})"
+        )
+
+
+def budget_deadline() -> Optional[float]:
+    """The enclosing budget's ``time.monotonic()`` deadline, or None."""
+
+    return _DEADLINE.get()
+
+
+def check_budget() -> None:
+    """Raise :class:`CellBudgetExceeded` once the enclosing budget has run out.
+
+    Every loop that can run long polls this, so the budget ends work only
+    at those points, never inside a gc callback, a sqlite transaction or a
+    ``finally`` block.  Outside any budget it returns at once.
     """
 
-    can_alarm = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not can_alarm:
-        yield False
+    deadline = _DEADLINE.get()
+    if deadline is not None and time.monotonic() > deadline:
+        raise CellBudgetExceeded("cell exceeded its time budget")
+
+
+@contextmanager
+def cell_budget(seconds: Optional[float]):
+    """Give the enclosed block ``seconds`` of wall-clock time.
+
+    Sets the deadline :func:`check_budget` polls, in this thread's context
+    only; ``None`` sets no budget.
+    """
+
+    check_timeout(seconds)
+    if seconds is None:
+        yield
         return
-
-    def _on_alarm(signum, frame):
-        # While a CellBudgetExceeded is already in flight (the stack is
-        # unwinding through finally blocks -- including this context
-        # manager's own disarm/restore below), a re-fired alarm must NOT
-        # raise a second one: it would abort the cleanup mid-way, leaving
-        # the repeating timer and this handler installed to crash arbitrary
-        # later code.  An in-flight exception also means the first raise
-        # was *delivered*, so no re-raise is needed.
-        if isinstance(sys.exc_info()[1], CellBudgetExceeded):
-            return
-        raise CellBudgetExceeded(f"cell exceeded its {seconds:g}s budget")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    # Repeating timer, not one-shot: if the first alarm lands while an
-    # uninterruptible frame is on top of the stack (e.g. a GC callback, where
-    # the interpreter swallows the exception with "Exception ignored in"),
-    # a one-shot budget would silently never enforce anything -- and a
-    # budgeted approach whose internal deadline was disarmed in favour of
-    # the harness budget would run forever.  The interval re-delivers until
-    # the exception lands in interruptible code (after a swallowed raise the
-    # exception is no longer in flight, so the guard above lets it re-fire).
-    signal.setitimer(signal.ITIMER_REAL, float(seconds), min(float(seconds), 0.05))
+    token = _DEADLINE.set(time.monotonic() + seconds)
     try:
-        yield True
+        yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        _DEADLINE.reset(token)

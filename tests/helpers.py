@@ -9,6 +9,8 @@ broke root-level collection because ``benchmarks/conftest.py`` shadowed
 
 from __future__ import annotations
 
+import threading
+
 from repro.circuit import GateKind, MappedCircuit
 from repro.verify import verify_mapped_qft
 
@@ -17,6 +19,7 @@ __all__ = [
     "asap_layers",
     "assert_valid_qft",
     "reference_shortest_path",
+    "run_in_thread",
     "with_ops",
 ]
 
@@ -103,3 +106,24 @@ def asap_layers(ops):
         layers += [[] for _ in range(start + 1 - len(layers))]
         layers[start].append(op)
     return layers
+
+
+def run_in_thread(fn, timeout_s=60.0):
+    """``fn()`` called in a fresh ``threading.Thread``: its value, or the
+    exception it raised, re-raised here."""
+
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed back to the caller below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"thread still running after {timeout_s}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]

@@ -1,9 +1,15 @@
 """The ``repro.compile`` entry point and its cross-product guarantees."""
 
+import math
+import time
+
 import pytest
+from helpers import run_in_thread
 
 import repro
 from repro import GridTopology, UnknownNameError
+from repro.baselines.sabre import KERNEL_ENV_VAR
+from repro.baselines.sabre_kernel import kernel_available
 
 
 class TestCompileBasics:
@@ -79,6 +85,51 @@ class TestCompileBasics:
         assert row.depth == res.mapped.depth()
         assert row.swap_count == res.mapped.swap_count()
         assert row.workload == "qft"
+
+
+# One cell of each mapper family, each of which maps for longer than its
+# budget: the compiled SABRE kernel, the reference loop, a paper engine
+# (through MappingBuilder.layer), the greedy router and SATMAP's search.
+BUDGET_CELLS = [
+    pytest.param(
+        "sabre", "lattice", 23, 1.0, {"kernel": "c"},
+        marks=pytest.mark.skipif(not kernel_available(), reason="kernel not built"),
+        id="sabre-c-lattice23",
+    ),
+    pytest.param("sabre", "lattice", 10, 0.5, {"kernel": "python"}, id="sabre-python-lattice10"),
+    pytest.param("ours", "lattice", 32, 0.3, {}, id="ours-lattice32"),
+    pytest.param("greedy", "lattice", 23, 0.3, {}, id="greedy-lattice23"),
+    pytest.param("satmap", "sycamore", 4, 0.3, {}, id="satmap-sycamore4"),
+]
+
+
+class TestBudget:
+    @pytest.mark.parametrize("on_thread", [False, True], ids=["main", "thread"])
+    @pytest.mark.parametrize("approach,architecture,size,budget,opts", BUDGET_CELLS)
+    def test_every_mapper_family_stops_at_its_budget(
+        self, monkeypatch, approach, architecture, size, budget, opts, on_thread
+    ):
+        """The budget is polled, not signalled, so it holds off the main
+        thread too, where the SIGALRM budget it replaced never fired."""
+
+        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)  # honour kernel=
+
+        def run():
+            start = time.perf_counter()
+            res = repro.compile(
+                architecture=architecture, size=size, approach=approach,
+                timeout_s=budget, verify=False, **opts,
+            )
+            return res, time.perf_counter() - start
+
+        res, elapsed = run_in_thread(run) if on_thread else run()
+        assert res.status == "timeout"
+        assert elapsed < budget + 0.5, f"timeout reported after {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("timeout_s", [0, -1, math.nan, math.inf])
+    def test_budget_must_be_finite_and_positive(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be a finite number"):
+            repro.compile(size=2, approach="sabre", timeout_s=timeout_s)
 
 
 # The acceptance criterion of the redesign: the full cross-product of

@@ -2,7 +2,6 @@
 
 import multiprocessing as mp
 import random
-import signal
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
@@ -42,16 +41,3 @@ def spawn(url):
     proc.start()
     return proc
 
-
-def _on_alarm(signum, frame):
-    audit_timeout()
-    raise TimeoutError()
-
-
-def audit_timeout():
-    print("cell timed out")  # FINDING: not async-signal-safe
-
-
-def arm(seconds):
-    signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(seconds)

@@ -1,14 +1,11 @@
-"""The same shapes done right: per-worker resources, a lean handler."""
+"""The same shapes done right: per-worker resources."""
 
 import multiprocessing as mp
 import random
-import signal
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.eval.workers import WarmWorkerPool
-
-_timed_out = False  # plain flag: fine at module scope
 
 
 def worker(spec):
@@ -45,13 +42,3 @@ def spawn(url):
     proc.start()
     return proc
 
-
-def _on_alarm(signum, frame):
-    global _timed_out
-    _timed_out = True
-    raise TimeoutError()
-
-
-def arm(seconds):
-    signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(seconds)

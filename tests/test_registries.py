@@ -142,7 +142,6 @@ class TestBuiltinRegistries:
             "passes",
             "kernel",
         }
-        assert get_approach("satmap").timeout_param == "timeout_s"
         assert get_approach("satmap").max_qubits is not None
 
 

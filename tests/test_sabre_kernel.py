@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import run_in_thread
 
 from repro.arch import (
     CaterpillarTopology,
@@ -147,32 +148,37 @@ def test_kernel_bit_identical_off_the_default_scoring(config, workload):
 
 @requires_kernel
 def test_compile_budget_times_out_inside_the_kernel():
-    """A budgeted 529-qubit SABRE compile, which routes for seconds
-    unbudgeted, reports its timeout within the budget + 0.5 s."""
+    """A budgeted 529-qubit SABRE compile, which routes for 1.5-2.6 s
+    unbudgeted, reports its timeout within the budget + 0.5 s, on the main
+    thread and in a ``threading.Thread``."""
 
     import repro
 
-    budget = 1.5
-    start = time.perf_counter()
-    result = repro.compile(
-        workload="qft",
-        architecture="lattice",
-        size=23,
-        approach="sabre",
-        timeout_s=budget,
-        verify=False,
-    )
-    elapsed = time.perf_counter() - start
-    assert result.status == "timeout"
-    assert elapsed < budget + 0.5, f"timeout reported after {elapsed:.2f}s"
+    budget = 0.5
+
+    def run():
+        start = time.perf_counter()
+        result = repro.compile(
+            workload="qft",
+            architecture="lattice",
+            size=23,
+            approach="sabre",
+            timeout_s=budget,
+            verify=False,
+        )
+        return result, time.perf_counter() - start
+
+    for result, elapsed in (run(), run_in_thread(run)):
+        assert result.status == "timeout"
+        assert elapsed < budget + 0.5, f"timeout reported after {elapsed:.2f}s"
 
 
 @requires_kernel
 def test_budget_stops_the_kernel_mid_pass():
-    """The kernel runs the main thread's signal handlers every 1,024 swap
-    iterations, so a SIGALRM budget ends a C routing pass instead of
-    waiting for it.  One 529-qubit pass takes about 0.7 s on a 2-vCPU
-    host, so an alarm held until the pass ends misses the bound."""
+    """The kernel polls the cell budget every 1,024 swap iterations, so a
+    budget ends a C routing pass instead of waiting for it.  One 529-qubit
+    pass takes about 0.7 s on a 2-vCPU host, so a budget checked only
+    between passes misses the bound."""
 
     from repro.utils import CellBudgetExceeded, cell_budget
 
@@ -186,6 +192,37 @@ def test_budget_stops_the_kernel_mid_pass():
     elapsed = time.perf_counter() - start
     assert mapper.last_kernel == "c"
     assert elapsed < budget + 0.25, f"budget took effect after {elapsed:.2f}s"
+
+
+@requires_kernel
+def test_kernel_runs_signal_handlers_mid_pass():
+    """The kernel also runs the main thread's signal handlers at each poll,
+    so an exception a handler raises (Ctrl-C's ``KeyboardInterrupt``, or
+    this test's own) ends a C routing pass within milliseconds."""
+
+    import signal
+
+    class Interrupted(Exception):
+        pass
+
+    def on_alarm(signum, frame):
+        raise Interrupted
+
+    circuit = get_workload("qft").build_cached(529)
+    mapper = SabreMapper(LatticeSurgeryTopology(23), seed=0)
+    delay = 0.3
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(Interrupted):
+            signal.setitimer(signal.ITIMER_REAL, delay)
+            mapper.map_circuit(circuit)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert mapper.last_kernel == "c"
+    assert elapsed < delay + 0.25, f"handler ran after {elapsed:.2f}s"
 
 
 @requires_kernel

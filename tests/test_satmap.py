@@ -1,11 +1,14 @@
 """Tests for the SATMAP stand-in (exact router with timeout)."""
 
+import time
+
 import pytest
 
 from helpers import assert_valid_qft
-from repro.arch import GridTopology, LNNTopology
+from repro.arch import GridTopology, LNNTopology, SycamoreTopology
 from repro.baselines import SatmapMapper, SatmapTimeout
 from repro.circuit import Circuit
+from repro.utils import cell_budget
 
 
 class TestSatmapCorrectness:
@@ -57,6 +60,20 @@ class TestSatmapTimeout:
 
     def test_timeout_is_a_timeout_error(self):
         assert issubclass(SatmapTimeout, TimeoutError)
+
+    def test_cell_budget_replaces_its_own_limit(self):
+        """Inside a cell budget the search runs to the budget's deadline, not
+        to its own (shorter or longer) limit: that is how the paper
+        profile's 2-hour budget replaces the default 60 s."""
+
+        mapper = SatmapMapper(SycamoreTopology(4), timeout_s=0.1)
+        budget = 0.6
+        start = time.perf_counter()
+        with pytest.raises(SatmapTimeout):
+            with cell_budget(budget):
+                mapper.map_qft()
+        elapsed = time.perf_counter() - start
+        assert budget <= elapsed < budget + 0.5, f"stopped after {elapsed:.2f}s"
 
     def test_non_qft_circuit(self):
         topo = LNNTopology(3)

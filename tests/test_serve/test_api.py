@@ -56,6 +56,25 @@ def test_wrong_types_rejected():
         CompileRequest.from_json(json.dumps([1, 2]))
 
 
+@pytest.mark.parametrize("timeout_s", ["0", "-1", "NaN", "Infinity"])
+def test_budget_must_be_finite_and_positive(timeout_s):
+    """Python's json parses NaN and Infinity, so the wire can carry a budget
+    that never fires; it is a 400 before any worker sees it."""
+
+    text = f'{{"size": 3, "timeout_s": {timeout_s}}}'
+    with pytest.raises(ApiError, match="timeout_s must be a finite number"):
+        CompileRequest.from_json(text)
+
+
+@pytest.mark.parametrize("timeout_s", ["0", "-1", "nan", "inf"])
+def test_cli_refuses_a_budget_that_never_fires(timeout_s, capsys):
+    from repro.serve.__main__ import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--timeout-s", timeout_s])
+    assert "timeout_s must be a finite number" in capsys.readouterr().err
+
+
 def test_api_version_pinned():
     with pytest.raises(ApiError, match="api_version"):
         CompileRequest.from_json(json.dumps({"api_version": "0"}))
