@@ -205,9 +205,8 @@ class _CompiledRoute:
         whole swap loop in C, re-imports the advanced state, and (for
         emitting passes) replays the kernel's event stream through a
         :class:`MappingBuilder`.  Records the pass's counters in
-        ``mapper.last_routing_stats``.  The kernel calls
-        :func:`~repro.utils.check_budget` every 1,024 swap iterations, so a
-        cell budget ends the pass on any thread.
+        ``mapper.last_routing_stats``.  The kernel polls the cell budget
+        (:func:`~repro.utils.check_budget`) every 1,024 swap iterations.
         """
 
         mapper = self.mapper

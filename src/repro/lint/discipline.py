@@ -8,9 +8,10 @@ that model from below:
 
 * **Swallowed exceptions.**  A bare ``except:`` catches
   ``KeyboardInterrupt`` and ``SystemExit``; ``except Exception: pass``
-  turns any bug into silence.  Handlers must name what they expect, or visibly re-raise /
-  transform (``except Exception`` with a body that *does something* --
-  logs, wraps, re-raises -- is accepted; an empty swallow is not).
+  turns any bug into silence.  Handlers must name what they expect, or
+  visibly re-raise / transform (``except Exception`` with a body that
+  *does something* -- logs, wraps, re-raises -- is accepted; an empty
+  swallow is not).
 * **``assert`` as control flow.**  ``python -O`` strips asserts, so a
   library-path assert is a check that vanishes exactly when someone
   benchmarks with optimizations on.  Invariants worth checking are worth
