@@ -17,9 +17,8 @@ project-wide index over the already-parsed
     Import-aware name resolution (:meth:`resolve_call`), canonical
     external names (:meth:`external_name`, so ``from sqlite3 import
     connect as c`` still reads as ``sqlite3.connect``), a call graph
-    with forward and reverse edges (:meth:`callees_of` /
-    :meth:`callers_of`), and generic BFS reachability
-    (:meth:`reachable`) in either direction.
+    (:meth:`callees_of`), and BFS reachability over it
+    (:meth:`reachable`).
 
 Resolution is *exact* where imports allow (bare names, ``self.method``,
 ``module.func``, re-export chains) and falls back to dotted-name *tail*
@@ -213,7 +212,6 @@ class ProjectGraph:
         self._by_dotted: Dict[str, str] = {}  # dotted module -> rel
         self._missing: Set[str] = set()  # dotted modules known absent
         self._edges: Optional[Dict[FunctionRef, List[Tuple[FunctionRef, bool]]]] = None
-        self._redges: Optional[Dict[FunctionRef, List[Tuple[FunctionRef, bool]]]] = None
         self._call_index: Optional[Dict[str, List[Tuple[str, str, CallSite]]]] = None
         self._tails: Optional[Dict[str, List[FunctionRef]]] = None
         for module in project.targets:
@@ -229,7 +227,7 @@ class ProjectGraph:
         self.modules[module.rel] = index
         if index.dotted:
             self._by_dotted.setdefault(index.dotted, module.rel)
-        self._edges = self._redges = None
+        self._edges = None
         self._call_index = self._tails = None
         return index
 
@@ -449,7 +447,6 @@ class ProjectGraph:
         if self._edges is not None:
             return
         edges: Dict[FunctionRef, List[Tuple[FunctionRef, bool]]] = {}
-        redges: Dict[FunctionRef, List[Tuple[FunctionRef, bool]]] = {}
         for rel in sorted(self.modules):
             index = self.modules[rel]
             for qual, sites in sorted(index.calls.items()):
@@ -478,10 +475,7 @@ class ProjectGraph:
                         seen.add(item)
                         uniq.append(item)
                 edges[caller] = uniq
-                for ref, exact in uniq:
-                    redges.setdefault(ref, []).append((caller, exact))
         self._edges = edges
-        self._redges = redges
 
     def _with_items(self, index: ModuleIndex, qual: str) -> List[ast.AST]:
         body = (
@@ -515,31 +509,12 @@ class ProjectGraph:
             if exact or include_fuzzy
         ]
 
-    def callers_of(
-        self, ref: FunctionRef, *, include_fuzzy: bool = True
-    ) -> List[FunctionRef]:
-        self._ensure_edges()
-        return [
-            caller
-            for caller, exact in self._redges.get(ref, [])
-            if exact or include_fuzzy
-        ]
-
     def reachable(
-        self,
-        seeds: Iterable[FunctionRef],
-        *,
-        reverse: bool = False,
-        include_fuzzy: bool = True,
+        self, seeds: Iterable[FunctionRef], *, include_fuzzy: bool = True
     ) -> Set[FunctionRef]:
-        """Transitive closure over call edges, seeds included.
+        """Every function ``seeds`` can end up running, seeds included (the
+        transitive closure over call edges)."""
 
-        ``reverse=False`` answers "what can this code end up running?"
-        (forward); ``reverse=True`` answers "who can end up running this?"
-        (backward, over the reverse edges).
-        """
-
-        step = self.callers_of if reverse else self.callees_of
         seen: Set[FunctionRef] = set()
         frontier = [s for s in seeds]
         while frontier:
@@ -547,7 +522,7 @@ class ProjectGraph:
             if ref in seen:
                 continue
             seen.add(ref)
-            for nxt in step(ref, include_fuzzy=include_fuzzy):
+            for nxt in self.callees_of(ref, include_fuzzy=include_fuzzy):
                 if nxt not in seen:
                     frontier.append(nxt)
         return seen

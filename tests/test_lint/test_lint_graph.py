@@ -72,8 +72,6 @@ def test_call_graph_cycle_terminates(tmp_path):
     f, g = FunctionRef("a.py", "f"), FunctionRef("b.py", "g")
     forward = graph.reachable({f})
     assert {f, g} <= forward
-    backward = graph.reachable({f}, reverse=True)
-    assert g in backward
 
 
 def test_module_body_calls_indexed(tmp_path):
