@@ -212,6 +212,24 @@ check_len(const Py_buffer *buf, Py_ssize_t expect_bytes, const char *name)
     return 0;
 }
 
+/* Raise the reference loop's repro.baselines.sabre.SabreNotConverged, so
+ * a cell that does not converge fails alike on both engines. */
+static void
+set_not_converged(void)
+{
+    PyObject *module = PyImport_ImportModule("repro.baselines.sabre");
+    PyObject *cls;
+
+    if (module == NULL)
+        return;
+    cls = PyObject_GetAttrString(module, "SabreNotConverged");
+    Py_DECREF(module);
+    if (cls == NULL)
+        return;
+    PyErr_SetString(cls, "SABRE routing did not converge");
+    Py_DECREF(cls);
+}
+
 #define ALLOC(var, type, count)                                             \
     do {                                                                    \
         var = (type *)malloc(sizeof(type) * (size_t)((count) > 0 ? (count) : 1)); \
@@ -356,8 +374,7 @@ route(PyObject *self, PyObject *args)
         while (front_n > 0) {
             guard++;
             if (guard > max_iterations) {
-                PyErr_SetString(PyExc_RuntimeError,
-                                "SABRE routing did not converge");
+                set_not_converged();
                 goto cleanup;
             }
 

@@ -37,9 +37,16 @@ from ..circuit.qft import qft_circuit
 from ..circuit.schedule import MappedCircuit, MappingBuilder
 from ..utils import check_budget
 
-__all__ = ["SabreMapper", "SABRE_KERNELS", "KERNEL_ENV_VAR"]
+__all__ = ["SabreMapper", "SabreNotConverged", "SABRE_KERNELS", "KERNEL_ENV_VAR"]
 
 _SWAP = KIND_CODES[GateKind.SWAP]
+
+
+class SabreNotConverged(RuntimeError):
+    """The swap loop ran past its iteration bound (``50 * (gates + 1) +
+    10_000``) with gates left: a property of the cell, so a sweep or the
+    service reports it as that cell's ``status == "error"``.  Both engines
+    raise it at the same bound."""
 
 #: recognised values for ``SabreMapper(kernel=...)`` / ``REPRO_SABRE_KERNEL``
 SABRE_KERNELS = ("auto", "c", "python")
@@ -410,8 +417,8 @@ class SabreMapper:
         while front:
             check_budget()
             guard += 1
-            if guard > max_iterations:  # pragma: no cover - safety net
-                raise RuntimeError("SABRE routing did not converge")
+            if guard > max_iterations:
+                raise SabreNotConverged("SABRE routing did not converge")
 
             executed_any = True
             while executed_any:

@@ -31,6 +31,7 @@ from ..arch.registry import (
     make_architecture,
 )
 from ..arch.topology import Topology
+from ..baselines.sabre import SabreNotConverged
 from ..baselines.sabre_kernel import _kernel_tables_for
 from ..compile_api import compile as compile_cell
 from ..utils import BoundedCache
@@ -185,7 +186,8 @@ def run_cell(
     topology-grouped sweeps reuse one instance -- and its cached distance
     matrix / routing tables -- across all the cells of a group.
 
-    Architecture construction errors (e.g. an odd Sycamore patch size) are
+    Architecture construction errors (e.g. an odd Sycamore patch size) and
+    SABRE runs that do not converge (:class:`SabreNotConverged`) are
     reported as a ``status == "error"`` result, and approaches that cannot
     compile the cell's workload/architecture combination as
     ``status == "unsupported"``, rather than raised -- one bad cell cannot
@@ -227,17 +229,27 @@ def run_cell(
 
     # `max_qubits=None` here means "no explicit cap": fall through to the
     # approach's registered default (repro.compile applies it).
-    result = compile_cell(
-        workload=workload,
-        architecture=topology,
-        approach=approach,
-        num_qubits=num_qubits,
-        workload_params=workload_params,
-        verify=do_verify,
-        timeout_s=timeout_s,
-        max_qubits=max_qubits,
-        **kwargs,
-    )
+    try:
+        result = compile_cell(
+            workload=workload,
+            architecture=topology,
+            approach=approach,
+            num_qubits=num_qubits,
+            workload_params=workload_params,
+            verify=do_verify,
+            timeout_s=timeout_s,
+            max_qubits=max_qubits,
+            **kwargs,
+        )
+    except SabreNotConverged as exc:
+        return CompilationResult(
+            approach=approach,
+            architecture=label,
+            num_qubits=num_qubits if num_qubits is not None else topology.num_qubits,
+            status="error",
+            message=str(exc),
+            workload=wl.name,
+        )
     row = result.metrics()
     row.architecture = label  # paper-style label, not the topology's name
     if policy != "full":

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import ResultCache, run_cell
+from repro.eval import ResultCache, adhoc_plan, execute, run_cell
 from repro.eval.experiments import QUICK, specs_figure27, specs_table1
 from repro.eval.executors import _topology_chunks, run_specs
 from repro.eval.parallel import CellSpec
@@ -55,6 +55,24 @@ class TestRunSpecs:
         results = run_specs(specs, jobs=2)
         assert [r.status for r in results] == ["ok", "error", "ok"]
         assert "even" in results[1].message
+
+
+    def test_sabre_non_convergence_is_an_error_cell(self):
+        # this random circuit's SABRE run passes the swap-loop bound
+        cells = [
+            CellSpec.make(
+                "sabre",
+                "lattice",
+                6,
+                workload="random",
+                workload_params={"seed": 660703},
+                seed=584279,
+            ),
+            CellSpec.make("sabre", "grid", 2, seed=1),
+        ]
+        report = execute(adhoc_plan("non-convergence", cells), jobs=2)
+        assert [r.status for r in report.results] == ["error", "ok"]
+        assert "did not converge" in report.results[0].message
 
 
 class TestRunCellErrors:

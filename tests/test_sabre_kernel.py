@@ -25,7 +25,7 @@ from repro.arch import (
     LNNTopology,
     SycamoreTopology,
 )
-from repro.baselines import SabreMapper, sabre_kernel
+from repro.baselines import SabreMapper, SabreNotConverged, sabre_kernel
 from repro.baselines.sabre import KERNEL_ENV_VAR
 from repro.baselines.sabre_kernel import _kernel_tables_for, kernel_available
 from repro.circuit import Circuit, qft_circuit
@@ -234,6 +234,25 @@ def test_kernel_matches_reference_loop(make_topo):
     ref = SabreMapper(topo, seed=3, kernel="python").map_qft(topo.num_qubits)
     cc = SabreMapper(topo, seed=3, kernel="c").map_qft(topo.num_qubits)
     assert cc.ops == ref.ops
+
+
+@pytest.mark.parametrize(
+    "kernel", [pytest.param("c", marks=requires_kernel), "python"]
+)
+def test_non_convergence_raises_the_typed_error_on_both_engines(kernel):
+    # a random circuit whose swap loop runs past the iteration bound
+    import repro
+
+    with pytest.raises(SabreNotConverged, match="did not converge"):
+        repro.compile(
+            workload="random",
+            architecture="lattice",
+            size=6,
+            approach="sabre",
+            seed=584279,
+            workload_params={"seed": 660703},
+            kernel=kernel,
+        )
 
 
 @requires_kernel

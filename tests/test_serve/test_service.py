@@ -109,6 +109,33 @@ def test_batched_responses_bit_equal_to_serial_compile(
         assert body["cache"] is None
 
 
+def test_non_converging_cell_is_an_error_answer_not_a_503(http_post, run_service):
+    # this random circuit's SABRE run passes the swap-loop bound
+    payload = {
+        "workload": "random",
+        "architecture": "lattice",
+        "size": 6,
+        "approach": "sabre",
+        "workload_params": {"seed": 660703},
+        "options": {"seed": 584279},
+    }
+
+    async def scenario(service):
+        first = await http_post(service.port, "/v1/compile", payload)
+        again = await http_post(service.port, "/v1/compile", payload)
+        return first, again, service.stats()
+
+    first, again, stats = run_service(ServeConfig(workers=1), scenario)
+    for status, body, _ in (first, again):
+        assert status == 200
+        assert body["status"] == "error"
+        assert "did not converge" in body["message"]
+        assert body["cache"] is None  # an error is not cached
+    assert stats["computed"] == 2
+    assert stats["lru_hits"] == 0
+    assert stats["pool_failures"] == 0
+
+
 def test_request_timeout_returns_typed_timeout_status(http_post, run_service):
     # A 144-qubit SABRE compile takes ~0.35 s even on the compiled engine,
     # far beyond the budget (a 64-qubit one came within 2x of it).
@@ -398,7 +425,9 @@ def test_bad_requests_rejected_400_with_hints(http_post, run_service):
 def test_health_and_stats_endpoints(http_post, run_service):
     async def scenario(service):
         reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
-        writer.write(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+        writer.write(
+            b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
         await writer.drain()
         raw = await reader.read()
         writer.close()
