@@ -134,15 +134,15 @@ def run_closed_loop(url: str, requests: int, concurrency: int, unique_seeds: int
     counter_lock = threading.Lock()
 
     def worker(worker_idx: int) -> None:
-        client = ServeClient(
+        with ServeClient(
             url, name=f"closed-{worker_idx}", retry_overload=True
-        )
-        while True:
-            with counter_lock:
-                index = next(counter, None)
-            if index is None:
-                return
-            _fire(client, index, unique_seeds, sink, lock)
+        ) as client:
+            while True:
+                with counter_lock:
+                    index = next(counter, None)
+                if index is None:
+                    return
+                _fire(client, index, unique_seeds, sink, lock)
 
     t0 = time.perf_counter()
     threads = [
@@ -160,23 +160,24 @@ def run_open_loop(url: str, requests: int, rate_rps: float, unique_seeds: int):
     """Fixed arrival schedule: latency-under-load shape (includes queueing)."""
 
     sink, lock = [], threading.Lock()
-    client = ServeClient(url, name="open", retry_overload=True)
     threads = []
     interval = 1.0 / rate_rps
-    t0 = time.perf_counter()
-    for index in range(requests):
-        target = t0 + index * interval
-        delay = target - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        t = threading.Thread(
-            target=_fire, args=(client, index, unique_seeds, sink, lock)
-        )
-        t.start()
-        threads.append(t)
-    for t in threads:
-        t.join()
-    return _summarize("open", sink, time.perf_counter() - t0, rate_rps=rate_rps)
+    with ServeClient(url, name="open", retry_overload=True) as client:
+        t0 = time.perf_counter()
+        for index in range(requests):
+            target = t0 + index * interval
+            delay = target - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            t = threading.Thread(
+                target=_fire, args=(client, index, unique_seeds, sink, lock)
+            )
+            t.start()
+            threads.append(t)
+        for t in threads:
+            t.join()
+        wall_s = time.perf_counter() - t0
+    return _summarize("open", sink, wall_s, rate_rps=rate_rps)
 
 
 def _summarize(mode: str, sink: list, wall_s: float, **shape) -> dict:
@@ -270,14 +271,15 @@ def main(argv=None) -> int:
         print(f"benchmarking auto-started server at {url}", flush=True)
 
     try:
-        probe = ServeClient(url)
-        probe.health()  # fail fast, before any load is generated
-        shapes = [
-            run_closed_loop(url, args.requests, args.concurrency,
-                            args.unique_seeds),
-            run_open_loop(url, args.requests, args.rate, args.unique_seeds),
-        ]
-        server_stats = probe.stats()
+        with ServeClient(url) as probe:
+            probe.health()  # fail fast, before any load is generated
+            shapes = [
+                run_closed_loop(url, args.requests, args.concurrency,
+                                args.unique_seeds),
+                run_open_loop(url, args.requests, args.rate,
+                              args.unique_seeds),
+            ]
+            server_stats = probe.stats()
     finally:
         if server is not None:
             server.stop()

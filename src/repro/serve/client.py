@@ -15,9 +15,17 @@ raise :class:`ServeOverloaded` carrying the advisory ``Retry-After`` (the
 caller owns its load-shedding policy; ``retry_overload=True`` opts into
 honoring it client-side), and any other status raises :class:`ServeError`.
 
-Each attempt is one plain-HTTP exchange on a fresh
-:class:`http.client.HTTPConnection`, closed on every path (the server
-answers one request per connection).  The URL must be ``http://``; a base
+Connections are kept alive: the client holds its idle
+:class:`http.client.HTTPConnection` objects, and an exchange takes one (or
+dials a new one) and puts it back after the answer, unless the answer said
+``Connection: close``.  Exchanges running on several threads at once each
+use their own connection, so one client is safe to share across threads.
+A kept connection the server has closed meanwhile (idle too long, or a
+restart) fails before any answer arrives; the request is then sent again at
+once on a fresh connection, which counts as no retry -- every endpoint is
+safe to repeat, a compile being a pure function of its request.
+``close()``, leaving a ``with ServeClient(...)`` block, or dropping the
+client closes the idle connections.  The URL must be ``http://``; a base
 path in it prefixes every endpoint.  No proxy is consulted.
 """
 
@@ -25,9 +33,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
+import weakref
 import zlib
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .api import API_VERSION, CompileRequest, CompileResponse
@@ -46,6 +56,13 @@ __all__ = [
 _TRANSIENT_ERRORS = (http.client.HTTPException, OSError)
 
 _HEADERS = {"Content-Type": "application/json"}
+
+
+def _close_all(conns: List[http.client.HTTPConnection], lock) -> None:
+    with lock:
+        idle, conns[:] = conns[:], []
+    for conn in idle:
+        conn.close()
 
 
 class ServeError(RuntimeError):
@@ -101,6 +118,20 @@ class ServeClient:
         self._retry_overload = retry_overload
         self._rng = random.Random(zlib.crc32(name.encode()))
         self.retries = 0  # transient errors survived (for tests/monitoring)
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle, self._lock)
+
+    def close(self) -> None:
+        """Close the idle connections (the client stays usable)."""
+
+        _close_all(self._idle, self._lock)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- public surface ----------------------------------------------------
     def compile(self, **kwargs: object) -> CompileResponse:
@@ -150,19 +181,12 @@ class ServeClient:
         for attempt in range(self._max_tries):
             if attempt:
                 time.sleep(self.backoff_s(attempt))
-            conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout_s
-            )
             try:
-                conn.request(method, self._prefix + path, body=body, headers=_HEADERS)
-                with conn.getresponse() as response:
-                    data = response.read()
+                response, data = self._send(method, self._prefix + path, body)
             except _TRANSIENT_ERRORS as exc:
                 last_error = exc
                 self.retries += 1
                 continue
-            finally:
-                conn.close()
             if 200 <= response.status < 300:
                 return json.loads(data.decode())
             typed = self._status_error(path, response, data)
@@ -174,6 +198,49 @@ class ServeClient:
             f"server at {self.url} unreachable after {self._max_tries} "
             f"tries to {path}: {last_error!r}"
         )
+
+    def _send(
+        self, method: str, url: str, body: Optional[bytes]
+    ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """One request and its answer, on an idle connection if there is one.
+
+        A kept connection that fails before any answer arrives was closed by
+        the server while it sat idle: the request goes again, once, on a
+        fresh connection.
+        """
+
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            answer = self._round_trip(conn, method, url, body, kept=True)
+            if answer is not None:
+                return answer
+        conn = http.client.HTTPConnection(
+            self._host, self._port, timeout=self._timeout_s
+        )
+        return self._round_trip(conn, method, url, body, kept=False)
+
+    def _round_trip(self, conn, method, url, body, *, kept: bool):
+        """The exchange on ``conn``, which is then kept for the next request
+        or closed; ``None`` if the ``kept`` connection failed unanswered."""
+
+        response = None
+        try:
+            conn.request(method, url, body=body, headers=_HEADERS)
+            response = conn.getresponse()
+            with response:
+                data = response.read()
+        except BaseException as exc:
+            conn.close()
+            if kept and response is None and isinstance(exc, ConnectionError):
+                return None
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response, data
 
     def _status_error(self, path, response, data: bytes) -> Optional[ServeError]:
         """Typed error for an HTTP status answer (None = retry overload)."""

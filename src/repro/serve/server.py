@@ -32,11 +32,20 @@ being read.  After such an answer the server half-closes the connection and
 drops what the client still sends (bounded in bytes and seconds) before it
 closes, so the client reads the answer instead of a reset.
 
+Connections are persistent (HTTP/1.1 keep-alive): one connection carries
+request after request, so a cache hit costs a lookup, not a TCP handshake.
+The server closes a connection after an answer when the request was
+HTTP/1.0 or said ``Connection: close`` (the answer then says so too), after
+a framing error, when no request line arrives for :data:`_IDLE_TIMEOUT_S`,
+and during drain.
+
 Backpressure is by *bounded inflight count*: the queue cap counts queued +
 batched-but-unfinished requests, so a stalled pool turns arrivals away with
 429 instead of accumulating unbounded futures.  Graceful drain (SIGTERM /
-``stop()``): new requests get 503, every accepted request is answered, then
-the pool is dismissed -- drain-without-loss is a test invariant.
+``stop()``): connections idle between requests are closed at once, new
+requests get 503 (and ``Connection: close``), every accepted request is
+answered, then the pool is dismissed -- drain-without-loss is a test
+invariant.
 
 Per-request ``timeout_s`` is :func:`repro.compile`'s cooperative budget
 (:func:`repro.utils.cell_budget` inside the worker), so a runaway cell
@@ -49,7 +58,7 @@ import asyncio
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..registry import UnknownNameError
 from .api import API_VERSION, ApiError, CompileRequest, CompileResponse
@@ -64,6 +73,8 @@ MAX_BODY_BYTES = 1 << 20
 #: many further bytes, for at most this long, before it closes the connection
 _DISCARD_MAX_BYTES = 4 << 20
 _DISCARD_MAX_S = 2.0
+#: a connection that sends no request line for this long is closed
+_IDLE_TIMEOUT_S = 5.0
 
 _REASONS = {
     200: "OK",
@@ -171,6 +182,8 @@ class CompileService:
         self._lru = LRUCache(self.config.lru_size)
         self._queue: List[Tuple[CompileRequest, asyncio.Future]] = []
         self._batches: Dict[int, List[Tuple[CompileRequest, asyncio.Future]]] = {}
+        #: kept connections waiting for their next request (drain closes them)
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -235,12 +248,15 @@ class CompileService:
             return
         self._stopping = True
         self._draining = True
+        for writer in list(self._idle):
+            writer.close()
         deadline = self._loop.time() + self.config.drain_timeout_s
         while self._inflight() and self._loop.time() < deadline:
             await asyncio.sleep(0.02)
         if self._server is not None:
+            # Closes the listener only.  Not wait_closed(): from Python
+            # 3.12.1 it also waits until every connection has closed.
             self._server.close()
-            await self._server.wait_closed()
         if self._pool is not None:
             await self._loop.run_in_executor(
                 None,
@@ -364,21 +380,28 @@ class CompileService:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Answer requests on one connection until it is to be closed."""
+
         try:
-            try:
-                parsed = await self._read_request(reader)
-            except _BadFraming as exc:
-                payload = {"error": str(exc), "api_version": API_VERSION}
-                self._write_response(writer, exc.status, payload, None)
+            kept = False  # the connection has answered a request and stays open
+            while True:
+                try:
+                    parsed = await self._read_request(reader, writer, kept)
+                except _BadFraming as exc:
+                    payload = {"error": str(exc), "api_version": API_VERSION}
+                    self._write_response(writer, exc.status, payload, None, False)
+                    await writer.drain()
+                    await _discard_rest(reader, writer)
+                    return
+                if parsed is None:
+                    return
+                method, path, body, kept = parsed
+                status, payload, retry_after = await self._route(method, path, body)
+                kept = kept and not self._draining
+                self._write_response(writer, status, payload, retry_after, kept)
                 await writer.drain()
-                await _discard_rest(reader, writer)
-                return
-            if parsed is None:
-                return
-            method, path, body = parsed
-            status, payload, retry_after = await self._route(method, path, body)
-            self._write_response(writer, status, payload, retry_after)
-            await writer.drain()
+                if not kept:
+                    return
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -388,26 +411,60 @@ class CompileService:
             except (ConnectionError, OSError):
                 pass
 
-    @staticmethod
-    async def _read_request(reader) -> Optional[Tuple[str, str, bytes]]:
-        line = await _read_line(reader)
+    async def _request_line(self, reader, writer, kept: bool) -> bytes:
+        """The next request line, or ``b""`` when the connection is to close.
+
+        That is when the client closes it, or sends no full line within
+        ``_IDLE_TIMEOUT_S``, or when the service drains while ``kept`` (the
+        connection answered a request before) has it idle.  The idle timer
+        and the drain close the transport, so the read ends at once.
+        """
+
+        if kept:
+            if self._draining:
+                return b""
+            self._idle.add(writer)
+        timer = self._loop.call_later(_IDLE_TIMEOUT_S, writer.close)
+        try:
+            line = await _read_line(reader)
+        finally:
+            timer.cancel()
+            self._idle.discard(writer)
+        if writer.is_closing() or not line.endswith(b"\n"):
+            return b""  # closed here, or cut off by the end of the stream
+        return line
+
+    async def _read_request(
+        self, reader, writer, kept: bool
+    ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """``(method, path, body, keep_alive)`` of the next request, or
+        ``None`` when the connection is to close before one."""
+
+        line = await self._request_line(reader, writer, kept)
         if not line:
-            return None  # the client went away before sending anything
+            return None
         parts = line.decode("latin-1").split()
         if len(parts) < 2:
             raise _BadFraming(400, "request line needs a method and a path")
         method, path = parts[0].upper(), parts[1]
+        keep_alive = len(parts) > 2 and parts[2] == "HTTP/1.1"
         length = 0
         while True:
             header = await _read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 try:
                     length = int(value.strip())
                 except ValueError:
                     length = -1
+            elif name == "connection":
+                if "close" in (t.strip().lower() for t in value.split(",")):
+                    keep_alive = False
+            elif name == "transfer-encoding":
+                keep_alive = False  # a body this server does not read
         if length < 0:
             raise _BadFraming(400, "Content-Length must be a non-negative integer")
         if length > MAX_BODY_BYTES:
@@ -417,13 +474,18 @@ class CompileService:
                 f"{MAX_BODY_BYTES}-byte limit",
             )
         body = await reader.readexactly(length) if length else b""
-        return method, path, body
+        return method, path, body, keep_alive
 
     @staticmethod
     def _write_response(
-        writer, status: int, payload: Union[dict, bytes], retry_after: Optional[int]
+        writer,
+        status: int,
+        payload: Union[dict, bytes],
+        retry_after: Optional[int],
+        keep_alive: bool,
     ) -> None:
-        """``payload`` is a JSON object, or an LRU hit's stored body."""
+        """``payload`` is a JSON object, or an LRU hit's stored body;
+        without ``keep_alive`` the answer says ``Connection: close``."""
 
         body = payload if isinstance(payload, bytes) else _encode(payload)
         head = (
@@ -433,8 +495,9 @@ class CompileService:
         )
         if retry_after is not None:
             head += f"Retry-After: {retry_after}\r\n"
-        head += "Connection: close\r\n\r\n"
-        writer.write(head.encode("latin-1") + body)
+        if not keep_alive:
+            head += "Connection: close\r\n"
+        writer.write(head.encode("latin-1") + b"\r\n" + body)
 
     async def _route(
         self, method: str, path: str, body: bytes

@@ -124,10 +124,13 @@ async def post_json(port: int, path: str, payload: dict):
 
 
 async def exchange(port: int, request: bytes):
-    """Send ``request`` on a fresh connection and parse the whole answer."""
+    """Send ``request`` on a fresh connection, with ``Connection: close``
+    added after its request line, and parse the whole answer (read to the
+    end of the stream)."""
 
+    line, sep, rest = request.partition(b"\r\n")
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(request)
+    writer.write(line + b"\r\nConnection: close" + sep + rest)
     await writer.drain()
     raw = await reader.read()
     writer.close()
