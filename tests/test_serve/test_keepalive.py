@@ -8,6 +8,7 @@ import asyncio
 import gc
 import json
 import select
+import sys
 import threading
 import time
 import warnings
@@ -238,10 +239,16 @@ def test_one_client_shared_by_eight_threads(run_service):
 
         def run_all() -> int:
             threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # interleave the threads finely
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
             return len(client._idle)
 
         idle = await asyncio.to_thread(run_all)
