@@ -165,26 +165,21 @@ if [ "${1:-}" = "--chaos-only" ]; then
 fi
 
 # ---------------------------------------------------------------------------
-# Store smoke: the SQLite experiment store end to end.  Two "machines" run
-# complementary fig27 shards, each recording its run into and caching into
-# its own .db; the union of the shards' run records must equal an unsharded
-# pool run cell for cell, a crashed shard resumes from its record, the
-# merged shard caches must serve the full sweep warm, and a seeded divergent
-# merge must be refused by the UNIQUE constraint.
+# Store smoke: the SQLite experiment store end to end.  fig27 is recorded
+# twice, each run into its own .db: serially (also caching into its store)
+# and on the pool.  The two run records must agree cell for cell, the
+# serial run resumes from its record, its cache serves the sweep warm, and
+# the query/info CLI reads it.
 # ---------------------------------------------------------------------------
 store_smoke() {
-    echo "=== store smoke: sharded fig27 through the SQLite experiment store ==="
+    echo "=== store smoke: fig27 through the SQLite experiment store ==="
     local store_dir
     store_dir=$(mktemp -d)
-    local db="$store_dir/results.db"
-    local shard
-    for shard in 0 1; do
-        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-            --shard "$shard/2" --store "$store_dir/s$shard.db" \
-            --cache "$store_dir/s$shard.db" | tail -3
-    done
+    local db="$store_dir/s.db"
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-        --jobs 2 --store "$store_dir/full.db" | tail -2
+        --store "$db" --cache "$db" | tail -3
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
+        --jobs 2 --store "$store_dir/pool.db" | tail -2
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$store_dir" <<'PY'
 import sys
 from repro.store import ExperimentStore
@@ -198,57 +193,30 @@ def cells(db):
         }
 
 base = sys.argv[1]
-s0, s1, full = (cells(f"{base}/{n}.db") for n in ("s0", "s1", "full"))
-assert set(s0).isdisjoint(s1), "shards overlap"
-assert {**s0, **s1} == full, f"shard run records != unsharded run: {s0} {s1} vs {full}"
-print(f"store smoke ok: {len(full)} cells, 2-shard union == unsharded run")
+serial, pooled = cells(f"{base}/s.db"), cells(f"{base}/pool.db")
+assert len(serial) == 10, f"serial run recorded {len(serial)} cells"
+assert pooled == serial, f"pool run record != serial run record: {pooled} vs {serial}"
+print(f"store smoke ok: {len(serial)} cells, pool run record == serial run record")
 PY
-    # A crashed shard resumes from its run record: every recorded cell is
+    # A crashed run resumes from its run record: every recorded cell is
     # served, none re-run.
     local resume_out
     resume_out=$(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval \
-        -e fig27 --shard 0/2 --store "$store_dir/s0.db" --resume)
+        -e fig27 --store "$db" --resume)
     echo "$resume_out" | tail -1
     echo "$resume_out" | grep -Eq "resumed=[1-9]" || {
         echo "ci.sh: FAIL — --resume did not serve the recorded cells" >&2
         exit 1
     }
-    # Conflict-checked merge unions the shard caches; the merged cache must
-    # then serve the whole sweep warm (0 misses).
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval \
-        --cache "$db" --cache-merge "$store_dir/s0.db" "$store_dir/s1.db"
+    # The cache the serial run filled serves the whole sweep warm (0 misses).
     local warm_out
     warm_out=$(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
         python -m repro.eval -e fig27 --jobs 2 --cache "$db")
     echo "$warm_out" | tail -2
     echo "$warm_out" | grep -Eq "cache: [0-9]+ hits, 0 misses" || {
-        echo "ci.sh: FAIL — merged shard caches did not serve the sweep warm" >&2
+        echo "ci.sh: FAIL — the recorded cache did not serve the sweep warm" >&2
         exit 1
     }
-    # Merge discipline: a seeded divergent cell is refused by the UNIQUE
-    # constraint (CacheMergeConflict), never silently overwritten.
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$db" "$store_dir" <<'PY'
-import sys
-from repro.eval import CacheMergeConflict, ResultCache
-from repro.store import ExperimentStore
-
-db, base = sys.argv[1], sys.argv[2]
-with ExperimentStore(db) as store:
-    row = store.query_cells(status="ok", limit=1)[0]
-    result = store.get_cell(row["cell_key"])
-result["depth"] = (result.get("depth") or 0) + 1  # divergent metric
-with ExperimentStore(f"{base}/divergent.db") as divergent:
-    divergent.put_cell(row["cell_key"], result, code=row["code"])
-cache = ResultCache(db)
-try:
-    cache.merge(f"{base}/divergent.db")
-except CacheMergeConflict as exc:
-    print(f"store smoke ok: divergent merge refused ({str(exc).split(';')[0]})")
-else:
-    raise SystemExit("ci.sh: FAIL — divergent merge was silently accepted")
-finally:
-    cache.close()
-PY
     # The query/info CLI smoke.
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.store \
         query "$db" --approach sabre --status ok --limit 3

@@ -17,7 +17,7 @@ from .runners import (
     run_cell,
     sample_verifies,
 )
-from .cache import CacheMergeConflict, ResultCache, cell_key, code_version
+from .cache import ResultCache, cell_key, code_version
 from .parallel import CellSpec
 from .executors import (
     EXECUTOR_REGISTRY,
@@ -38,7 +38,6 @@ from .runs import (
     execute,
     experiment_names,
     get_experiment,
-    partition_cells,
     plan,
     register_experiment,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "run_cell",
     "sample_verifies",
     "ResultCache",
-    "CacheMergeConflict",
     "code_version",
     "CellSpec",
     "cell_key",
@@ -74,7 +72,6 @@ __all__ = [
     "execute",
     "experiment_names",
     "get_experiment",
-    "partition_cells",
     "plan",
     "register_experiment",
     "format_results",

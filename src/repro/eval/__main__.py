@@ -18,9 +18,6 @@ Useful flags::
                            respawned and its chunk resubmitted)
     --executor NAME        serial | pool (defaults: serial; pool when
                            --jobs > 1)
-    --shard I/N            run slice I of a deterministic N-way partition
-                           of the plan, balanced by topology group; the
-                           union of all N slices is the full experiment
     --verify POLICY        full | sample | off — per-cell verification
                            policy (part of the cache key)
     --store DB             record the run into a SQLite experiment store:
@@ -32,25 +29,6 @@ Useful flags::
     --cache DB             result cache (a SQLite experiment store); warm
                            re-runs only compute cells missing under the
                            current code version
-    --cache-merge DB...    union sharded .db caches into --cache; entries
-                           that disagree under the same key raise instead
-                           of silently winning by order
-    --retry-timeout-mult X scale straggler-retry timeouts by X**attempt
-                           (default 1.0)
-
-A typical two-machine sweep::
-
-    # machine A                                   # machine B
-    python -m repro.eval -e fig19 --profile paper \\
-        --shard 0/2 --store a.db --cache a.db
-                                                  ... --shard 1/2 --store b.db --cache b.db
-    # after a crash, the same command plus --resume finishes the run
-    # afterwards, on one host:
-    python -m repro.eval --cache merged.db --cache-merge a.db b.db
-    python -m repro.eval -e fig19 --profile paper --cache merged.db  # all hits
-
-Sharded runs plus ``--cache-merge`` are the way to spread one experiment
-over several machines.
 """
 
 import sys

@@ -17,9 +17,7 @@ cell's identity columns attached, which :meth:`ResultCache.put` hands to
 the store -- the cache keeps no per-key state of its own.
 
 Rows live in a :class:`repro.store.ExperimentStore` (WAL mode, concurrent
-writers).  :meth:`ResultCache.merge` (CLI: ``python -m repro.eval --cache
-DEST.db --cache-merge SRC.db...``) unions the stores of sharded sweeps,
-with the store's ``UNIQUE (cell_key)`` constraint as the conflict check.
+writers), one row per key.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .metrics import CompilationResult
 
 __all__ = [
     "ResultCache",
-    "CacheMergeConflict",
     "CellKey",
     "cell_identity",
     "cell_cache_key",
@@ -43,16 +40,6 @@ __all__ = [
     "code_version",
 ]
 
-
-class CacheMergeConflict(ValueError):
-    """Two stores disagree about the same key under the same code version.
-
-    Every key encodes the full cell spec plus the code version, and every
-    cell is deterministic given both -- so two shards storing *different*
-    metrics under one key means one of them is corrupt or was produced by
-    tampered sources.  Merging must surface that loudly instead of silently
-    keeping whichever store happened to be merged first.
-    """
 
 _CODE_VERSION: Optional[str] = None
 
@@ -257,20 +244,6 @@ class ResultCache:
         self._store.put_cell(
             key, result, code=self.version, identity=getattr(key, "columns", None)
         )
-
-    def merge(self, source: os.PathLike) -> Dict[str, int]:
-        """Union another ``.db`` store's cells into this cache.
-
-        Performed in sorted key order; present-and-equal keys are
-        ``skipped``, rows whose payload does not parse are counted as
-        ``invalid``, and a key present with a divergent deterministic
-        result raises :class:`CacheMergeConflict` (wall-clock and engine
-        provenance may differ: see :func:`repro.store.comparable_result`).
-        This is the union step for sharded sweeps: machines run slices
-        against private stores, then one host merges them.
-        """
-
-        return self._store.merge_from(source)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

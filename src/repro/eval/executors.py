@@ -24,10 +24,8 @@ every executor a :class:`~repro.store.RunRecorder` (``ctx.recorder``) that
 each finished cell is appended to as it lands, plus the results of the run
 being resumed (``ctx.resumed``), which are served instead of re-run.
 Recorded ``serial``/``pool`` runs also get a straggler pass: cells that
-timed out are re-dispatched (``ctx.retry_timeouts`` times) before being
-reported.  Across hosts, each machine executes one ``plan(..., shard=(i,
-n))`` slice into its own store; ``--cache-merge`` unions the stores'
-caches afterwards.
+timed out are re-dispatched (``ctx.retry_timeouts`` times, each with the
+cell's own budget) before being reported.
 
 Results always come back in spec order, and every cell is deterministic
 given its spec, so the choice of executor (and ``jobs``) never changes the
@@ -36,7 +34,6 @@ metrics -- only the wall-clock time (a property the test suite asserts).
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import queue
 from collections import deque
@@ -59,7 +56,6 @@ __all__ = [
     "get_executor",
     "executor_names",
     "run_specs",
-    "retry_spec",
 ]
 
 
@@ -252,10 +248,6 @@ class ExecutionContext:
     resumed: Dict[str, CompilationResult] = field(default_factory=dict)
     #: how many times a timeout cell is re-dispatched before being reported
     retry_timeouts: int = 1
-    #: factor applied to ``timeout_s`` on each straggler retry (1.0 = same
-    #: budget; >1 lets a marginally-too-slow cell recover instead of timing
-    #: out identically twice)
-    retry_timeout_multiplier: float = 1.0
 
 
 @dataclass
@@ -305,26 +297,6 @@ def executor_names() -> Tuple[str, ...]:
     """Canonical names of every registered executor."""
 
     return EXECUTOR_REGISTRY.names()
-
-
-def retry_spec(
-    spec: CellSpec, attempt: int, multiplier: float
-) -> CellSpec:
-    """The spec a straggler retry actually runs: timeout scaled per attempt.
-
-    With ``multiplier == 1.0`` (the default) the retry re-dispatches with
-    the same budget, exactly as before; a multiplier > 1 widens the budget
-    geometrically (attempt 1 gets ``timeout_s * multiplier``, attempt 2
-    ``* multiplier**2``, ...), so a cell that missed its budget by a hair
-    can recover instead of timing out identically every time.  Cells with
-    no timeout are returned unchanged.
-    """
-
-    if multiplier == 1.0 or spec.timeout_s is None or attempt < 1:
-        return spec
-    return dataclasses.replace(
-        spec, timeout_s=spec.timeout_s * (multiplier**attempt)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +352,7 @@ class _LocalExecutor(Executor):
                 break
             retried += len(retry_idx)
             again = run_specs(
-                [
-                    retry_spec(specs[i], attempt, ctx.retry_timeout_multiplier)
-                    for i in retry_idx
-                ],
+                [specs[i] for i in retry_idx],
                 jobs=min(jobs, len(retry_idx)),
                 cache=ctx.cache,
             )

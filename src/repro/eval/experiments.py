@@ -4,8 +4,7 @@ Each experiment is a ``specs_*`` builder registered in the experiment
 registry via :func:`~repro.eval.runs.register_experiment`; the declarative
 run API (:func:`repro.eval.plan` / :func:`repro.eval.execute`) resolves the
 name (synonyms included, unknown names raise with did-you-mean suggestions),
-builds the ordered cell list, optionally slices a deterministic
-``shard=(i, n)`` of it, and runs it through a registered executor --
+builds the ordered cell list and runs it through a registered executor --
 ``serial`` or the topology-grouped ``pool`` -- optionally recording the run
 in an experiment store (``--store``; crash resume with ``--resume``,
 straggler retry).  The module CLI (``python -m repro.eval``) is a thin
@@ -19,8 +18,7 @@ Two profiles control instance sizes:
   stand-in gets a short timeout (it times out beyond ~10 qubits anyway,
   exactly as in the paper).
 * ``paper``  -- the full sweeps of the paper (SABRE up to 1024 qubits).
-  Use ``--jobs``/``--cache``/``--shard`` to spread the cost over cores,
-  re-runs and machines.
+  Use ``--jobs``/``--cache`` to spread the cost over cores and re-runs.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from ..approaches import approach_names
 from ..arch.registry import architecture_names
 from ..registry import UnknownNameError
 from ..workloads import workload_names
-from .cache import CacheMergeConflict, ResultCache
+from .cache import ResultCache
 from .executors import executor_names
 from .parallel import CellSpec
 from .runs import (
@@ -358,21 +356,6 @@ def _specs_sweep_profile(
 # ---------------------------------------------------------------------------
 
 
-def _parse_shard(text: str) -> Tuple[int, int]:
-    try:
-        index_s, count_s = text.split("/", 1)
-        index, count = int(index_s), int(count_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard must look like I/N (e.g. 0/4), got {text!r}"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise argparse.ArgumentTypeError(
-            f"shard I/N needs 0 <= I < N, got {text!r}"
-        )
-    return index, count
-
-
 def _experiment_table() -> str:
     rows = []
     for name in experiment_names():
@@ -433,15 +416,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--jobs > 1)",
     )
     parser.add_argument(
-        "--shard",
-        type=_parse_shard,
-        default=None,
-        metavar="I/N",
-        help="run slice I of a deterministic N-way partition of the plan "
-        "(balanced by topology group); the union of all N slices is the "
-        "full experiment",
-    )
-    parser.add_argument(
         "--verify",
         choices=("full", "sample", "off"),
         default="full",
@@ -464,29 +438,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "required)",
     )
     parser.add_argument(
-        "--retry-timeout-mult",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="scale a straggler retry's timeout budget by X**attempt "
-        "(default 1.0: retries keep the original budget)",
-    )
-    parser.add_argument(
         "--cache",
         metavar="DB",
         default=None,
         help="result cache: a SQLite experiment store (e.g. cache.db); "
         "re-runs only compute cells not already cached under the current "
         "code version",
-    )
-    parser.add_argument(
-        "--cache-merge",
-        metavar="DB",
-        nargs="+",
-        default=None,
-        help="merge the given .db stores' cells into --cache (union of "
-        "sharded sweeps; conflicting entries raise) and exit unless "
-        "experiments are also requested",
     )
     args = parser.parse_args(argv)
 
@@ -501,22 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache = ResultCache(args.cache) if args.cache else None
     except (OSError, sqlite3.Error) as exc:
         parser.error(f"--cache {args.cache!r} is not usable: {exc}")
-    if args.cache_merge:
-        if cache is None:
-            parser.error("--cache-merge requires --cache DB (the destination)")
-        for src in args.cache_merge:
-            try:
-                stats = cache.merge(src)
-            except CacheMergeConflict as exc:
-                parser.error(f"cache merge conflict: {exc}")
-            except (FileNotFoundError, ValueError) as exc:
-                parser.error(str(exc))
-            print(
-                f"merged {src}: {stats['imported']} imported, "
-                f"{stats['skipped']} already present, {stats['invalid']} invalid"
-            )
-        if not args.experiment:
-            return 0
 
     wanted = args.experiment or (["sweep"] if args.workload else ["all"])
     if "all" in wanted:
@@ -537,13 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for name in wanted:
         options = {"workload": args.workload or "qft"} if name == "sweep" else {}
-        run_plan = plan(
-            name,
-            args.profile,
-            shard=args.shard,
-            verify=args.verify,
-            **options,
-        )
+        run_plan = plan(name, args.profile, verify=args.verify, **options)
         print(f"\n=== {run_plan.describe()} ===")
         try:
             report = execute(
@@ -553,7 +488,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cache=cache,
                 resume=args.resume,
                 store=args.store,
-                retry_timeout_multiplier=args.retry_timeout_mult,
             )
         except UnknownNameError as exc:
             parser.error(str(exc))

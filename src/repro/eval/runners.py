@@ -126,8 +126,8 @@ def sample_verifies(
     Engine-selection options (:data:`~repro.approaches.ENGINE_KWARGS`, e.g.
     the SABRE routing kernel) are excluded -- they cannot change what the
     cell computes, so they must not change which cells get verified either
-    (a forked decision would fork the ``verified`` field and with it the
-    cache-merge identity).
+    (a forked decision would fork the ``verified`` field, giving one cell
+    two results depending on which engine ran it).
     """
 
     tail = ";".join(

@@ -8,9 +8,7 @@ entry point over registries instead of a function-per-figure layout.
   workload/approach/architecture registries).
 * :func:`plan` resolves an experiment name into a :class:`RunPlan`: an
   ordered, picklable tuple of :class:`~repro.eval.parallel.CellSpec` plus
-  the profile, verification policy and (optionally) a deterministic
-  ``shard=(i, n)`` slice, partitioned so every shard gets a balanced share
-  of work without serializing on one big coupling graph.
+  the profile and verification policy.
 * :func:`execute` runs a plan through a registered
   :class:`~repro.eval.executors.Executor` (``serial`` or ``pool``), records
   the run in a SQLite experiment store when asked (``store=``, resumable
@@ -21,9 +19,9 @@ Typical use::
 
     from repro.eval import ResultCache, plan, execute
 
-    p = plan("fig17", profile="paper", shard=(0, 4))
-    report = execute(p, jobs=8, cache=ResultCache("fig17-s0.db"),
-                     store="fig17-s0.db")
+    p = plan("fig17", profile="paper")
+    report = execute(p, jobs=8, cache=ResultCache("fig17.db"),
+                     store="fig17.db")
     report.status_counts   # {"ok": 12, "skipped": 3, ...}
     # after a crash: the same call with resume=True serves the recorded
     # cells and runs only the rest
@@ -34,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -55,7 +52,6 @@ from .cache import ResultCache, cell_key, code_version
 from .executors import ExecutionContext, get_executor
 from .metrics import CompilationResult
 from .parallel import VERIFY_POLICIES, CellSpec
-from .runners import architecture_key
 
 __all__ = [
     "ExperimentEntry",
@@ -67,7 +63,6 @@ __all__ = [
     "RunReport",
     "plan",
     "adhoc_plan",
-    "partition_cells",
     "execute",
 ]
 
@@ -116,8 +111,8 @@ def register_experiment(
     """Decorator registering ``builder(profile, **options) -> [CellSpec]``.
 
     The builder receives the resolved :class:`~repro.eval.experiments.Profile`
-    and must return the experiment's cells in their canonical order (shard
-    partitioning and result ordering are defined relative to it).
+    and must return the experiment's cells in their canonical order (result
+    ordering is defined relative to it).
     """
 
     def _register(builder: Callable[..., List[CellSpec]]):
@@ -169,67 +164,21 @@ def experiment_names(*, in_all_only: bool = False) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def partition_cells(
-    cells: Sequence[CellSpec], num_shards: int
-) -> List[Tuple[int, ...]]:
-    """Deterministically partition cell indices into ``num_shards`` slices.
-
-    Balancing is *by topology group*: cells sharing a coupling graph are kept
-    together so each shard builds few topologies (the pool executor's
-    distance-matrix/SABRE-table reuse keeps paying off inside a shard), but
-    any group larger than a fair share -- a seed sweep where every cell is
-    one big coupling graph -- is split across shards instead of serializing
-    one machine on it.  Groups are placed largest-first onto the currently
-    lightest shard (ties by shard index), which is deterministic in the cell
-    list alone.  Every cell lands in exactly one shard and each shard's
-    cells keep their original relative order, so the union of all shards is
-    exactly the unsharded plan.
-    """
-
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if num_shards == 1:
-        return [tuple(range(len(cells)))]
-
-    groups: Dict[Tuple[str, int], List[int]] = {}
-    for i, spec in enumerate(cells):
-        groups.setdefault(architecture_key(spec.kind, spec.size), []).append(i)
-
-    # A group never exceeds one fair share: bigger groups are cut into
-    # fair-share-sized pieces first so they can spread over several shards.
-    fair_share = max(1, math.ceil(len(cells) / num_shards))
-    pieces: List[List[int]] = []
-    for members in groups.values():
-        for start in range(0, len(members), fair_share):
-            pieces.append(members[start : start + fair_share])
-
-    loads = [0] * num_shards
-    assigned: List[List[int]] = [[] for _ in range(num_shards)]
-    for piece in sorted(pieces, key=lambda p: (-len(p), p[0])):
-        target = min(range(num_shards), key=lambda s: (loads[s], s))
-        assigned[target].extend(piece)
-        loads[target] += len(piece)
-    return [tuple(sorted(a)) for a in assigned]
-
-
 @dataclass(frozen=True)
 class RunPlan:
-    """A typed, picklable description of one evaluation run (or shard of one).
+    """A typed, picklable description of one evaluation run.
 
-    ``cells`` is the exact ordered work list; ``total_cells`` counts the
-    unsharded plan, so a shard knows how big the whole sweep is.  Plans are
-    value objects: building the same plan twice (on any machine, any
-    process) yields identical cells and an identical :meth:`fingerprint`,
-    which is what makes recorded runs resumable and shards mergeable.
+    ``cells`` is the exact ordered work list.  Plans are value objects:
+    building the same plan twice (in any process) yields identical cells
+    and an identical :meth:`fingerprint`, which is what makes recorded runs
+    resumable.
     """
 
     experiment: str
     profile: str
     verify: str = "full"
-    shard: Optional[Tuple[int, int]] = None
     options: Tuple[Tuple[str, object], ...] = ()
     cells: Tuple[CellSpec, ...] = ()
-    total_cells: int = 0
 
     def fingerprint(self) -> str:
         """Content hash of the plan (the identity a resume looks runs up by)."""
@@ -239,7 +188,6 @@ class RunPlan:
                 "experiment": self.experiment,
                 "profile": self.profile,
                 "verify": self.verify,
-                "shard": list(self.shard) if self.shard else None,
                 "options": sorted((str(k), repr(v)) for k, v in self.options),
                 "cells": [cell_key(c) for c in self.cells],
             },
@@ -248,10 +196,9 @@ class RunPlan:
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
     def describe(self) -> str:
-        shard = f" shard {self.shard[0]}/{self.shard[1]}" if self.shard else ""
         return (
-            f"{self.experiment} (profile: {self.profile}{shard}, "
-            f"{len(self.cells)}/{self.total_cells} cells, verify={self.verify})"
+            f"{self.experiment} (profile: {self.profile}, "
+            f"{len(self.cells)} cells, verify={self.verify})"
         )
 
 
@@ -259,20 +206,17 @@ def plan(
     experiment: str,
     profile: Union[str, object] = "quick",
     *,
-    shard: Optional[Tuple[int, int]] = None,
     verify: str = "full",
     **options: object,
 ) -> RunPlan:
     """Resolve an experiment name into a typed :class:`RunPlan`.
 
     ``profile`` is a profile name (``"quick"`` / ``"paper"``) or a
-    :class:`~repro.eval.experiments.Profile` instance.  ``shard=(i, n)``
-    selects slice ``i`` of a deterministic ``n``-way partition (see
-    :func:`partition_cells`); the union of all ``n`` slices is exactly the
-    unsharded plan.  ``verify`` sets every cell's verification policy
-    (``"full"`` / ``"sample"`` / ``"off"``).  Extra keyword options are
-    validated against the experiment entry (e.g. ``workload=`` for the
-    registry cross-product sweep).
+    :class:`~repro.eval.experiments.Profile` instance.  ``verify`` sets
+    every cell's verification policy (``"full"`` / ``"sample"`` /
+    ``"off"``).  Extra keyword options are validated against the
+    experiment entry (e.g. ``workload=`` for the registry cross-product
+    sweep).
     """
 
     from .experiments import Profile, _profile  # deferred: experiments imports us
@@ -287,24 +231,12 @@ def plan(
     cells = list(entry.builder(prof, **options))
     if verify != "full":
         cells = [dataclasses.replace(c, verify=verify) for c in cells]
-    total = len(cells)
-    if shard is not None:
-        index, count = shard
-        if count < 1 or not (0 <= index < count):
-            raise ValueError(
-                f"shard must be (i, n) with 0 <= i < n, got {shard!r}"
-            )
-        picked = partition_cells(cells, count)[index]
-        cells = [cells[i] for i in picked]
-        shard = (index, count)
     return RunPlan(
         experiment=entry.name,
         profile=prof.name,
         verify=verify,
-        shard=shard,
         options=tuple(sorted(options.items())),
         cells=tuple(cells),
-        total_cells=total,
     )
 
 
@@ -313,8 +245,8 @@ def adhoc_plan(
 ) -> RunPlan:
     """Wrap a hand-built cell list as a plan (benchmarks, one-off sweeps).
 
-    The cells run exactly as given -- no registry lookup, no sharding -- but
-    the run still goes through :func:`execute`, so it gets the same typed
+    The cells run exactly as given -- no registry lookup -- but the run
+    still goes through :func:`execute`, so it gets the same typed
     :class:`RunReport`, run record and executor choice as a registered
     experiment.
     """
@@ -325,7 +257,6 @@ def adhoc_plan(
         profile=profile,
         verify=cells[0].verify if cells else "full",
         cells=cells,
-        total_cells=len(cells),
     )
 
 
@@ -342,25 +273,19 @@ class RunReport:
     per-cell statuses; ``resumed`` / ``retried`` / ``recovered`` are the
     recorded run's accounting (cells served from the resumed run, straggler
     cells re-dispatched, and retries whose second attempt succeeded).
-    ``retry_timeout_multiplier`` records how straggler-retry timeout budgets
-    were scaled, so a report is a complete record of the retry policy that
-    produced it.
     """
 
     experiment: str
     profile: str
     verify: str
-    shard: Optional[Tuple[int, int]]
     executor: str
     jobs: int
     results: List[CompilationResult]
     status_counts: Dict[str, int]
     wall_s: float
-    total_cells: int = 0
     resumed: int = 0
     retried: int = 0
     recovered: int = 0
-    retry_timeout_multiplier: float = 1.0
     #: path of the SQLite experiment store the run was recorded into
     store: Optional[str] = None
     cache_stats: Optional[Dict[str, int]] = None
@@ -376,17 +301,14 @@ class RunReport:
             "experiment": self.experiment,
             "profile": self.profile,
             "verify": self.verify,
-            "shard": list(self.shard) if self.shard else None,
             "executor": self.executor,
             "jobs": self.jobs,
             "cells": len(self.results),
-            "total_cells": self.total_cells,
             "status_counts": dict(self.status_counts),
             "wall_s": round(self.wall_s, 3),
             "resumed": self.resumed,
             "retried": self.retried,
             "recovered": self.recovered,
-            "retry_timeout_multiplier": self.retry_timeout_multiplier,
             "store": self.store,
             "cache_stats": self.cache_stats,
         }
@@ -419,7 +341,6 @@ def execute(
     resume: bool = False,
     store: Optional[str] = None,
     retry_timeouts: int = 1,
-    retry_timeout_multiplier: float = 1.0,
 ) -> RunReport:
     """Run a plan through a registered executor and report the outcome.
 
@@ -427,16 +348,11 @@ def execute(
     ``"serial"``.  ``store`` records the run -- a ``runs`` row plus every
     finished cell the moment it lands -- into a SQLite
     :class:`repro.store.ExperimentStore`, for every executor; recorded
-    runs also re-dispatch timed-out cells up to ``retry_timeouts`` times.
-    ``resume=True`` continues the newest run in ``store`` with this plan's
-    fingerprint: its recorded cells are served, not re-run, each recorded
-    timeout keeps its retry budget, and a run recorded by another code
-    version is refused.
-
-    ``retry_timeout_multiplier`` scales a straggler retry's ``timeout_s``
-    by ``multiplier**attempt`` (default 1.0: retry with the same budget), so
-    a marginally-too-slow cell can recover instead of timing out twice
-    identically.
+    runs also re-dispatch timed-out cells up to ``retry_timeouts`` times,
+    each with the cell's own budget.  ``resume=True`` continues the newest
+    run in ``store`` with this plan's fingerprint: its recorded cells are
+    served, not re-run, each recorded timeout keeps its retry budget, and a
+    run recorded by another code version is refused.
     """
 
     if jobs < 1:
@@ -449,7 +365,6 @@ def execute(
         "experiment": run_plan.experiment,
         "profile": run_plan.profile,
         "verify": run_plan.verify,
-        "shard": list(run_plan.shard) if run_plan.shard else None,
         "plan": run_plan.fingerprint(),
         "code": code_version(),
     }
@@ -465,7 +380,6 @@ def execute(
         recorder=recorder,
         resumed=resumed,
         retry_timeouts=retry_timeouts,
-        retry_timeout_multiplier=retry_timeout_multiplier,
     )
     start = time.perf_counter()
     try:
@@ -479,17 +393,14 @@ def execute(
         experiment=run_plan.experiment,
         profile=run_plan.profile,
         verify=run_plan.verify,
-        shard=run_plan.shard,
         executor=impl.name,
         jobs=jobs,
         results=outcome.results,
         status_counts=dict(Counter(r.status for r in outcome.results)),
         wall_s=wall,
-        total_cells=run_plan.total_cells,
         resumed=outcome.resumed,
         retried=outcome.retried,
         recovered=outcome.recovered,
-        retry_timeout_multiplier=retry_timeout_multiplier,
         store=store,
         cache_stats=cache.stats() if cache is not None else None,
     )

@@ -17,8 +17,8 @@ has historically broken "deterministic" pipelines silently:
 3. **No unsorted directory listings.**  ``os.listdir``/``glob.glob`` and
    the ``Path.glob``/``rglob``/``iterdir`` methods return entries in
    filesystem order, which differs between machines and filesystems --
-   the cache-merge/code-version bugs this rule guards against are exactly
-   the kind a sampled equivalence test never sees.  Wrap in ``sorted``
+   the code-version bugs this rule guards against are exactly the kind a
+   sampled equivalence test never sees.  Wrap in ``sorted``
    (or consume order-insensitively: ``len``/``sum``/``set``/``any``...).
 4. **No wall-clock into results.**  ``time.time``/``perf_counter``/...
    may flow into elapsed-time bookkeeping (``start``/``wall_*``/

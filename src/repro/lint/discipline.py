@@ -2,9 +2,8 @@
 
 The harness's whole error model is *typed outcomes*: cells come back
 ``ok``/``skipped``/``timeout``/``error``/``unsupported``, unknown names
-raise with did-you-mean hints, and cache corruption raises
-:class:`~repro.eval.cache.CacheMergeConflict`.  Two anti-patterns erode
-that model from below:
+raise with did-you-mean hints, and a corrupt run record refuses to
+resume.  Two anti-patterns erode that model from below:
 
 * **Swallowed exceptions.**  A bare ``except:`` catches
   ``KeyboardInterrupt`` and ``SystemExit``; ``except Exception: pass``

@@ -36,13 +36,15 @@ Connections are persistent (HTTP/1.1 keep-alive): one connection carries
 request after request, so a cache hit costs a lookup, not a TCP handshake.
 The server closes a connection after an answer when the request was
 HTTP/1.0 or said ``Connection: close`` (the answer then says so too), after
-a framing error, when no request line arrives for :data:`_IDLE_TIMEOUT_S`,
-and during drain.
+a framing error, when no request line arrives for :data:`_IDLE_TIMEOUT_S`
+or the rest of the head and the body do not arrive within that long of the
+line, and during drain.
 
 Backpressure is by *bounded inflight count*: the queue cap counts queued +
 batched-but-unfinished requests, so a stalled pool turns arrivals away with
 429 instead of accumulating unbounded futures.  Graceful drain (SIGTERM /
-``stop()``): connections idle between requests are closed at once, new
+``stop()``): connections idle between requests or partway through a
+request head are closed when the drain starts and again when it ends, new
 requests get 503 (and ``Connection: close``), every accepted request is
 answered, then the pool is dismissed -- drain-without-loss is a test
 invariant.
@@ -73,7 +75,8 @@ MAX_BODY_BYTES = 1 << 20
 #: many further bytes, for at most this long, before it closes the connection
 _DISCARD_MAX_BYTES = 4 << 20
 _DISCARD_MAX_S = 2.0
-#: a connection that sends no request line for this long is closed
+#: a connection that sends no request line for this long, or not the rest
+#: of the head and the body within this long of that line, is closed
 _IDLE_TIMEOUT_S = 5.0
 
 _REASONS = {
@@ -110,6 +113,46 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise _BadFraming(
             431, "request line or header exceeds the 64 KiB line limit"
         ) from None
+
+
+async def _read_head(
+    reader: asyncio.StreamReader, line: bytes
+) -> Tuple[str, str, bytes, bool]:
+    """Parse the request ``line``, then read the headers and the body:
+    ``(method, path, body, keep_alive)``."""
+
+    parts = line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise _BadFraming(400, "request line needs a method and a path")
+    method, path = parts[0].upper(), parts[1]
+    keep_alive = len(parts) > 2 and parts[2] == "HTTP/1.1"
+    length = 0
+    while True:
+        header = await _read_line(reader)
+        if header in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = header.decode("latin-1").partition(":")
+        name = name.strip().lower()
+        if name == "content-length":
+            try:
+                length = int(value.strip())
+            except ValueError:
+                length = -1
+        elif name == "connection":
+            if "close" in (t.strip().lower() for t in value.split(",")):
+                keep_alive = False
+        elif name == "transfer-encoding":
+            keep_alive = False  # a body this server does not read
+    if length < 0:
+        raise _BadFraming(400, "Content-Length must be a non-negative integer")
+    if length > MAX_BODY_BYTES:
+        raise _BadFraming(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+        )
+    body = await reader.readexactly(length) if length else b""
+    return method, path, body, keep_alive
 
 
 async def _discard_rest(reader: asyncio.StreamReader, writer) -> None:
@@ -182,7 +225,9 @@ class CompileService:
         self._lru = LRUCache(self.config.lru_size)
         self._queue: List[Tuple[CompileRequest, asyncio.Future]] = []
         self._batches: Dict[int, List[Tuple[CompileRequest, asyncio.Future]]] = {}
-        #: kept connections waiting for their next request (drain closes them)
+        #: connections waiting on their client with no request in hand: kept
+        #: ones between requests, and any partway through a request head
+        #: (drain closes them at once)
         self._idle: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._stopping = False
@@ -248,8 +293,7 @@ class CompileService:
             return
         self._stopping = True
         self._draining = True
-        for writer in list(self._idle):
-            writer.close()
+        self._close_idle()
         deadline = self._loop.time() + self.config.drain_timeout_s
         while self._inflight() and self._loop.time() < deadline:
             await asyncio.sleep(0.02)
@@ -266,7 +310,12 @@ class CompileService:
             )
         if self._cache is not None:
             self._cache.close()
+        self._close_idle()  # heads begun during the drain
         self._stopped.set()
+
+    def _close_idle(self) -> None:
+        for writer in list(self._idle):
+            writer.close()
 
     async def run_until_stopped(self) -> None:
         await self._stopped.wait()
@@ -411,70 +460,37 @@ class CompileService:
             except (ConnectionError, OSError):
                 pass
 
-    async def _request_line(self, reader, writer, kept: bool) -> bytes:
-        """The next request line, or ``b""`` when the connection is to close.
-
-        That is when the client closes it, or sends no full line within
-        ``_IDLE_TIMEOUT_S``, or when the service drains while ``kept`` (the
-        connection answered a request before) has it idle.  The idle timer
-        and the drain close the transport, so the read ends at once.
-        """
-
-        if kept:
-            if self._draining:
-                return b""
-            self._idle.add(writer)
-        timer = self._loop.call_later(_IDLE_TIMEOUT_S, writer.close)
-        try:
-            line = await _read_line(reader)
-        finally:
-            timer.cancel()
-            self._idle.discard(writer)
-        if writer.is_closing() or not line.endswith(b"\n"):
-            return b""  # closed here, or cut off by the end of the stream
-        return line
-
     async def _read_request(
         self, reader, writer, kept: bool
     ) -> Optional[Tuple[str, str, bytes, bool]]:
         """``(method, path, body, keep_alive)`` of the next request, or
-        ``None`` when the connection is to close before one."""
+        ``None`` when the connection is to close before one.
 
-        line = await self._request_line(reader, writer, kept)
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise _BadFraming(400, "request line needs a method and a path")
-        method, path = parts[0].upper(), parts[1]
-        keep_alive = len(parts) > 2 and parts[2] == "HTTP/1.1"
-        length = 0
-        while True:
-            header = await _read_line(reader)
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    length = -1
-            elif name == "connection":
-                if "close" in (t.strip().lower() for t in value.split(",")):
-                    keep_alive = False
-            elif name == "transfer-encoding":
-                keep_alive = False  # a body this server does not read
-        if length < 0:
-            raise _BadFraming(400, "Content-Length must be a non-negative integer")
-        if length > MAX_BODY_BYTES:
-            raise _BadFraming(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit",
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method, path, body, keep_alive
+        That is when the client closes it, sends no full request line within
+        ``_IDLE_TIMEOUT_S``, or not the rest of the head and the body within
+        ``_IDLE_TIMEOUT_S`` of that line; or when the service drains while
+        the connection idles between requests (``kept``) or waits partway
+        through a head.  The timer and the drain close the transport, so the
+        read ends at once.
+        """
+
+        if kept:
+            if self._draining:
+                return None
+            self._idle.add(writer)
+        timer = self._loop.call_later(_IDLE_TIMEOUT_S, writer.close)
+        try:
+            line = await _read_line(reader)
+            if writer.is_closing() or not line.endswith(b"\n"):
+                return None  # closed here, or cut off by the end of the stream
+            timer.cancel()
+            timer = self._loop.call_later(_IDLE_TIMEOUT_S, writer.close)
+            self._idle.add(writer)
+            request = await _read_head(reader, line)
+        finally:
+            timer.cancel()
+            self._idle.discard(writer)
+        return None if writer.is_closing() else request
 
     @staticmethod
     def _write_response(

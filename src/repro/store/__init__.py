@@ -2,12 +2,12 @@
 
 One WAL-mode database is the only place results persist: the result cache
 (``ResultCache`` rows) and run records (``execute(..., store=DB)``), behind
-indexed queries and a conflict-checked merge enforced as a SQL constraint.
+indexed queries.
 
 ``ResultCache`` stores cells here, and every executor records its run here
 through :class:`RunRecorder` (``--store``; ``--resume`` continues the
 newest run of the same plan).  CLI: ``python -m repro.store`` (``query``,
-``runs``, ``gc``, ``info``).
+``runs``, ``info``).
 """
 
 from .schema import SCHEMA_VERSION, ensure_schema

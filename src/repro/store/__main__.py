@@ -7,9 +7,6 @@ Subcommands
     ``python -m repro.store query results.db --approach sabre --min-qubits 576``
 ``runs``
     Recorded runs (``python -m repro.eval --store``), newest first.
-``gc``
-    Drop cells of superseded code versions (``--keep-codes N`` or
-    explicit ``--code V``); runs are never collected.
 ``info``
     Row counts per table and known code versions.
 """
@@ -59,7 +56,7 @@ def _emit(rows: List[dict], columns: Sequence[str], as_json: bool) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="query and maintain a SQLite experiment store",
+        description="query a SQLite experiment store",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -80,20 +77,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     r.add_argument("--limit", type=int)
     r.add_argument("--json", action="store_true", help="emit JSON rows")
 
-    g = sub.add_parser("gc", help="drop cells of superseded code versions")
-    g.add_argument("db")
-    g.add_argument("--keep-codes", type=int, help="keep the newest N versions")
-    g.add_argument("--code", action="append", default=[], metavar="VERSION",
-                   help="drop this version explicitly (repeatable)")
-    g.add_argument("--dry-run", action="store_true")
-
     i = sub.add_parser("info", help="row counts and code versions")
     i.add_argument("db")
 
     args = parser.parse_args(argv)
-
-    if args.cmd == "gc" and args.keep_codes is None and not args.code:
-        parser.error("gc needs --keep-codes N or --code VERSION")
 
     with ExperimentStore(args.db) as store:
         if args.cmd == "query":
@@ -118,21 +105,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows = store.list_runs(limit=args.limit)
             _emit(
                 rows,
-                ("id", "experiment", "profile", "shard", "executor", "code",
+                ("id", "experiment", "profile", "executor", "code",
                  "appended", "status_counts", "wall_s", "started_at",
                  "finished_at"),
                 args.json,
-            )
-        elif args.cmd == "gc":
-            out = store.gc(
-                keep_codes=args.keep_codes,
-                codes=tuple(args.code),
-                dry_run=args.dry_run,
-            )
-            verb = "would drop" if args.dry_run else "dropped"
-            print(
-                f"gc: {verb} {out['cells_deleted']} cell(s) across "
-                f"{len(out['codes_dropped'])} code version(s)"
             )
         elif args.cmd == "info":
             counts = store.counts()

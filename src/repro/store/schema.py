@@ -9,11 +9,9 @@ records:
     denormalized into indexed columns so "all sabre cells >= 576q across
     commits" is one ``SELECT``.  The full result payload is kept verbatim
     as JSON (``result``) so cache hits are bit-equal to what was put;
-    ``fingerprint`` hashes the *deterministic* fields
-    (wall-clock and engine provenance excluded) and backs the
-    conflict-checked merge.  The ``UNIQUE (cell_key)`` constraint is the
-    merge-conflict detector: an ``INSERT`` racing an existing divergent row
-    raises, and the Python layer turns that into ``CacheMergeConflict``.
+    ``fingerprint`` hashes the *deterministic* fields (wall-clock and
+    engine provenance excluded).  ``UNIQUE (cell_key)`` keeps one row per
+    key: a put of a present key updates that row in place.
 
 ``metrics``
     Numeric metrics per cell, long-form ``(cell_id, name, value)``, so new
@@ -21,14 +19,15 @@ records:
 
 ``runs`` / ``run_cells``
     Run records: one ``runs`` row per execution (experiment, profile, plan
-    fingerprint, code version, shard), and one ``run_cells`` row per
-    finished cell, in append order (``seq``).  A cell may appear more than
-    once (straggler retries); last-per-key wins at query time.  A resumed
-    run appends to its original row.
+    fingerprint, code version), and one ``run_cells`` row per finished
+    cell, in append order (``seq``).  A cell may appear more than once
+    (straggler retries); last-per-key wins at query time.  A resumed run
+    appends to its original row.  The ``shard`` column is no longer
+    written; it stays so files that hold it open under this version.
 
 ``code_versions``
-    Every code version that ever wrote a cell, with first-seen timestamps;
-    ``gc`` drops superseded versions' cells by this table.
+    Every code version that ever wrote a cell or a run, with first-seen
+    timestamps (``python -m repro.store info`` lists them).
 
 All timestamps are ISO-8601 UTC strings; they are provenance, never part
 of any key or fingerprint.

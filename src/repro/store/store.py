@@ -16,17 +16,16 @@ Design rules:
 * **Same bytes.**  The full result payload is stored verbatim as JSON, so
   a cache hit deserializes into a :class:`CompilationResult` bit-equal to
   the one that was put.
-* **Merge conflicts are a constraint, not a convention.**  ``cells`` has
-  ``UNIQUE (cell_key)``; :meth:`ExperimentStore.merge_cell` inserts and
-  lets SQLite raise, then compares :func:`comparable_result` views to
-  decide "duplicate shard result, skip" from "divergent result, raise
-  :class:`~repro.eval.cache.CacheMergeConflict`".  Wall-clock and engine
-  provenance are excluded from that view.
+* **One row per key.**  ``cells`` has ``UNIQUE (cell_key)`` and
+  :meth:`ExperimentStore.put_cell` is an ``ON CONFLICT`` upsert, so
+  processes writing one key at once leave exactly one row (the last
+  commit wins) with its ``metrics`` rows refreshed in the same
+  transaction.
 * **Durable runs.**  ``synchronous=FULL`` by default, so a committed cell
   or run append survives power loss; a run killed mid-way leaves a run row
   whose ``run_cells`` are exactly the durably finished cells, which
   ``execute(..., resume=True)`` continues.  WAL mode keeps concurrent
-  shard writers and mid-run readers from blocking each other.
+  writers and mid-run readers from blocking each other.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..eval.cache import cell_identity
-from ..eval.metrics import CompilationResult
 from .schema import SCHEMA_VERSION, ensure_schema
 
 __all__ = [
@@ -52,8 +50,8 @@ __all__ = [
     "result_fingerprint",
 ]
 
-#: result fields excluded from fingerprints/conflict checks: wall-clock is
-#: a property of the machine, not the spec.
+#: result fields excluded from fingerprints: wall-clock is a property of
+#: the machine, not the spec.
 VOLATILE_FIELDS = ("compile_time_s",)
 #: ``extra`` keys likewise excluded: which routing engine ran (``kernel``)
 #: and the cache-hit marker (``cache``) are provenance, not results.
@@ -77,13 +75,6 @@ def _utc_now() -> str:
 
     now = datetime.now(timezone.utc)
     return now.isoformat(timespec="seconds")
-
-
-#: the denormalized spec columns of ``cells`` (see :func:`identity_columns`)
-IDENTITY_COLUMNS = (
-    "workload", "approach", "kind", "size", "kwargs",
-    "rename", "timeout_s", "workload_params", "verify",
-)
 
 
 def identity_columns(
@@ -325,64 +316,6 @@ class ExperimentStore:
             "INSERT INTO metrics (cell_id, name, value) VALUES (?, ?, ?)", rows
         )
 
-    def merge_cell(
-        self,
-        key: str,
-        result,
-        *,
-        code: Optional[str] = None,
-        identity: Optional[Dict[str, object]] = None,
-        origin: str = "merge source",
-    ) -> str:
-        """Conflict-checked insert: the SQL-constraint form of cache merge.
-
-        Returns ``"imported"`` or ``"skipped"`` (key already present with an
-        equal deterministic fingerprint).  A present-but-divergent key
-        raises :class:`~repro.eval.cache.CacheMergeConflict`, triggered by
-        the ``UNIQUE (cell_key)`` constraint rather than a read-then-write
-        convention -- concurrent mergers cannot slip a divergent row past
-        the check.
-        """
-
-        data = self._clean(result)
-        row = self._cell_row(key, data, code=code, identity=identity)
-        cols = ", ".join(row)
-        marks = ", ".join("?" for _ in row)
-        try:
-            with self._tx() as conn:
-                if code:
-                    conn.execute(
-                        "INSERT OR IGNORE INTO code_versions "
-                        "(version, first_seen) VALUES (?, ?)",
-                        (code, _utc_now()),
-                    )
-                conn.execute(
-                    f"INSERT INTO cells ({cols}) VALUES ({marks})",
-                    tuple(row.values()),
-                )
-                self._refresh_metrics(conn, key, data)
-        except sqlite3.IntegrityError:
-            existing = self.get_cell(key)
-            if existing is not None and comparable_result(
-                existing
-            ) == comparable_result(data):
-                return "skipped"
-            from ..eval.cache import CacheMergeConflict
-
-            existing = existing or {}
-            differing = sorted(
-                k
-                for k in set(existing) | set(data)
-                if k not in VOLATILE_FIELDS and existing.get(k) != data.get(k)
-            )
-            raise CacheMergeConflict(
-                f"store cell {key} from {origin} disagrees with the "
-                f"existing row on field(s) {', '.join(differing)}; same key "
-                "+ same code version must mean identical results -- one of "
-                "the stores is corrupt"
-            ) from None
-        return "imported"
-
     def get_cell(self, key: str) -> Optional[Dict[str, object]]:
         """The stored result dict for ``key``, or ``None``."""
 
@@ -396,47 +329,6 @@ class ExperimentStore:
             return json.loads(row[0])
         except ValueError:
             return None
-
-    def merge_from(self, source) -> Dict[str, int]:
-        """Union another ``.db`` store's cells into this one.
-
-        Sorted key order; rows whose payload does not parse are counted as
-        ``invalid``, present-and-equal keys ``skipped``, and divergent keys
-        raise ``CacheMergeConflict`` (see :meth:`merge_cell`).
-        """
-
-        src = Path(source)
-        if not src.exists():
-            raise FileNotFoundError(f"store {src} does not exist")
-        if src.suffix != ".db" or not src.is_file():
-            raise ValueError(
-                f"cannot merge {src}: merge sources must be .db experiment "
-                "stores (directory caches are no longer supported)"
-            )
-        with ExperimentStore(src) as other, other._lock:
-            rows = other._conn.execute(
-                "SELECT * FROM cells ORDER BY cell_key"
-            ).fetchall()
-        imported = skipped = invalid = 0
-        for row in rows:
-            try:
-                data = json.loads(row["result"])
-                CompilationResult.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                invalid += 1
-                continue
-            outcome = self.merge_cell(
-                row["cell_key"],
-                data,
-                code=row["code"],
-                identity={k: row[k] for k in IDENTITY_COLUMNS},
-                origin=str(src),
-            )
-            if outcome == "imported":
-                imported += 1
-            else:
-                skipped += 1
-        return {"imported": imported, "skipped": skipped, "invalid": invalid}
 
     def query_cells(
         self,
@@ -497,7 +389,6 @@ class ExperimentStore:
     ) -> int:
         """Open a run row (experiment, profile, plan fingerprint, code, ...)."""
 
-        shard = meta.get("shard")
         with self._tx() as conn:
             if meta.get("code"):
                 conn.execute(
@@ -507,14 +398,13 @@ class ExperimentStore:
                 )
             cur = conn.execute(
                 "INSERT INTO runs (run_uid, experiment, profile, verify, "
-                "shard, executor, jobs, code, plan, source, started_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "executor, jobs, code, plan, source, started_at) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     uuid.uuid4().hex[:16],
                     meta.get("experiment"),
                     meta.get("profile"),
                     meta.get("verify"),
-                    None if shard is None else str(shard),
                     executor,
                     jobs,
                     meta.get("code"),
@@ -626,45 +516,6 @@ class ExperimentStore:
                 "ORDER BY v.first_seen DESC, v.version DESC"
             ).fetchall()
         return [dict(r) for r in rows]
-
-    def gc(
-        self,
-        *,
-        keep_codes: Optional[int] = None,
-        codes: Sequence[str] = (),
-        dry_run: bool = False,
-    ) -> Dict[str, object]:
-        """Drop cells of superseded code versions (and the versions).
-
-        Either name versions explicitly (``codes``) or keep the newest
-        ``keep_codes`` versions by first-seen time and drop the rest.
-        Runs are never collected: they are the historical record the store
-        exists to keep.
-        """
-
-        if codes:
-            drop = sorted(set(codes))
-        elif keep_codes is not None:
-            if keep_codes < 1:
-                raise ValueError("keep_codes must be >= 1")
-            known = [v["version"] for v in self.code_versions()]
-            drop = known[keep_codes:]
-        else:
-            raise ValueError("gc needs either codes or keep_codes")
-        marks = ", ".join("?" for _ in drop) or "NULL"
-        with self._lock:
-            doomed = self._conn.execute(
-                f"SELECT COUNT(*) FROM cells WHERE code IN ({marks})", drop
-            ).fetchone()[0]
-        if not dry_run and drop:
-            with self._tx() as conn:
-                conn.execute(f"DELETE FROM cells WHERE code IN ({marks})", drop)
-                conn.execute(
-                    f"DELETE FROM code_versions WHERE version IN ({marks})", drop
-                )
-            with self._lock:
-                self._conn.execute("VACUUM")
-        return {"codes_dropped": drop, "cells_deleted": doomed, "dry_run": dry_run}
 
 
 class _Transaction:

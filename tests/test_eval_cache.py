@@ -5,7 +5,7 @@ import sqlite3
 
 import pytest
 
-from repro.eval import CacheMergeConflict, CompilationResult, ResultCache, code_version
+from repro.eval import CompilationResult, ResultCache, code_version
 from repro.eval.executors import run_specs
 from repro.eval.parallel import CellSpec
 
@@ -159,113 +159,3 @@ class TestRunCellsWithCache:
         plain = CellSpec.make("satmap", "grid", 2)
         budgeted = CellSpec.make("satmap", "grid", 2, timeout_s=5.0)
         assert _spec_key(cache, plain) != _spec_key(cache, budgeted)
-
-
-class TestCacheMerge:
-    """Union of sharded sweep caches (ResultCache.merge / --cache-merge)."""
-
-    def _sharded_caches(self, tmp_path):
-        # two "machines" run disjoint slices of a seed sweep
-        shard_a = ResultCache(tmp_path / "a.db")
-        shard_b = ResultCache(tmp_path / "b.db")
-        specs_a = [CellSpec.make("sabre", "grid", 2, seed=s) for s in (0, 1)]
-        specs_b = [CellSpec.make("sabre", "grid", 2, seed=s) for s in (2, 3)]
-        run_specs(specs_a, cache=shard_a)
-        run_specs(specs_b, cache=shard_b)
-        return shard_a, shard_b, specs_a + specs_b
-
-    def test_merge_unions_disjoint_shards(self, tmp_path):
-        shard_a, shard_b, all_specs = self._sharded_caches(tmp_path)
-        merged = ResultCache(tmp_path / "merged.db")
-        assert merged.merge(shard_a.root) == {
-            "imported": 2,
-            "skipped": 0,
-            "invalid": 0,
-        }
-        assert merged.merge(shard_b.root) == {
-            "imported": 2,
-            "skipped": 0,
-            "invalid": 0,
-        }
-        # the merged cache serves the whole sweep warm
-        results = run_specs(all_specs, cache=merged)
-        assert merged.stats() == {"hits": 4, "misses": 0}
-        assert all(r.ok for r in results)
-
-    def test_merge_skips_entries_already_present(self, tmp_path):
-        shard_a, _, _ = self._sharded_caches(tmp_path)
-        merged = ResultCache(tmp_path / "merged.db")
-        merged.merge(shard_a.root)
-        again = merged.merge(shard_a.root)
-        assert again == {"imported": 0, "skipped": 2, "invalid": 0}
-
-    def test_merge_counts_and_ignores_corrupt_entries(self, tmp_path):
-        shard_a, _, _ = self._sharded_caches(tmp_path)
-        shard_a.put("0" * 24, CompilationResult("sabre", "Grid 2*2", 4))
-        _set_result_column(shard_a.root, "0" * 24, "{broken")
-        merged = ResultCache(tmp_path / "merged.db")
-        stats = merged.merge(shard_a.root)
-        assert stats["imported"] == 2 and stats["invalid"] == 1
-
-    def test_merge_conflict_raises_instead_of_keeping_first(self, tmp_path):
-        # Two caches storing *different metrics* under the same key means one
-        # of them is corrupt; the merge must refuse, not pick by order.
-        a = ResultCache(tmp_path / "a.db", version="v1")
-        b = ResultCache(tmp_path / "b.db", version="v1")
-        key = a.key("sabre", "grid", 2, ())
-        a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, swap_count=2))
-        b.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=99, swap_count=2))
-        dest = ResultCache(tmp_path / "dest.db", version="v1")
-        dest.merge(a.root)
-        with pytest.raises(CacheMergeConflict, match="depth"):
-            dest.merge(b.root)
-
-    def test_merge_tolerates_wall_clock_differences(self, tmp_path):
-        # compile_time_s is machine/run-dependent, not part of the cell's
-        # deterministic identity: two shards that both computed the same cell
-        # must merge cleanly.
-        a = ResultCache(tmp_path / "a.db", version="v1")
-        b = ResultCache(tmp_path / "b.db", version="v1")
-        key = a.key("sabre", "grid", 2, ())
-        a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, compile_time_s=0.5))
-        b.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, compile_time_s=1.5))
-        dest = ResultCache(tmp_path / "dest.db", version="v1")
-        dest.merge(a.root)
-        stats = dest.merge(b.root)
-        assert stats == {"imported": 0, "skipped": 1, "invalid": 0}
-
-    def test_merge_missing_directory_raises(self, tmp_path):
-        cache = ResultCache(tmp_path / "dest.db")
-        with pytest.raises(FileNotFoundError):
-            cache.merge(tmp_path / "nope.db")
-        # only .db stores merge: an old directory cache is refused outright
-        (tmp_path / "old-cache").mkdir()
-        with pytest.raises(ValueError, match=r"\.db"):
-            cache.merge(tmp_path / "old-cache")
-
-    def test_cli_cache_merge(self, tmp_path, capsys):
-        from repro.eval.experiments import main
-
-        shard_a, shard_b, all_specs = self._sharded_caches(tmp_path)
-        dest = tmp_path / "merged.db"
-        rc = main(
-            [
-                "--cache",
-                str(dest),
-                "--cache-merge",
-                str(shard_a.root),
-                str(shard_b.root),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "2 imported" in out
-        merged = ResultCache(dest)
-        run_specs(all_specs, cache=merged)
-        assert merged.stats() == {"hits": 4, "misses": 0}
-
-    def test_cli_cache_merge_requires_cache(self, tmp_path):
-        from repro.eval.experiments import main
-
-        with pytest.raises(SystemExit):
-            main(["--cache-merge", str(tmp_path)])

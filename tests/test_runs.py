@@ -16,13 +16,11 @@ from repro.eval import (
     experiment_names,
     get_executor,
     get_experiment,
-    partition_cells,
     plan,
     run_cell,
     sample_verifies,
 )
 from repro.eval.cache import ResultCache
-from repro.eval.executors import retry_spec
 from repro.eval.experiments import QUICK, main
 from repro.eval.metrics import CompilationResult
 from repro.registry import UnknownNameError
@@ -83,7 +81,7 @@ class TestExperimentRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Plans + sharding
+# Plans
 # ---------------------------------------------------------------------------
 
 
@@ -93,11 +91,10 @@ class TestRunPlan:
 
         p = plan("table1")
         assert list(p.cells) == specs_table1(QUICK)
-        assert p.total_cells == len(p.cells)
-        assert p.profile == "quick" and p.shard is None
+        assert p.profile == "quick"
 
     def test_plan_is_picklable_and_fingerprint_stable(self):
-        p = plan("fig27", "paper", shard=(1, 2))
+        p = plan("fig27", "paper")
         clone = pickle.loads(pickle.dumps(p))
         assert clone == p
         assert clone.fingerprint() == p.fingerprint()
@@ -105,10 +102,6 @@ class TestRunPlan:
     def test_fingerprint_depends_on_identity(self):
         assert plan("fig27").fingerprint() != plan("fig17").fingerprint()
         assert plan("fig27").fingerprint() != plan("fig27", "paper").fingerprint()
-        assert (
-            plan("fig27", shard=(0, 2)).fingerprint()
-            != plan("fig27", shard=(1, 2)).fingerprint()
-        )
         assert (
             plan("fig27", verify="off").fingerprint() != plan("fig27").fingerprint()
         )
@@ -121,37 +114,6 @@ class TestRunPlan:
     def test_invalid_verify_policy(self):
         with pytest.raises(ValueError, match="verify policy"):
             plan("fig17", verify="some")
-
-    def test_invalid_shard(self):
-        for bad in ((2, 2), (-1, 2), (0, 0)):
-            with pytest.raises(ValueError):
-                plan("fig17", shard=bad)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 7])
-    def test_shard_union_equals_unsharded_plan(self, n):
-        full = plan("table1")
-        shards = [plan("table1", shard=(i, n)) for i in range(n)]
-        union = sorted(cell_key(c) for s in shards for c in s.cells)
-        assert union == sorted(cell_key(c) for c in full.cells)
-        # disjoint, and each shard records the full plan's size
-        assert sum(len(s.cells) for s in shards) == len(full.cells)
-        assert all(s.total_cells == len(full.cells) for s in shards)
-
-    def test_shards_are_deterministic(self):
-        a = plan("fig19", shard=(0, 3))
-        b = plan("fig19", shard=(0, 3))
-        assert a.cells == b.cells
-
-    def test_shards_balanced_and_split_big_topology_groups(self):
-        # fig27 is one single topology group (a seed sweep): a partition that
-        # never split groups would put all 10 cells on shard 0.
-        sizes = [len(plan("fig27", shard=(i, 2)).cells) for i in range(2)]
-        assert sorted(sizes) == [5, 5]
-
-    def test_partition_cells_preserves_relative_order(self):
-        cells = [CellSpec.make("sabre", "grid", 2, seed=s) for s in range(6)]
-        for shard in partition_cells(cells, 3):
-            assert list(shard) == sorted(shard)
 
     def test_adhoc_plan_wraps_cells(self):
         cells = [CellSpec.make("sabre", "grid", 2, seed=0)]
@@ -206,23 +168,6 @@ class TestExecutors:
         p = adhoc_plan("x", [CellSpec.make("sabre", "grid", 2)])
         with pytest.raises(ValueError, match="store="):
             execute(p, resume=True)
-
-
-class TestRetrySpec:
-    def test_default_multiplier_returns_spec_unchanged(self):
-        spec = CellSpec.make("satmap", "sycamore", 4, timeout_s=0.5)
-        assert retry_spec(spec, 1, 1.0) is spec
-
-    def test_budget_scales_per_attempt(self):
-        spec = CellSpec.make("satmap", "sycamore", 4, timeout_s=0.5)
-        assert retry_spec(spec, 1, 2.0).timeout_s == 1.0
-        assert retry_spec(spec, 2, 2.0).timeout_s == 2.0
-
-    def test_untimed_cells_and_first_attempts_unscaled(self):
-        untimed = CellSpec.make("sabre", "grid", 2)
-        assert retry_spec(untimed, 1, 2.0) is untimed
-        timed = CellSpec.make("satmap", "sycamore", 4, timeout_s=0.5)
-        assert retry_spec(timed, 0, 2.0) is timed
 
 
 # ---------------------------------------------------------------------------
@@ -391,37 +336,6 @@ class TestJournalResume:
         assert report.retried == 3 and report.recovered == 0
         assert report.results[0].extra["retries"] == 3
 
-    def test_retry_timeout_multiplier_recovers_marginal_cell(
-        self, monkeypatch, tmp_path
-    ):
-        # A cell that is marginally too slow for its budget times out on the
-        # first attempt; with a multiplier the retry gets a wider budget and
-        # recovers instead of timing out identically twice.
-        from repro.eval import executors as ex
-
-        budgets = []
-
-        def budget_sensitive(approach, kind, size, timeout_s=None, **kwargs):
-            budgets.append(timeout_s)
-            status = "timeout" if timeout_s is not None and timeout_s < 1 else "ok"
-            return CompilationResult(
-                approach, f"{kind} {size}", size * size, status=status,
-                depth=7, swap_count=1,
-            )
-
-        monkeypatch.setattr(ex, "run_cell", budget_sensitive)
-        p = adhoc_plan(
-            "marginal", [CellSpec.make("sabre", "grid", 2, timeout_s=0.5)]
-        )
-        report = execute(
-            p, store=str(tmp_path / "s.db"), retry_timeout_multiplier=4.0
-        )
-        assert budgets == [0.5, 2.0]
-        assert report.retried == 1 and report.recovered == 1
-        assert report.results[0].status == "ok"
-        assert report.retry_timeout_multiplier == 4.0
-        assert report.to_dict()["retry_timeout_multiplier"] == 4.0
-
     def test_default_multiplier_retries_with_same_budget(self, monkeypatch, tmp_path):
         from repro.eval import executors as ex
 
@@ -437,9 +351,8 @@ class TestJournalResume:
         p = adhoc_plan(
             "marginal", [CellSpec.make("sabre", "grid", 2, timeout_s=0.5)]
         )
-        report = execute(p, store=str(tmp_path / "s.db"))
+        execute(p, store=str(tmp_path / "s.db"))
         assert budgets == [0.5, 0.5]
-        assert report.retry_timeout_multiplier == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +429,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "table1" in out and "Fig. 27" in out and "sweep" in out
 
-    def test_shard_flag_runs_slice(self, capsys):
-        assert main(["-e", "fig27", "--profile", "paper", "--shard", "0/2"]) == 0
-        out = capsys.readouterr().out
-        assert "shard 0/2" in out and "run: fig27" in out
-
     def test_jobs_zero_refused(self, capsys):
         with pytest.raises(SystemExit):
             main(["-e", "fig27", "--jobs", "0"])
         assert "--jobs must be >= 1" in capsys.readouterr().err
-
-    def test_bad_shard_spec_errors(self):
-        for bad in ("zero-of-two", "2/2", "-1/2", "0/0"):
-            with pytest.raises(SystemExit):
-                main(["-e", "fig27", "--shard", bad])
 
     def test_unknown_experiment_errors_with_suggestion(self, capsys):
         with pytest.raises(SystemExit):

@@ -422,38 +422,6 @@ class TestKernelIsMetricsNeutral:
             )
             assert base == forked
 
-    def test_merge_tolerates_kernel_disagreement(self, tmp_path):
-        """Two shards that computed one cell with different engines merge
-        cleanly (extra["kernel"] is volatile); real metric disagreement
-        still raises."""
-
-        from repro.eval.cache import CacheMergeConflict
-        from repro.eval.metrics import CompilationResult
-
-        a = ResultCache(tmp_path / "a.db", version="v")
-        b = ResultCache(tmp_path / "b.db", version="v")
-        key = a.key("sabre", "grid", 3, kwargs=[("seed", 0)])
-
-        def result(kernel, depth=10):
-            return CompilationResult(
-                approach="sabre",
-                architecture="grid-3",
-                num_qubits=9,
-                status="ok",
-                depth=depth,
-                extra={"kernel": kernel},
-            )
-
-        a.put(key, result("c"))
-        b.put(key, result("python"))
-        stats = a.merge(tmp_path / "b.db")
-        assert stats == {"imported": 0, "skipped": 1, "invalid": 0}
-
-        c = ResultCache(tmp_path / "c.db", version="v")
-        c.put(key, result("python", depth=11))  # genuinely different metrics
-        with pytest.raises(CacheMergeConflict):
-            a.merge(tmp_path / "c.db")
-
     @requires_kernel
     def test_run_cell_records_engine_in_extra(self):
         from repro.eval.runners import run_cell

@@ -7,6 +7,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import logging
 import select
 import sys
 import threading
@@ -15,6 +16,7 @@ import warnings
 
 import pytest
 
+from repro.eval.chaos import ENV_VAR as CHAOS_ENV
 from repro.serve import ServeClient, ServeConfig
 from repro.serve import server as server_module
 
@@ -181,6 +183,116 @@ def test_request_on_a_kept_connection_during_drain_gets_503_and_close(run_servic
     assert int(headers["retry-after"]) >= 1
     assert headers["connection"] == "close"
     assert rest == b""
+
+
+def _handlers() -> list:
+    """Connection handlers still running on this loop."""
+
+    return [
+        t
+        for t in asyncio.all_tasks()
+        if t.get_coro().__qualname__ == "CompileService._handle_conn"
+    ]
+
+
+def _asyncio_errors(caplog) -> list:
+    """What asyncio logged at ERROR, e.g. a cancelled handler's traceback."""
+
+    return [
+        r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR
+    ]
+
+
+@pytest.mark.parametrize("closed_by", ["deadline", "stop"])
+@pytest.mark.parametrize(
+    "stalled",
+    [
+        b"GET /v1/health HTTP/1.1\r\n",
+        b"POST /v1/compile HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n{",
+    ],
+    ids=["mid-head", "mid-body"],
+)
+def test_a_stalled_request_is_closed(
+    run_service, monkeypatch, caplog, stalled, closed_by
+):
+    """A client that stops partway through a request is closed once the rest
+    of the head and the body are ``_IDLE_TIMEOUT_S`` late, or at once by
+    ``stop()``.  No handler outlives ``stop()``, so the end of the loop
+    cancels none (asyncio would log that as a ``CancelledError``
+    traceback)."""
+
+    timeout_s = 0.3 if closed_by == "deadline" else 300.0
+    monkeypatch.setattr(server_module, "_IDLE_TIMEOUT_S", timeout_s)
+
+    async def scenario(service):
+        reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+        writer.write(stalled)
+        await writer.drain()
+        t0 = time.perf_counter()
+        if closed_by == "stop":
+            deadline = time.monotonic() + 5.0
+            while not service._idle and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)  # until the server has read the line
+            await asyncio.wait_for(service.stop(), 10.0)
+        rest = await _eof(reader, 10.0)
+        eof_s = time.perf_counter() - t0
+        await service.stop()
+        deadline = time.monotonic() + 5.0
+        while _handlers() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        await _close(writer)
+        return rest, eof_s, _handlers()
+
+    rest, eof_s, handlers = run_service(ServeConfig(workers=1), scenario)
+    assert rest == b""  # closed unanswered: the request never arrived whole
+    assert eof_s < (timeout_s if closed_by == "deadline" else 0.0) + 2.0
+    assert handlers == []
+    assert _asyncio_errors(caplog) == []
+
+
+def test_a_head_begun_during_the_drain_is_closed_by_stop(
+    run_service, monkeypatch, caplog
+):
+    """A connection that sends its request line while ``stop()`` waits for
+    an in-flight compile, then nothing more, is closed when ``stop()``
+    ends, not left to its deadline."""
+
+    monkeypatch.setattr(server_module, "_IDLE_TIMEOUT_S", 300.0)
+    monkeypatch.setenv(CHAOS_ENV, "stall@worker=w0,cell=1,s=1.0")
+
+    async def scenario(service):
+        busy_reader, busy_writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        busy_writer.write(_post({**_COMPILE, "options": {"seed": 1}}))
+        await busy_writer.drain()
+        deadline = time.monotonic() + 10.0
+        while not service._inflight() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        stopping = asyncio.ensure_future(service.stop())
+        while not service._draining and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+        writer.write(b"GET /v1/health HTTP/1.1\r\n")
+        await writer.drain()
+        while not service._idle and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)  # until the server has read the line
+        await asyncio.wait_for(stopping, 30.0)
+        answered = await _answer(busy_reader)
+        rest = await _eof(reader, 10.0)
+        while _handlers() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        await _close(busy_writer)
+        await _close(writer)
+        return answered, rest, _handlers()
+
+    (status, _, headers), rest, handlers = run_service(
+        ServeConfig(workers=1), scenario
+    )
+    assert status == 200 and headers["connection"] == "close"
+    assert rest == b""
+    assert handlers == []
+    assert _asyncio_errors(caplog) == []
 
 
 # ---------------------------------------------------------------------------

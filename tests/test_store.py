@@ -2,9 +2,9 @@
 
 The store is the one place results persist: ``ResultCache`` rows and run
 records (``execute(..., store=DB)``) both go through it.  These tests hold
-each view to its contract -- same keys, same bytes, conflict-checked merges
--- plus the store-only surfaces (queries, gc, CLI) and files written before
-bench history was dropped.
+each view to its contract -- same keys, same bytes, one row per key -- plus
+the store-only surfaces (queries, CLI) and files written by earlier
+versions.
 """
 
 import json
@@ -14,7 +14,6 @@ import sqlite3
 import pytest
 
 from repro.eval import (
-    CacheMergeConflict,
     CompilationResult,
     ResultCache,
     adhoc_plan,
@@ -131,22 +130,6 @@ class TestStoreCore:
             assert not store._conn.in_transaction
             _assert_write_lock_free(path)
 
-    def test_gc_drops_only_named_versions_and_keeps_history(self, tmp_path):
-        with ExperimentStore(tmp_path / "s.db") as store:
-            store.put_cell("a" * 24, _result(), code="v1")
-            store.put_cell("b" * 24, _result(), code="v2")
-            run_id = store.begin_run({"experiment": "t"})
-            store.finish_run(run_id)
-            dry = store.gc(codes=("v1",), dry_run=True)
-            assert dry == {
-                "codes_dropped": ["v1"], "cells_deleted": 1, "dry_run": True,
-            }
-            assert store.counts()["cells"] == 2  # dry run touched nothing
-            store.gc(codes=("v1",))
-            assert store.counts()["cells"] == 1
-            assert store.counts()["runs"] == 1  # history is never collected
-            assert [v["version"] for v in store.code_versions()] == ["v2"]
-
     def test_schema_version_mismatch_refuses_to_open(self, tmp_path):
         path = tmp_path / "s.db"
         ExperimentStore(path).close()
@@ -183,17 +166,11 @@ class TestStoreCore:
         conn.close()
         with ExperimentStore(path) as store:
             assert store.get_cell("a" * 24) == _result().to_dict()
-        with ExperimentStore(tmp_path / "fresh.db") as fresh:
-            assert fresh.merge_from(path) == {
-                "imported": 1, "skipped": 0, "invalid": 0,
-            }
         assert store_cli(["info", str(path)]) == 0
         tables = re.findall(r"^\s*(\w+): \d+$", capsys.readouterr().out, re.M)
         assert tables == ["cells", "code_versions", "metrics", "run_cells", "runs"]
         with ExperimentStore(path) as store:
-            assert store.gc(codes=("v1",))["cells_deleted"] == 1
-            assert store.get_cell("a" * 24) is None
-            # the leftover rows are never read and never collected
+            # the leftover rows are never read and never touched
             assert store._conn.execute("SELECT COUNT(*) FROM bench").fetchone()[0] == 1
 
 
@@ -270,83 +247,6 @@ class TestStoreBackedCache:
         assert cache_v2.stats()["hits"] == 0
         assert len(cache_v2) == 2  # both versions stored side by side
         cache_v2.close()
-
-
-class TestStoreMerge:
-    """The SQL-constraint form of cache merge (``.db`` sources only)."""
-
-    def _shard(self, root, seeds, version="v1"):
-        cache = ResultCache(root, version=version)
-        run_specs(
-            [CellSpec.make("sabre", "grid", 2, seed=s) for s in seeds],
-            cache=cache,
-        )
-        return cache
-
-    def test_store_to_store_merge(self, tmp_path):
-        a = ResultCache(tmp_path / "a.db", version="v1")
-        run_specs([CellSpec.make("sabre", "grid", 2, seed=0)], cache=a)
-        a.close()
-        b = ResultCache(tmp_path / "b.db", version="v1")
-        assert b.merge(tmp_path / "a.db") == {
-            "imported": 1, "skipped": 0, "invalid": 0,
-        }
-        # identity columns must survive the hop for indexed queries
-        assert b.store.query_cells(approach="sabre", kind="grid", size=2)
-        b.close()
-
-    def test_merge_conflict_is_a_sql_constraint(self, tmp_path):
-        """Divergent metrics under one key must raise from the UNIQUE
-        constraint path, naming the differing field."""
-
-        a = ResultCache(tmp_path / "a.db", version="v1")
-        key = a.key("sabre", "grid", 2, ())
-        a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=9, swap_count=2))
-        dest = ResultCache(tmp_path / "dest.db", version="v1")
-        dest.merge(a.root)
-        a.put(key, CompilationResult("sabre", "Grid 2*2", 4, depth=99, swap_count=2))
-        with pytest.raises(CacheMergeConflict, match="depth"):
-            dest.merge(a.root)
-        dest.close()
-
-    def test_merge_tolerates_wall_clock_and_kernel_differences(self, tmp_path):
-        a = ResultCache(tmp_path / "a.db", version="v1")
-        key = a.key("sabre", "grid", 2, ())
-        a.put(key, CompilationResult(
-            "sabre", "Grid 2*2", 4, depth=9, compile_time_s=0.5,
-            extra={"kernel": "c"},
-        ))
-        dest = ResultCache(tmp_path / "dest.db", version="v1")
-        dest.merge(a.root)
-        a.put(key, CompilationResult(
-            "sabre", "Grid 2*2", 4, depth=9, compile_time_s=1.5,
-            extra={"kernel": "python"},
-        ))
-        stats = dest.merge(a.root)
-        assert stats == {"imported": 0, "skipped": 1, "invalid": 0}
-        dest.close()
-
-    def test_merge_counts_and_ignores_corrupt_entries(self, tmp_path):
-        a = self._shard(tmp_path / "a.db", (0, 1))
-        a.put("0" * 24, CompilationResult("sabre", "Grid 2*2", 4))
-        conn = sqlite3.connect(str(a.root))
-        with conn:
-            conn.execute(
-                "UPDATE cells SET result = '{broken' WHERE cell_key = ?", ("0" * 24,)
-            )
-        conn.close()
-        dest = ResultCache(tmp_path / "dest.db", version="v1")
-        stats = dest.merge(a.root)
-        assert stats["imported"] == 2 and stats["invalid"] == 1
-        dest.close()
-
-    def test_merge_missing_source_raises(self, tmp_path):
-        dest = ResultCache(tmp_path / "dest.db")
-        with pytest.raises(FileNotFoundError):
-            dest.merge(tmp_path / "nope")
-        with pytest.raises(FileNotFoundError):
-            dest.merge(tmp_path / "nope.db")
-        dest.close()
 
 
 class TestStoreSink:
@@ -427,21 +327,22 @@ class TestStoreCLI:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["approach"] == "sabre" and rows[0]["depth"] == 40
 
-    def test_info_and_gc(self, tmp_path, capsys):
-        db = self._seeded_db(tmp_path)
-        assert store_cli(["info", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "cells: 1" in out.replace("  ", " ").replace("  ", " ")
-        assert store_cli(["gc", str(db), "--code", "v1", "--dry-run"]) == 0
-        assert "would drop 1 cell(s)" in capsys.readouterr().out
-        assert store_cli(["gc", str(db), "--code", "v1"]) == 0
-        assert "dropped 1 cell(s)" in capsys.readouterr().out
-        assert store_cli(["query", str(db)]) == 0
-        assert "(no rows)" in capsys.readouterr().out
+    def test_runs_lists_an_old_sharded_run_without_its_shard(self, tmp_path, capsys):
+        """Files recorded by sharded sweeps hold a ``runs.shard`` value; they
+        open under the same schema version, and the listing leaves it out."""
 
-    def test_gc_requires_a_policy(self, tmp_path):
-        with pytest.raises(SystemExit):
-            store_cli(["gc", str(tmp_path / "s.db")])
+        db = tmp_path / "s.db"
+        with ExperimentStore(db) as store:
+            store.finish_run(store.begin_run({"experiment": "fig27"}))
+            assert store.list_runs()[0]["shard"] is None  # no longer written
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute("UPDATE runs SET shard = '(0, 2)'")
+        conn.close()
+        assert store_cli(["runs", str(db)]) == 0
+        out = capsys.readouterr().out
+        assert "fig27" in out
+        assert "shard" not in out and "(0, 2)" not in out
 
 
 class TestExperimentsCLI:

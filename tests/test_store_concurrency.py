@@ -2,10 +2,10 @@
 
 Two properties carry over from the formats the store replaces:
 
-* **Concurrent shard writers are safe** (the directory cache got this
-  from atomic renames; the store gets it from WAL + ``BEGIN IMMEDIATE``):
-  N processes hammering one database must lose nothing, agree on merge
-  outcomes, and never block a concurrent reader.
+* **Concurrent writers are safe** (the directory cache got this from
+  atomic renames; the store gets it from WAL + ``BEGIN IMMEDIATE``): N
+  processes hammering one database must lose nothing, leave one row per
+  key however many of them write it, and never block a concurrent reader.
 * **A crash mid-write loses at most the uncommitted tail** (the JSONL
   journal got this from fsync-per-append + torn-tail repair; the store
   gets it from ``synchronous=FULL`` WAL commits).  The drill mirrors
@@ -13,18 +13,18 @@ Two properties carry over from the formats the store replaces:
   hold recovery to "exactly a committed prefix, still appendable".
 """
 
+import json
 import multiprocessing
 
-from repro.eval import CacheMergeConflict, CompilationResult
+from repro.eval import CompilationResult
 from repro.store import ExperimentStore, identity_columns
 
 WRITERS = 4
 CELLS_PER_WRITER = 12
 
-#: every writer merges these too: one shared identical cell (skip-race)
-#: and one divergent cell (exactly one import may win the constraint)
+#: every writer also puts this key, each with its own depth: the upsert
+#: must leave one row, written whole by one of them
 SHARED_KEY = "beef" * 6
-DIVERGENT_KEY = "feed" * 6
 
 
 def _result(depth=40, **kwargs):
@@ -35,10 +35,9 @@ def _result(depth=40, **kwargs):
 
 
 def _writer(args):
-    """One shard process: distinct puts + contended merges on a shared DB."""
+    """One writer process: distinct puts + a contended put on a shared DB."""
 
     path, writer_id = args
-    outcomes = {"imported": 0, "skipped": 0, "conflict": 0}
     with ExperimentStore(path) as store:
         for i in range(CELLS_PER_WRITER):
             key = f"{writer_id:04x}{i:020x}"
@@ -48,15 +47,28 @@ def _writer(args):
                 code="v1",
                 identity=identity_columns("sabre", "grid", 3, (("seed", i),)),
             )
-        outcomes[store.merge_cell(SHARED_KEY, _result(depth=7))] += 1
-        try:
-            outcome = store.merge_cell(
-                DIVERGENT_KEY, _result(depth=writer_id)
-            )
-            outcomes[outcome] += 1
-        except CacheMergeConflict:
-            outcomes["conflict"] += 1
-    return outcomes
+        store.put_cell(SHARED_KEY, _result(depth=writer_id), code="v1")
+    return writer_id
+
+
+def _assert_all_landed(db):
+    """Every writer's every cell, plus one row for the shared key."""
+
+    with ExperimentStore(db) as store:
+        assert store.counts()["cells"] == CELLS_PER_WRITER * WRITERS + 1
+        for wid in range(WRITERS):
+            for i in range(CELLS_PER_WRITER):
+                cell = store.get_cell(f"{wid:04x}{i:020x}")
+                assert cell is not None and cell["depth"] == 100 * wid + i
+        rows = store._conn.execute(
+            "SELECT c.result, m.value FROM cells c JOIN metrics m "
+            "ON m.cell_id = c.id AND m.name = 'depth' WHERE c.cell_key = ?",
+            (SHARED_KEY,),
+        ).fetchall()
+    # one row, its metrics refreshed with it: both say the same writer's depth
+    assert len(rows) == 1
+    depth = json.loads(rows[0][0])["depth"]
+    assert depth in range(WRITERS) and rows[0][1] == depth
 
 
 class TestMultiprocessStress:
@@ -74,41 +86,20 @@ class TestMultiprocessStress:
                 while not async_result.ready():
                     observed.append(reader.counts()["cells"])
                     async_result.wait(0.005)
-            outcomes = async_result.get()
+            finished = async_result.get(60.0)  # re-raises a writer's exception
         assert observed == sorted(observed)
-
-        total = CELLS_PER_WRITER * WRITERS + 2  # + shared + divergent
-        with ExperimentStore(db) as store:
-            assert store.counts()["cells"] == total
-            # every writer's every cell landed intact
-            for wid in range(WRITERS):
-                for i in range(CELLS_PER_WRITER):
-                    cell = store.get_cell(f"{wid:04x}{i:020x}")
-                    assert cell is not None and cell["depth"] == 100 * wid + i
-            # the shared identical cell: one import, the rest skips
-            imports = sum(o["imported"] for o in outcomes)
-            skips = sum(o["skipped"] for o in outcomes)
-            conflicts = sum(o["conflict"] for o in outcomes)
-            # per writer: 1 shared merge + 1 divergent merge = 2 outcomes
-            assert imports + skips + conflicts == 2 * WRITERS
-            # shared cell: exactly 1 import; divergent: exactly 1 import,
-            # the other WRITERS-1 attempts must raise, never overwrite
-            assert imports == 2
-            assert skips == WRITERS - 1
-            assert conflicts == WRITERS - 1
-            assert store.get_cell(SHARED_KEY)["depth"] == 7
-            assert store.get_cell(DIVERGENT_KEY)["depth"] in range(WRITERS)
+        assert sorted(finished) == list(range(WRITERS))
+        _assert_all_landed(db)
 
     def test_concurrent_fresh_creation_is_race_free(self, tmp_path):
         # No pre-created DB: every process races through schema creation.
         db = tmp_path / "fresh.db"
         with multiprocessing.Pool(WRITERS) as pool:
-            outcomes = pool.map(
+            finished = pool.map(
                 _writer, [(str(db), wid) for wid in range(WRITERS)]
             )
-        assert sum(o["imported"] for o in outcomes) == 2
-        with ExperimentStore(db) as store:
-            assert store.counts()["cells"] == CELLS_PER_WRITER * WRITERS + 2
+        assert sorted(finished) == list(range(WRITERS))
+        _assert_all_landed(db)
 
 
 class TestTornWal:
