@@ -14,9 +14,10 @@ vectorized call; the one ASAP depth loop
 (:meth:`repro.circuit.schedule.MappedCircuit.depths`) is cost-model
 agnostic.
 
-Distances are computed lazily with scipy's sparse BFS (vectorised all-pairs
-shortest path), because the SABRE baseline scores candidate SWAPs against the
-full distance matrix and pure-Python BFS would dominate its runtime.
+Distances are computed lazily, by one numpy breadth-first search from every
+site at once, because the SABRE baseline scores candidate SWAPs against the
+full distance matrix and a pure-Python BFS per site would dominate its
+runtime.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-import networkx as nx
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from ..utils import BoundedCache, clear_process_caches
 
@@ -38,7 +36,7 @@ Edge = Tuple[int, int]
 # Process-wide cache of all-pairs distance matrices keyed by the coupling
 # graph itself.  Evaluation sweeps (and SABRE seed sweeps in particular)
 # rebuild the same Topology object for every cell; sharing the matrix across
-# instances means Dijkstra runs once per distinct graph per process.  Matrices
+# instances means the BFS runs once per distinct graph per process.  Matrices
 # are marked read-only so shared instances cannot corrupt each other.  The
 # cache is LRU-bounded: a paper-profile sweep touches dozens of graphs up to
 # 1024 qubits (8 MB of float64 each), and an unbounded dict would pin them
@@ -57,6 +55,40 @@ def clear_distance_cache() -> None:
 
 def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
+
+
+def _bfs_distances(adj: List[List[int]]) -> np.ndarray:
+    """Hop distances over sorted adjacency lists ``adj``: a breadth-first
+    search from every site at once, one level per pass.
+
+    The frontier is a flat array of ``source * n + site`` cells of the
+    distance table.  A pass gathers each frontier site's row of a neighbour
+    table whose short rows are padded with the site itself: that cell was
+    reached a level earlier, so padding never counts as unreached.  A cell
+    reached twice in one pass stays in the frontier once: each candidate
+    writes its own negative tag there, and only the candidate whose tag
+    survived is kept.
+    """
+
+    n = len(adj)
+    nbr = np.repeat(np.arange(n), max(1, max(map(len, adj)))).reshape(n, -1)
+    for q, row in enumerate(adj):
+        nbr[q, : len(row)] = row
+    dist = np.full((n, n), np.inf)
+    cells = dist.ravel()  # a view: writes land in ``dist``
+    frontier = np.arange(n) * (n + 1)  # the diagonal cells (q, q)
+    cells.put(frontier, 0.0)
+    level = 0.0
+    while frontier.size:
+        level += 1.0
+        site = frontier % n
+        cand = (frontier - site)[:, None] + nbr.take(site, axis=0)
+        cand = cand[cells.take(cand) == np.inf]
+        tag = np.arange(-1.0, -1.0 - cand.size, -1.0)
+        cells.put(cand, tag)
+        frontier = cand[cells.take(cand) == tag]
+        cells.put(frontier, level)
+    return dist
 
 
 @dataclass
@@ -136,32 +168,17 @@ class Topology:
     def degree(self, q: int) -> int:
         return len(self._adj[q])
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_qubits))
-        g.add_edges_from(self._edges)
-        return g
-
-    def is_connected(self) -> bool:
-        return nx.is_connected(self.to_networkx())
-
     # -- distances -------------------------------------------------------
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs unweighted shortest-path distances (int matrix)."""
+        """All-pairs unweighted shortest-path distances: a read-only,
+        C-contiguous float64 matrix, ``inf`` between sites in different
+        components."""
 
         if self._dist is None:
             key = self.graph_key()
             dist = _DIST_CACHE.lookup(key)
             if dist is None:
-                rows, cols = [], []
-                for a, b in self._edges:
-                    rows.extend((a, b))
-                    cols.extend((b, a))
-                data = np.ones(len(rows), dtype=np.int8)
-                mat = csr_matrix(
-                    (data, (rows, cols)), shape=(self.num_qubits, self.num_qubits)
-                )
-                dist = shortest_path(mat, method="D", unweighted=True, directed=False)
+                dist = _bfs_distances(self._adj)
                 dist.setflags(write=False)
                 _DIST_CACHE.store(key, dist)
             self._dist = dist

@@ -1,16 +1,8 @@
 """Circuit intermediate representation: gates, logical circuits, QFT builders,
-dependence analysis and mapped-circuit scheduling."""
+the QFT dependence-order checkers and mapped-circuit scheduling."""
 
 from .circuit import Circuit
-from .dag import (
-    DependenceRules,
-    build_dag,
-    dag_depth,
-    front_layers,
-    gates_commute,
-    qft_type1_order_ok,
-    qft_type2_order_ok,
-)
+from .dag import qft_type1_order_ok, qft_type2_order_ok
 from .gates import (
     CNOT,
     CPHASE,
@@ -35,11 +27,6 @@ from .schedule import MappedCircuit, MappingBuilder
 
 __all__ = [
     "Circuit",
-    "DependenceRules",
-    "build_dag",
-    "dag_depth",
-    "front_layers",
-    "gates_commute",
     "qft_type1_order_ok",
     "qft_type2_order_ok",
     "CNOT",

@@ -17,167 +17,17 @@ order which every mapper and the verifier use directly::
 
     H(i)  <  CPHASE(i, j)  <  H(j)        for all i < j
 
-This module provides
-
-* :class:`DependenceRules` -- predicates deciding whether two gates must be
-  ordered under strict (Type I + II) or relaxed (Type II only) semantics,
-* :func:`build_dag` -- a generic commutation-aware DAG builder for arbitrary
-  circuits (used by SABRE and the SATMAP substitute),
-* :func:`qft_type2_order_ok` -- a fast specialised checker for QFT gate
-  sequences used heavily by the verifier,
-* :func:`front_layers` -- ASAP layering of a DAG (logical depth under a given
-  commutation semantics).
+This module checks that order over a QFT's event sequence, for the QFT
+verifier (:mod:`repro.verify.coverage`): :func:`qft_type2_order_ok` under
+relaxed (Type II only) and :func:`qft_type1_order_ok` under strict (Type I +
+II) semantics.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Tuple
 
-import networkx as nx
-
-from .circuit import Circuit
-from .gates import Gate, GateKind
-
-__all__ = [
-    "DependenceRules",
-    "build_dag",
-    "front_layers",
-    "dag_depth",
-    "qft_type2_order_ok",
-    "qft_type1_order_ok",
-    "gates_commute",
-]
-
-
-def _is_diagonal(gate: Gate) -> bool:
-    """CPHASE and RZ are diagonal in the computational basis."""
-
-    return gate.kind in (GateKind.CPHASE, GateKind.RZ)
-
-
-def gates_commute(a: Gate, b: Gate) -> bool:
-    """Return ``True`` if gates ``a`` and ``b`` commute.
-
-    The rules are conservative but sufficient for the QFT kernel and the
-    baseline compilers:
-
-    * gates on disjoint qubits always commute,
-    * two diagonal gates (CPHASE/RZ) always commute, even when they share
-      qubits -- this is the property the paper exploits (Insight 1),
-    * two SWAPs on identical qubit pairs commute,
-    * everything else sharing a qubit is assumed not to commute.
-    """
-
-    if not set(a.qubits) & set(b.qubits):
-        return True
-    if _is_diagonal(a) and _is_diagonal(b):
-        return True
-    if a.kind == GateKind.SWAP and b.kind == GateKind.SWAP and set(a.qubits) == set(b.qubits):
-        return True
-    return False
-
-
-@dataclass(frozen=True)
-class DependenceRules:
-    """Select strict (textbook) or relaxed (commutation-aware) dependences.
-
-    ``relaxed=True`` keeps only orderings between non-commuting gates
-    (Type II for QFT); ``relaxed=False`` additionally keeps the program order
-    between any two gates sharing a qubit (Type I + Type II).
-    """
-
-    relaxed: bool = True
-
-    def must_order(self, earlier: Gate, later: Gate) -> bool:
-        """True if ``earlier`` (appearing first in program order) must stay
-        before ``later``."""
-
-        if not set(earlier.qubits) & set(later.qubits):
-            return False
-        if not self.relaxed:
-            return True
-        return not gates_commute(earlier, later)
-
-
-def build_dag(circuit: Circuit, rules: Optional[DependenceRules] = None) -> nx.DiGraph:
-    """Build the dependence DAG of ``circuit`` under ``rules``.
-
-    Nodes are gate indices (position in ``circuit.gates``) with a ``gate``
-    attribute.  Edges are transitively-reduced "must come before" relations:
-    for each gate we only link to the *most recent* conflicting gate per
-    qubit-interaction chain, which keeps the DAG size linear-ish in practice.
-    """
-
-    rules = rules or DependenceRules(relaxed=True)
-    dag = nx.DiGraph()
-    # last_writers[q] = list of gate indices that touched qubit q and have not
-    # been "shadowed" by a later non-commuting gate on q.
-    last_on_qubit: Dict[int, List[int]] = defaultdict(list)
-
-    for idx, gate in enumerate(circuit.gates):
-        dag.add_node(idx, gate=gate)
-        preds: Set[int] = set()
-        for q in gate.qubits:
-            chain = last_on_qubit[q]
-            # Walk the chain backwards; the first non-commuting gate is a
-            # predecessor and shadows everything before it on this qubit.
-            kept: List[int] = []
-            blocked = False
-            for prev_idx in reversed(chain):
-                prev_gate = circuit.gates[prev_idx]
-                if rules.must_order(prev_gate, gate):
-                    preds.add(prev_idx)
-                    blocked = True
-                    break
-                kept.append(prev_idx)
-            if blocked:
-                # keep only the blocking gate and the commuting gates after it
-                cut = chain.index(prev_idx)
-                last_on_qubit[q] = chain[cut:] + [idx]
-            else:
-                last_on_qubit[q] = chain + [idx]
-        for p in preds:
-            dag.add_edge(p, idx)
-    return dag
-
-
-def front_layers(dag: nx.DiGraph) -> List[List[int]]:
-    """ASAP layering of a dependence DAG (Kahn's algorithm by levels)."""
-
-    indeg = {n: dag.in_degree(n) for n in dag.nodes}
-    ready = deque(sorted(n for n, d in indeg.items() if d == 0))
-    layers: List[List[int]] = []
-    while ready:
-        layer = list(ready)
-        ready.clear()
-        layers.append(layer)
-        next_ready = []
-        for n in layer:
-            for succ in dag.successors(n):
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    next_ready.append(succ)
-        ready.extend(sorted(next_ready))
-    total = sum(len(layer) for layer in layers)
-    if total != dag.number_of_nodes():
-        raise ValueError("dependence graph contains a cycle")
-    return layers
-
-
-def dag_depth(circuit: Circuit, rules: Optional[DependenceRules] = None) -> int:
-    """Logical depth of ``circuit`` under the given commutation semantics."""
-
-    dag = build_dag(circuit, rules)
-    if dag.number_of_nodes() == 0:
-        return 0
-    return len(front_layers(dag))
-
-
-# ---------------------------------------------------------------------------
-# Fast QFT-specific order checkers (used by the verifier on large instances)
-# ---------------------------------------------------------------------------
+__all__ = ["qft_type2_order_ok", "qft_type1_order_ok"]
 
 
 def qft_type2_order_ok(

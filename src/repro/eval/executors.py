@@ -23,9 +23,9 @@ registries) and expose one method, :meth:`Executor.run`.  Built-ins:
 every executor a :class:`~repro.store.RunRecorder` (``ctx.recorder``) that
 each finished cell is appended to as it lands, plus the results of the run
 being resumed (``ctx.resumed``), which are served instead of re-run.
-Recorded ``serial``/``pool`` runs also get a straggler pass: cells that
-timed out are re-dispatched (``ctx.retry_timeouts`` times, each with the
-cell's own budget) before being reported.
+Recorded ``serial``/``pool`` runs also get a straggler pass: each cell that
+timed out is re-dispatched once, with the cell's own budget, before being
+reported.
 
 Results always come back in spec order, and every cell is deterministic
 given its spec, so the choice of executor (and ``jobs``) never changes the
@@ -246,8 +246,6 @@ class ExecutionContext:
     recorder: Optional[Any] = None
     #: results of the run being resumed, by :func:`cell_key`; served as-is
     resumed: Dict[str, CompilationResult] = field(default_factory=dict)
-    #: how many times a timeout cell is re-dispatched before being reported
-    retry_timeouts: int = 1
 
 
 @dataclass
@@ -309,8 +307,8 @@ class _LocalExecutor(Executor):
 
     With a run record, every finished cell (cache hits included) is
     appended as it lands, the resumed run's cells are served instead of
-    re-run, and timeouts get the straggler pass: each is re-dispatched up
-    to ``ctx.retry_timeouts`` times before the report calls it final.
+    re-run, and timeouts get the straggler pass: each is re-dispatched once
+    before the report calls it final.
     Unrecorded runs report timeouts as they come.
     """
 
@@ -334,23 +332,19 @@ class _LocalExecutor(Executor):
         )
 
         # Straggler pass: a timeout is wall-clock-dependent (and never
-        # cached), so each one earns its re-dispatches before the report
-        # calls it final.  Deterministic failures (error / unsupported /
-        # skipped) are not retried.  Resumed cells participate too -- a
-        # timeout recorded just before a crash would otherwise become
-        # permanent -- and the ``retries`` marker recorded with each attempt
-        # keeps a resumed run from re-dispatching a cell beyond its budget.
-        retried = recovered = 0
-        for attempt in range(1, ctx.retry_timeouts + 1):
-            retry_idx = [
-                i
-                for i, r in enumerate(results)
-                if r.status == "timeout"
-                and (r.extra or {}).get("retries", 0) < attempt
-            ]
-            if not retry_idx:
-                break
-            retried += len(retry_idx)
+        # cached), so each one is re-dispatched once before the report calls
+        # it final.  Deterministic failures (error / unsupported / skipped)
+        # are not retried.  Resumed cells participate too -- a timeout
+        # recorded just before a crash would otherwise become permanent --
+        # and the ``retries`` marker recorded with the retry keeps a resumed
+        # run from re-dispatching a cell twice.
+        retry_idx = [
+            i
+            for i, r in enumerate(results)
+            if r.status == "timeout" and not (r.extra or {}).get("retries")
+        ]
+        recovered = 0
+        if retry_idx:
             again = run_specs(
                 [specs[i] for i in retry_idx],
                 jobs=min(jobs, len(retry_idx)),
@@ -358,13 +352,13 @@ class _LocalExecutor(Executor):
             )
             for i, result in zip(retry_idx, again):
                 result.extra = dict(result.extra or {})
-                result.extra["retries"] = attempt
+                result.extra["retries"] = 1
                 if result.status != "timeout":
                     recovered += 1
                 results[i] = result
                 recorder.append(keys[i], result)
         return ExecutionOutcome(
-            results, resumed=len(skip), retried=retried, recovered=recovered
+            results, resumed=len(skip), retried=len(retry_idx), recovered=recovered
         )
 
 

@@ -340,7 +340,6 @@ def execute(
     cache: Optional[ResultCache] = None,
     resume: bool = False,
     store: Optional[str] = None,
-    retry_timeouts: int = 1,
 ) -> RunReport:
     """Run a plan through a registered executor and report the outcome.
 
@@ -348,11 +347,11 @@ def execute(
     ``"serial"``.  ``store`` records the run -- a ``runs`` row plus every
     finished cell the moment it lands -- into a SQLite
     :class:`repro.store.ExperimentStore`, for every executor; recorded
-    runs also re-dispatch timed-out cells up to ``retry_timeouts`` times,
-    each with the cell's own budget.  ``resume=True`` continues the newest
-    run in ``store`` with this plan's fingerprint: its recorded cells are
-    served, not re-run, each recorded timeout keeps its retry budget, and a
-    run recorded by another code version is refused.
+    runs also re-dispatch each timed-out cell once, with the cell's own
+    budget.  ``resume=True`` continues the newest run in ``store`` with
+    this plan's fingerprint: its recorded cells are served, not re-run, a
+    recorded timeout not yet retried gets its retry, and a run recorded by
+    another code version is refused.
     """
 
     if jobs < 1:
@@ -379,7 +378,6 @@ def execute(
         cache=cache,
         recorder=recorder,
         resumed=resumed,
-        retry_timeouts=retry_timeouts,
     )
     start = time.perf_counter()
     try:

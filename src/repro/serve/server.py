@@ -43,11 +43,13 @@ line, and during drain.
 Backpressure is by *bounded inflight count*: the queue cap counts queued +
 batched-but-unfinished requests, so a stalled pool turns arrivals away with
 429 instead of accumulating unbounded futures.  Graceful drain (SIGTERM /
-``stop()``): connections idle between requests or partway through a
-request head are closed when the drain starts and again when it ends, new
-requests get 503 (and ``Connection: close``), every accepted request is
-answered, then the pool is dismissed -- drain-without-loss is a test
-invariant.
+``stop()``): new requests get 503 (and ``Connection: close``), every
+accepted request is answered, then the pool is dismissed --
+drain-without-loss is a test invariant.  Connections idle between requests
+or partway through a request head are closed when the drain starts and
+again when it ends; a new connection that has not sent its request line is
+closed only when it ends, so one that arrived just before still gets its
+503.
 
 Per-request ``timeout_s`` is :func:`repro.compile`'s cooperative budget
 (:func:`repro.utils.cell_budget` inside the worker), so a runaway cell
@@ -229,6 +231,10 @@ class CompileService:
         #: ones between requests, and any partway through a request head
         #: (drain closes them at once)
         self._idle: Set[asyncio.StreamWriter] = set()
+        #: new connections waiting for their first request line (drain
+        #: closes them when it ends, so one that connected just before the
+        #: drain still gets its 503)
+        self._fresh: Set[asyncio.StreamWriter] = set()
         self._draining = False
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -293,7 +299,7 @@ class CompileService:
             return
         self._stopping = True
         self._draining = True
-        self._close_idle()
+        self._close_all(self._idle)
         deadline = self._loop.time() + self.config.drain_timeout_s
         while self._inflight() and self._loop.time() < deadline:
             await asyncio.sleep(0.02)
@@ -310,11 +316,13 @@ class CompileService:
             )
         if self._cache is not None:
             self._cache.close()
-        self._close_idle()  # heads begun during the drain
+        # heads begun during the drain, and connections that never sent one
+        self._close_all(self._idle | self._fresh)
         self._stopped.set()
 
-    def _close_idle(self) -> None:
-        for writer in list(self._idle):
+    @staticmethod
+    def _close_all(writers: Set[asyncio.StreamWriter]) -> None:
+        for writer in list(writers):
             writer.close()
 
     async def run_until_stopped(self) -> None:
@@ -470,14 +478,17 @@ class CompileService:
         ``_IDLE_TIMEOUT_S``, or not the rest of the head and the body within
         ``_IDLE_TIMEOUT_S`` of that line; or when the service drains while
         the connection idles between requests (``kept``) or waits partway
-        through a head.  The timer and the drain close the transport, so the
-        read ends at once.
+        through a head, or finishes draining before a new connection sent its
+        first line.  The timer and the drain close the transport, so the read
+        ends at once.
         """
 
         if kept:
             if self._draining:
                 return None
             self._idle.add(writer)
+        else:
+            self._fresh.add(writer)
         timer = self._loop.call_later(_IDLE_TIMEOUT_S, writer.close)
         try:
             line = await _read_line(reader)
@@ -490,6 +501,7 @@ class CompileService:
         finally:
             timer.cancel()
             self._idle.discard(writer)
+            self._fresh.discard(writer)
         return None if writer.is_closing() else request
 
     @staticmethod

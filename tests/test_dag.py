@@ -1,103 +1,10 @@
-"""Tests for dependence analysis (Section 3.1: Type I vs Type II)."""
+"""Tests for the QFT dependence-order checkers (Section 3.1: Type I vs Type II)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import (
-    CNOT,
-    CPHASE,
-    Circuit,
-    DependenceRules,
-    H,
-    SWAP,
-    build_dag,
-    dag_depth,
-    front_layers,
-    gates_commute,
-    qft_circuit,
-    qft_type1_order_ok,
-    qft_type2_order_ok,
-)
-
-
-class TestCommutation:
-    def test_disjoint_gates_commute(self):
-        assert gates_commute(H(0), H(1))
-        assert gates_commute(CPHASE(0, 1, 0.1), CPHASE(2, 3, 0.2))
-
-    def test_cphase_sharing_a_qubit_commute(self):
-        # the core of Insight 1
-        assert gates_commute(CPHASE(0, 1, 0.1), CPHASE(0, 2, 0.2))
-        assert gates_commute(CPHASE(0, 2, 0.1), CPHASE(1, 2, 0.2))
-
-    def test_h_does_not_commute_with_cphase_on_shared_qubit(self):
-        assert not gates_commute(H(0), CPHASE(0, 1, 0.1))
-
-    def test_h_on_same_qubit_do_not_commute_conservatively(self):
-        # two H on the same qubit actually commute, but the conservative rule
-        # keeps them ordered, which is always safe
-        assert not gates_commute(H(0), H(0))
-
-    def test_identical_swaps_commute(self):
-        assert gates_commute(SWAP(0, 1), SWAP(1, 0))
-
-    def test_different_swaps_sharing_qubit_do_not(self):
-        assert not gates_commute(SWAP(0, 1), SWAP(1, 2))
-
-    def test_cnot_sharing_qubit_does_not_commute(self):
-        assert not gates_commute(CNOT(0, 1), CNOT(1, 2))
-
-
-class TestDependenceRules:
-    def test_strict_orders_everything_sharing_a_qubit(self):
-        rules = DependenceRules(relaxed=False)
-        assert rules.must_order(CPHASE(0, 1, 0.1), CPHASE(0, 2, 0.2))
-
-    def test_relaxed_drops_type1(self):
-        rules = DependenceRules(relaxed=True)
-        assert not rules.must_order(CPHASE(0, 1, 0.1), CPHASE(0, 2, 0.2))
-
-    def test_relaxed_keeps_type2(self):
-        rules = DependenceRules(relaxed=True)
-        assert rules.must_order(CPHASE(0, 1, 0.1), H(1))
-        assert rules.must_order(H(0), CPHASE(0, 1, 0.1))
-
-    def test_disjoint_never_ordered(self):
-        for relaxed in (False, True):
-            assert not DependenceRules(relaxed).must_order(H(0), H(5))
-
-
-class TestBuildDag:
-    def test_qft_relaxed_dag_has_fewer_edges_than_strict(self):
-        c = qft_circuit(6)
-        strict = build_dag(c, DependenceRules(relaxed=False))
-        relaxed = build_dag(c, DependenceRules(relaxed=True))
-        assert relaxed.number_of_edges() < strict.number_of_edges()
-        assert relaxed.number_of_nodes() == strict.number_of_nodes() == len(c)
-
-    def test_front_layers_cover_all_gates(self):
-        c = qft_circuit(5)
-        dag = build_dag(c)
-        layers = front_layers(dag)
-        assert sum(len(l) for l in layers) == len(c)
-
-    def test_relaxed_depth_not_larger_than_strict(self):
-        c = qft_circuit(7)
-        assert dag_depth(c, DependenceRules(True)) <= dag_depth(c, DependenceRules(False))
-
-    def test_strict_qft_depth_matches_known_formula(self):
-        # the textbook QFT has logical depth 2n - 1 under strict dependences
-        for n in (2, 3, 5, 8):
-            assert dag_depth(qft_circuit(n), DependenceRules(relaxed=False)) == 2 * n - 1
-
-    def test_empty_circuit_depth_zero(self):
-        assert dag_depth(Circuit(3)) == 0
-
-    def test_chain_circuit_layers(self):
-        c = Circuit(2).h(0).cphase(0, 1).h(1)
-        layers = front_layers(build_dag(c))
-        assert [sorted(l) for l in layers] == [[0], [1], [2]]
+from repro.circuit import qft_circuit, qft_type1_order_ok, qft_type2_order_ok
 
 
 def _events_of(circuit):

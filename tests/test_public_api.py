@@ -1,16 +1,22 @@
 """The curated top-level surface stays in lockstep with its docs.
 
 ``repro.__all__`` is the contract: every name in it must resolve, and
-every name must appear in README.md's "Public API" table.
+every name must appear in README.md's "Public API" table.  README.md names
+numpy as the only runtime dependency, so using the package loads no other
+package from outside the standard library.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
 import repro.serve
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+README = REPO_ROOT / "README.md"
 
 
 def _public_api_section() -> str:
@@ -75,3 +81,49 @@ class TestServeReexports:
         # counter (bumped only on wire-incompatible schema changes)
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
         assert re.fullmatch(r"\d+", repro.serve.API_VERSION)
+
+
+#: run in a fresh interpreter: import every subpackage with an entry point,
+#: compile a SABRE cell (it builds the distance matrix) and an ``ours`` cell,
+#: run a plan, then name the installed packages other than numpy that got
+#: loaded
+_USE_THE_PACKAGE = """
+import site
+import sys
+
+installed = tuple(site.getsitepackages() + [site.getusersitepackages()])
+before = set(sys.modules)
+import repro
+import repro.eval
+import repro.lint
+import repro.serve
+import repro.store
+from repro.eval import CellSpec, adhoc_plan, execute
+
+for approach in ("sabre", "ours"):
+    result = repro.compile(architecture="grid", size=4, approach=approach)
+    assert result.status == "ok", (approach, result.status)
+report = execute(adhoc_plan("deps", [CellSpec.make("sabre", "lnn", 5)]))
+assert report.status_counts == {"ok": 1}, report.status_counts
+print(sorted({
+    name.partition(".")[0]
+    for name, module in list(sys.modules.items())
+    if name not in before
+    and (getattr(module, "__file__", None) or "").startswith(installed)
+} - {"numpy", "repro"}))
+"""
+
+
+def test_numpy_is_the_only_dependency_the_package_loads():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _USE_THE_PACKAGE],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

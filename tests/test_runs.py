@@ -331,10 +331,10 @@ class TestJournalResume:
 
         monkeypatch.setattr(ex, "run_cell", always_timeout)
         p = adhoc_plan("t", [CellSpec.make("sabre", "grid", 2)])
-        report = execute(p, store=str(tmp_path / "s.db"), retry_timeouts=3)
-        assert calls["n"] == 4  # first attempt + three re-dispatches
-        assert report.retried == 3 and report.recovered == 0
-        assert report.results[0].extra["retries"] == 3
+        report = execute(p, store=str(tmp_path / "s.db"))
+        assert calls["n"] == 2  # first attempt + one re-dispatch
+        assert report.retried == 1 and report.recovered == 0
+        assert report.results[0].extra["retries"] == 1
 
     def test_default_multiplier_retries_with_same_budget(self, monkeypatch, tmp_path):
         from repro.eval import executors as ex

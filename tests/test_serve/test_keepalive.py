@@ -295,6 +295,64 @@ def test_a_head_begun_during_the_drain_is_closed_by_stop(
     assert _asyncio_errors(caplog) == []
 
 
+def test_a_silent_connection_is_closed_when_the_drain_ends(
+    run_service, monkeypatch, caplog
+):
+    """A client that connects and sends nothing is closed when ``stop()``
+    ends, not left to its deadline, while one that connected before the
+    drain and sends its request during it still gets its 503."""
+
+    monkeypatch.setattr(server_module, "_IDLE_TIMEOUT_S", 300.0)
+    monkeypatch.setenv(CHAOS_ENV, "stall@worker=w0,cell=1,s=1.0")
+
+    async def scenario(service):
+        busy_reader, busy_writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        busy_writer.write(_post({**_COMPILE, "options": {"seed": 1}}))
+        await busy_writer.drain()
+        deadline = time.monotonic() + 10.0
+        while not service._inflight() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        silent_reader, silent_writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        late_reader, late_writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        while len(_handlers()) < 3 and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        await asyncio.sleep(0.05)  # both new handlers wait for a request line
+        stopping = asyncio.ensure_future(service.stop())
+        while not service._draining and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        late_writer.write(_post({**_COMPILE, "options": {"seed": 2}}))
+        await late_writer.drain()
+        late = await _answer(late_reader)
+        await asyncio.wait_for(stopping, 30.0)
+        try:
+            rest = await _eof(silent_reader, 2.0)
+        except asyncio.TimeoutError:
+            rest = None  # still open after stop() returned
+        answered = await _answer(busy_reader)
+        while _handlers() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        for writer in (busy_writer, silent_writer, late_writer):
+            await _close(writer)
+        return answered, late, rest, _handlers()
+
+    (status, _, headers), late, rest, handlers = run_service(
+        ServeConfig(workers=1), scenario
+    )
+    assert status == 200 and headers["connection"] == "close"
+    late_status, late_body, late_headers = late
+    assert late_status == 503 and "draining" in late_body["error"]
+    assert late_headers["connection"] == "close"
+    assert rest == b""
+    assert handlers == []
+    assert _asyncio_errors(caplog) == []
+
+
 # ---------------------------------------------------------------------------
 # ServeClient
 # ---------------------------------------------------------------------------

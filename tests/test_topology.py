@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.arch import GridTopology, LNNTopology, Topology, clear_distance_cache
+from repro.arch import (
+    GridTopology,
+    LNNTopology,
+    Topology,
+    architecture_names,
+    clear_distance_cache,
+    make_architecture,
+)
 from repro.circuit import GateKind
 from repro.circuit.gates import KIND_CODES
 
@@ -71,9 +78,37 @@ class TestDistances:
         with pytest.raises(ValueError):
             t.shortest_path(0, 3)
 
-    def test_is_connected(self):
-        assert make_triangle_plus_tail().is_connected()
-        assert not Topology(4, [(0, 1), (2, 3)]).is_connected()
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("kind", architecture_names())
+    def test_matrix_matches_per_pair_bfs(self, kind, size):
+        """The all-sources BFS agrees with the per-source BFS that
+        :meth:`Topology.shortest_path` reads its paths from."""
+
+        t = make_architecture(kind, size)
+        d = t.distance_matrix()
+        n = t.num_qubits
+        assert d.shape == (n, n)
+        for a in range(n):
+            for b in range(n):
+                assert d[a, b] == len(t.shortest_path(a, b)) - 1, (a, b)
+
+    def test_components_are_infinitely_far_apart(self):
+        # two components, {0, 1, 2} and {3, 4}, and the isolated site 5
+        d = Topology(6, [(0, 1), (1, 2), (3, 4)]).distance_matrix()
+        comp = [0, 0, 0, 1, 1, 2]
+        for a in range(6):
+            for b in range(6):
+                if comp[a] != comp[b]:
+                    assert d[a, b] == np.inf, (a, b)
+        assert d[0, 2] == 2 and d[3, 4] == 1
+        assert d[5, 5] == 0
+
+    def test_matrix_is_read_only_contiguous_float64(self):
+        d = make_triangle_plus_tail().distance_matrix()
+        assert d.dtype == np.float64
+        assert d.flags.c_contiguous and not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 5.0
 
 
 class TestMisc:
@@ -81,11 +116,6 @@ class TestMisc:
         t = make_triangle_plus_tail()
         kinds = np.array([KIND_CODES[k] for k in (GateKind.SWAP, GateKind.CPHASE, GateKind.H)])
         assert t.op_latency_array(kinds, np.array([0, 0, 0]), np.array([1, 1, -1])).tolist() == [1] * 3
-
-    def test_to_networkx(self):
-        g = make_triangle_plus_tail().to_networkx()
-        assert g.number_of_nodes() == 5
-        assert g.number_of_edges() == 5
 
     def test_subtopology_relabels(self):
         t = make_triangle_plus_tail()
@@ -99,7 +129,7 @@ def test_distance_matrix_shared_across_instances():
     clear_distance_cache()
     a = GridTopology(5, 5).distance_matrix()
     b = GridTopology(5, 5).distance_matrix()
-    assert a is b  # cache hit: same object, Dijkstra ran once
+    assert a is b  # cache hit: same object, the BFS ran once
     assert not a.flags.writeable
     # different graphs do not collide
     c = GridTopology(5, 6).distance_matrix()
