@@ -27,7 +27,6 @@ import os
 import pytest
 
 from repro.eval import run_cell
-from repro.eval.runners import cached_topology
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
@@ -35,19 +34,16 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 def bench_cell(benchmark, approach: str, kind: str, size: int, **kwargs):
     """Run one compilation cell under pytest-benchmark and record its metrics.
 
-    The topology is resolved through the harness's shared memo (one instance
-    -- and one distance matrix / SABRE table build -- per topology per
-    process), so benchmark timings measure the mapper, not repeated
+    ``run_cell`` resolves the topology through the harness's shared memo (one
+    instance -- and one distance matrix / SABRE table build -- per topology
+    per process), so benchmark timings measure the mapper, not repeated
     architecture construction, exactly like a topology-grouped sweep.
     """
 
-    topology = cached_topology(kind, size)
     result_holder = {}
 
     def compile_once():
-        result_holder["result"] = run_cell(
-            approach, kind, size, topology=topology, **kwargs
-        )
+        result_holder["result"] = run_cell(approach, kind, size, **kwargs)
         return result_holder["result"]
 
     benchmark.pedantic(compile_once, rounds=1, iterations=1)

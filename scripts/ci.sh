@@ -114,22 +114,22 @@ fi
 
 # ---------------------------------------------------------------------------
 # Chaos smoke: the fault-tolerance contract, exercised for real.  A serial
-# reference run records fig27 into a store; then the pool executor computes
-# the same plan with injected faults -- worker w0 SIGKILLed on its first
-# cell, worker w1 stalled on its second -- and the two run records must
-# agree cell for cell on every pinned metric.  The pool logs one WARNING per
-# reaped worker on stderr; the leg requires w0's, so a chaos spec that fires
-# nothing cannot "pass" vacuously.
+# reference run (--jobs 1) records fig27 into a store; then the worker pool
+# (--jobs 2) computes the same plan with injected faults -- worker w0
+# SIGKILLed on its first cell, worker w1 stalled on its second -- and the
+# two run records must agree cell for cell on every pinned metric.  The
+# pool logs one WARNING per reaped worker on stderr; the leg requires w0's,
+# so a chaos spec that fires nothing cannot "pass" vacuously.
 # ---------------------------------------------------------------------------
 chaos_smoke() {
     echo "=== chaos smoke: pool (killed + stalled worker) vs serial ==="
     local chaos_dir
     chaos_dir=$(mktemp -d)
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-        --executor serial --store "$chaos_dir/serial.db" | tail -2
+        --jobs 1 --store "$chaos_dir/serial.db" | tail -2
     REPRO_CHAOS="kill-worker@worker=w0,cell=1;stall@worker=w1,cell=2,s=1.2" \
         PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.eval -e fig27 \
-        --executor pool --jobs 2 --store "$chaos_dir/chaos.db" \
+        --jobs 2 --store "$chaos_dir/chaos.db" \
         2>"$chaos_dir/stderr.txt" | tail -2
     cat "$chaos_dir/stderr.txt" >&2
     grep -Eq "^worker w0 exited with code -9; [1-9][0-9]* batch\(es\) resubmitted$" \
@@ -167,9 +167,9 @@ fi
 # ---------------------------------------------------------------------------
 # Store smoke: the SQLite experiment store end to end.  fig27 is recorded
 # twice, each run into its own .db: serially (also caching into its store)
-# and on the pool.  The two run records must agree cell for cell, the
-# serial run resumes from its record, its cache serves the sweep warm, and
-# the query/info CLI reads it.
+# and on the pool (--jobs 2).  The two run records must agree cell for cell
+# and name what ran (serial/1 and pool/2), the serial run resumes from its
+# record, its cache serves the sweep warm, and the query/info CLI reads it.
 # ---------------------------------------------------------------------------
 store_smoke() {
     echo "=== store smoke: fig27 through the SQLite experiment store ==="
@@ -184,16 +184,19 @@ store_smoke() {
 import sys
 from repro.store import ExperimentStore
 
-def cells(db):
+def record(db):
     with ExperimentStore(db) as store:
         (run,) = store.list_runs()
-        return {
+        cells = {
             key: (r["approach"], r["status"], r["depth"], r["swap_count"])
             for key, r in store.run_results(run["id"]).items()
         }
+        return (run["executor"], run["jobs"]), cells
 
 base = sys.argv[1]
-serial, pooled = cells(f"{base}/s.db"), cells(f"{base}/pool.db")
+(s_ran, serial), (p_ran, pooled) = record(f"{base}/s.db"), record(f"{base}/pool.db")
+assert s_ran == ("serial", 1), f"serial run recorded executor/jobs {s_ran}"
+assert p_ran == ("pool", 2), f"pool run recorded executor/jobs {p_ran}"
 assert len(serial) == 10, f"serial run recorded {len(serial)} cells"
 assert pooled == serial, f"pool run record != serial run record: {pooled} vs {serial}"
 print(f"store smoke ok: {len(serial)} cells, pool run record == serial run record")

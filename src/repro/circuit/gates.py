@@ -9,10 +9,8 @@ The paper's QFT kernel only needs three operations:
 
 For the fault-tolerant (lattice-surgery) backend the paper additionally
 reasons about ``CNOT`` gates because a SWAP on a CNOT-only link costs three
-CNOTs (Section 2.3).  We therefore also provide ``CNOT`` and ``RZ`` so that
-mapped circuits can be *expanded* to a CNOT-level gate set when needed
-(e.g. for gate-count accounting on the FT backend or for exporting to other
-tools).
+CNOTs (Section 2.3).  ``CNOT`` and ``RZ`` are gate kinds as well; the QAOA
+and random-circuit workloads use them.
 
 Two classes live here:
 
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "GateKind",
@@ -256,48 +254,3 @@ class Op:
 
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.kind} phys={self.physical} log={self.logical}"
-
-
-def expand_to_cnot(op: Op) -> list:
-    """Expand a mapped op into a CNOT + single-qubit gate sequence.
-
-    The decomposition follows the standard identities used by the paper's FT
-    cost model (Section 2.3):
-
-    * ``SWAP(a, b)``     -> 3 CNOTs,
-    * ``CPHASE(a, b)``   -> CNOT, RZ, CNOT, RZ, RZ (up to global phase),
-    * other ops are returned unchanged.
-
-    Only used for gate-count accounting; scheduling works on the native ops.
-    """
-
-    if op.kind == GateKind.SWAP:
-        a, b = op.physical
-        la, lb = op.logical
-        return [
-            Op(GateKind.CNOT, (a, b), (la, lb), tag=op.tag),
-            Op(GateKind.CNOT, (b, a), (lb, la), tag=op.tag),
-            Op(GateKind.CNOT, (a, b), (la, lb), tag=op.tag),
-        ]
-    if op.kind == GateKind.CPHASE:
-        a, b = op.physical
-        la, lb = op.logical
-        theta = op.angle if op.angle is not None else math.pi
-        half = theta / 2.0
-        return [
-            Op(GateKind.RZ, (a,), (la,), half, tag=op.tag),
-            Op(GateKind.CNOT, (a, b), (la, lb), tag=op.tag),
-            Op(GateKind.RZ, (b,), (lb,), -half, tag=op.tag),
-            Op(GateKind.CNOT, (a, b), (la, lb), tag=op.tag),
-            Op(GateKind.RZ, (b,), (lb,), half, tag=op.tag),
-        ]
-    return [op]
-
-
-def count_kinds(ops: Iterable[Op]) -> dict:
-    """Count ops by kind; small helper shared by metrics and tests."""
-
-    counts: dict[str, int] = {}
-    for op in ops:
-        counts[op.kind] = counts.get(op.kind, 0) + 1
-    return counts

@@ -451,9 +451,6 @@ class MappingBuilder:
 
         return self.log_to_phys[logical]
 
-    def are_adjacent(self, phys_a: int, phys_b: int) -> bool:
-        return self.topology.has_edge(phys_a, phys_b)
-
     # -- emission ------------------------------------------------------
     def _append(
         self, code: int, a: int, b: int, la: int, lb: int, angle: Optional[float], tag: str

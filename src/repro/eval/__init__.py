@@ -1,17 +1,17 @@
-"""Evaluation harness: runners, executors, and the declarative run API.
+"""Evaluation harness: runners, the cell engine, and the declarative run API.
 
 The surface is ``plan()`` / ``execute()`` over registered experiments
-(:mod:`repro.eval.runs`) and pluggable executors
-(:mod:`repro.eval.executors`); the ``pool`` executor and the compile service
-share one supervised worker pool (:mod:`repro.eval.workers`).  Results persist in one place, the SQLite
-experiment store (:mod:`repro.store`): :class:`ResultCache` keeps its cells
-there, and ``execute(..., store=DB)`` records each run there, resumable
-after a crash with ``resume=True``.
+(:mod:`repro.eval.runs`).  ``execute(plan, jobs=1)`` runs the cells in
+order in this process; ``jobs > 1`` runs them, through
+:func:`~repro.eval.executors.run_specs`, on the supervised worker pool
+(:mod:`repro.eval.workers`) the compile service also runs on.  Results
+persist in one place, the SQLite experiment store (:mod:`repro.store`):
+:class:`ResultCache` keeps its cells there, and ``execute(..., store=DB)``
+records each run there, resumable after a crash with ``resume=True``.
 """
 
 from .metrics import CompilationResult, result_from_mapped
 from .runners import (
-    APPROACHES,
     architecture_label,
     make_architecture,
     run_cell,
@@ -19,16 +19,7 @@ from .runners import (
 )
 from .cache import ResultCache, cell_key, code_version
 from .parallel import CellSpec
-from .executors import (
-    EXECUTOR_REGISTRY,
-    ExecutionContext,
-    ExecutionOutcome,
-    Executor,
-    executor_names,
-    get_executor,
-    register_executor,
-    run_specs,
-)
+from .executors import run_specs
 from .runs import (
     EXPERIMENT_REGISTRY,
     ExperimentEntry,
@@ -47,7 +38,6 @@ from .experiments import PAPER, QUICK, Profile
 __all__ = [
     "CompilationResult",
     "result_from_mapped",
-    "APPROACHES",
     "architecture_label",
     "make_architecture",
     "run_cell",
@@ -56,13 +46,6 @@ __all__ = [
     "code_version",
     "CellSpec",
     "cell_key",
-    "EXECUTOR_REGISTRY",
-    "ExecutionContext",
-    "ExecutionOutcome",
-    "Executor",
-    "executor_names",
-    "get_executor",
-    "register_executor",
     "run_specs",
     "EXPERIMENT_REGISTRY",
     "ExperimentEntry",

@@ -2,7 +2,7 @@
 
 Each requested experiment is resolved through the experiment registry
 (:mod:`repro.eval.runs`; synonyms work, unknown names suggest corrections),
-turned into a typed ``RunPlan`` and run through a registered executor.
+turned into a typed ``RunPlan`` and run by ``execute()``.
 Useful flags::
 
     -e/--experiment NAME   any registered experiment or synonym (see
@@ -13,11 +13,10 @@ Useful flags::
     --workload NAME        workload for the registry cross-product "sweep"
                            experiment (qft, qaoa, random, or any plugin);
                            implies -e sweep when no experiment is given
-    --jobs N               worker processes (topology-grouped fan-out on
-                           the supervised pool: a killed worker is
-                           respawned and its chunk resubmitted)
-    --executor NAME        serial | pool (defaults: serial; pool when
-                           --jobs > 1)
+    --jobs N               1 (default): the cells run in order in this
+                           process; N > 1: topology-grouped fan-out over N
+                           workers of the supervised pool (a killed worker
+                           is respawned and its chunk resubmitted)
     --verify POLICY        full | sample | off — per-cell verification
                            policy (part of the cache key)
     --store DB             record the run into a SQLite experiment store:

@@ -2,9 +2,9 @@
 
 Fault tolerance that is never exercised is a story, not a property.  This
 module turns the worker failures the supervised pool
-(:mod:`repro.eval.workers`, behind both the ``pool`` executor and
-``repro.serve``) claims to survive into *directives* that tests (and the CI
-chaos smoke leg) inject deliberately.  Cells are counted per worker from 1,
+(:mod:`repro.eval.workers`, behind both ``execute(..., jobs=N)`` with N > 1
+and ``repro.serve``) claims to survive into *directives* that tests (and
+the CI chaos smoke leg) inject deliberately.  Cells are counted per worker from 1,
 across its batches:
 
 ``kill-worker@worker=w0,cell=1``

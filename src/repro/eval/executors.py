@@ -1,35 +1,29 @@
-"""Pluggable executors: *how* a list of evaluation cells gets run.
+"""Running a list of evaluation cells: in order, or on the worker pool.
 
-The declarative layer (:mod:`repro.eval.runs`) describes *what* to run as a
-typed ``RunPlan``; this module supplies the strategy objects that run it.
-Executors register themselves in :data:`EXECUTOR_REGISTRY` (same
-synonym/did-you-mean machinery as the workload/approach/architecture
-registries) and expose one method, :meth:`Executor.run`.  Built-ins:
-
-``serial``
-    Every cell in order, in-process.  No pool overhead; the right choice for
-    tiny sweeps and debugging.
-``pool``
-    The topology-grouped worker pool: cells that target the same coupling
-    graph are sent to workers as whole chunks, every worker resolves
-    topologies through the process-local memo in :mod:`repro.eval.runners`,
-    and on fork-based platforms the parent prewarms each distinct topology
-    so workers inherit the distance matrices and SABRE tables copy-on-write.
-    The workers are the supervised :class:`~repro.eval.workers.WarmWorkerPool`
-    the compile service also runs on: a worker killed mid-chunk is respawned
-    and its chunk resubmitted, so the sweep finishes bit-equal to a serial run.
-
-:func:`repro.eval.execute` owns the run record: with ``store=DB`` it hands
-every executor a :class:`~repro.store.RunRecorder` (``ctx.recorder``) that
-each finished cell is appended to as it lands, plus the results of the run
-being resumed (``ctx.resumed``), which are served instead of re-run.
-Recorded ``serial``/``pool`` runs also get a straggler pass: each cell that
-timed out is re-dispatched once, with the cell's own budget, before being
-reported.
+:func:`run_specs` is the one engine behind :func:`repro.eval.execute`.
+With ``jobs=1`` every cell runs in order, in this process: no pool
+overhead, the right choice for tiny sweeps and debugging.  With ``jobs > 1``
+and at least two cells to compute (cache hits and resumed cells need none),
+the cells run on the topology-grouped worker pool: cells that target the
+same coupling graph are sent to workers as whole chunks, every worker
+resolves topologies through the process-local memo in
+:mod:`repro.eval.runners`, and on fork-based platforms the parent prewarms
+each distinct topology so workers inherit the distance matrices and SABRE
+tables copy-on-write.  The workers are the supervised
+:class:`~repro.eval.workers.WarmWorkerPool` the compile service also runs
+on: a worker killed mid-chunk is respawned and its chunk resubmitted, so the
+sweep finishes bit-equal to a serial run.
 
 Results always come back in spec order, and every cell is deterministic
-given its spec, so the choice of executor (and ``jobs``) never changes the
-metrics -- only the wall-clock time (a property the test suite asserts).
+given its spec, so ``jobs`` never changes the metrics -- only the wall-clock
+time (a property the test suite asserts).  The run record (``store=``), the
+resumed run's cells and the straggler retry are :func:`repro.eval.execute`'s
+part; it hands this module the ``skip`` and ``on_result`` hooks.
+
+:func:`run_specs`, :func:`run_cell` and :func:`_run_spec` (the pool task)
+are looked up as this module's attributes at call time (``execute`` calls
+``executors.run_specs``), so a wrapper installed on any of them (the traced
+benchmark installs some) sees every call.
 """
 
 from __future__ import annotations
@@ -37,42 +31,24 @@ from __future__ import annotations
 import multiprocessing
 import queue
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..registry import Registry
-from .cache import ResultCache, cell_key
+from .cache import ResultCache
 from .metrics import CompilationResult
 from .parallel import CellSpec
-from .runners import architecture_key, cached_topology, prepare_topology, run_cell
+from .runners import architecture_key, prepare_topology, run_cell
 from .workers import WarmWorkerPool
 
-__all__ = [
-    "Executor",
-    "ExecutionContext",
-    "ExecutionOutcome",
-    "EXECUTOR_REGISTRY",
-    "register_executor",
-    "get_executor",
-    "executor_names",
-    "run_specs",
-]
-
-
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
+__all__ = ["run_specs"]
 
 
 def _run_spec(spec: CellSpec) -> CompilationResult:
-    topology = cached_topology(spec.kind, spec.size)  # None -> per-cell error
     result = run_cell(
         spec.approach,
         spec.kind,
         spec.size,
         workload=spec.workload,
         workload_params=dict(spec.workload_params),
-        topology=topology,
         timeout_s=spec.timeout_s,
         verify=spec.verify,
         **dict(spec.kwargs),
@@ -228,148 +204,3 @@ def run_specs(
             record(i, _run_spec(specs[i]))
 
     return results  # type: ignore[return-value]  # every slot is filled above
-
-
-# ---------------------------------------------------------------------------
-# Executor protocol + registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExecutionContext:
-    """Everything an executor may need beyond the cells themselves."""
-
-    jobs: int = 1
-    cache: Optional[ResultCache] = None
-    #: the run record (a :class:`repro.store.RunRecorder`) every finished
-    #: cell is appended to, or ``None`` for an unrecorded run
-    recorder: Optional[Any] = None
-    #: results of the run being resumed, by :func:`cell_key`; served as-is
-    resumed: Dict[str, CompilationResult] = field(default_factory=dict)
-
-
-@dataclass
-class ExecutionOutcome:
-    """What an executor did: the results plus its bookkeeping."""
-
-    results: List[CompilationResult]
-    resumed: int = 0  # cells served from the resumed run, not re-run
-    retried: int = 0  # straggler cells re-dispatched
-    recovered: int = 0  # retried cells whose second attempt succeeded
-
-
-class Executor:
-    """Base class for registered executors (``run`` is the whole surface)."""
-
-    name: str = ""
-
-    def run(
-        self, specs: Sequence[CellSpec], ctx: ExecutionContext
-    ) -> ExecutionOutcome:
-        raise NotImplementedError
-
-
-#: the process-wide executor registry
-EXECUTOR_REGISTRY: Registry[Executor] = Registry("executor")
-
-
-def register_executor(name: str, *, synonyms: Sequence[str] = ()):
-    """Class decorator: instantiate and register an :class:`Executor`."""
-
-    def _register(cls):
-        instance = cls()
-        instance.name = name
-        EXECUTOR_REGISTRY.register(name, instance, synonyms=synonyms)
-        return cls
-
-    return _register
-
-
-def get_executor(name: str) -> Executor:
-    """Resolve an executor by any registered spelling (raises with hints)."""
-
-    return EXECUTOR_REGISTRY.get(name)
-
-
-def executor_names() -> Tuple[str, ...]:
-    """Canonical names of every registered executor."""
-
-    return EXECUTOR_REGISTRY.names()
-
-
-# ---------------------------------------------------------------------------
-# Built-in executors
-# ---------------------------------------------------------------------------
-
-
-class _LocalExecutor(Executor):
-    """``run_specs`` in this process tree, plus the recorded-run duties.
-
-    With a run record, every finished cell (cache hits included) is
-    appended as it lands, the resumed run's cells are served instead of
-    re-run, and timeouts get the straggler pass: each is re-dispatched once
-    before the report calls it final.
-    Unrecorded runs report timeouts as they come.
-    """
-
-    def _jobs(self, ctx: ExecutionContext) -> int:
-        return ctx.jobs
-
-    def run(self, specs, ctx):
-        jobs = self._jobs(ctx)
-        recorder = ctx.recorder
-        if recorder is None:
-            return ExecutionOutcome(run_specs(specs, jobs=jobs, cache=ctx.cache))
-
-        keys = [cell_key(spec) for spec in specs]
-        skip = {i: ctx.resumed[k] for i, k in enumerate(keys) if k in ctx.resumed}
-        results = run_specs(
-            specs,
-            jobs=jobs,
-            cache=ctx.cache,
-            skip=skip,
-            on_result=lambda i, spec, res: recorder.append(keys[i], res),
-        )
-
-        # Straggler pass: a timeout is wall-clock-dependent (and never
-        # cached), so each one is re-dispatched once before the report calls
-        # it final.  Deterministic failures (error / unsupported / skipped)
-        # are not retried.  Resumed cells participate too -- a timeout
-        # recorded just before a crash would otherwise become permanent --
-        # and the ``retries`` marker recorded with the retry keeps a resumed
-        # run from re-dispatching a cell twice.
-        retry_idx = [
-            i
-            for i, r in enumerate(results)
-            if r.status == "timeout" and not (r.extra or {}).get("retries")
-        ]
-        recovered = 0
-        if retry_idx:
-            again = run_specs(
-                [specs[i] for i in retry_idx],
-                jobs=min(jobs, len(retry_idx)),
-                cache=ctx.cache,
-            )
-            for i, result in zip(retry_idx, again):
-                result.extra = dict(result.extra or {})
-                result.extra["retries"] = 1
-                if result.status != "timeout":
-                    recovered += 1
-                results[i] = result
-                recorder.append(keys[i], result)
-        return ExecutionOutcome(
-            results, resumed=len(skip), retried=len(retry_idx), recovered=recovered
-        )
-
-
-@register_executor("serial", synonyms=("inline", "sync"))
-class SerialExecutor(_LocalExecutor):
-    """Every cell in order, in-process (no pool)."""
-
-    def _jobs(self, ctx):
-        return 1
-
-
-@register_executor("pool", synonyms=("process-pool", "parallel"))
-class PoolExecutor(_LocalExecutor):
-    """The topology-grouped worker pool (``jobs`` workers)."""

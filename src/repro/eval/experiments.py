@@ -4,11 +4,11 @@ Each experiment is a ``specs_*`` builder registered in the experiment
 registry via :func:`~repro.eval.runs.register_experiment`; the declarative
 run API (:func:`repro.eval.plan` / :func:`repro.eval.execute`) resolves the
 name (synonyms included, unknown names raise with did-you-mean suggestions),
-builds the ordered cell list and runs it through a registered executor --
-``serial`` or the topology-grouped ``pool`` -- optionally recording the run
-in an experiment store (``--store``; crash resume with ``--resume``,
-straggler retry).  The module CLI (``python -m repro.eval``) is a thin
-shell over exactly that pair of calls.
+builds the ordered cell list and runs it -- in order in this process, or on
+the topology-grouped worker pool with ``--jobs N`` above 1 -- optionally
+recording the run in an experiment store (``--store``; crash resume with
+``--resume``, straggler retry).  The module CLI (``python -m repro.eval``)
+is a thin shell over exactly that pair of calls.
 
 Two profiles control instance sizes:
 
@@ -32,9 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 from ..approaches import approach_names
 from ..arch.registry import architecture_names
 from ..registry import UnknownNameError
+from ..utils import VERIFY_POLICIES
 from ..workloads import workload_names
 from .cache import ResultCache
-from .executors import executor_names
 from .parallel import CellSpec
 from .runs import (
     EXPERIMENT_REGISTRY,
@@ -405,19 +405,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "-j",
         type=int,
         default=1,
-        help="worker processes per experiment (cells fan out across cores)",
-    )
-    parser.add_argument(
-        "--executor",
-        default=None,
-        metavar="NAME",
-        help="execution strategy: one of "
-        f"{', '.join(executor_names())} (default: serial, or pool when "
-        "--jobs > 1)",
+        help="worker processes per experiment: 1 runs the cells in order "
+        "in this process, more fan them out over the worker pool",
     )
     parser.add_argument(
         "--verify",
-        choices=("full", "sample", "off"),
+        choices=VERIFY_POLICIES,
         default="full",
         help="per-cell verification policy (sample = deterministic ~25%% "
         "subset; policy is part of the cache key)",
@@ -483,14 +476,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             report = execute(
                 run_plan,
-                executor=args.executor,
                 jobs=args.jobs,
                 cache=cache,
                 resume=args.resume,
                 store=args.store,
             )
-        except UnknownNameError as exc:
-            parser.error(str(exc))
         except (FileNotFoundError, ValueError) as exc:
             parser.error(str(exc))
         print(format_results(report.results))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from ..approaches import APPROACH_REGISTRY, ENGINE_KWARGS, get_approach
+from ..approaches import ENGINE_KWARGS, get_approach
 from ..arch.registry import (
     ARCHITECTURES,
     architecture_key,
@@ -34,7 +34,7 @@ from ..arch.topology import Topology
 from ..baselines.sabre import SabreNotConverged
 from ..baselines.sabre_kernel import _kernel_tables_for
 from ..compile_api import compile as compile_cell
-from ..utils import BoundedCache
+from ..utils import BoundedCache, normalize_verify
 from ..workloads import get_workload
 from .metrics import CompilationResult
 
@@ -46,18 +46,7 @@ __all__ = [
     "architecture_key",
     "cached_topology",
     "prepare_topology",
-    "APPROACHES",
 ]
-
-
-def _approaches() -> Tuple[str, ...]:
-    return APPROACH_REGISTRY.names()
-
-
-# Kept as a module-level tuple for backwards compatibility; the registry is
-# the source of truth (imported at module load, after the built-in approaches
-# registered themselves).
-APPROACHES = _approaches()
 
 
 # Process-local topology memo, keyed by `architecture_key`.  Evaluation sweeps
@@ -70,20 +59,18 @@ APPROACHES = _approaches()
 _TOPO_MEMO: BoundedCache = BoundedCache(8)
 
 
-def cached_topology(kind: str, size: int) -> Optional[Topology]:
-    """Shared topology instance for ``(kind, size)``, or None if construction
-    fails (the caller's `run_cell` re-runs construction to produce the
-    per-cell error result)."""
+def cached_topology(kind: str, size: int) -> Topology:
+    """Shared topology instance for ``(kind, size)``.
+
+    A construction failure is not memoized: the constructor's
+    ``ValueError`` (an odd Sycamore size, an unknown kind, ...) propagates.
+    """
 
     key = architecture_key(kind, size)
     topo = _TOPO_MEMO.lookup(key)
     if topo is not None:
         return topo
-    try:
-        topo = make_architecture(kind, size)
-    except ValueError:
-        return None
-    return _TOPO_MEMO.store(key, topo)
+    return _TOPO_MEMO.store(key, make_architecture(kind, size))
 
 
 def prepare_topology(kind: str, size: int) -> Optional[Topology]:
@@ -96,10 +83,12 @@ def prepare_topology(kind: str, size: int) -> Optional[Topology]:
     an error result).
     """
 
-    topo = cached_topology(kind, size)
-    if topo is not None:
-        topo.distance_matrix()
-        _kernel_tables_for(topo)
+    try:
+        topo = cached_topology(kind, size)
+    except ValueError:
+        return None
+    topo.distance_matrix()
+    _kernel_tables_for(topo)
     return topo
 
 
@@ -152,7 +141,6 @@ def run_cell(
     verify: Union[bool, str] = True,
     max_qubits: Optional[int] = None,
     timeout_s: Optional[float] = None,
-    topology: Optional[Topology] = None,
     **kwargs,
 ) -> CompilationResult:
     """Compile one workload with one approach on one architecture instance.
@@ -182,9 +170,10 @@ def run_cell(
     budget applies to every approach, on any thread; for SATMAP it
     *replaces* the stand-in's own 60 s limit.
 
-    ``topology`` optionally injects a prebuilt (shared) topology instance, so
-    topology-grouped sweeps reuse one instance -- and its cached distance
-    matrix / routing tables -- across all the cells of a group.
+    The topology comes from the process memo (:func:`cached_topology`), so
+    every cell of a ``(kind, size)`` in this process -- a sweep's serial
+    loop, a pool worker's chunk, a served request -- shares one instance
+    and its cached distance matrix and routing tables.
 
     Architecture construction errors (e.g. an odd Sycamore patch size) and
     SABRE runs that do not converge (:class:`SabreNotConverged`) are
@@ -198,11 +187,7 @@ def run_cell(
     label = architecture_label(kind, size)
     get_approach(approach)  # unknown approach: caller bug, raises with hints
     wl = get_workload(workload)  # unknown workload: likewise
-    policy = {True: "full", False: "off"}.get(verify, verify)
-    if policy not in ("full", "sample", "off"):
-        raise ValueError(
-            f"unknown verify policy {verify!r} (one of 'full', 'sample', 'off')"
-        )
+    policy = normalize_verify(verify)
     if policy == "sample":
         do_verify = sample_verifies(
             approach,
@@ -213,19 +198,18 @@ def run_cell(
         )
     else:
         do_verify = policy == "full"
-    if topology is None:
-        ARCHITECTURES.get(kind)  # unknown kind: caller bug, raises with hints
-        try:
-            topology = make_architecture(kind, size)
-        except ValueError as exc:
-            return CompilationResult(
-                approach=approach,
-                architecture=label,
-                num_qubits=0,
-                status="error",
-                message=str(exc),
-                workload=wl.name,
-            )
+    ARCHITECTURES.get(kind)  # unknown kind: caller bug, raises with hints
+    try:
+        topology = cached_topology(kind, size)
+    except ValueError as exc:
+        return CompilationResult(
+            approach=approach,
+            architecture=label,
+            num_qubits=0,
+            status="error",
+            message=str(exc),
+            workload=wl.name,
+        )
 
     # `max_qubits=None` here means "no explicit cap": fall through to the
     # approach's registered default (repro.compile applies it).

@@ -1,4 +1,4 @@
-"""The declarative run API: registered experiments, typed plans, executors.
+"""The declarative run API: registered experiments, typed plans, run reports.
 
 This is the evaluation-side counterpart of :func:`repro.compile`: one typed
 entry point over registries instead of a function-per-figure layout.
@@ -9,11 +9,11 @@ entry point over registries instead of a function-per-figure layout.
 * :func:`plan` resolves an experiment name into a :class:`RunPlan`: an
   ordered, picklable tuple of :class:`~repro.eval.parallel.CellSpec` plus
   the profile and verification policy.
-* :func:`execute` runs a plan through a registered
-  :class:`~repro.eval.executors.Executor` (``serial`` or ``pool``), records
-  the run in a SQLite experiment store when asked (``store=``, resumable
-  with ``resume=True``) and returns a typed, JSON-serializable
-  :class:`RunReport`.
+* :func:`execute` runs a plan's cells -- in order in this process with
+  ``jobs=1``, on the topology-grouped worker pool above that
+  (:func:`~repro.eval.executors.run_specs`) -- records the run in a SQLite
+  experiment store when asked (``store=``, resumable with ``resume=True``)
+  and returns a typed, JSON-serializable :class:`RunReport`.
 
 Typical use::
 
@@ -48,10 +48,11 @@ from typing import (
 )
 
 from ..registry import Registry
+from ..utils import normalize_verify
+from . import executors
 from .cache import ResultCache, cell_key, code_version
-from .executors import ExecutionContext, get_executor
 from .metrics import CompilationResult
-from .parallel import VERIFY_POLICIES, CellSpec
+from .parallel import CellSpec
 
 __all__ = [
     "ExperimentEntry",
@@ -206,7 +207,7 @@ def plan(
     experiment: str,
     profile: Union[str, object] = "quick",
     *,
-    verify: str = "full",
+    verify: Union[bool, str] = "full",
     **options: object,
 ) -> RunPlan:
     """Resolve an experiment name into a typed :class:`RunPlan`.
@@ -214,19 +215,16 @@ def plan(
     ``profile`` is a profile name (``"quick"`` / ``"paper"``) or a
     :class:`~repro.eval.experiments.Profile` instance.  ``verify`` sets
     every cell's verification policy (``"full"`` / ``"sample"`` /
-    ``"off"``).  Extra keyword options are validated against the
-    experiment entry (e.g. ``workload=`` for the registry cross-product
-    sweep).
+    ``"off"``, or ``True``/``False``).  Extra keyword options are
+    validated against the experiment entry (e.g. ``workload=`` for the
+    registry cross-product sweep).
     """
 
     from .experiments import Profile, _profile  # deferred: experiments imports us
 
     entry = get_experiment(experiment)
     entry.validate_options(options)
-    if verify not in VERIFY_POLICIES:
-        raise ValueError(
-            f"unknown verify policy {verify!r} (one of {VERIFY_POLICIES})"
-        )
+    verify = normalize_verify(verify)
     prof = profile if isinstance(profile, Profile) else _profile(str(profile))
     cells = list(entry.builder(prof, **options))
     if verify != "full":
@@ -247,7 +245,7 @@ def adhoc_plan(
 
     The cells run exactly as given -- no registry lookup -- but the run
     still goes through :func:`execute`, so it gets the same typed
-    :class:`RunReport`, run record and executor choice as a registered
+    :class:`RunReport`, run record and ``jobs`` choice as a registered
     experiment.
     """
 
@@ -269,10 +267,12 @@ def adhoc_plan(
 class RunReport:
     """Everything one :func:`execute` call produced, JSON-serializable.
 
-    ``results`` is in plan (cell) order.  ``status_counts`` aggregates the
-    per-cell statuses; ``resumed`` / ``retried`` / ``recovered`` are the
-    recorded run's accounting (cells served from the resumed run, straggler
-    cells re-dispatched, and retries whose second attempt succeeded).
+    ``results`` is in plan (cell) order.  ``executor`` says how the cells
+    ran: ``"pool"`` when ``jobs > 1``, else ``"serial"``.  ``status_counts``
+    aggregates the per-cell statuses; ``resumed`` / ``retried`` /
+    ``recovered`` are the recorded run's accounting (cells served from the
+    resumed run, straggler cells re-dispatched, and retries whose second
+    attempt succeeded).
     """
 
     experiment: str
@@ -335,30 +335,30 @@ class RunReport:
 def execute(
     run_plan: RunPlan,
     *,
-    executor: Optional[str] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     resume: bool = False,
     store: Optional[str] = None,
 ) -> RunReport:
-    """Run a plan through a registered executor and report the outcome.
+    """Run a plan's cells and report the outcome.
 
-    ``executor`` defaults to ``"pool"`` when ``jobs > 1``, else
-    ``"serial"``.  ``store`` records the run -- a ``runs`` row plus every
-    finished cell the moment it lands -- into a SQLite
-    :class:`repro.store.ExperimentStore`, for every executor; recorded
-    runs also re-dispatch each timed-out cell once, with the cell's own
-    budget.  ``resume=True`` continues the newest run in ``store`` with
-    this plan's fingerprint: its recorded cells are served, not re-run, a
-    recorded timeout not yet retried gets its retry, and a run recorded by
-    another code version is refused.
+    With ``jobs=1`` the cells run in order in this process; above that they
+    run, grouped by topology, on ``jobs`` workers of the supervised
+    :class:`~repro.eval.workers.WarmWorkerPool`.  ``store`` records the run
+    -- a ``runs`` row plus every finished cell the moment it lands, cache
+    hits included -- into a SQLite :class:`repro.store.ExperimentStore`;
+    recorded runs also re-dispatch each timed-out cell once, with the
+    cell's own budget.  ``resume=True`` continues the newest run in
+    ``store`` with this plan's fingerprint: its recorded cells are served,
+    not re-run, a recorded timeout not yet retried gets its retry, and a
+    run recorded by another code version is refused.
     """
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if resume and not store:
         raise ValueError("resume=True continues a recorded run; pass store=")
-    impl = get_executor(executor or ("pool" if jobs > 1 else "serial"))
+    executor = "pool" if jobs > 1 else "serial"
 
     meta: Dict[str, object] = {
         "experiment": run_plan.experiment,
@@ -371,17 +371,17 @@ def execute(
     resumed: Dict[str, CompilationResult] = {}
     if store:
         recorder, resumed = _open_run_record(
-            store, meta, resume=resume, executor=impl.name, jobs=jobs
+            store, meta, resume=resume, executor=executor, jobs=jobs
         )
-    ctx = ExecutionContext(
-        jobs=jobs,
-        cache=cache,
-        recorder=recorder,
-        resumed=resumed,
-    )
     start = time.perf_counter()
+    served = retried = recovered = 0
     try:
-        outcome = impl.run(run_plan.cells, ctx)
+        if recorder is None:
+            results = executors.run_specs(run_plan.cells, jobs=jobs, cache=cache)
+        else:
+            results, served, retried, recovered = _run_recorded(
+                run_plan.cells, jobs, cache, recorder, resumed
+            )
     finally:
         if recorder is not None:
             recorder.finish()
@@ -391,17 +391,72 @@ def execute(
         experiment=run_plan.experiment,
         profile=run_plan.profile,
         verify=run_plan.verify,
-        executor=impl.name,
+        executor=executor,
         jobs=jobs,
-        results=outcome.results,
-        status_counts=dict(Counter(r.status for r in outcome.results)),
+        results=results,
+        status_counts=dict(Counter(r.status for r in results)),
         wall_s=wall,
-        resumed=outcome.resumed,
-        retried=outcome.retried,
-        recovered=outcome.recovered,
+        resumed=served,
+        retried=retried,
+        recovered=recovered,
         store=store,
         cache_stats=cache.stats() if cache is not None else None,
     )
+
+
+def _run_recorded(
+    specs: Sequence[CellSpec],
+    jobs: int,
+    cache: Optional[ResultCache],
+    recorder,
+    resumed: Dict[str, CompilationResult],
+) -> Tuple[List[CompilationResult], int, int, int]:
+    """``run_specs`` plus the recorded-run duties.
+
+    Every finished cell (cache hits included) is appended to ``recorder``
+    (the run's :class:`repro.store.RunRecorder`) as it lands, the resumed
+    run's cells are served instead of re-run, and each timeout gets the
+    straggler pass: it is re-dispatched once before the report calls it
+    final.  Returns ``(results, resumed, retried, recovered)``.
+    """
+
+    keys = [cell_key(spec) for spec in specs]
+    skip = {i: resumed[k] for i, k in enumerate(keys) if k in resumed}
+    results = executors.run_specs(
+        specs,
+        jobs=jobs,
+        cache=cache,
+        skip=skip,
+        on_result=lambda i, spec, res: recorder.append(keys[i], res),
+    )
+
+    # Straggler pass: a timeout is wall-clock-dependent (and never cached),
+    # so each one is re-dispatched once before the report calls it final.
+    # Deterministic failures (error / unsupported / skipped) are not
+    # retried.  Resumed cells participate too -- a timeout recorded just
+    # before a crash would otherwise become permanent -- and the ``retries``
+    # marker recorded with the retry keeps a resumed run from re-dispatching
+    # a cell twice.
+    retry_idx = [
+        i
+        for i, r in enumerate(results)
+        if r.status == "timeout" and not (r.extra or {}).get("retries")
+    ]
+    recovered = 0
+    if retry_idx:
+        again = executors.run_specs(
+            [specs[i] for i in retry_idx],
+            jobs=min(jobs, len(retry_idx)),
+            cache=cache,
+        )
+        for i, result in zip(retry_idx, again):
+            result.extra = dict(result.extra or {})
+            result.extra["retries"] = 1
+            if result.status != "timeout":
+                recovered += 1
+            results[i] = result
+            recorder.append(keys[i], result)
+    return results, len(skip), len(retry_idx), recovered
 
 
 def _open_run_record(

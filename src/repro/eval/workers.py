@@ -1,11 +1,11 @@
-"""One supervised pool of warm worker processes, shared by ``pool`` and ``serve``.
+"""One supervised pool of warm worker processes, shared by sweeps and ``serve``.
 
 Workers are long-lived forked processes.  Each builds its hot state once --
 :func:`~repro.eval.runners.prepare_topology` for every prewarm target -- then
 loops on its own task queue, applying the pool's ``task`` function to every
 item of each batch it is sent, in order.  Each batch goes to the
 least-loaded live worker (fewest batches in flight, ready ones first among
-equals): the ``pool`` executor sends whole same-topology chunks of cells,
+equals): a sweep with ``jobs > 1`` sends whole same-topology chunks of cells,
 and the compile service sends its topology-grouped queue whenever
 :meth:`WarmWorkerPool.has_idle_worker` says a worker is free.
 

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..approaches import get_approach
 from ..arch.registry import ARCHITECTURES, architecture_key
-from ..utils import check_timeout
+from ..utils import VERIFY_POLICIES, check_timeout, normalize_verify
 from ..workloads import get_workload
 
 __all__ = [
@@ -44,9 +44,6 @@ __all__ = [
 
 #: the wire-format version this tree speaks; bump on breaking schema change
 API_VERSION = "1"
-
-#: verify spellings accepted on the wire (bools normalize to policies)
-_VERIFY_POLICIES = ("full", "sample", "off")
 
 
 class ApiError(ValueError):
@@ -202,13 +199,13 @@ class CompileRequest:
 
     # -- semantics ---------------------------------------------------------
     def verify_policy(self) -> str:
-        policy = {True: "full", False: "off"}.get(self.verify, self.verify)
-        if policy not in _VERIFY_POLICIES:
+        try:
+            return normalize_verify(self.verify)
+        except ValueError:
             raise ApiError(
                 f"request.verify must be a bool or one of "
-                f"{', '.join(map(repr, _VERIFY_POLICIES))} (got {self.verify!r})"
-            )
-        return policy
+                f"{', '.join(map(repr, VERIFY_POLICIES))} (got {self.verify!r})"
+            ) from None
 
     def normalized(self) -> "CompileRequest":
         """Registry-validated copy with canonical names.
@@ -397,19 +394,16 @@ class CompileResponse:
 def execute_request(req: CompileRequest):
     """Run one (normalized) request through the cell machinery.
 
-    Injects the process-local warm topology (:func:`cached_topology`), so
-    pool workers that prewarmed a ``(kind, size)`` never rebuild distance
+    ``run_cell`` takes the topology from the process-local memo, so pool
+    workers that prewarmed a ``(kind, size)`` never rebuild distance
     matrices or SABRE tables per request.  Returns the
     :class:`~repro.eval.metrics.CompilationResult` row; per-cell failures
     (timeout, unsupported, construction errors) come back as typed statuses,
     exactly as in batch sweeps.
     """
 
-    from ..eval.runners import cached_topology, run_cell
+    from ..eval.runners import run_cell
 
-    topology = None
-    if req.size is not None:
-        topology = cached_topology(req.architecture, req.size)
     return run_cell(
         req.approach,
         req.architecture,
@@ -420,6 +414,5 @@ def execute_request(req: CompileRequest):
         verify=req.verify_policy(),
         timeout_s=req.timeout_s,
         max_qubits=req.max_qubits,
-        topology=topology,
         **req.options,
     )

@@ -4,9 +4,9 @@ One WAL-mode database is the only place results persist: the result cache
 (``ResultCache`` rows) and run records (``execute(..., store=DB)``), behind
 indexed queries.
 
-``ResultCache`` stores cells here, and every executor records its run here
-through :class:`RunRecorder` (``--store``; ``--resume`` continues the
-newest run of the same plan).  CLI: ``python -m repro.store`` (``query``,
+``ResultCache`` stores cells here, and ``execute`` records each run here,
+serial or pooled, through :class:`RunRecorder` (``--store``; ``--resume``
+continues the newest run of the same plan).  CLI: ``python -m repro.store`` (``query``,
 ``runs``, ``info``).
 """
 

@@ -547,13 +547,12 @@ class _Transaction:
 class RunRecorder:
     """The run record: one ``runs`` row plus one append per finished cell.
 
-    :func:`repro.eval.execute` opens it before the first cell, the
-    executor appends every cell the moment it lands (cache hits included,
-    so a resume sees them), and ``execute`` finishes it in its
-    ``finally`` -- so a crashed run leaves a run row whose ``run_cells``
-    are exactly the durably finished cells.  ``run_id`` continues an
-    existing run (a resume) instead of opening a new row.  The recorder
-    owns ``store`` and closes it in :meth:`finish`.
+    :func:`repro.eval.execute` opens it before the first cell, appends
+    every cell the moment it lands (cache hits included, so a resume sees
+    them), and finishes it in its ``finally`` -- so a crashed run leaves a
+    run row whose ``run_cells`` are exactly the durably finished cells.
+    ``run_id`` continues an existing run (a resume) instead of opening a
+    new row.  The recorder owns ``store`` and closes it in :meth:`finish`.
     """
 
     def __init__(

@@ -109,9 +109,3 @@ def evaluate(expr: Expr, variables: Mapping[str, int], assignment: Assignment) -
     if isinstance(expr, int):
         return expr
     return expr.evaluate(variables, assignment)
-
-
-def expr_holes(expr: Expr) -> List[Hole]:
-    if isinstance(expr, int):
-        return []
-    return expr.holes()

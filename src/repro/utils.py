@@ -7,7 +7,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import List, Optional, TypeVar
+from typing import List, Optional, TypeVar, Union
 
 __all__ = [
     "BoundedCache",
@@ -17,6 +17,8 @@ __all__ = [
     "cell_budget",
     "check_budget",
     "check_timeout",
+    "VERIFY_POLICIES",
+    "normalize_verify",
 ]
 
 V = TypeVar("V")
@@ -82,6 +84,24 @@ def check_timeout(seconds: Optional[float]) -> None:
         raise ValueError(
             f"timeout_s must be a finite number of seconds > 0 (got {seconds!r})"
         )
+
+
+#: the per-cell verification policies: every check, a deterministic ~25%
+#: sample of cells (``repro.eval.sample_verifies``), or none
+VERIFY_POLICIES = ("full", "sample", "off")
+
+
+def normalize_verify(verify: Union[bool, str]) -> str:
+    """The verification policy ``verify`` names (``True`` is ``"full"``,
+    ``False`` is ``"off"``); raise ``ValueError`` for anything else."""
+
+    policy = {True: "full", False: "off"}.get(verify, verify)
+    if policy not in VERIFY_POLICIES:
+        raise ValueError(
+            f"unknown verify policy {verify!r} (one of "
+            f"{', '.join(map(repr, VERIFY_POLICIES))})"
+        )
+    return policy
 
 
 def budget_deadline() -> Optional[float]:

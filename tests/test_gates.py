@@ -13,8 +13,6 @@ from repro.circuit.gates import (
     Gate,
     GateKind,
     Op,
-    count_kinds,
-    expand_to_cnot,
     qft_angle,
 )
 
@@ -123,38 +121,3 @@ class TestOp:
 
     def test_swap_op_is_swap(self):
         assert Op(GateKind.SWAP, (0, 1), (1, 0)).is_swap
-
-
-class TestExpandToCnot:
-    def test_swap_expands_to_three_cnots(self):
-        ops = expand_to_cnot(Op(GateKind.SWAP, (0, 1), (0, 1)))
-        assert len(ops) == 3
-        assert all(o.kind == GateKind.CNOT for o in ops)
-
-    def test_cphase_expands_to_two_cnots_and_rotations(self):
-        ops = expand_to_cnot(Op(GateKind.CPHASE, (0, 1), (0, 1), math.pi / 2))
-        kinds = [o.kind for o in ops]
-        assert kinds.count(GateKind.CNOT) == 2
-        assert kinds.count(GateKind.RZ) == 3
-
-    def test_single_qubit_ops_pass_through(self):
-        op = Op(GateKind.H, (0,), (0,))
-        assert expand_to_cnot(op) == [op]
-
-    def test_expansion_preserves_tag(self):
-        ops = expand_to_cnot(Op(GateKind.SWAP, (0, 1), (0, 1), tag="unit-swap"))
-        assert all(o.tag == "unit-swap" for o in ops)
-
-
-class TestCountKinds:
-    def test_counts_by_kind(self):
-        ops = [
-            Op(GateKind.H, (0,), (0,)),
-            Op(GateKind.SWAP, (0, 1), (0, 1)),
-            Op(GateKind.SWAP, (1, 2), (1, 2)),
-        ]
-        counts = count_kinds(ops)
-        assert counts == {GateKind.H: 1, GateKind.SWAP: 2}
-
-    def test_empty_sequence(self):
-        assert count_kinds([]) == {}

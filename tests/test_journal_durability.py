@@ -4,10 +4,10 @@ A recorded run (``execute(..., store=DB)``) commits one store transaction
 per finished cell into the ``runs``/``run_cells`` tables -- the store's run
 journal -- under ``synchronous=FULL`` in WAL mode.  The contract is "the
 committed appends are exactly the finished cells, and ``resume=True``
-serves them".  These tests hold every executor to it (identical records
-for identical plans, a run cut after k cells resuming bit-equal with
-``resumed == k``, cache hits recorded), tear the WAL of a recorded run at
-swept byte offsets, and refuse damage that a torn write cannot produce.
+serves them".  These tests hold serial and pooled runs to it (identical
+records for identical plans, a run cut after k cells resuming bit-equal
+with ``resumed == k``, cache hits recorded), tear the WAL of a recorded run
+at swept byte offsets, and refuse damage that a torn write cannot produce.
 """
 
 import sqlite3
@@ -20,10 +20,9 @@ from repro.eval.cache import ResultCache
 from repro.eval.metrics import CompilationResult
 from repro.store import ExperimentStore, RunRecorder, comparable_result
 
-EXECUTORS = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("pool", 2, id="pool"),
-]
+#: jobs=1 runs the cells in order in-process, jobs=2 on the worker pool;
+#: the ids are the executor label each run records
+JOBS = [pytest.param(1, id="serial"), pytest.param(2, id="pool")]
 
 #: small pages so one recorded cell spans several WAL frames
 PAGE = 512
@@ -67,43 +66,44 @@ def _cut(db, k):
     _sql(db, "UPDATE runs SET finished_at = NULL, wall_s = NULL, status_counts = NULL")
 
 
-@pytest.mark.parametrize("executor,jobs", EXECUTORS)
+@pytest.mark.parametrize("jobs", JOBS)
 class TestEveryExecutor:
-    def test_same_plan_yields_identical_records(self, tmp_path, executor, jobs):
+    def test_same_plan_yields_identical_records(self, tmp_path, jobs):
         p = _plan()
         for name in ("a", "b"):
-            execute(p, executor=executor, jobs=jobs, store=str(tmp_path / f"{name}.db"))
+            execute(p, jobs=jobs, store=str(tmp_path / f"{name}.db"))
         execute(p, store=str(tmp_path / "serial.db"))
-        (_, a), (_, b) = _record(tmp_path / "a.db"), _record(tmp_path / "b.db")
+        (run, a), (_, b) = _record(tmp_path / "a.db"), _record(tmp_path / "b.db")
         assert a == b == _record(tmp_path / "serial.db")[1]
         assert len(a) == len(p.cells)
+        # the run row names what ran: the pool exactly when jobs > 1
+        label = "pool" if jobs > 1 else "serial"
+        assert (run["executor"], run["jobs"]) == (label, jobs)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_run_cut_after_k_cells_resumes_bit_equal(
-        self, tmp_path, executor, jobs, k
-    ):
+    def test_run_cut_after_k_cells_resumes_bit_equal(self, tmp_path, jobs, k):
         p = _plan()
         db = tmp_path / "s.db"
-        clean = execute(p, executor=executor, jobs=jobs, store=str(db))
+        clean = execute(p, jobs=jobs, store=str(db))
         _, full = _record(db)
         _cut(db, k)
-        resumed = execute(p, executor=executor, jobs=jobs, store=str(db), resume=True)
+        resumed = execute(p, jobs=jobs, store=str(db), resume=True)
         assert resumed.resumed == k
         assert _metrics(resumed.results) == _metrics(clean.results)
         run, record = _record(db)
         assert record == full and run["appended"] == len(p.cells)
         assert run["finished_at"] is not None
 
-    def test_cache_hits_are_recorded(self, tmp_path, executor, jobs):
+    def test_cache_hits_are_recorded(self, tmp_path, jobs):
         p = _plan()
         db = tmp_path / "s.db"
         cache = ResultCache(tmp_path / "cache.db")
-        execute(p, executor=executor, jobs=jobs, cache=cache)  # warm, unrecorded
-        warm = execute(p, executor=executor, jobs=jobs, cache=cache, store=str(db))
+        execute(p, jobs=jobs, cache=cache)  # warm, unrecorded
+        warm = execute(p, jobs=jobs, cache=cache, store=str(db))
         assert warm.cache_stats["hits"] == len(p.cells)
         run, _ = _record(db)
         assert run["appended"] == len(p.cells)
-        resumed = execute(p, executor=executor, jobs=jobs, store=str(db), resume=True)
+        resumed = execute(p, jobs=jobs, store=str(db), resume=True)
         assert resumed.resumed == len(p.cells)
         assert _metrics(resumed.results) == _metrics(warm.results)
 

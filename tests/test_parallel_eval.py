@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.eval import ResultCache, adhoc_plan, execute, run_cell
+from repro.eval import ResultCache, adhoc_plan, execute, run_cell, runners
 from repro.eval.experiments import QUICK, specs_figure27, specs_table1
 from repro.eval.executors import _topology_chunks, run_specs
 from repro.eval.parallel import CellSpec
-from repro.eval.runners import architecture_key, cached_topology
+from repro.eval.runners import architecture_key, cached_topology, prepare_topology
 
 
 def _metrics(results):
@@ -147,14 +147,52 @@ class TestTopologyGrouping:
         assert a is b
         assert a.num_qubits == 10
 
-    def test_cached_topology_returns_none_on_bad_architecture(self):
-        assert cached_topology("sycamore", 9) is None  # odd size is invalid
+    def test_run_cell_takes_the_topology_from_the_memo(self, monkeypatch):
+        # a second cell on the same device builds nothing; a construction
+        # error is not memoized and comes back as the cell's error row
+        real = runners.make_architecture
+        built = []
 
-    def test_injected_topology_used_by_run_cell(self):
+        def counting(kind, size):
+            built.append((kind, size))
+            return real(kind, size)
+
+        monkeypatch.setattr(runners, "make_architecture", counting)
+        runners._TOPO_MEMO.clear()
+        first = run_cell("sabre", "grid", 3)
+        second = run_cell("sabre", "grid", 3)
+        assert built == [("grid", 3)]
+        assert first.ok and second.ok and second.num_qubits == 9
+
+        with pytest.raises(ValueError) as constructor:
+            real("sycamore", 9)  # odd size is invalid
+        bad = run_cell("sabre", "sycamore", 9)
+        assert bad.status == "error" and bad.message == str(constructor.value)
+
+    def test_cached_topology_returns_none_on_bad_architecture(self):
+        # cached_topology raises the constructor's error and memoizes nothing;
+        # prepare_topology, the pool workers' warm-up, turns it into None
+        with pytest.raises(ValueError, match="even number"):
+            cached_topology("sycamore", 9)  # odd size is invalid
+        assert runners._TOPO_MEMO.lookup(architecture_key("sycamore", 9)) is None
+        assert prepare_topology("sycamore", 9) is None
+
+    def test_injected_topology_used_by_run_cell(self, monkeypatch):
+        # the memo is how a topology reaches run_cell: the instance that
+        # cached_topology holds is the one the cell compiles against
         topo = cached_topology("grid", 3)
-        res = run_cell("sabre", "grid", 3, topology=topo)
+        real = runners.compile_cell
+        seen = []
+
+        def spy(**kwargs):
+            seen.append(kwargs["architecture"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(runners, "compile_cell", spy)
+        res = run_cell("sabre", "grid", 3)
         assert res.ok
         assert res.num_qubits == 9
+        assert len(seen) == 1 and seen[0] is topo
 
     def test_chunk_crash_preserves_finished_results(self, tmp_path):
         # A caller bug (unknown approach) must still raise, but cells that

@@ -19,7 +19,6 @@ from repro.approaches import APPROACH_REGISTRY
 from repro.arch.registry import ARCHITECTURES
 from repro.core.mapper import _SPECIALISTS
 from repro.eval import CellSpec, ResultCache, run_specs
-from repro.eval.executors import EXECUTOR_REGISTRY
 from repro.eval.runs import EXPERIMENT_REGISTRY
 from repro.lint import CHECKERS
 from repro.workloads import WORKLOADS
@@ -115,7 +114,6 @@ class TestBuiltinRegistries:
             APPROACH_REGISTRY: lambda entry: entry.factory.__doc__,
             ARCHITECTURES: lambda entry: entry.factory.__doc__,
             WORKLOADS: lambda entry: type(entry).__doc__,
-            EXECUTOR_REGISTRY: lambda entry: type(entry).__doc__,
             EXPERIMENT_REGISTRY: lambda entry: entry.description,
             CHECKERS: lambda entry: type(entry).__doc__,
         }

@@ -1,4 +1,4 @@
-"""Tests for the declarative run API (repro.eval.runs / executors / run record)."""
+"""Tests for the declarative run API (repro.eval.runs, the run record)."""
 
 import json
 import pickle
@@ -8,13 +8,10 @@ import pytest
 
 from repro.eval import (
     CellSpec,
-    ExecutionContext,
     adhoc_plan,
     cell_key,
     execute,
-    executor_names,
     experiment_names,
-    get_executor,
     get_experiment,
     plan,
     run_cell,
@@ -122,26 +119,15 @@ class TestRunPlan:
 
 
 # ---------------------------------------------------------------------------
-# Executors
+# Execution: jobs=1 in order in-process, jobs > 1 on the worker pool
 # ---------------------------------------------------------------------------
 
 
 class TestExecutors:
-    def test_builtin_executors_registered(self):
-        assert set(executor_names()) == {"serial", "pool"}
-        assert get_executor("parallel").name == "pool"
-        with pytest.raises(UnknownNameError):
-            get_executor("dispatch")
-
-    def test_unknown_executor_suggests(self):
-        p = adhoc_plan("x", [CellSpec.make("sabre", "grid", 2)])
-        with pytest.raises(UnknownNameError, match="did you mean"):
-            execute(p, executor="serail")
-
     def test_serial_and_pool_agree(self):
         p = plan("fig27")
-        serial = execute(p, executor="serial")
-        pool = execute(p, executor="pool", jobs=2)
+        serial = execute(p, jobs=1)
+        pool = execute(p, jobs=2)
         assert _metrics(serial.results) == _metrics(pool.results)
         assert serial.executor == "serial" and pool.executor == "pool"
 

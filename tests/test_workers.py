@@ -1,5 +1,5 @@
-"""The shared supervised worker pool (repro.eval.workers) and the ``pool``
-executor running on it: task results and raises, the crash budget, and a
+"""The shared supervised worker pool (repro.eval.workers) and the pooled
+sweeps running on it: task results and raises, the crash budget, and a
 sweep that survives a killed and a stalled worker bit-equal to serial."""
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def test_pool_executor_survives_a_killed_and_a_stalled_worker(
         chaos.ENV_VAR, "kill-worker@worker=w0,cell=1;stall@worker=w1,cell=2,s=0.5"
     )
     caplog.set_level(logging.WARNING, logger="repro.eval.workers")
-    chaotic = execute(p, executor="pool", jobs=2, store=str(tmp_path / "chaos.db"))
+    chaotic = execute(p, jobs=2, store=str(tmp_path / "chaos.db"))
     assert _metrics(chaotic.results) == _metrics(serial.results)
     assert _recorded(tmp_path / "chaos.db") == _recorded(tmp_path / "serial.db")
     # both faults fired: w0 was reaped and its chunk resubmitted, and w1's
